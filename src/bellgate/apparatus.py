@@ -58,9 +58,14 @@ def validate_config(cfg: ApparatusConfig) -> ApparatusConfig:
     """Return ``cfg`` unchanged iff every invariant holds.
 
     Raises :class:`ValidationError` naming the first violated invariant.
-    The slit must be narrower than one facet sweep (2*pi*R/N), otherwise
-    the "gate" never closes and the duty cycle would reach or exceed 1.
+    Every field must be finite: an infinite rotation rate, for one, would
+    give a zero gate period.  The slit must be narrower than one facet
+    sweep (2*pi*R/N), otherwise the "gate" never closes and the duty cycle
+    would reach or exceed 1.
     """
+    for name, value in vars(cfg).items():
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite")
     if not cfg.aperture_width > 0:
         raise ValidationError("aperture must be positive")
     if not cfg.mirror_radius > 0:

@@ -146,6 +146,9 @@ def apply_overrides(cfg: dict, assignments) -> dict:
 def _coerce_number(section: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    # Python's json accepts Infinity and NaN; no bench quantity is either.
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -190,7 +193,7 @@ def build_model(body: dict) -> CorrelationModel:
     if name == "quantum":
         return QuantumState(
             sign_convention=body.get("sign_convention", "mirrored"),
-            visibility=float(body.get("visibility", 1.0)),
+            visibility=_coerce_number("model", "visibility", body.get("visibility", 1.0)),
         )
     if name == "malus":
         return MalusLHV()

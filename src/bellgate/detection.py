@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sources import _as_rng
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -36,6 +38,11 @@ class DetectorConfig:
             raise ValueError("dark rates must be non-negative")
         if not self.coincidence_window > 0:
             raise ValueError("coincidence window must be positive")
+
+    @property
+    def pair_keep_probability(self) -> float:
+        """Probability that at least one detector keeps a pair reaching both slits."""
+        return 1.0 - (1.0 - self.efficiency_alice) * (1.0 - self.efficiency_bob)
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,17 @@ class CountRecord:
         )
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+def detection_pattern(n: int, det: DetectorConfig, rng):
+    """Which detectors fire, for ``n`` pairs that at least one detector keeps.
+
+    The arms keep photons independently, so given at least one detection
+    the pattern is alice only, both or bob only with probabilities
+    e_a(1-e_b)/k, e_a*e_b/k and (1-e_a)e_b/k, where k is
+    :attr:`DetectorConfig.pair_keep_probability`.  Returns the boolean
+    arrays (alice_kept, bob_kept).
+    """
+    u = rng.random(n) * det.pair_keep_probability
+    return u < det.efficiency_alice, u >= det.efficiency_alice * (1.0 - det.efficiency_bob)
 
 
 def thin_times(times, efficiency: float, rng) -> np.ndarray:

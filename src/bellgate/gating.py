@@ -8,6 +8,7 @@ time: open for ``aperture_time`` at the start of every ``gate_period``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,36 @@ def gate_open(t, gate: GateState):
     if np.ndim(t) == 0:
         return bool(is_open)
     return is_open
+
+
+def sample_open_times(rate: float, t0: float, t1: float, gate: GateState | None, rng):
+    """Times of a Poisson process of ``rate`` kept to the open part of [t0, t1).
+
+    The count is Poisson over the exact open measure of the windows that
+    overlap the interval, each window at the edges weighted by the open
+    length inside it, and every time lies uniformly on that open set.
+    ``gate=None`` (mirror stopped) leaves the whole interval open.  The
+    times come back unsorted; memory grows with the number drawn, never
+    with the number of windows.
+    """
+    if gate is None:
+        n = int(rng.poisson(rate * (t1 - t0)))
+        return t0 + rng.random(n) * (t1 - t0)
+    period, width = gate.gate_period, gate.aperture_time
+    # Window k opens at phase_offset + k*period.  Laying the windows from
+    # ``first`` to ``last`` end to end gives an open-time coordinate s in
+    # [0, n*width); the interval covers s in [s0, s1).
+    first = math.floor((t0 - gate.phase_offset) / period)
+    last = math.ceil((t1 - gate.phase_offset) / period) - 1
+    start = gate.phase_offset + first * period
+    last_start = gate.phase_offset + last * period
+    s0 = min(max(t0 - start, 0.0), width)
+    s1 = (last - first) * width + min(max(t1 - last_start, 0.0), width)
+    measure = max(s1 - s0, 0.0)
+    n = int(rng.poisson(rate * measure))
+    s = s0 + rng.random(n) * measure
+    window = np.floor(s / width)
+    return start + window * period + (s - window * width)
 
 
 def apply_gate(arrival_times, gate: GateState | None) -> np.ndarray:

@@ -10,6 +10,22 @@ Two run kinds cover the two standard measurements:
 * ``"degradation"`` -- polarizer-free luminosity runs (dark only, gate
   off, gate on) and the per-column with/without rotation ratios.
 
+A counting run draws only *candidate* pairs: pairs that reach the slits
+while the gate is open and that at least one detector keeps.  The gate
+and the detector efficiencies are independent marks of the Poisson
+emission stream, and a Poisson process thinned by an independent mark
+is again Poisson (the marking theorem), so candidates are a Poisson
+process of rate ``pair_rate * k`` on the gate's open set, with
+``k = 1 - (1 - e_a)(1 - e_b)``.  :func:`~bellgate.gating.sample_open_times`
+draws them slice by slice; each candidate then gets its detection
+pattern (alice only, both, bob only) from
+:func:`~bellgate.detection.detection_pattern` and, in polarized runs, its
+polarizer outcomes from :func:`~bellgate.sources.joint_outcomes`; the
+``TravelingInfluence`` flags and hidden-variable angles are computed for
+candidates only.  A detector fires where its arm both keeps the photon
+and passes the polarizer.  At the reference bench's 1.6% duty cycle and
+1-2% efficiencies about one emitted pair in 2000 is a candidate.
+
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
 degradation label), never by position, so results are independent of
@@ -38,8 +54,15 @@ from .analysis import (
     degradation_ratio,
 )
 from .apparatus import ApparatusConfig, gate_geometry, validate_config
-from .detection import CountRecord, DetectorConfig, dark_times, match_coincidences, thin_times
-from .gating import GateState, gate_open
+from .detection import (
+    CountRecord,
+    DetectorConfig,
+    dark_times,
+    detection_pattern,
+    match_coincidences,
+    thin_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.thin_times
+)
+from .gating import GateState, gate_open, sample_open_times
 from .sources import CorrelationModel, TravelingInfluence, joint_outcomes
 
 GRID_SETTINGS = tuple((a, b) for a in ALICE_ANGLES for b in BOB_ANGLES)
@@ -48,8 +71,8 @@ DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
 
 RUN_KINDS = ("chsh", "degradation")
 
-# Emission streams are generated in time slices of roughly this many
-# events so memory stays bounded at high pair rates.  Fixed (not
+# Candidate pairs are drawn in time slices of roughly this many expected
+# draws so memory stays bounded at high pair rates.  Fixed (not
 # configurable) so a given plan always consumes the same random stream.
 _CHUNK_EVENTS = 1 << 22
 
@@ -71,10 +94,10 @@ class RunPlan:
     kind: str = "chsh"
 
     def __post_init__(self):
-        if not self.pair_rate > 0:
-            raise ValueError("pair rate must be positive")
-        if not self.integration_time > 0:
-            raise ValueError("integration time must be positive")
+        if not 0 < self.pair_rate < math.inf:
+            raise ValueError("pair rate must be positive and finite")
+        if not 0 < self.integration_time < math.inf:
+            raise ValueError("integration time must be positive and finite")
         if not self.settings:
             raise ValueError("settings must be non-empty")
         if self.kind not in RUN_KINDS:
@@ -119,11 +142,14 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _time_slices(duration: float, pair_rate: float):
-    span = max(_CHUNK_EVENTS / pair_rate, 1e-9)
+def _time_slices(duration: float, event_rate: float):
+    """Yield (t0, t1) slices of [0, duration) holding about
+    ``_CHUNK_EVENTS`` draws each at ``event_rate``; edges are made one
+    at a time, so a huge slice count costs no memory."""
+    span = max(_CHUNK_EVENTS / event_rate, 1e-9)
     n_slices = max(1, math.ceil(duration / span))
-    edges = np.linspace(0.0, duration, n_slices + 1)
-    return zip(edges[:-1], edges[1:])
+    for i in range(n_slices):
+        yield duration * i / n_slices, duration * (i + 1) / n_slices
 
 
 def run_setting(
@@ -142,6 +168,7 @@ def run_setting(
     geometry = gate_geometry(validate_config(plan.apparatus))
     det = plan.detector
     duration = plan.integration_time
+    delay = geometry.fiber_delay
     if rotation is None:
         rotation = plan.rotation
     gate = GateState.from_geometry(geometry, plan.gate_phase) if rotation else None
@@ -151,7 +178,7 @@ def run_setting(
         # An emission is "informed" iff the slit was in view one influence
         # transit earlier, i.e. the gate pattern shifted by that delay.
         if gate is not None:
-            delay = (
+            influence_delay = (
                 0.0
                 if math.isinf(plan.model.influence_speed)
                 else plan.apparatus.fiber_length / plan.model.influence_speed
@@ -159,41 +186,42 @@ def run_setting(
             influence_gate = GateState(
                 gate.gate_period,
                 gate.aperture_time,
-                (gate.phase_offset + delay) % gate.gate_period,
+                (gate.phase_offset + influence_delay) % gate.gate_period,
             )
         # With the mirror stopped the line of sight is permanent: every
         # emission is informed (influence_gate stays None).
 
+    candidate_rate = plan.pair_rate * det.pair_keep_probability
     alice_parts = []
     bob_parts = []
-    for t0, t1 in _time_slices(duration, plan.pair_rate):
-        n = int(rng.poisson(plan.pair_rate * (t1 - t0)))
-        times = t0 + np.sort(rng.random(n) * (t1 - t0))
+    for t0, t1 in _time_slices(duration, candidate_rate):
+        arrivals = sample_open_times(candidate_rate, t0 + delay, t1 + delay, gate, rng)
+        if gate is not None:
+            # Keeps gate_open the one test of an open slit; the sampler's
+            # draws all pass it, and perfbench/trace_child.py counts the
+            # gated candidates through this call.
+            arrivals = arrivals[gate_open(arrivals, gate)]
+        n = arrivals.size
+        alice_kept, bob_kept = detection_pattern(n, det, rng)
         if polarized:
             hidden = None
             if isinstance(plan.model, TravelingInfluence):
                 hidden = (
-                    gate_open(times, influence_gate)
+                    gate_open(arrivals - delay, influence_gate)
                     if influence_gate is not None
                     else np.ones(n, dtype=bool)
                 )
             alice_pass, bob_pass = joint_outcomes(
                 plan.model, alice_angle, bob_angle, n, rng, hidden
             )
-        else:
-            alice_pass = bob_pass = np.ones(n, dtype=bool)
-        arrivals = times + geometry.fiber_delay
-        if gate is not None:
-            open_mask = gate_open(arrivals, gate)
-            alice_pass = alice_pass & open_mask
-            bob_pass = bob_pass & open_mask
-        alice_parts.append(thin_times(arrivals[alice_pass], det.efficiency_alice, rng))
-        bob_parts.append(thin_times(arrivals[bob_pass], det.efficiency_bob, rng))
+            alice_kept &= alice_pass
+            bob_kept &= bob_pass
+        alice_parts.append(arrivals[alice_kept])
+        bob_parts.append(arrivals[bob_kept])
 
-    alice = np.concatenate(alice_parts) if alice_parts else np.empty(0)
-    bob = np.concatenate(bob_parts) if bob_parts else np.empty(0)
-    alice = np.sort(np.concatenate([alice, dark_times(det.dark_rate_alice, duration, rng)]))
-    bob = np.sort(np.concatenate([bob, dark_times(det.dark_rate_bob, duration, rng)]))
+    # Signal times are unsorted; this sort orders what the matcher sees.
+    alice = np.sort(np.concatenate([*alice_parts, dark_times(det.dark_rate_alice, duration, rng)]))
+    bob = np.sort(np.concatenate([*bob_parts, dark_times(det.dark_rate_bob, duration, rng)]))
     coincidences = match_coincidences(alice, bob, det.coincidence_window)
     return SettingCounts(coincidences, alice.size, bob.size, duration)
 

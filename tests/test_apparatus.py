@@ -47,6 +47,8 @@ def test_oversized_aperture_rejected():
         ({"fiber_length": 0.0}, "fiber length must be positive"),
         ({"fiber_group_index": 0.9}, "fiber group index must be at least 1"),
         ({"vacuum_light_speed": 0.0}, "light speed must be positive"),
+        ({"rotation_rate": math.inf}, "rotation_rate must be finite"),
+        ({"aperture_width": math.nan}, "aperture_width must be finite"),
     ],
 )
 def test_each_invariant_is_named(kwargs, message):

@@ -6,6 +6,7 @@ import pytest
 
 from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, CountTable16, write_table_csv
 from bellgate.cli import main
+from bellgate.config import ConfigError, build_plan
 from bellgate.fixtures import fixture_path
 
 TINY_CONFIG = {
@@ -54,6 +55,12 @@ def test_geometry_override_doubles_aperture_time(capsys):
 def test_geometry_invalid_config_value(capsys):
     assert main(["geometry", "--set", "apparatus.aperture_width=0"]) == 1
     assert "aperture must be positive" in capsys.readouterr().err
+
+
+def test_geometry_rejects_infinite_rotation_rate(capsys):
+    # would otherwise print a zero gate period
+    assert main(["geometry", "--set", "apparatus.rotation_rate=Infinity"]) == 1
+    assert "apparatus.rotation_rate must be finite" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(capsys):
@@ -216,6 +223,28 @@ def test_simulate_rotation_flag_override(tmp_path):
 def test_simulate_bad_config_schema(tmp_path, capsys):
     config = write_config(tmp_path, {"apparatus": {"bogus": 1.0}})
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_simulate_rejects_infinite_integration_time(tmp_path, capsys):
+    body = dict(TINY_CONFIG)
+    body["detector"] = dict(body["detector"], dark_rate_alice=0.0, dark_rate_bob=0.0)
+    config = write_config(tmp_path, body)
+    args = ["simulate", "--config", str(config), "--out", str(tmp_path / "o")]
+    assert main([*args, "--set", "run.integration_time=Infinity"]) == 1
+    assert "run.integration_time must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("run", "pair_rate", math.inf), ("run", "gate_phase", math.nan),
+     ("model", "visibility", math.nan)],
+)
+def test_build_plan_rejects_non_finite_numbers(section, key, value):
+    # checked without simulating: an infinite pair rate must never reach the runner
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
+        build_plan(cfg)
 
 
 def test_simulate_config_not_json(tmp_path, capsys):

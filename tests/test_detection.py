@@ -9,6 +9,7 @@ from bellgate.detection import (
     count_run,
     dark_times,
     detect,
+    detection_pattern,
     match_coincidences,
     read_count_records,
     thin_times,
@@ -39,6 +40,18 @@ def test_thinning_rate():
     kept = thin_times(arrivals, 0.0119, np.random.default_rng(1))
     expected = 11900
     assert abs(kept.size - expected) < 5 * math.sqrt(expected)
+
+
+def test_detection_pattern_is_conditioned_on_a_detection():
+    det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.4)
+    k = det.pair_keep_probability
+    assert k == pytest.approx(0.7)
+    n = 200_000
+    alice, bob = detection_pattern(n, det, np.random.default_rng(8))
+    assert not np.any(~alice & ~bob)
+    observed = np.array([np.sum(alice & ~bob), np.sum(alice & bob), np.sum(~alice & bob)])
+    expected = n * np.array([0.5 * 0.6, 0.5 * 0.4, 0.5 * 0.4]) / k
+    assert np.all(np.abs(observed - expected) < 4 * np.sqrt(expected))
 
 
 def test_perfect_detector_is_identity():

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from bellgate.apparatus import GateGeometry, ValidationError
-from bellgate.gating import ALICE, BOB, GateState, apply_gate, gate_open, propagate, propagate_times
+from bellgate.detection import DetectorConfig
+from bellgate.gating import (
+    ALICE,
+    BOB,
+    GateState,
+    apply_gate,
+    gate_open,
+    propagate,
+    propagate_times,
+    sample_open_times,
+)
 from bellgate.sources import PairEvent, sample_emissions
 
 T_ON = 4.681027737996921e-07
@@ -121,3 +131,90 @@ def test_from_geometry_validates(bench_geometry):
     )
     with pytest.raises(ValidationError, match="aperture time"):
         GateState.from_geometry(degenerate)
+
+
+# ---------------------------------------------------------------------------
+# Sampling directly on the open set
+
+PHASE = 1.1e-5
+K = DetectorConfig(efficiency_alice=0.0197, efficiency_bob=0.0119).pair_keep_probability
+
+
+def _open_measure(t0, t1, gate):
+    """Brute-force oracle: the overlap of [t0, t1) with every window, summed."""
+    k = math.floor((t0 - gate.phase_offset) / gate.gate_period)
+    total = 0.0
+    while gate.phase_offset + k * gate.gate_period < t1:
+        opens = gate.phase_offset + k * gate.gate_period
+        total += max(0.0, min(t1, opens + gate.aperture_time) - max(t0, opens))
+        k += 1
+    return total
+
+
+def _window_start(k):
+    return PHASE + k * GATE_PERIOD
+
+
+# (t0, t1) pairs: partial windows at both edges near t = 60 s, a range
+# inside one window, a range inside one closed stretch, a long range from 0.
+N60 = math.floor((60.0 - PHASE) / GATE_PERIOD)
+RANGES = [
+    (_window_start(N60) + 0.3 * T_ON, _window_start(N60 + 40) + 0.6 * T_ON),
+    (_window_start(N60 + 3) + 0.2 * T_ON, _window_start(N60 + 3) + 0.7 * T_ON),
+    (_window_start(N60) + 2 * T_ON, _window_start(N60) + 5 * T_ON),
+    (0.0, 0.05),
+]
+
+
+@pytest.mark.parametrize("t0, t1", RANGES)
+def test_sampled_arrivals_lie_on_the_open_set(t0, t1):
+    gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    measure = _open_measure(t0, t1, gate)
+    rate = 2000.0 / max(measure, T_ON)  # about 2000 draws per call
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        times = sample_open_times(rate, t0, t1, gate, rng)
+        assert np.all(gate_open(times, gate))
+        assert np.all((times >= t0) & (times < t1))
+
+
+@pytest.mark.parametrize("t0, t1", RANGES)
+def test_sampled_count_matches_open_measure(t0, t1):
+    gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    pair_rate = 2e8
+    expected_per_call = pair_rate * K * _open_measure(t0, t1, gate)
+    total = sum(
+        sample_open_times(pair_rate * K, t0, t1, gate, np.random.default_rng(seed)).size
+        for seed in range(50)
+    )
+    expected = 50 * expected_per_call
+    assert abs(total - expected) <= 4 * math.sqrt(max(expected, 1.0))
+
+
+def test_edge_windows_weighted_by_open_length():
+    # the first range: 0.7 of the first window and 0.6 of the last are inside
+    t0, t1 = RANGES[0]
+    gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    times = np.concatenate(
+        [sample_open_times(1e10, t0, t1, gate, np.random.default_rng(s)) for s in range(20)]
+    )
+    window = np.floor((times - PHASE) / GATE_PERIOD) - N60
+    share = np.array([np.mean(window == 0), np.mean(window == 40)])
+    expected = np.array([0.7, 0.6]) * T_ON / _open_measure(t0, t1, gate)
+    sigma = np.sqrt(expected / times.size)
+    assert np.all(np.abs(share - expected) < 4 * sigma)
+    # inside a window the offset is uniform
+    offsets = np.mod(times - PHASE, GATE_PERIOD)[(window > 0) & (window < 40)] / T_ON
+    counts, _ = np.histogram(offsets, bins=10, range=(0.0, 1.0))
+    chi2 = np.sum((counts - counts.mean()) ** 2 / counts.mean())
+    assert chi2 < 33.7  # chi-square, 9 degrees of freedom, p = 1e-4
+
+
+def test_stopped_mirror_opens_the_whole_interval():
+    t0, t1 = 60.0, 60.5
+    total = 0
+    for seed in range(20):
+        times = sample_open_times(1e4, t0, t1, None, np.random.default_rng(seed))
+        assert np.all((times >= t0) & (times < t1))
+        total += times.size
+    assert abs(total - 1e5) <= 4 * math.sqrt(1e5)

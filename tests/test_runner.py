@@ -1,4 +1,6 @@
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bellgate.runner import (
     GRID_SETTINGS,
     RunPlan,
     calibrate_from_counts,
+    _time_slices,
     derive_seed,
     run_chsh,
     run_degradation,
@@ -121,6 +124,28 @@ def test_plan_validation():
         quick_plan(MalusLHV(), kind="both")
     with pytest.raises(ValueError, match="full 4x4 grid"):
         run_chsh(quick_plan(MalusLHV(), settings=((0.0, 22.5),)))
+
+
+def test_plan_rejects_non_finite_rate_and_time():
+    with pytest.raises(ValueError, match="pair rate must be positive and finite"):
+        quick_plan(MalusLHV(), pair_rate=math.inf)
+    with pytest.raises(ValueError, match="integration time must be positive and finite"):
+        quick_plan(MalusLHV(), integration_time=math.nan)
+
+
+def test_time_slices_tile_the_run():
+    slices = list(_time_slices(30.0, 1e6))
+    assert len(slices) == 8  # 30 s at 1e6/s over 2**22 draws per slice
+    assert slices[0][0] == 0.0 and slices[-1][1] == 30.0
+    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+
+
+def test_time_slices_are_lazy():
+    slices = _time_slices(30.0, 1e25)
+    assert isinstance(slices, types.GeneratorType)
+    # 3e10 slices of 1 ns: only the edges asked for are ever made
+    first = list(itertools.islice(slices, 2))
+    assert first == [(0.0, 1e-9), (1e-9, 2e-9)]
 
 
 # ---------------------------------------------------------------------------
