@@ -5,7 +5,8 @@ measured count table), ``simulate`` (full experiment, writes CSV/JSON
 reports), ``causality`` (influence timing report or resonance sweep).
 
 Exit codes are stable for scripting: 0 success, 1 configuration or
-validation error, 2 I/O error, 3 numerical failure.
+validation error (a run too large for memory included), 2 I/O error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -296,6 +297,10 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # A run too large for this host is a configuration error.
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

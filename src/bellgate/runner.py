@@ -102,6 +102,14 @@ class RunPlan:
             raise ValueError("settings must be non-empty")
         if self.kind not in RUN_KINDS:
             raise ValueError(f"unknown run kind {self.kind!r}")
+        # A window as long as the gate period reaches into the next gate
+        # opening and pairs detections that no single opening let through.
+        gate_period = gate_geometry(validate_config(self.apparatus)).gate_period
+        if not self.detector.coincidence_window < gate_period:
+            raise ValueError(
+                f"coincidence window {self.detector.coincidence_window:g} s must be "
+                f"shorter than the gate period {gate_period:g} s"
+            )
 
 
 class Calibration(NamedTuple):

@@ -247,6 +247,35 @@ def test_build_plan_rejects_non_finite_numbers(section, key, value):
         build_plan(cfg)
 
 
+def test_simulate_rejects_window_as_long_as_gate_period(tmp_path, capsys):
+    # demo.json's gate period is 29.4 us; a 100 us window pairs detections
+    # from different gate windows and once reported S above 2*sqrt(2).
+    cfg = json.loads(fixture_path("demo.json").read_text())
+    cfg["detector"]["coincidence_window"] = 1e-4
+    cfg["run"]["integration_time"] = 0.5
+    config = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "shorter than the gate period" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "exc, detail",
+    [(MemoryError("Unable to allocate 1.42 PiB"), "Unable to allocate 1.42 PiB"),
+     (MemoryError(), "allocation failed")],
+)
+def test_simulate_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch, exc, detail):
+    def exhausted(plan):
+        raise exc
+
+    monkeypatch.setattr("bellgate.cli.run_degradation", exhausted)
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {detail}\n"
+
+
 def test_simulate_config_not_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

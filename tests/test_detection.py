@@ -34,6 +34,35 @@ def greedy_match_reference(alice, bob, window):
     return count
 
 
+def two_pointer_reference(alice, bob, window):
+    """The earlier pure-Python matcher, kept as an oracle: the greedy
+    earliest-first two-pointer sweep over the two sorted lists."""
+    i = j = matched = 0
+    while i < len(alice) and j < len(bob):
+        dt = alice[i] - bob[j]
+        if dt <= -window:
+            i += 1
+        elif dt >= window:
+            j += 1
+        else:
+            matched += 1
+            i += 1
+            j += 1
+    return matched
+
+
+def assert_exact(alice, bob, window, greedy=True):
+    """The matcher equals the two-pointer loop and, unless ``greedy`` is
+    off, the O(n*m) oracle too."""
+    alice = np.asarray(alice, dtype=float)
+    bob = np.asarray(bob, dtype=float)
+    expected = two_pointer_reference(alice.tolist(), bob.tolist(), window)
+    assert match_coincidences(alice, bob, window) == expected
+    if greedy:
+        assert greedy_match_reference(alice.tolist(), bob.tolist(), window) == expected
+    return expected
+
+
 def test_thinning_rate():
     # efficiency comparable to the reference bench's bob arm
     arrivals = np.linspace(0, 1, 1_000_000)
@@ -86,6 +115,8 @@ def test_match_rejects_unsorted():
         match_coincidences([2.0, 1.0], [0.0], 1e-9)
     with pytest.raises(ValueError, match="not sorted"):
         match_coincidences([0.0], [2.0, 1.0], 1e-9)
+    with pytest.raises(ValueError, match="not sorted"):
+        match_coincidences([0.0, math.nan, 1.0], [0.0], 1e-9)
 
 
 def test_each_detection_used_once():
@@ -101,9 +132,69 @@ def test_match_agrees_with_reference_oracle():
         n_b = int(rng.integers(0, 200))
         alice = np.sort(rng.random(n_a))
         bob = np.sort(rng.random(n_b))
-        window = float(rng.choice([1e-4, 1e-3, 1e-2, 0.05]))
-        expected = greedy_match_reference(alice.tolist(), bob.tolist(), window)
-        assert match_coincidences(alice, bob, window) == expected
+        # up to windows spanning the whole stream
+        window = float(rng.choice([1e-4, 1e-3, 1e-2, 0.05, 0.5, 2.0]))
+        assert_exact(alice, bob, window)
+
+
+def test_match_is_exact_on_dense_clusters():
+    # Clusters a few windows wide, so chains of three or more events and
+    # gaps close to the window are common.
+    rng = np.random.default_rng(13)
+    seen_multi = 0
+    for _ in range(200):
+        window = float(rng.choice([1e-4, 1e-3, 1e-2]))
+        centers = rng.random(int(rng.integers(1, 40)))
+        spread = window * rng.uniform(0.2, 4.0)
+        alice, bob = (
+            np.sort(rng.choice(centers, n) + spread * rng.random(n))
+            for n in rng.integers(0, 150, 2)
+        )
+        assert_exact(alice, bob, window)
+        gaps = np.diff(np.sort(np.concatenate([alice, bob])))
+        seen_multi += np.any((gaps[1:] < window) & (gaps[:-1] < window))
+    assert seen_multi > 100
+
+
+def test_match_is_exact_on_runner_like_streams():
+    # Both photons of a detected pair share one timestamp; each arm keeps
+    # its own subset of pairs and adds uniform darks.
+    rng = np.random.default_rng(14)
+    for _ in range(100):
+        pairs = rng.random(int(rng.integers(0, 200)))
+        alice = np.sort(np.concatenate([pairs[rng.random(pairs.size) < 0.6], rng.random(30)]))
+        bob = np.sort(np.concatenate([pairs[rng.random(pairs.size) < 0.5], rng.random(20)]))
+        matched = assert_exact(alice, bob, float(rng.choice([1e-4, 1e-3, 2e-2])))
+        assert matched <= min(alice.size, bob.size)
+
+
+def test_match_is_exact_on_gaps_of_one_window():
+    # Dyadic grid: differences are exact, so gaps equal the window exactly
+    # and both oracles agree.
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        step = 2.0 ** -int(rng.integers(2, 8))
+        alice = np.sort(rng.integers(0, 40, int(rng.integers(0, 60))) * step)
+        bob = np.sort(rng.integers(0, 40, int(rng.integers(0, 60))) * step)
+        assert_exact(alice, bob, step)
+    assert match_coincidences([0.0, 0.5], [0.25, 0.75], 0.25) == 0
+    assert match_coincidences([0.0, 0.5], [0.25, 0.75], 0.2500001) == 2
+    # Decimal grid: the differences round, and the gap test must round
+    # exactly as the sweep does.  greedy_match_reference compares t - window
+    # with u instead, which may round the other way, so it is left out.
+    for _ in range(100):
+        step = float(rng.choice([0.1, 0.3, 0.7, 1e-3]))
+        alice = np.sort(rng.integers(0, 50, int(rng.integers(0, 80))) * step)
+        bob = np.sort(rng.integers(0, 50, int(rng.integers(0, 80))) * step)
+        assert_exact(alice, bob, step, greedy=False)
+
+
+def test_match_is_exact_on_empty_and_single_events():
+    for alice, bob in [([], []), ([], [0.5]), ([0.5], []), ([0.5], [0.5]), ([0.5], [0.7])]:
+        assert_exact(alice, bob, 0.1)
+    assert_exact([], np.arange(10.0), 0.1)
+    assert_exact([3.0], np.arange(10.0), 0.1)
+    assert_exact(np.arange(10.0), [3.05], 0.1)
 
 
 def test_coincidences_bounded_by_singles():

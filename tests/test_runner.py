@@ -1,12 +1,13 @@
 import itertools
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bellgate.analysis import NumericalError
-from bellgate.apparatus import ApparatusConfig, LIGHT_SPEED_VACUUM
+from bellgate.apparatus import ApparatusConfig, LIGHT_SPEED_VACUUM, gate_geometry
 from bellgate.causality import resonant_influence_speeds
 from bellgate.detection import CountRecord, DetectorConfig
 from bellgate.runner import (
@@ -124,6 +125,11 @@ def test_plan_validation():
         quick_plan(MalusLHV(), kind="both")
     with pytest.raises(ValueError, match="full 4x4 grid"):
         run_chsh(quick_plan(MalusLHV(), settings=((0.0, 22.5),)))
+    period = gate_geometry(ApparatusConfig()).gate_period
+    for window in (period, 2 * period):
+        with pytest.raises(ValueError, match="shorter than the gate period"):
+            replace(quick_plan(MalusLHV()), detector=replace(PERFECT, coincidence_window=window))
+    replace(quick_plan(MalusLHV()), detector=replace(PERFECT, coincidence_window=0.99 * period))
 
 
 def test_plan_rejects_non_finite_rate_and_time():
