@@ -33,31 +33,26 @@ from .config import ConfigError, build_plan, load_config
 from .detection import (
     CountRecord,
     DetectorConfig,
-    detect,
     match_coincidences,
 )
-from .gating import ArrivalEvent, GateState, apply_gate, gate_open, propagate
+from .gating import GateState, gate_open
 from .runner import (
     Calibration,
     RunPlan,
     calibrate_from_counts,
     run_degradation,
     run_chsh,
-    run_experiment,
 )
 from .sources import (
     INSTANTANEOUS,
     CorrelationModel,
     MalusLHV,
-    PairEvent,
     QuantumState,
     ThresholdLHV,
     TravelingInfluence,
     correlation_theory,
-    joint_outcome,
     joint_outcomes,
     joint_probabilities,
-    sample_emissions,
 )
 
 __version__ = "0.1.0"

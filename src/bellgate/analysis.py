@@ -12,9 +12,9 @@ combination used throughout is
     S = |E(a, b) - E(a, b')| + |E(a', b) + E(a', b')|.
 
 Uncertainties are propagated by assigning each accidental-corrected
-count a Poisson variance equal to the corrected count itself; the
-conservative alternative (raw + accidental) is available via
-``variance="raw"``.
+count a Poisson variance equal to the corrected count itself.
+:func:`chsh_S` takes each correlation and its sigma from
+:func:`correlation_E`.
 """
 
 from __future__ import annotations
@@ -157,9 +157,11 @@ def correlation_E(c_ab, c_aperp_bperp, c_a_bperp, c_aperp_b) -> tuple[float, flo
     """Correlation and Poisson sigma from one quadruple of corrected counts.
 
     With agree = c_ab + c_a'b' and disagree = c_ab' + c_a'b, the
-    estimator is (agree - disagree)/total and its variance reduces to
-    4 * agree * disagree / total^3 when each count carries variance
-    equal to itself.
+    estimator is (agree - disagree)/total.  Each count carries variance
+    equal to itself, and d E/d c is +2*disagree/total^2 for an agreeing
+    count and -2*agree/total^2 for a disagreeing one, so the variance is
+    (2*disagree/total^2)^2 * agree + (2*agree/total^2)^2 * disagree,
+    which equals 4 * agree * disagree / total^3.
     """
     counts = (c_ab, c_aperp_bperp, c_a_bperp, c_aperp_b)
     if min(counts) < 0:
@@ -170,8 +172,11 @@ def correlation_E(c_ab, c_aperp_bperp, c_a_bperp, c_aperp_b) -> tuple[float, flo
     if total <= 0:
         raise NumericalError("correlation estimator needs at least one count")
     e = (agree - disagree) / total
-    sigma = math.sqrt(4.0 * agree * disagree / total**3)
-    return e, sigma
+    # Kept in this derivative form: 4*agree*disagree/total**3 rounds
+    # differently in the last bit for many quadruples, which would change
+    # the written sigmas.
+    var = (2.0 * disagree / total**2) ** 2 * agree + (2.0 * agree / total**2) ** 2 * disagree
+    return e, math.sqrt(var)
 
 
 def _angle_index(angles: tuple[float, ...], value: float, axis: str) -> int:
@@ -189,51 +194,36 @@ def chsh_S(
     a_prime: float = 45.0,
     b: float = 22.5,
     b_prime: float = 67.5,
-    variance: str = "corrected",
 ) -> ChshResult:
     """CHSH statistic from a 16-setting count table.
 
     Accidentals are subtracted cell-wise (floored at zero), each of the
-    four correlations is estimated from its quadruple of cells using the
-    +90 degree partner settings, and the four Poisson sigmas combine in
-    quadrature.  ``variance="raw"`` uses raw + accidental as the per-cell
-    variance instead of the corrected count.
+    four correlations is estimated by :func:`correlation_E` from its
+    quadruple of cells using the +90 degree partner settings, and the
+    four Poisson sigmas combine in quadrature.
     """
-    if variance not in ("corrected", "raw"):
-        raise ValueError(f"unknown variance convention {variance!r}")
     corrected = table.corrected()
-    variances = table.counts + table.accidentals if variance == "raw" else corrected
 
-    def cell(alice: float, bob: float) -> tuple[float, float]:
+    def cell(alice: float, bob: float) -> float:
         i = _angle_index(table.alice_angles, alice % 180.0, "alice")
         j = _angle_index(table.bob_angles, bob % 180.0, "bob")
-        return corrected[i, j], variances[i, j]
+        return float(corrected[i, j])
 
     settings = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
     e_values = []
     e_sigmas = []
     for alice, bob in settings:
-        quad = (
-            cell(alice, bob),
-            cell(alice + 90.0, bob + 90.0),
-            cell(alice, bob + 90.0),
-            cell(alice + 90.0, bob),
-        )
-        counts = [float(q[0]) for q in quad]
-        agree = counts[0] + counts[1]
-        disagree = counts[2] + counts[3]
-        total = agree + disagree
-        if total <= 0:
-            raise NumericalError(
-                f"correlation estimator needs at least one count at ({alice}, {bob})"
+        try:
+            e, sigma = correlation_E(
+                cell(alice, bob),
+                cell(alice + 90.0, bob + 90.0),
+                cell(alice, bob + 90.0),
+                cell(alice + 90.0, bob),
             )
-        e_values.append((agree - disagree) / total)
-        # d E/d c_i = +/- 2 * (opposite-group sum) / total^2
-        var = (
-            (2.0 * disagree / total**2) ** 2 * float(quad[0][1] + quad[1][1])
-            + (2.0 * agree / total**2) ** 2 * float(quad[2][1] + quad[3][1])
-        )
-        e_sigmas.append(math.sqrt(var))
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} at ({alice}, {bob})") from exc
+        e_values.append(e)
+        e_sigmas.append(sigma)
     s = abs(e_values[0] - e_values[1]) + abs(e_values[2] + e_values[3])
     s_sigma = math.sqrt(sum(sig**2 for sig in e_sigmas))
     return ChshResult(

@@ -35,7 +35,7 @@ from .config import (
 )
 from .detection import write_count_records
 from .fixtures import fixture_path
-from .runner import DEGRADATION_LABELS, run_degradation, run_chsh, with_kind
+from .runner import DEGRADATION_LABELS, run_degradation, run_chsh
 
 DEFAULT_CONFIG = "reference_bench.json"
 
@@ -96,10 +96,10 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    records, ratios = run_degradation(with_kind(plan, "degradation"))
+    records, ratios = run_degradation(plan)
     write_count_records(zip(DEGRADATION_LABELS, records), out / "degradation.csv")
 
-    table, result = run_chsh(with_kind(plan, "chsh"))
+    table, result = run_chsh(plan)
     write_table_csv(table, out / "chsh_counts.csv")
 
     geometry = gate_geometry(validate_config(plan.apparatus))

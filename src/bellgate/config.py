@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .apparatus import ApparatusConfig
 from .detection import DetectorConfig
-from .runner import RUN_KINDS, RunPlan
+from .runner import RunPlan
 from .sources import (
     INSTANTANEOUS,
     CorrelationModel,
@@ -60,8 +60,6 @@ _RUN_KEYS = {
     "gate_phase",
     "accidental_convention",
     "seed",
-    "settings",
-    "kind",
 }
 _SECTIONS = {"apparatus", "detector", "model", "run"}
 
@@ -155,7 +153,8 @@ def _coerce_number(section: str, key: str, value) -> float:
 def build_apparatus(cfg: dict) -> ApparatusConfig:
     body = cfg.get("apparatus", {})
     kwargs = {k: _coerce_number("apparatus", k, v) for k, v in body.items()}
-    if "facet_count" in kwargs:
+    if "facet_count" in kwargs and kwargs["facet_count"].is_integer():
+        # A fractional count stays as it is, for validate_config to reject.
         kwargs["facet_count"] = int(kwargs["facet_count"])
     return ApparatusConfig(**kwargs)
 
@@ -215,15 +214,6 @@ def build_plan(cfg: dict, seed=None, rotation=None) -> RunPlan:
         raise ConfigError("run.pair_rate is required to simulate")
     if "integration_time" not in run:
         raise ConfigError("run.integration_time is required to simulate")
-    settings = run.get("settings")
-    if settings is not None:
-        try:
-            settings = tuple((float(a), float(b)) for a, b in settings)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("run.settings must be a list of [alice, bob] pairs") from exc
-    kind = run.get("kind", "chsh")
-    if kind not in RUN_KINDS:
-        raise ConfigError(f"run.kind must be one of {RUN_KINDS}")
     rotation_value = run.get("rotation", True)
     if rotation is not None:
         rotation_value = rotation
@@ -242,10 +232,7 @@ def build_plan(cfg: dict, seed=None, rotation=None) -> RunPlan:
         master_seed=seed_value,
         gate_phase=_coerce_number("run", "gate_phase", run.get("gate_phase", 0.0)),
         accidental_convention=run.get("accidental_convention", "double"),
-        kind=kind,
     )
-    if settings is not None:
-        kwargs["settings"] = settings
     try:
         return RunPlan(**kwargs)
     except ValueError as exc:

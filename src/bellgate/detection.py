@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sources import _as_rng
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -105,21 +103,6 @@ def dark_times(rate: float, duration: float, rng) -> np.ndarray:
     return np.sort(rng.random(n) * duration)
 
 
-def detect(alice_arrivals, bob_arrivals, det: DetectorConfig, duration: float, seed):
-    """Run both arms' detectors over ``[0, duration)``.
-
-    Each arriving photon is kept with its arm's efficiency; dark events
-    are added as an independent Poisson background per arm.  Returns the
-    two time-sorted detection streams (alice, bob).
-    """
-    rng = _as_rng(seed)
-    alice = thin_times(alice_arrivals, det.efficiency_alice, rng)
-    bob = thin_times(bob_arrivals, det.efficiency_bob, rng)
-    alice = np.sort(np.concatenate([alice, dark_times(det.dark_rate_alice, duration, rng)]))
-    bob = np.sort(np.concatenate([bob, dark_times(det.dark_rate_bob, duration, rng)]))
-    return alice, bob
-
-
 def _greedy_sweep(a_list, b_list, window: float) -> int:
     """Two-pointer sweep over two sorted lists: the counting card itself."""
     n_a, n_b = len(a_list), len(b_list)
@@ -185,13 +168,6 @@ def match_coincidences(alice_times, bob_times, window: float) -> int:
     times = merged[events]
     # Plain lists: much faster than ndarray scalar indexing.
     return matched + _greedy_sweep(times[from_alice].tolist(), times[~from_alice].tolist(), window)
-
-
-def count_run(alice_times, bob_times, det: DetectorConfig, duration: float, seed) -> CountRecord:
-    """Detect both arms and match, returning the summary CountRecord."""
-    alice, bob = detect(alice_times, bob_times, det, duration, seed)
-    coinc = match_coincidences(alice, bob, det.coincidence_window)
-    return CountRecord(alice.size, bob.size, coinc, duration)
 
 
 def write_count_records(rows, path) -> None:

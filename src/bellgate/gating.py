@@ -1,9 +1,10 @@
-"""Fiber transport and the rotating-mirror time gate.
+"""The rotating-mirror time gate.
 
 Both arms run through equal-length fibers and bounce off the same
-mirror, so the two photons of a pair reach their slits simultaneously
-and are transmitted or blocked as a unit.  The gate is a top-hat in
-time: open for ``aperture_time`` at the start of every ``gate_period``.
+mirror, so the two photons of a pair reach their slits simultaneously,
+one fiber delay after emission, and are transmitted or blocked as a
+unit.  The gate is a top-hat in time: open for ``aperture_time`` at the
+start of every ``gate_period``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .apparatus import GateGeometry, ValidationError
-
-ALICE = "alice"
-BOB = "bob"
 
 
 @dataclass(frozen=True)
@@ -35,30 +33,6 @@ class GateState:
         if not geometry.aperture_time < geometry.gate_period:
             raise ValidationError("aperture time must be shorter than the gate period")
         return cls(geometry.gate_period, geometry.aperture_time, phase_offset)
-
-
-@dataclass(frozen=True)
-class ArrivalEvent:
-    """One photon of a pair arriving at its slit."""
-
-    arm: str
-    arrival_time: float
-    pair_id: int
-
-
-def propagate(pair, geometry: GateGeometry, pair_id: int = 0):
-    """Transport one pair through the fibers to the slits.
-
-    Both arms share the fiber delay, so the two arrivals carry the same
-    timestamp and the same ``pair_id``.
-    """
-    t = pair.emission_time + geometry.fiber_delay
-    return ArrivalEvent(ALICE, t, pair_id), ArrivalEvent(BOB, t, pair_id)
-
-
-def propagate_times(emission_times, geometry: GateGeometry) -> np.ndarray:
-    """Vector form of :func:`propagate`: slit-arrival times for either arm."""
-    return np.asarray(emission_times, dtype=float) + geometry.fiber_delay
 
 
 def gate_open(t, gate: GateState):
@@ -102,17 +76,3 @@ def sample_open_times(rate: float, t0: float, t1: float, gate: GateState | None,
     s = s0 + rng.random(n) * measure
     window = np.floor(s / width)
     return start + window * period + (s - window * width)
-
-
-def apply_gate(arrival_times, gate: GateState | None) -> np.ndarray:
-    """Keep exactly the arrivals that find the gate open.
-
-    ``gate=None`` models the no-rotation mode: the stream passes
-    unchanged.  Because arms share the gate and the fiber delays are
-    equal, applying this to both arms of a pair keeps or drops the pair
-    atomically.
-    """
-    times = np.asarray(arrival_times, dtype=float)
-    if gate is None:
-        return times
-    return times[gate_open(times, gate)]

@@ -1,14 +1,14 @@
 """End-to-end simulated runs: emission -> polarizers -> fibers -> gate ->
 detectors -> coincidence counting -> analysis.
 
-Two run kinds cover the two standard measurements:
+A simulated experiment is two measurements, both always made:
 
-* ``"chsh"`` -- one counting run per polarizer setting (the 4x4 grid by
-  default), assembled into a :class:`~bellgate.analysis.CountTable16`
-  with accidental estimates from the measured singles rates, then the
-  CHSH statistic.
-* ``"degradation"`` -- polarizer-free luminosity runs (dark only, gate
-  off, gate on) and the per-column with/without rotation ratios.
+* :func:`run_chsh` -- one counting run per polarizer setting of the 4x4
+  grid, assembled into a :class:`~bellgate.analysis.CountTable16` with
+  accidental estimates from the measured singles rates, then the CHSH
+  statistic.
+* :func:`run_degradation` -- polarizer-free luminosity runs (dark only,
+  gate off, gate on) and the per-column with/without rotation ratios.
 
 A counting run draws only *candidate* pairs: pairs that reach the slits
 while the gate is open and that at least one detector keeps.  The gate
@@ -25,6 +25,8 @@ polarizer outcomes from :func:`~bellgate.sources.joint_outcomes`; the
 candidates only.  A detector fires where its arm both keeps the photon
 and passes the polarizer.  At the reference bench's 1.6% duty cycle and
 1-2% efficiencies about one emitted pair in 2000 is a candidate.
+Every run, the dark-only one included, ends in the same step: each arm's
+dark counts join its detections, and the sorted streams are matched.
 
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
@@ -36,12 +38,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import (
+    ACCIDENTAL_CONVENTIONS,
     ALICE_ANGLES,
     BOB_ANGLES,
     ChshResult,
@@ -65,11 +68,7 @@ from .detection import (
 from .gating import GateState, gate_open, sample_open_times
 from .sources import CorrelationModel, TravelingInfluence, joint_outcomes
 
-GRID_SETTINGS = tuple((a, b) for a in ALICE_ANGLES for b in BOB_ANGLES)
-
 DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
-
-RUN_KINDS = ("chsh", "degradation")
 
 # Candidate pairs are drawn in time slices of roughly this many expected
 # draws so memory stays bounded at high pair rates.  Fixed (not
@@ -87,28 +86,26 @@ class RunPlan:
     pair_rate: float
     integration_time: float  # seconds per setting / per luminosity run
     rotation: bool = True
-    settings: tuple[tuple[float, float], ...] = GRID_SETTINGS
     master_seed: int = 0
     gate_phase: float = 0.0
     accidental_convention: str = "double"
-    kind: str = "chsh"
 
     def __post_init__(self):
         if not 0 < self.pair_rate < math.inf:
             raise ValueError("pair rate must be positive and finite")
         if not 0 < self.integration_time < math.inf:
             raise ValueError("integration time must be positive and finite")
-        if not self.settings:
-            raise ValueError("settings must be non-empty")
-        if self.kind not in RUN_KINDS:
-            raise ValueError(f"unknown run kind {self.kind!r}")
+        if self.accidental_convention not in ACCIDENTAL_CONVENTIONS:
+            raise ValueError(f"unknown accidental convention {self.accidental_convention!r}")
+        geometry = gate_geometry(validate_config(self.apparatus))
+        # Every experiment includes a gated run; check its phase before any run.
+        GateState.from_geometry(geometry, self.gate_phase)
         # A window as long as the gate period reaches into the next gate
         # opening and pairs detections that no single opening let through.
-        gate_period = gate_geometry(validate_config(self.apparatus)).gate_period
-        if not self.detector.coincidence_window < gate_period:
+        if not self.detector.coincidence_window < geometry.gate_period:
             raise ValueError(
                 f"coincidence window {self.detector.coincidence_window:g} s must be "
-                f"shorter than the gate period {gate_period:g} s"
+                f"shorter than the gate period {geometry.gate_period:g} s"
             )
 
 
@@ -116,13 +113,6 @@ class Calibration(NamedTuple):
     pair_rate: float
     efficiency_alice: float
     efficiency_bob: float
-
-
-class SettingCounts(NamedTuple):
-    coincidences: int
-    singles_alice: int
-    singles_bob: int
-    duration: float
 
 
 def calibrate_from_counts(record: CountRecord, dark: CountRecord) -> Calibration:
@@ -167,7 +157,7 @@ def run_setting(
     rng,
     rotation: bool | None = None,
     polarized: bool = True,
-) -> SettingCounts:
+) -> CountRecord:
     """One counting run at a fixed polarizer setting.
 
     ``polarized=False`` removes the polarizers from the path (luminosity
@@ -227,39 +217,45 @@ def run_setting(
         alice_parts.append(arrivals[alice_kept])
         bob_parts.append(arrivals[bob_kept])
 
-    # Signal times are unsorted; this sort orders what the matcher sees.
+    return _count(alice_parts, bob_parts, det, duration, rng)
+
+
+def _count(alice_parts, bob_parts, det: DetectorConfig, duration: float, rng) -> CountRecord:
+    """Add each arm's dark counts to its detections, sort and match.
+
+    The parts are lists of unsorted detection times; the sort orders
+    what the matcher sees.  Alice's darks are drawn before Bob's.
+    """
     alice = np.sort(np.concatenate([*alice_parts, dark_times(det.dark_rate_alice, duration, rng)]))
     bob = np.sort(np.concatenate([*bob_parts, dark_times(det.dark_rate_bob, duration, rng)]))
     coincidences = match_coincidences(alice, bob, det.coincidence_window)
-    return SettingCounts(coincidences, alice.size, bob.size, duration)
+    return CountRecord(alice.size, bob.size, coincidences, duration)
 
 
 def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:
-    """Counting run per setting, assembled into a table plus CHSH result.
+    """Counting run per setting of the 4x4 grid, assembled into a table
+    plus CHSH result.
 
-    ``plan.settings`` must cover the standard 4x4 grid (in any order).
     Accidental estimates come from each cell's own singles rates and the
     plan's window convention.
     """
-    if set(plan.settings) != set(GRID_SETTINGS):
-        raise ValueError("chsh runs need the full 4x4 grid of settings")
     counts = np.zeros((4, 4))
     accidentals = np.zeros((4, 4))
     duration = plan.integration_time
-    for alice_angle, bob_angle in plan.settings:
-        rng = np.random.default_rng(
-            derive_seed(plan.master_seed, "chsh", float(alice_angle), float(bob_angle))
-        )
-        result = run_setting(plan, alice_angle, bob_angle, rng)
-        i = ALICE_ANGLES.index(alice_angle)
-        j = BOB_ANGLES.index(bob_angle)
-        counts[i, j] = result.coincidences
-        accidentals[i, j] = duration * accidental_rate(
-            result.singles_alice / duration,
-            result.singles_bob / duration,
-            plan.detector.coincidence_window,
-            plan.accidental_convention,
-        )
+    for i, alice_angle in enumerate(ALICE_ANGLES):
+        for j, bob_angle in enumerate(BOB_ANGLES):
+            rng = np.random.default_rng(
+                derive_seed(plan.master_seed, "chsh", float(alice_angle), float(bob_angle))
+            )
+            record = run_setting(plan, alice_angle, bob_angle, rng)
+            singles_alice, singles_bob, _ = record.rates
+            counts[i, j] = record.coincidences
+            accidentals[i, j] = duration * accidental_rate(
+                singles_alice,
+                singles_bob,
+                plan.detector.coincidence_window,
+                plan.accidental_convention,
+            )
     table = CountTable16(counts=counts, accidentals=accidentals, integration_time=duration)
     return table, chsh_S(table)
 
@@ -270,39 +266,10 @@ def run_degradation(plan: RunPlan) -> tuple[list[CountRecord], DegradationResult
     Returns the three records in :data:`DEGRADATION_LABELS` order plus
     the dark-subtracted with/without rotation ratios.
     """
-    det = plan.detector
-    duration = plan.integration_time
-
     dark_rng = np.random.default_rng(derive_seed(plan.master_seed, "degradation", "dark"))
-    alice_dark = dark_times(det.dark_rate_alice, duration, dark_rng)
-    bob_dark = dark_times(det.dark_rate_bob, duration, dark_rng)
-    dark_record = CountRecord(
-        alice_dark.size,
-        bob_dark.size,
-        match_coincidences(alice_dark, bob_dark, det.coincidence_window),
-        duration,
-    )
-
-    records = [dark_record]
+    records = [_count([], [], plan.detector, plan.integration_time, dark_rng)]
     for label, rotation in (("no_rotation", False), ("with_rotation", True)):
         rng = np.random.default_rng(derive_seed(plan.master_seed, "degradation", label))
-        result = run_setting(plan, 0.0, 0.0, rng, rotation=rotation, polarized=False)
-        records.append(
-            CountRecord(result.singles_alice, result.singles_bob, result.coincidences, duration)
-        )
+        records.append(run_setting(plan, 0.0, 0.0, rng, rotation=rotation, polarized=False))
     ratios = degradation_ratio(records[2], records[1], records[0])
     return records, ratios
-
-
-def run_experiment(plan: RunPlan):
-    """Dispatch on ``plan.kind``; see :func:`run_chsh` and :func:`run_degradation`."""
-    if plan.kind == "chsh":
-        return run_chsh(plan)
-    if plan.kind == "degradation":
-        return run_degradation(plan)
-    raise ValueError(f"unknown run kind {plan.kind!r}")
-
-
-def with_kind(plan: RunPlan, kind: str) -> RunPlan:
-    """Copy of ``plan`` with a different run kind."""
-    return replace(plan, kind=kind)

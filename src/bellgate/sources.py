@@ -1,6 +1,6 @@
-"""Pair-emission sampling and pluggable polarization-correlation models.
+"""Pluggable polarization-correlation models and their outcome sampling.
 
-Emissions are a homogeneous Poisson process.  Each emitted pair meets
+Each emitted pair meets
 one linear polarizer per arm (angles ``alice_angle``, ``bob_angle`` in
 degrees) and either passes toward its detector or is blocked; only the
 transmitted port is instrumented.  Four models supply the joint
@@ -79,34 +79,10 @@ class TravelingInfluence:
 CorrelationModel = Union[QuantumState, MalusLHV, ThresholdLHV, TravelingInfluence]
 
 
-@dataclass(frozen=True)
-class PairEvent:
-    """One emitted pair: when it left the source and what it carries."""
-
-    emission_time: float
-    hidden_state: object = None
-
-
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def sample_emissions(rate: float, duration: float, seed) -> np.ndarray:
-    """Sorted emission times of a homogeneous Poisson process on [0, duration).
-
-    ``seed`` may be an integer or an existing Generator.  Deterministic
-    for a fixed seed.  A zero duration yields an empty stream; negative
-    rates or durations are rejected.
-    """
-    if not rate > 0:
-        raise ValueError("emission rate must be positive")
-    if duration < 0 or not math.isfinite(duration):
-        raise ValueError("duration must be finite and non-negative")
-    rng = _as_rng(seed)
-    n = int(rng.poisson(rate * duration))
-    return np.sort(rng.random(n) * duration)
 
 
 def draw_hidden_angles(n: int, seed) -> np.ndarray:
@@ -225,22 +201,3 @@ def joint_outcomes(
         return alice_pass, bob_pass
 
     raise ValueError(f"unsupported correlation model {model!r}")
-
-
-def joint_outcome(model, alice_angle, bob_angle, hidden_state, seed):
-    """Single-pair form of :func:`joint_outcomes`; returns (bool, bool)."""
-    hidden = None if hidden_state is None else np.asarray([hidden_state])
-    alice_pass, bob_pass = joint_outcomes(
-        model, alice_angle, bob_angle, 1, seed, hidden
-    )
-    return bool(alice_pass[0]), bool(bob_pass[0])
-
-
-def sample_joint_counts(model, alice_angle, bob_angle, n_pairs: int, seed):
-    """Multinomial counts (n_pp, n_pb, n_bp, n_bb) over ``n_pairs`` pairs.
-
-    Shortcut for studies that only need counts at a fixed setting; the
-    event-level path through :func:`joint_outcomes` is the simulator's.
-    """
-    probs = joint_probabilities(model, alice_angle, bob_angle)
-    return tuple(int(c) for c in _as_rng(seed).multinomial(n_pairs, probs))

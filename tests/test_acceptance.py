@@ -143,7 +143,6 @@ def test_criterion_5_gating_linearity():
         pair_rate=5e4,
         integration_time=120.0,
         master_seed=2026,
-        kind="degradation",
     )
     _, ratios = run_degradation(plan)
     duty = gate_geometry(ApparatusConfig()).duty_cycle

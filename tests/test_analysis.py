@@ -273,14 +273,6 @@ def test_chsh_lhv_tables_respect_classical_bound():
         assert violations <= 10
 
 
-def test_chsh_raw_variance_is_more_conservative():
-    table = bench_table()
-    corrected = chsh_S(table, variance="corrected")
-    raw = chsh_S(table, variance="raw")
-    assert raw.S == corrected.S
-    assert raw.S_sigma > corrected.S_sigma
-
-
 def test_chsh_rejects_wrong_grid():
     table = CountTable16(
         counts=np.full((4, 4), 10.0),

@@ -63,6 +63,14 @@ def test_geometry_rejects_infinite_rotation_rate(capsys):
     assert "apparatus.rotation_rate must be finite" in capsys.readouterr().err
 
 
+def test_geometry_rejects_fractional_facet_count(capsys):
+    # once truncated to 34 facets, printing that timing with exit 0
+    assert main(["geometry", "--set", "apparatus.facet_count=34.7"]) == 1
+    assert capsys.readouterr().err == "error: facet count must be a positive integer\n"
+    assert main(["geometry", "--set", "apparatus.facet_count=34.0"]) == 0
+    assert "2.941176e-05" in capsys.readouterr().out
+
+
 def test_unknown_config_key_rejected(capsys):
     assert main(["geometry", "--set", "apparatus.slit_count=2"]) == 1
     assert "unknown key" in capsys.readouterr().err
@@ -259,6 +267,32 @@ def test_simulate_rejects_window_as_long_as_gate_period(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "shorter than the gate period" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [("run.accidental_convention=dobule", "unknown accidental convention 'dobule'"),
+     ("run.gate_phase=1.0", "phase offset must lie in [0, gate period)")],
+)
+def test_simulate_rejects_bad_plan_before_any_run(tmp_path, capsys, override, message):
+    # both once failed only after the luminosity runs, one after writing degradation.csv
+    out = tmp_path / "o"
+    args = ["simulate", "--config", str(fixture_path("demo.json")), "--out", str(out)]
+    assert main([*args, "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["run.kind=chsh", "run.settings=[[0, 22.5]]"])
+def test_simulate_rejects_removed_run_keys(tmp_path, capsys, override):
+    out = tmp_path / "o"
+    args = ["simulate", "--config", str(fixture_path("demo.json")), "--out", str(out)]
+    assert main([*args, "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key(s) in section 'run'") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,15 +6,14 @@ import pytest
 from bellgate.detection import (
     CountRecord,
     DetectorConfig,
-    count_run,
     dark_times,
-    detect,
     detection_pattern,
     match_coincidences,
     read_count_records,
     thin_times,
     write_count_records,
 )
+from bellgate.runner import _count
 
 
 def greedy_match_reference(alice, bob, window):
@@ -85,18 +84,17 @@ def test_detection_pattern_is_conditioned_on_a_detection():
 
 def test_perfect_detector_is_identity():
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
-    alice_in = np.sort(np.random.default_rng(2).random(1000))
-    bob_in = np.sort(np.random.default_rng(3).random(800))
-    alice, bob = detect(alice_in, bob_in, det, duration=1.0, seed=4)
-    assert np.array_equal(alice, alice_in)
-    assert np.array_equal(bob, bob_in)
+    rng = np.random.default_rng(4)
+    alice_kept, bob_kept = detection_pattern(1000, det, rng)
+    assert alice_kept.all() and bob_kept.all()
+    times = np.sort(np.random.default_rng(2).random(1000))
+    assert np.array_equal(thin_times(times, 1.0, rng), times)
 
 
 def test_dark_counts_alone():
-    det = DetectorConfig(
-        efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=1300.0, dark_rate_bob=600.0
-    )
-    alice, bob = detect(np.empty(0), np.empty(0), det, duration=1.0, seed=5)
+    rng = np.random.default_rng(5)
+    alice = dark_times(1300.0, 1.0, rng)
+    bob = dark_times(600.0, 1.0, rng)
     assert abs(alice.size - 1300) < 5 * math.sqrt(1300)
     assert abs(bob.size - 600) < 5 * math.sqrt(600)
     assert np.all(np.diff(alice) >= 0)
@@ -223,21 +221,29 @@ def test_independent_streams_match_at_accidental_rate():
 
 
 def test_doubling_duration_doubles_counts():
-    det = DetectorConfig(
-        efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=5000.0, dark_rate_bob=5000.0
-    )
-    short = detect(np.empty(0), np.empty(0), det, duration=10.0, seed=9)
-    long = detect(np.empty(0), np.empty(0), det, duration=20.0, seed=10)
-    for a, b in zip(short, long):
-        assert abs(b.size - 2 * a.size) < 8 * math.sqrt(b.size)
+    short_rng, long_rng = np.random.default_rng(9), np.random.default_rng(10)
+    for _ in range(2):  # one stream per arm
+        short = dark_times(5000.0, 10.0, short_rng)
+        long = dark_times(5000.0, 20.0, long_rng)
+        assert abs(long.size - 2 * short.size) < 8 * math.sqrt(long.size)
 
 
 def test_count_run_summary():
+    # the runner's last step: add darks, sort, match
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
-    times = np.sort(np.random.default_rng(11).random(500))
-    record = count_run(times, times, det, duration=1.0, seed=12)
-    assert record.singles_alice == record.singles_bob == 500
-    assert record.coincidences == 500  # identical timestamps always match
+    times = np.random.default_rng(11).random(500)  # unsorted, as the runner's parts are
+    record = _count([times[:200], times[200:]], [times], det, 1.0, np.random.default_rng(12))
+    assert record == CountRecord(500, 500, 500, 1.0)  # identical timestamps always match
+    darks = DetectorConfig(
+        efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=1300.0, dark_rate_bob=600.0
+    )
+    rng = np.random.default_rng(13)
+    record = _count([], [], darks, 2.0, rng)
+    check = np.random.default_rng(13)
+    alice, bob = dark_times(1300.0, 2.0, check), dark_times(600.0, 2.0, check)
+    assert record == CountRecord(
+        alice.size, bob.size, match_coincidences(alice, bob, darks.coincidence_window), 2.0
+    )
 
 
 def test_detector_config_validation():

@@ -124,12 +124,12 @@ def test_candidate_path_matches_event_level_oracle(case):
         ],
         dtype=float,
     )
+    records = [
+        run_setting(plan, 0.0, 22.5, np.random.default_rng([seed, 1]), polarized=polarized)
+        for seed in SEEDS
+    ]
     candidate = np.array(
-        [
-            run_setting(plan, 0.0, 22.5, np.random.default_rng([seed, 1]), polarized=polarized)[:3]
-            for seed in SEEDS
-        ],
-        dtype=float,
+        [[getattr(record, name) for name in QUANTITIES] for record in records], dtype=float
     )
     n = len(SEEDS)
     for column, name in enumerate(QUANTITIES):

@@ -5,21 +5,12 @@ import pytest
 
 from bellgate.apparatus import GateGeometry, ValidationError
 from bellgate.detection import DetectorConfig
-from bellgate.gating import (
-    ALICE,
-    BOB,
-    GateState,
-    apply_gate,
-    gate_open,
-    propagate,
-    propagate_times,
-    sample_open_times,
-)
-from bellgate.sources import PairEvent, sample_emissions
+from bellgate.gating import GateState, gate_open, sample_open_times
+from bellgate.runner import RunPlan, run_setting
+from bellgate.sources import QuantumState
 
 T_ON = 4.681027737996921e-07
 GATE_PERIOD = 2.9411764705882354e-05
-FIBER_DELAY = 6.671114076050701e-07
 DUTY = 0.015915494309189534
 
 
@@ -48,47 +39,18 @@ def test_phase_offset_shifts_the_window(bench_gate):
     assert gate_open(1e-8, shifted) is False
 
 
-def test_propagate_reference_bench(bench_geometry):
-    alice, bob = propagate(PairEvent(emission_time=0.0), bench_geometry, pair_id=42)
-    assert alice.arm == ALICE and bob.arm == BOB
-    assert alice.pair_id == bob.pair_id == 42
-    assert alice.arrival_time == pytest.approx(FIBER_DELAY, rel=1e-12)
-    assert bob.arrival_time == alice.arrival_time
-
-
-def test_propagate_zero_length_fiber(bench_geometry):
-    # degenerate geometry built directly; validate_config would reject it
-    geom = GateGeometry(
-        aperture_time=bench_geometry.aperture_time,
-        duty_cycle=bench_geometry.duty_cycle,
-        gate_period=bench_geometry.gate_period,
-        fiber_delay=0.0,
-        flight_distance_during_gate=bench_geometry.flight_distance_during_gate,
-    )
-    alice, _ = propagate(PairEvent(emission_time=0.125), geom)
-    assert alice.arrival_time == 0.125
-
-
-def test_propagation_preserves_spacing(bench_geometry):
-    emissions = np.array([0.0, 1.5e-6, 7.7e-3])
-    arrivals = propagate_times(emissions, bench_geometry)
-    assert np.allclose(np.diff(arrivals), np.diff(emissions), rtol=0, atol=1e-18)
-
-
 def test_uniform_arrivals_pass_at_duty_cycle(bench_gate):
     rng = np.random.default_rng(40)
     n = 1_000_000
     arrivals = rng.random(n) * 10.0  # 10 s spans an integer number of periods
-    kept = apply_gate(arrivals, bench_gate)
-    fraction = kept.size / n
+    fraction = np.count_nonzero(gate_open(arrivals, bench_gate)) / n
     sigma = math.sqrt(DUTY * (1 - DUTY) / n)
     assert abs(fraction - DUTY) < 3 * sigma
 
 
 def test_poisson_arrivals_pass_at_duty_cycle(bench_gate):
-    times = sample_emissions(2e5, 10.0, seed=41)
-    kept = apply_gate(times, bench_gate)
-    fraction = kept.size / times.size
+    times = sample_open_times(2e5, 0.0, 10.0, None, np.random.default_rng(41))
+    fraction = np.count_nonzero(gate_open(times, bench_gate)) / times.size
     sigma = math.sqrt(DUTY * (1 - DUTY) / times.size)
     assert abs(fraction - DUTY) < 4 * sigma
 
@@ -98,23 +60,31 @@ def test_always_open_gate_keeps_everything():
     # from_geometry would refuse it
     gate = GateState(gate_period=1e-3, aperture_time=1e-3)
     times = np.linspace(0, 1, 5000)
-    assert np.array_equal(apply_gate(times, gate), times)
+    assert np.all(gate_open(times, gate))
 
 
 def test_no_rotation_mode_is_identity():
-    times = np.array([0.0, 0.3, 0.9])
-    assert np.array_equal(apply_gate(times, None), times)
+    # gate=None: the sampler is the plain Poisson process on the interval,
+    # draw for draw
+    times = sample_open_times(3e4, 0.25, 1.25, None, np.random.default_rng(43))
+    rng = np.random.default_rng(43)
+    expected = 0.25 + rng.random(int(rng.poisson(3e4))) * 1.0
+    assert np.array_equal(times, expected)
 
 
-def test_pairs_survive_or_drop_atomically(bench_gate, bench_geometry):
-    # equal fiber delays and a shared gate: the two arms see identical times
-    emissions = sample_emissions(5e4, 1.0, seed=42)
-    alice_arrivals = propagate_times(emissions, bench_geometry)
-    bob_arrivals = propagate_times(emissions, bench_geometry)
-    assert np.array_equal(
-        gate_open(alice_arrivals, bench_gate), gate_open(bob_arrivals, bench_gate)
+def test_pairs_survive_or_drop_atomically(bench):
+    # one arrival time per pair and a gate shared by both arms: with
+    # lossless detectors and no darks every gated pair is one coincidence
+    plan = RunPlan(
+        apparatus=bench,
+        detector=DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0),
+        model=QuantumState(),
+        pair_rate=2e5,
+        integration_time=1.0,
     )
-    assert np.array_equal(apply_gate(alice_arrivals, bench_gate), apply_gate(bob_arrivals, bench_gate))
+    record = run_setting(plan, 0.0, 0.0, np.random.default_rng(42), polarized=False)
+    assert record.coincidences == record.singles_alice == record.singles_bob
+    assert abs(record.coincidences - 2e5 * DUTY) < 5 * math.sqrt(2e5 * DUTY)
 
 
 def test_from_geometry_validates(bench_geometry):

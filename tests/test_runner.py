@@ -12,15 +12,12 @@ from bellgate.causality import resonant_influence_speeds
 from bellgate.detection import CountRecord, DetectorConfig
 from bellgate.runner import (
     DEGRADATION_LABELS,
-    GRID_SETTINGS,
     RunPlan,
     calibrate_from_counts,
     _time_slices,
     derive_seed,
     run_chsh,
     run_degradation,
-    run_experiment,
-    with_kind,
 )
 from bellgate.sources import MalusLHV, QuantumState, TravelingInfluence
 
@@ -99,33 +96,18 @@ def test_chsh_runs_are_deterministic():
     assert result_a.S == result_b.S
 
 
-def test_setting_order_does_not_matter():
-    plan = quick_plan(QuantumState("mirrored", 0.9), pair_rate=5000.0, seed=78)
-    shuffled = RunPlan(
-        apparatus=plan.apparatus,
-        detector=plan.detector,
-        model=plan.model,
-        pair_rate=plan.pair_rate,
-        integration_time=plan.integration_time,
-        rotation=plan.rotation,
-        settings=tuple(reversed(GRID_SETTINGS)),
-        master_seed=plan.master_seed,
-    )
-    table_a, _ = run_chsh(plan)
-    table_b, _ = run_chsh(shuffled)
-    assert np.array_equal(table_a.counts, table_b.counts)
-
-
 def test_plan_validation():
     with pytest.raises(ValueError, match="pair rate"):
         quick_plan(MalusLHV(), pair_rate=0.0)
     with pytest.raises(ValueError, match="integration time"):
         quick_plan(MalusLHV(), integration_time=0.0)
-    with pytest.raises(ValueError, match="run kind"):
-        quick_plan(MalusLHV(), kind="both")
-    with pytest.raises(ValueError, match="full 4x4 grid"):
-        run_chsh(quick_plan(MalusLHV(), settings=((0.0, 22.5),)))
+    with pytest.raises(ValueError, match="unknown accidental convention 'dobule'"):
+        quick_plan(MalusLHV(), accidental_convention="dobule")
     period = gate_geometry(ApparatusConfig()).gate_period
+    for phase in (-1e-9, period, 1.0, math.nan):
+        with pytest.raises(ValueError, match="phase offset must lie in"):
+            quick_plan(MalusLHV(), gate_phase=phase)
+    quick_plan(MalusLHV(), gate_phase=0.5 * period, accidental_convention="single")
     for window in (period, 2 * period):
         with pytest.raises(ValueError, match="shorter than the gate period"):
             replace(quick_plan(MalusLHV()), detector=replace(PERFECT, coincidence_window=window))
@@ -183,7 +165,6 @@ def test_gating_ratio_matches_enlarged_duty_cycle():
         pair_rate=20000.0,
         integration_time=20.0,
         master_seed=92,
-        kind="degradation",
     )
     records, ratios = run_degradation(plan)
     duty = 0.01 * 34 / (2 * math.pi * 0.34)
@@ -194,7 +175,7 @@ def test_gating_ratio_matches_enlarged_duty_cycle():
 
 
 def test_degradation_records_layout():
-    plan = quick_plan(MalusLHV(), pair_rate=5000.0, kind="degradation", seed=93)
+    plan = quick_plan(MalusLHV(), pair_rate=5000.0, seed=93)
     records, ratios = run_degradation(plan)
     assert len(records) == len(DEGRADATION_LABELS) == 3
     dark, no_rotation, with_rotation = records
@@ -215,7 +196,6 @@ def test_coincidence_to_singles_ratio_invariant_under_gating():
         pair_rate=20000.0,
         integration_time=20.0,
         master_seed=94,
-        kind="degradation",
     )
     records, _ = run_degradation(plan)
     _, no_rotation, with_rotation = records
@@ -225,14 +205,6 @@ def test_coincidence_to_singles_ratio_invariant_under_gating():
         1 / with_rotation.coincidences + 1 / no_rotation.coincidences
     )
     assert abs(ratio_on - ratio_off) < 4 * sigma
-
-
-def test_run_experiment_dispatch():
-    plan = quick_plan(MalusLHV(), pair_rate=2000.0, seed=95)
-    table, result = run_experiment(plan)
-    assert table.counts.shape == (4, 4)
-    records, ratios = run_experiment(with_kind(plan, "degradation"))
-    assert len(records) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, chsh_S
+from bellgate.apparatus import ApparatusConfig
+from bellgate.detection import DetectorConfig
+from bellgate.gating import sample_open_times
+from bellgate.runner import RunPlan
 from bellgate.sources import (
     MalusLHV,
     QuantumState,
@@ -12,11 +16,8 @@ from bellgate.sources import (
     correlation_kernel,
     correlation_theory,
     draw_hidden_angles,
-    joint_outcome,
     joint_outcomes,
     joint_probabilities,
-    sample_emissions,
-    sample_joint_counts,
 )
 
 from conftest import sampled_table
@@ -54,31 +55,31 @@ def band_overlap_joint(alice_angle, bob_angle, m=2_000_000):
 
 
 # ---------------------------------------------------------------------------
-# Emission sampling
+# Emission sampling (mirror stopped: the whole interval is open)
 
 
 def test_emission_count_matches_rate():
-    times = sample_emissions(BENCH_PAIR_RATE, 1.0, seed=101)
+    times = sample_open_times(BENCH_PAIR_RATE, 0.0, 1.0, None, np.random.default_rng(101))
     expected = BENCH_PAIR_RATE
     assert abs(times.size - expected) < 5 * math.sqrt(expected)
-
-
-def test_emissions_deterministic_and_increasing():
-    first = sample_emissions(5000.0, 2.0, seed=7)
-    second = sample_emissions(5000.0, 2.0, seed=7)
-    assert np.array_equal(first, second)
-    assert np.all(np.diff(first) > 0)
-    assert first[0] >= 0.0 and first[-1] < 2.0
+    assert times.min() >= 0.0 and times.max() < 1.0
 
 
 def test_zero_duration_gives_empty_stream():
-    assert sample_emissions(100.0, 0.0, seed=0).size == 0
+    assert sample_open_times(100.0, 0.5, 0.5, None, np.random.default_rng(0)).size == 0
 
 
 @pytest.mark.parametrize("rate, duration", [(0.0, 1.0), (-5.0, 1.0), (100.0, -1.0)])
 def test_bad_emission_arguments_rejected(rate, duration):
+    # the plan holds the emission rate and duration and checks both
     with pytest.raises(ValueError):
-        sample_emissions(rate, duration, seed=0)
+        RunPlan(
+            apparatus=ApparatusConfig(),
+            detector=DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0),
+            model=QuantumState(),
+            pair_rate=rate,
+            integration_time=duration,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -209,19 +210,24 @@ def test_monte_carlo_correlation_converges():
 
 
 # ---------------------------------------------------------------------------
-# Per-pair API and hidden state
+# Single pairs and hidden state
 
 
 def test_joint_outcome_scalar_contract():
-    outcome = joint_outcome(QuantumState("mirrored", 1.0), 0.0, 22.5, None, seed=9)
-    assert outcome in {(a, b) for a in (True, False) for b in (True, False)}
-    assert outcome == joint_outcome(QuantumState("mirrored", 1.0), 0.0, 22.5, None, seed=9)
+    alice, bob = joint_outcomes(QuantumState("mirrored", 1.0), 0.0, 22.5, 1, seed=9)
+    assert alice.dtype == bob.dtype == bool
+    assert alice.shape == bob.shape == (1,)
+    again = joint_outcomes(QuantumState("mirrored", 1.0), 0.0, 22.5, 1, seed=9)
+    assert (alice[0], bob[0]) == (again[0][0], again[1][0])
 
 
 def test_threshold_outcome_is_deterministic_given_hidden_angle():
     # hidden angle at the setting: cos(0) > 0 on alice, 45 deg away on bob
-    assert joint_outcome(ThresholdLHV(), 0.0, 60.0, 0.0, seed=0) == (True, False)
-    assert joint_outcome(ThresholdLHV(), 0.0, 10.0, 0.0, seed=1) == (True, True)
+    theta = np.array([0.0])
+    alice, bob = joint_outcomes(ThresholdLHV(), 0.0, 60.0, 1, seed=0, hidden=theta)
+    assert (alice[0], bob[0]) == (True, False)
+    alice, bob = joint_outcomes(ThresholdLHV(), 0.0, 10.0, 1, seed=1, hidden=theta)
+    assert (alice[0], bob[0]) == (True, True)
 
 
 def test_shared_hidden_angle_is_respected():
@@ -258,13 +264,6 @@ def test_model_validation():
         QuantumState("sideways", 1.0)
     with pytest.raises(ValueError):
         TravelingInfluence(base=QuantumState(), uninformed=MalusLHV(), influence_speed=0.0)
-
-
-def test_sample_joint_counts_sums_and_scales():
-    counts = sample_joint_counts(MalusLHV(), 0.0, 30.0, 100_000, seed=2)
-    assert sum(counts) == 100_000
-    p_pp = joint_probabilities(MalusLHV(), 0.0, 30.0)[0]
-    assert abs(counts[0] - 100_000 * p_pp) < 5 * math.sqrt(100_000 * p_pp)
 
 
 # ---------------------------------------------------------------------------
