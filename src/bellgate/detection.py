@@ -2,15 +2,19 @@
 
 Each arm's detector keeps a photon with its quantum-efficiency
 probability and adds an independent Poisson dark-count background.  The
+runner draws only pairs that fire at least one detector;
+:func:`detection_pattern` gives each its pattern (alice only, both, bob
+only) from the efficiencies and the polarizer pass probabilities.  The
 coincidence matcher reproduces a counting card: two detections closer
 than the window form one coincidence, each detection used at most once,
 matched greedily in time order.  The matcher counts in numpy: it cuts
 the merged timeline at every gap of a window or more, counts an isolated
 two-event cluster as one coincidence when it spans both arms, and runs
 the greedy sweep only over the rare clusters of three or more events
-(see :func:`match_coincidences` for why that is exact).  Dark and
-accidental coincidences are not injected anywhere; they emerge from the
-matcher like they do in hardware.
+(see :func:`match_coincidences` for why that is exact).  The same cut
+lets the runner count a long run slice by slice.  Dark and accidental
+coincidences are not injected anywhere; they emerge from the matcher
+like they do in hardware.
 """
 
 from __future__ import annotations
@@ -46,6 +50,22 @@ class DetectorConfig:
         """Probability that at least one detector keeps a pair reaching both slits."""
         return 1.0 - (1.0 - self.efficiency_alice) * (1.0 - self.efficiency_bob)
 
+    def fire_probability(self, joint=None):
+        """Probability that a pair reaching both slits fires at least one detector.
+
+        ``joint`` holds the polarizer probabilities (pass-pass, pass-block,
+        block-pass), scalars or per-pair arrays; ``None`` means no
+        polarizers, where this is :attr:`pair_keep_probability`.
+        """
+        if joint is None:
+            return self.pair_keep_probability
+        p_pp, p_pb, p_bp = joint
+        return (
+            p_pp * self.pair_keep_probability
+            + self.efficiency_alice * p_pb
+            + self.efficiency_bob * p_bp
+        )
+
 
 @dataclass(frozen=True)
 class CountRecord:
@@ -74,17 +94,29 @@ class CountRecord:
         )
 
 
-def detection_pattern(n: int, det: DetectorConfig, rng):
-    """Which detectors fire, for ``n`` pairs that at least one detector keeps.
+def detection_pattern(n: int, det: DetectorConfig, rng, joint=None, drawn_at=None):
+    """Which detectors fire, for ``n`` pairs drawn among those that fire one.
 
-    The arms keep photons independently, so given at least one detection
-    the pattern is alice only, both or bob only with probabilities
-    e_a(1-e_b)/k, e_a*e_b/k and (1-e_a)e_b/k, where k is
-    :attr:`DetectorConfig.pair_keep_probability`.  Returns the boolean
-    arrays (alice_kept, bob_kept).
+    A pair passes the polarizers as pass-pass, pass-block or block-pass
+    with the probabilities in ``joint`` (see
+    :meth:`DetectorConfig.fire_probability`; ``None``: no polarizers),
+    and each arm then keeps its photon independently, so alice only,
+    both and bob only have probabilities e_a(p_pb + p_pp(1-e_b)),
+    e_a*e_b*p_pp and e_b(p_bp + p_pp(1-e_a)).  Given a detection, one
+    uniform on [0, q) picks the pattern, q being the sum of the three.
+    ``drawn_at`` is the larger q the pairs were drawn at when their own
+    q varies per pair; a uniform past a pair's own q fires nothing.
+    Returns the boolean arrays (alice_kept, bob_kept).
     """
-    u = rng.random(n) * det.pair_keep_probability
-    return u < det.efficiency_alice, u >= det.efficiency_alice * (1.0 - det.efficiency_bob)
+    e_a, e_b = det.efficiency_alice, det.efficiency_bob
+    p_pp, p_pb, _ = (1.0, 0.0, 0.0) if joint is None else joint
+    fire = det.fire_probability(joint)
+    u = rng.random(n) * (fire if drawn_at is None else drawn_at)
+    alice = u < e_a * (p_pp + p_pb)
+    bob = u >= e_a * (p_pb + p_pp * (1.0 - e_b))
+    if drawn_at is not None:
+        bob &= u < fire
+    return alice, bob
 
 
 def thin_times(times, efficiency: float, rng) -> np.ndarray:

@@ -10,23 +10,29 @@ A simulated experiment is two measurements, both always made:
 * :func:`run_degradation` -- polarizer-free luminosity runs (dark only,
   gate off, gate on) and the per-column with/without rotation ratios.
 
-A counting run draws only *candidate* pairs: pairs that reach the slits
-while the gate is open and that at least one detector keeps.  The gate
-and the detector efficiencies are independent marks of the Poisson
-emission stream, and a Poisson process thinned by an independent mark
-is again Poisson (the marking theorem), so candidates are a Poisson
-process of rate ``pair_rate * k`` on the gate's open set, with
-``k = 1 - (1 - e_a)(1 - e_b)``.  :func:`~bellgate.gating.sample_open_times`
-draws them slice by slice; each candidate then gets its detection
-pattern (alice only, both, bob only) from
-:func:`~bellgate.detection.detection_pattern` and, in polarized runs, its
-polarizer outcomes from :func:`~bellgate.sources.joint_outcomes`; the
-``TravelingInfluence`` flags and hidden-variable angles are computed for
-candidates only.  A detector fires where its arm both keeps the photon
-and passes the polarizer.  At the reference bench's 1.6% duty cycle and
-1-2% efficiencies about one emitted pair in 2000 is a candidate.
-Every run, the dark-only one included, ends in the same step: each arm's
-dark counts join its detections, and the sorted streams are matched.
+A counting run draws only *firing* pairs: pairs that reach the slits
+while the gate is open and fire at least one detector.  The gate, the
+polarizer outcomes and the detector efficiencies are independent marks
+of the Poisson emission stream, and a Poisson process thinned by an
+independent mark is again Poisson (the marking theorem), so firing pairs
+are a Poisson process of rate ``pair_rate * q`` on the gate's open set,
+where ``q`` is the probability that a pair fires a detector
+(:meth:`~bellgate.detection.DetectorConfig.fire_probability` of the
+polarizer probabilities from :func:`~bellgate.sources.joint_probabilities`;
+``q = 1 - (1 - e_a)(1 - e_b)`` without polarizers).
+:func:`~bellgate.gating.sample_open_times` draws them and
+:func:`~bellgate.detection.detection_pattern` picks which detectors
+fire.  ``TravelingInfluence`` pairs are drawn at the larger ``q`` of its
+two models and each takes its pattern from the model its informed flag
+selects, a flag computed for drawn pairs only.  At the reference bench's
+1.6% duty cycle and 1-2% efficiencies about one emitted pair in 4000
+fires a detector at a polarizer setting.
+
+Every run, the dark-only one included, is counted by :func:`_count`
+slice by slice: each slice's detections join its dark counts and the
+tail carried from the slice before, each arm is sorted, and the events
+up to the last gap the rest of the run cannot bridge are matched, so
+memory stays bounded however long the run.
 
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
@@ -66,14 +72,23 @@ from .detection import (
     thin_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.thin_times
 )
 from .gating import GateState, gate_open, sample_open_times
-from .sources import CorrelationModel, TravelingInfluence, joint_outcomes
+from .sources import (
+    CorrelationModel,
+    TravelingInfluence,
+    joint_outcomes,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.joint_outcomes
+    joint_probabilities,
+)
 
 DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
 
-# Candidate pairs are drawn in time slices of roughly this many expected
-# draws so memory stays bounded at high pair rates.  Fixed (not
-# configurable) so a given plan always consumes the same random stream.
-_CHUNK_EVENTS = 1 << 22
+# Runs are drawn and counted in time slices of roughly this many expected
+# draws (firing pairs and dark counts), so memory stays bounded and the
+# arrays stay cache-sized.  Fixed (not configurable) so a given plan
+# always consumes the same random stream.
+_CHUNK_EVENTS = 1 << 16
+# Events per arm that the search for a slice's last cluster gap looks
+# back over before it falls back to the whole slice.
+_LOOKBACK = 64
 
 
 @dataclass(frozen=True)
@@ -142,9 +157,10 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 def _time_slices(duration: float, event_rate: float):
     """Yield (t0, t1) slices of [0, duration) holding about
-    ``_CHUNK_EVENTS`` draws each at ``event_rate``; edges are made one
-    at a time, so a huge slice count costs no memory."""
-    span = max(_CHUNK_EVENTS / event_rate, 1e-9)
+    ``_CHUNK_EVENTS`` draws each at ``event_rate`` (one slice if it is
+    0); edges are made one at a time, so a huge slice count costs no
+    memory."""
+    span = max(_CHUNK_EVENTS / event_rate, 1e-9) if event_rate > 0 else duration
     n_slices = max(1, math.ceil(duration / span))
     for i in range(n_slices):
         yield duration * i / n_slices, duration * (i + 1) / n_slices
@@ -165,71 +181,120 @@ def run_setting(
     """
     geometry = gate_geometry(validate_config(plan.apparatus))
     det = plan.detector
-    duration = plan.integration_time
     delay = geometry.fiber_delay
     if rotation is None:
         rotation = plan.rotation
     gate = GateState.from_geometry(geometry, plan.gate_phase) if rotation else None
 
+    model = plan.model
     influence_gate = None
-    if polarized and isinstance(plan.model, TravelingInfluence):
-        # An emission is "informed" iff the slit was in view one influence
-        # transit earlier, i.e. the gate pattern shifted by that delay.
+    if polarized and isinstance(model, TravelingInfluence):
         if gate is not None:
+            # An emission is "informed" iff the slit was in view one influence
+            # transit earlier, i.e. the gate pattern shifted by that delay.
             influence_delay = (
                 0.0
-                if math.isinf(plan.model.influence_speed)
-                else plan.apparatus.fiber_length / plan.model.influence_speed
+                if math.isinf(model.influence_speed)
+                else plan.apparatus.fiber_length / model.influence_speed
             )
             influence_gate = GateState(
                 gate.gate_period,
                 gate.aperture_time,
                 (gate.phase_offset + influence_delay) % gate.gate_period,
             )
+            informed_joint = joint_probabilities(model.base, alice_angle, bob_angle)[:3]
+            uninformed_joint = joint_probabilities(model.uninformed, alice_angle, bob_angle)[:3]
         # With the mirror stopped the line of sight is permanent: every
-        # emission is informed (influence_gate stays None).
+        # emission is informed.
+        model = model.base
+    if influence_gate is None:
+        joint = joint_probabilities(model, alice_angle, bob_angle)[:3] if polarized else None
+        fire = det.fire_probability(joint)
+    else:
+        fire = max(det.fire_probability(informed_joint), det.fire_probability(uninformed_joint))
+    rate = plan.pair_rate * fire
 
-    candidate_rate = plan.pair_rate * det.pair_keep_probability
-    alice_parts = []
-    bob_parts = []
-    for t0, t1 in _time_slices(duration, candidate_rate):
-        arrivals = sample_open_times(candidate_rate, t0 + delay, t1 + delay, gate, rng)
+    def draw(t0, t1):
+        arrivals = sample_open_times(rate, t0 + delay, t1 + delay, gate, rng)
         if gate is not None:
             # Keeps gate_open the one test of an open slit; the sampler's
             # draws all pass it, and perfbench/trace_child.py counts the
-            # gated candidates through this call.
+            # gated pairs through this call.
             arrivals = arrivals[gate_open(arrivals, gate)]
-        n = arrivals.size
-        alice_kept, bob_kept = detection_pattern(n, det, rng)
-        if polarized:
-            hidden = None
-            if isinstance(plan.model, TravelingInfluence):
-                hidden = (
-                    gate_open(arrivals - delay, influence_gate)
-                    if influence_gate is not None
-                    else np.ones(n, dtype=bool)
-                )
-            alice_pass, bob_pass = joint_outcomes(
-                plan.model, alice_angle, bob_angle, n, rng, hidden
-            )
-            alice_kept &= alice_pass
-            bob_kept &= bob_pass
-        alice_parts.append(arrivals[alice_kept])
-        bob_parts.append(arrivals[bob_kept])
+        if influence_gate is None:
+            alice_kept, bob_kept = detection_pattern(arrivals.size, det, rng, joint)
+        else:
+            informed = gate_open(arrivals - delay, influence_gate)
+            per_pair = [np.where(informed, p, r) for p, r in zip(informed_joint, uninformed_joint)]
+            alice_kept, bob_kept = detection_pattern(arrivals.size, det, rng, per_pair, fire)
+        # compress: twice as fast as boolean indexing on these random masks
+        return arrivals.compress(alice_kept), arrivals.compress(bob_kept)
 
-    return _count(alice_parts, bob_parts, det, duration, rng)
+    open_fraction = geometry.duty_cycle if gate is not None else 1.0
+    return _count(draw, rate * open_fraction, det, plan.integration_time, rng)
 
 
-def _count(alice_parts, bob_parts, det: DetectorConfig, duration: float, rng) -> CountRecord:
-    """Add each arm's dark counts to its detections, sort and match.
+def _count(draw, draw_rate: float, det: DetectorConfig, duration: float, rng) -> CountRecord:
+    """Count one run of ``duration`` seconds slice by slice, like a counting card.
 
-    The parts are lists of unsorted detection times; the sort orders
-    what the matcher sees.  Alice's darks are drawn before Bob's.
+    ``draw(t0, t1)`` returns the unsorted (alice, bob) detection times of
+    the pairs emitted in [t0, t1), none earlier than t0, and draws about
+    ``draw_rate`` pairs per second; ``draw=None`` counts darks only.
+    Each slice adds each arm's dark counts (Alice's first) to its
+    detections, prepends the tail carried from the slice before and sorts
+    each arm.  Every later event is at t1 or after, so the greedy count
+    splits at the last gap of at least a window that also lies a window
+    below t1 (see :func:`~bellgate.detection.match_coincidences`): the
+    events before it are matched now, the rest are carried.
     """
-    alice = np.sort(np.concatenate([*alice_parts, dark_times(det.dark_rate_alice, duration, rng)]))
-    bob = np.sort(np.concatenate([*bob_parts, dark_times(det.dark_rate_bob, duration, rng)]))
-    coincidences = match_coincidences(alice, bob, det.coincidence_window)
-    return CountRecord(alice.size, bob.size, coincidences, duration)
+    window = det.coincidence_window
+    tail_alice = tail_bob = np.empty(0)
+    singles_alice = singles_bob = coincidences = 0
+    event_rate = draw_rate + det.dark_rate_alice + det.dark_rate_bob
+    for t0, t1 in _time_slices(duration, event_rate):
+        alice, bob = draw(t0, t1) if draw is not None else (np.empty(0), np.empty(0))
+        alice = np.sort(
+            np.concatenate([tail_alice, alice, t0 + dark_times(det.dark_rate_alice, t1 - t0, rng)])
+        )
+        bob = np.sort(
+            np.concatenate([tail_bob, bob, t0 + dark_times(det.dark_rate_bob, t1 - t0, rng)])
+        )
+        i, j = _settled(alice, bob, t1, window)
+        coincidences += match_coincidences(alice[:i], bob[:j], window)
+        singles_alice += i
+        singles_bob += j
+        tail_alice, tail_bob = alice[i:], bob[j:]
+    coincidences += match_coincidences(tail_alice, tail_bob, window)
+    singles_alice += tail_alice.size
+    singles_bob += tail_bob.size
+    return CountRecord(singles_alice, singles_bob, coincidences, duration)
+
+
+def _settled(alice, bob, frontier: float, window: float) -> tuple[int, int]:
+    """(i, j) such that ``alice[:i]`` and ``bob[:j]`` can be matched apart
+    from the rest of the run, given sorted arms and later events at or
+    after ``frontier``.
+
+    The cut follows the last merged event x whose next event, and the
+    frontier, are both at least a window later.  The search merges only
+    the events from the later of the two arms' ``_LOOKBACK``-th last
+    events on, where the merged timeline is complete, and both whole
+    arms only if no cut lies there; (0, 0) carries everything.
+    """
+    starts = [arm[-_LOOKBACK] for arm in (alice, bob) if arm.size > _LOOKBACK]
+    for lowest in ([max(starts)] if starts else []) + [-math.inf]:
+        merged = np.sort(
+            np.concatenate(
+                [alice[np.searchsorted(alice, lowest):], bob[np.searchsorted(bob, lowest):]]
+            )
+        )
+        ends = frontier - merged >= window
+        ends[:-1] &= np.diff(merged) >= window
+        last = np.flatnonzero(ends)
+        if last.size:
+            x = merged[last[-1]]
+            return int(np.searchsorted(alice, x, "right")), int(np.searchsorted(bob, x, "right"))
+    return 0, 0
 
 
 def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:
@@ -267,7 +332,7 @@ def run_degradation(plan: RunPlan) -> tuple[list[CountRecord], DegradationResult
     the dark-subtracted with/without rotation ratios.
     """
     dark_rng = np.random.default_rng(derive_seed(plan.master_seed, "degradation", "dark"))
-    records = [_count([], [], plan.detector, plan.integration_time, dark_rng)]
+    records = [_count(None, 0.0, plan.detector, plan.integration_time, dark_rng)]
     for label, rotation in (("no_rotation", False), ("with_rotation", True)):
         rng = np.random.default_rng(derive_seed(plan.master_seed, "degradation", label))
         records.append(run_setting(plan, 0.0, 0.0, rng, rotation=rotation, polarized=False))

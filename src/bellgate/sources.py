@@ -74,6 +74,9 @@ class TravelingInfluence:
     def __post_init__(self):
         if not self.influence_speed > 0:
             raise ValueError("influence speed must be positive or instantaneous")
+        # The runner draws each group from its model's fixed joint probabilities.
+        if any(isinstance(m, TravelingInfluence) for m in (self.base, self.uninformed)):
+            raise ValueError("a traveling model cannot nest another traveling model")
 
 
 CorrelationModel = Union[QuantumState, MalusLHV, ThresholdLHV, TravelingInfluence]
@@ -152,7 +155,9 @@ def joint_outcomes(
     ``hidden`` carries per-pair state where the model needs it: hidden
     angles (radians) for the LHV models, drawn internally when omitted,
     and the required informed/uninformed boolean flags for
-    :class:`TravelingInfluence`.  Returns two boolean arrays.
+    :class:`TravelingInfluence`.  Returns two boolean arrays.  The
+    runner does not sample outcomes pair by pair: it draws only pairs
+    that fire a detector, from :func:`joint_probabilities`.
     """
     rng = _as_rng(seed)
     if isinstance(model, QuantumState):

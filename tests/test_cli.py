@@ -285,6 +285,20 @@ def test_simulate_rejects_bad_plan_before_any_run(tmp_path, capsys, override, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("slot", ["base", "uninformed"])
+def test_simulate_rejects_nested_traveling_model(tmp_path, capsys, slot):
+    # once passed validation, wrote degradation.csv and then failed in the runner
+    inner = {"name": "traveling", "base": {"name": "quantum"}, "uninformed": {"name": "malus"}}
+    model = {"name": "traveling", "base": {"name": "quantum"}, "uninformed": {"name": "malus"}}
+    model[slot] = inner
+    config = write_config(tmp_path, dict(TINY_CONFIG, model=model))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: a traveling model cannot nest another traveling model\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", ["run.kind=chsh", "run.settings=[[0, 22.5]]"])
 def test_simulate_rejects_removed_run_keys(tmp_path, capsys, override):
     out = tmp_path / "o"

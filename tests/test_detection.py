@@ -14,6 +14,7 @@ from bellgate.detection import (
     write_count_records,
 )
 from bellgate.runner import _count
+from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, joint_probabilities
 
 
 def greedy_match_reference(alice, bob, window):
@@ -80,6 +81,66 @@ def test_detection_pattern_is_conditioned_on_a_detection():
     observed = np.array([np.sum(alice & ~bob), np.sum(alice & bob), np.sum(~alice & bob)])
     expected = n * np.array([0.5 * 0.6, 0.5 * 0.4, 0.5 * 0.4]) / k
     assert np.all(np.abs(observed - expected) < 4 * np.sqrt(expected))
+
+
+# Closed-form E at (0, 22.5) degrees.  Each model has marginals 1/2, so
+# p_pp = (1 + E)/4 and p_pb = p_bp = (1 - E)/4.
+COS45 = math.cos(math.radians(45.0))
+PATTERN_MODELS = {
+    "quantum": (QuantumState("mirrored", 0.82), 0.82 * COS45),  # V cos 2(a + b)
+    "malus": (MalusLHV(), 0.5 * COS45),  # cos 2(a - b) / 2
+    "threshold": (ThresholdLHV(), 0.5),  # 1 - 4|a - b|/pi
+}
+PATTERN_DETECTOR = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.4)
+
+
+def _pattern_probabilities(e):
+    """(alice only, both, bob only) for a pair reaching the polarizers."""
+    e_a, e_b = PATTERN_DETECTOR.efficiency_alice, PATTERN_DETECTOR.efficiency_bob
+    p_pp, p_pb = (1 + e) / 4, (1 - e) / 4
+    return np.array(
+        [e_a * (p_pb + p_pp * (1 - e_b)), e_a * e_b * p_pp, e_b * (p_pb + p_pp * (1 - e_a))]
+    )
+
+
+def _assert_binomial_within_4_sigma(observed, n, p):
+    for count, share in zip(observed, p):
+        sigma = math.sqrt(n * share * (1 - share))
+        assert abs(count - n * share) <= 4 * sigma, (count, n * share, sigma)
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_MODELS))
+def test_firing_pattern_frequencies_match_closed_form(name):
+    model, e = PATTERN_MODELS[name]
+    joint = joint_probabilities(model, 0.0, 22.5)[:3]
+    expected = _pattern_probabilities(e)
+    assert PATTERN_DETECTOR.fire_probability(joint) == pytest.approx(expected.sum(), rel=1e-12)
+    n = 400_000
+    alice, bob = detection_pattern(n, PATTERN_DETECTOR, np.random.default_rng(21), joint)
+    assert not np.any(~alice & ~bob)
+    observed = [np.sum(alice & ~bob), np.sum(alice & bob), np.sum(~alice & bob)]
+    _assert_binomial_within_4_sigma(observed, n, expected / expected.sum())
+
+
+@pytest.mark.parametrize("informed", [True, False])
+def test_traveling_firing_pattern_frequencies_per_flag(informed):
+    # Quantum when informed, Malus otherwise; both groups are drawn at the
+    # larger firing probability, and the rest of a group's draws fire nothing.
+    models = {True: QuantumState("mirrored", 1.0), False: MalusLHV()}
+    joints = {flag: joint_probabilities(m, 0.0, 22.5)[:3] for flag, m in models.items()}
+    drawn_at = max(PATTERN_DETECTOR.fire_probability(j) for j in joints.values())
+    n = 600_000
+    flags = np.arange(n) % 3 == 0
+    per_pair = [np.where(flags, p, r) for p, r in zip(joints[True], joints[False])]
+    rng = np.random.default_rng(22)
+    alice, bob = detection_pattern(n, PATTERN_DETECTOR, rng, per_pair, drawn_at)
+    group = flags == informed
+    alice, bob = alice[group], bob[group]
+    expected = _pattern_probabilities(COS45 if informed else 0.5 * COS45) / drawn_at
+    observed = [
+        np.sum(alice & ~bob), np.sum(alice & bob), np.sum(~alice & bob), np.sum(~alice & ~bob)
+    ]
+    _assert_binomial_within_4_sigma(observed, group.sum(), [*expected, 1 - expected.sum()])
 
 
 def test_perfect_detector_is_identity():
@@ -231,19 +292,36 @@ def test_doubling_duration_doubles_counts():
 def test_count_run_summary():
     # the runner's last step: add darks, sort, match
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
-    times = np.random.default_rng(11).random(500)  # unsorted, as the runner's parts are
-    record = _count([times[:200], times[200:]], [times], det, 1.0, np.random.default_rng(12))
+    times = np.random.default_rng(11).random(500)  # unsorted, as the runner's draws are
+
+    def draw(t0, t1):
+        kept = times[(times >= t0) & (times < t1)]
+        return kept, kept[::-1]
+
+    record = _count(draw, 500.0, det, 1.0, np.random.default_rng(12))
     assert record == CountRecord(500, 500, 500, 1.0)  # identical timestamps always match
     darks = DetectorConfig(
         efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=1300.0, dark_rate_bob=600.0
     )
     rng = np.random.default_rng(13)
-    record = _count([], [], darks, 2.0, rng)
+    record = _count(None, 0.0, darks, 2.0, rng)
     check = np.random.default_rng(13)
     alice, bob = dark_times(1300.0, 2.0, check), dark_times(600.0, 2.0, check)
     assert record == CountRecord(
         alice.size, bob.size, match_coincidences(alice, bob, darks.coincidence_window), 2.0
     )
+
+
+def test_dark_only_run_over_many_slices_has_the_accidental_rate():
+    # 2e5 darks/s for 3 s: about ten slices, each drawing its own darks
+    det = DetectorConfig(
+        efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=1e5, dark_rate_bob=1e5
+    )
+    record = _count(None, 0.0, det, 3.0, np.random.default_rng(14))
+    for singles in (record.singles_alice, record.singles_bob):
+        assert abs(singles - 3e5) < 4 * math.sqrt(3e5)
+    accidentals = 2 * det.coincidence_window * 1e5 * 1e5 * 3.0  # 1200
+    assert abs(record.coincidences - accidentals) < 4 * math.sqrt(accidentals)
 
 
 def test_detector_config_validation():

@@ -1,13 +1,14 @@
-"""The candidate sampler against the event-level path it replaced.
+"""The firing-pair sampler against the event-level path it replaced.
 
 ``event_level_counts`` is the earlier pair stage of
 ``runner.run_setting``, kept here as the oracle: it emits every pair,
 sorts the stream, draws polarizer outcomes for all of them, gates the
-slit arrivals and thins each arm by its efficiency.  The runner now
-draws only the pairs a detector can register.  Both must give the same
-distribution of coincidences and singles, which is tested over a seed
-list fixed in advance: Welch's z on the means and an F-test on the
-variances of each quantity.
+slit arrivals, thins each arm by its efficiency and matches the whole
+run at once.  The runner now draws only the pairs that fire a detector
+and counts them slice by slice.  Both must give the same distribution of
+coincidences and singles, which is tested over a seed list fixed in
+advance: Welch's z on the means and an F-test on the variances of each
+quantity.
 """
 
 import math
@@ -20,7 +21,13 @@ from bellgate.causality import resonant_influence_speeds
 from bellgate.detection import DetectorConfig, dark_times, match_coincidences, thin_times
 from bellgate.gating import GateState, gate_open
 from bellgate.runner import RunPlan, run_setting
-from bellgate.sources import MalusLHV, QuantumState, TravelingInfluence, joint_outcomes
+from bellgate.sources import (
+    MalusLHV,
+    QuantumState,
+    ThresholdLHV,
+    TravelingInfluence,
+    joint_outcomes,
+)
 
 
 def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None, polarized=True):
@@ -85,9 +92,15 @@ CASES = {
     "gated_polarized": (QuantumState("mirrored", 0.82), True, True),
     "ungated_polarized": (QuantumState("mirrored", 0.82), False, True),
     "gated_luminosity": (QuantumState("mirrored", 0.82), True, False),
+    "gated_threshold": (ThresholdLHV(), True, True),
     "traveling_resonant": (
         TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), RESONANT_SPEED),
         True,
+        True,
+    ),
+    "ungated_traveling": (
+        TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), RESONANT_SPEED),
+        False,
         True,
     ),
 }

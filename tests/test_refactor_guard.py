@@ -13,9 +13,9 @@ from bellgate.cli import main
 from bellgate.fixtures import fixture_path
 
 SIMULATE_DIGESTS = {
-    "results.json": "40ffbd36674cf34cb0aa30654cc4bf1080c27fa80e25b2e8f386ec51158cd1bb",
-    "chsh_counts.csv": "ca32119ee872d9a80d13826f435eb20f29d6bb4cf26ce631a415026f238e0a95",
-    "degradation.csv": "2beb7fb53aad40ad11338cc7ee9ef02ef9ed5d21cc028dabea443592352b2ce3",
+    "results.json": "c097aa3d845f7b3f60735e029a5bf59b7845031e3576464eed427475d07e31b5",
+    "chsh_counts.csv": "e2047e8c5c65697750f1904cb528c71caa420ad6d529fc52be8040d257f77d17",
+    "degradation.csv": "42b6a7dcd6c659f7d49ff31c0dae2f510f04993823567479b7a347e28be6aa8e",
 }
 
 ANALYZE_DIGESTS = {

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import tracemalloc
 import types
 from dataclasses import replace
 
@@ -9,17 +11,23 @@ import pytest
 from bellgate.analysis import NumericalError
 from bellgate.apparatus import ApparatusConfig, LIGHT_SPEED_VACUUM, gate_geometry
 from bellgate.causality import resonant_influence_speeds
-from bellgate.detection import CountRecord, DetectorConfig
+from bellgate.config import build_plan
+from bellgate.detection import CountRecord, DetectorConfig, match_coincidences
+from bellgate.fixtures import fixture_path
 from bellgate.runner import (
+    _CHUNK_EVENTS,
+    _LOOKBACK,
     DEGRADATION_LABELS,
     RunPlan,
+    _count,
     calibrate_from_counts,
     _time_slices,
     derive_seed,
     run_chsh,
     run_degradation,
+    run_setting,
 )
-from bellgate.sources import MalusLHV, QuantumState, TravelingInfluence
+from bellgate.sources import MalusLHV, QuantumState, TravelingInfluence, joint_probabilities
 
 PERFECT = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=20e-9)
 
@@ -123,7 +131,7 @@ def test_plan_rejects_non_finite_rate_and_time():
 
 def test_time_slices_tile_the_run():
     slices = list(_time_slices(30.0, 1e6))
-    assert len(slices) == 8  # 30 s at 1e6/s over 2**22 draws per slice
+    assert len(slices) == 458  # 30 s at 1e6/s over 2**16 draws per slice
     assert slices[0][0] == 0.0 and slices[-1][1] == 30.0
     assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
 
@@ -134,6 +142,171 @@ def test_time_slices_are_lazy():
     # 3e10 slices of 1 ns: only the edges asked for are ever made
     first = list(itertools.islice(slices, 2))
     assert first == [(0.0, 1e-9), (1e-9, 2e-9)]
+
+
+# ---------------------------------------------------------------------------
+# Streamed counting against one match over the whole run
+
+# Four slices of [0, 1) with dyadic edges 0.25, 0.5 and 0.75.
+FOUR_SLICES = 4.0 * _CHUNK_EVENTS
+
+
+def _streamed_equals_whole(alice, bob, window, delay=0.0, rate=FOUR_SLICES):
+    """_count over a fixed stream, each event drawn in the slice where it
+    was emitted (``delay`` before it is detected), against one
+    match_coincidences over the whole sorted stream."""
+    alice, bob = np.asarray(alice, dtype=float), np.asarray(bob, dtype=float)
+    det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=window)
+
+    def draw(t0, t1):
+        def emitted(arm):
+            return arm[(arm - delay >= t0) & (arm - delay < t1)]
+
+        return emitted(alice), emitted(bob)
+
+    record = _count(draw, rate, det, 1.0, np.random.default_rng(0))
+    whole = match_coincidences(np.sort(alice), np.sort(bob), window)
+    assert record == CountRecord(alice.size, bob.size, whole, 1.0)
+    return whole
+
+
+def _clusters(rng, centers, size, spacing):
+    """Chains of ``size`` events ``spacing`` apart around each center, on random arms."""
+    times = (np.asarray(centers)[:, None] + spacing * (np.arange(size) - size / 2)).ravel()
+    on_alice = rng.random(times.size) < 0.5
+    return times[on_alice], times[~on_alice]
+
+
+def test_time_slices_with_no_events_make_one_slice():
+    # a dark-only run with both dark rates 0 once divided by zero here
+    assert list(_time_slices(5.0, 0.0)) == [(0.0, 5.0)]
+    quarters = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
+    assert list(_time_slices(1.0, FOUR_SLICES)) == quarters
+
+
+def test_dark_only_run_without_darks_counts_nothing():
+    record = _count(None, 0.0, PERFECT, 5.0, np.random.default_rng(1))
+    assert record == CountRecord(0, 0, 0, 5.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("delay", [0.0, 3e-3])
+def test_streamed_count_with_clusters_across_slice_edges(seed, delay):
+    rng = np.random.default_rng(seed)
+    window = 1e-3
+    edges = np.array([0.25, 0.5, 0.75])
+    # Dense chains straddling each edge, a few events sitting just inside
+    # or outside a window of it, and a sparse background.
+    size = int(rng.integers(3, 9))
+    chain_a, chain_b = _clusters(rng, edges + rng.uniform(-window, window, 3), size, 0.6 * window)
+    near = (edges[:, None] + window * np.array([-1.001, -0.999, -0.5, 0.0, 0.5, 0.999])).ravel()
+    near_alice = rng.random(near.size) < 0.5
+    background = rng.random(400) * 0.99
+    background_alice = rng.random(400) < 0.5
+    alice = np.concatenate([chain_a, near[near_alice], background[background_alice]])
+    bob = np.concatenate([chain_b, near[~near_alice], background[~background_alice]])
+    # Shared timestamps, as both photons of a pair have.
+    shared = rng.random(100) * 0.99
+    alice, bob = np.concatenate([alice, shared]), np.concatenate([bob, shared])
+    assert _streamed_equals_whole(alice + delay, bob + delay, window, delay) > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_streamed_count_with_gaps_of_exactly_one_window_at_the_frontier(seed):
+    # Dyadic grid of half windows around each edge: every difference is
+    # exact, so gaps of exactly one window (no match, a valid cut) fall on
+    # and around the frontier.
+    rng = np.random.default_rng(seed)
+    window = 2.0**-12
+    steps = np.arange(-8, 8)
+    grid = (np.array([0.25, 0.5, 0.75])[:, None] + 0.5 * window * steps).ravel()
+    alice = grid[rng.random(grid.size) < 0.4]
+    bob = grid[rng.random(grid.size) < 0.4]
+    # Exactly one window below and at each edge, the frontier itself.
+    alice = np.concatenate([alice, [0.25 - window, 0.5 - window, 0.75 - window]])
+    bob = np.concatenate([bob, [0.25, 0.5, 0.75]])
+    _streamed_equals_whole(alice, bob, window)
+
+
+def test_streamed_count_at_the_frontier_to_the_last_bit():
+    # Each slice's last event is one window, or one window less 2**-20 of
+    # it, below the frontier, where the next slice's first event sits.
+    window = 2.0**-12
+    just_inside = window * (1.0 - 2.0**-20)
+    alice = [0.25 - window, 0.5 - just_inside, 0.75 - just_inside]
+    bob = [0.25, 0.5, 0.75]
+    assert _streamed_equals_whole(alice, bob, window) == 2
+    assert _streamed_equals_whole(bob, alice, window) == 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_streamed_count_with_a_cluster_longer_than_the_look_back(seed):
+    rng = np.random.default_rng(seed)
+    window = 2.0**-10
+    # A chain far longer than _LOOKBACK events across the 0.5 edge, and
+    # one that fills the whole slice [0.25, 0.5) so that slice has no cut.
+    across = _clusters(rng, [0.5], 8 * _LOOKBACK, 0.3 * window)
+    filling = _clusters(rng, [0.4], int(0.3 / (0.7 * window)), 0.7 * window)
+    background = rng.random(200) * 0.99
+    on_alice = rng.random(200) < 0.5
+    alice = np.concatenate([across[0], filling[0], background[on_alice]])
+    bob = np.concatenate([across[1], filling[1], background[~on_alice]])
+    assert _streamed_equals_whole(alice, bob, window) > 0
+
+
+def test_streamed_count_looks_back_past_a_one_sided_chain():
+    # Alice's last 2 * _LOOKBACK events below the 0.5 edge are a chain
+    # with no cut; the last cut lies below it, between pairs that only a
+    # search over both arms' events sees as one cluster each.
+    window = 2.0**-10
+    chain = 0.5 - 0.5 * window * np.arange(1, 2 * _LOOKBACK + 1)
+    pairs = chain[-1] - 3.0 * window * np.arange(1, 21)
+    alice = np.concatenate([chain, pairs + 0.5 * window])
+    assert _streamed_equals_whole(alice, pairs, window) == 20
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_streamed_count_across_empty_slices(seed):
+    rng = np.random.default_rng(seed)
+    window = 1e-3
+    # Events only in the first and last of eight slices, chains at the
+    # edges of the empty ones, and a run of empty slices at the end.
+    first = rng.random(300) * 0.125
+    last = 0.875 + rng.random(300) * 0.1
+    chain_a, chain_b = _clusters(rng, [0.125 - 0.2 * window, 0.875], 5, 0.5 * window)
+    events = np.concatenate([first, last])
+    on_alice = rng.random(events.size) < 0.5
+    alice = np.concatenate([events[on_alice], chain_a])
+    bob = np.concatenate([events[~on_alice], chain_b, events[on_alice][:50]])
+    _streamed_equals_whole(alice, bob, window, rate=2 * FOUR_SLICES)
+    _streamed_equals_whole(alice / 4, bob / 4, window, rate=2 * FOUR_SLICES)
+
+
+@pytest.mark.parametrize("rotation", [False, True])
+def test_run_setting_memory_does_not_grow_with_integration_time(rotation):
+    plan = replace(build_plan(json.loads(fixture_path("demo.json").read_text())), rotation=rotation)
+    det = plan.detector
+    fire = det.fire_probability(joint_probabilities(plan.model, 0.0, 22.5)[:3])
+    open_fraction = gate_geometry(plan.apparatus).duty_cycle if rotation else 1.0
+    draws_per_s = plan.pair_rate * fire * open_fraction + det.dark_rate_alice + det.dark_rate_bob
+    # Just under four full slices, so T and 8T both cut into full slices.
+    duration = 3.99 * _CHUNK_EVENTS / draws_per_s
+    run_setting(replace(plan, integration_time=1.0), 0.0, 22.5, np.random.default_rng(0))
+    peaks = []
+    for scale in (1, 8):
+        tracemalloc.start()
+        try:
+            record = run_setting(
+                replace(plan, integration_time=scale * duration),
+                0.0,
+                22.5,
+                np.random.default_rng(1),
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert record.singles_alice > scale * _CHUNK_EVENTS / 2  # the slices really filled
+    assert peaks[1] <= 1.25 * peaks[0], f"peak {peaks[0]} B at T, {peaks[1]} B at 8T"
 
 
 # ---------------------------------------------------------------------------
