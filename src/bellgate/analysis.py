@@ -14,7 +14,7 @@ combination used throughout is
 Uncertainties are propagated by assigning each accidental-corrected
 count a Poisson variance equal to the corrected count itself.
 :func:`chsh_S` takes each correlation and its sigma from
-:func:`correlation_E`.
+:func:`correlation_E`, at the fixed settings :data:`CHSH_SETTINGS`.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .detection import CountRecord
 
 ALICE_ANGLES = (0.0, 45.0, 90.0, 135.0)
 BOB_ANGLES = (22.5, 67.5, 112.5, 157.5)
+#: (a, b), (a, b'), (a', b), (a', b') of the CHSH combination, in degrees.
+CHSH_SETTINGS = ((0.0, 22.5), (0.0, 67.5), (45.0, 22.5), (45.0, 67.5))
 
 ACCIDENTAL_CONVENTIONS = ("single", "double")
 
@@ -188,19 +190,14 @@ def _angle_index(angles: tuple[float, ...], value: float, axis: str) -> int:
     )
 
 
-def chsh_S(
-    table: CountTable16,
-    a: float = 0.0,
-    a_prime: float = 45.0,
-    b: float = 22.5,
-    b_prime: float = 67.5,
-) -> ChshResult:
+def chsh_S(table: CountTable16) -> ChshResult:
     """CHSH statistic from a 16-setting count table.
 
     Accidentals are subtracted cell-wise (floored at zero), each of the
-    four correlations is estimated by :func:`correlation_E` from its
-    quadruple of cells using the +90 degree partner settings, and the
-    four Poisson sigmas combine in quadrature.
+    four correlations at :data:`CHSH_SETTINGS` is estimated by
+    :func:`correlation_E` from its quadruple of cells using the +90
+    degree partner settings, and the four Poisson sigmas combine in
+    quadrature.
     """
     corrected = table.corrected()
 
@@ -209,10 +206,9 @@ def chsh_S(
         j = _angle_index(table.bob_angles, bob % 180.0, "bob")
         return float(corrected[i, j])
 
-    settings = ((a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime))
     e_values = []
     e_sigmas = []
-    for alice, bob in settings:
+    for alice, bob in CHSH_SETTINGS:
         try:
             e, sigma = correlation_E(
                 cell(alice, bob),
@@ -227,7 +223,7 @@ def chsh_S(
     s = abs(e_values[0] - e_values[1]) + abs(e_values[2] + e_values[3])
     s_sigma = math.sqrt(sum(sig**2 for sig in e_sigmas))
     return ChshResult(
-        settings=settings,
+        settings=CHSH_SETTINGS,
         E_values=tuple(e_values),
         E_sigmas=tuple(e_sigmas),
         S=s,

@@ -4,10 +4,13 @@ Suppose something leaves the slit the moment a gate window opens,
 travels back down the fiber at speed v (possibly instantaneous), and
 makes the source emit "informed" pairs for as long as the line of sight
 stays open.  Those pairs still have to cover the fiber to reach the
-slit.  :func:`influence_window_analysis` computes the informed photons'
+slit.  :func:`informed_emission_gate` gives the periodic pattern of
+informed emission times, the one the runner flags simulated pairs with.
+:func:`influence_window_analysis` computes the informed photons'
 arrival interval and how much of it overlaps *any* periodic gate
 window; a pass fraction of zero means no photon carrying information
-about the open gate can ever be detected through it.
+about the open gate can ever be detected through it.  Both take the
+influence transit from one place.
 
 With the reference bench the fiber transit alone (667 ns) outlasts the
 467 ns window, so every speed from c upward -- including instantaneous
@@ -20,9 +23,10 @@ intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .apparatus import GateGeometry
+from .gating import GateState
 from .sources import INSTANTANEOUS
 
 __all__ = [
@@ -30,6 +34,7 @@ __all__ = [
     "SpeedInterval",
     "INSTANTANEOUS",
     "influence_window_analysis",
+    "informed_emission_gate",
     "resonant_influence_speeds",
 ]
 
@@ -74,6 +79,24 @@ def _windowed_overlap(start: float, end: float, period: float, open_time: float)
     return total, earliest
 
 
+def _influence_transit(fiber_length: float, influence_speed: float) -> float:
+    """Time the influence takes from the slit back to the source."""
+    return 0.0 if math.isinf(influence_speed) else fiber_length / influence_speed
+
+
+def informed_emission_gate(
+    gate: GateState, fiber_length: float, influence_speed: float
+) -> GateState:
+    """The emission times that are informed: ``gate_open(t, result)``.
+
+    An emission at t is informed iff the slit was in view one influence
+    transit earlier, so the informed pattern is ``gate`` delayed by that
+    transit, its phase taken modulo the gate period.
+    """
+    transit = _influence_transit(fiber_length, influence_speed)
+    return replace(gate, phase_offset=(gate.phase_offset + transit) % gate.gate_period)
+
+
 def influence_window_analysis(
     geometry: GateGeometry,
     fiber_length: float,
@@ -87,7 +110,9 @@ def influence_window_analysis(
     only while the slit stays in view (one aperture time).  Informed
     photons then need fiber_length/photon_speed to come back.  The pass
     fraction is the part of their arrival interval that lands inside any
-    open window.
+    open window.  The arrival at the source is the transit of
+    :func:`informed_emission_gate`, not reduced modulo the gate period,
+    because the window index and the margin depend on it.
     """
     if not influence_speed > 0:
         raise ValueError("influence speed must be positive or instantaneous")
@@ -96,9 +121,7 @@ def influence_window_analysis(
     if fiber_length < 0:
         raise ValueError("fiber length must be non-negative")
     t_on = geometry.aperture_time
-    influence_arrival = (
-        0.0 if math.isinf(influence_speed) else fiber_length / influence_speed
-    )
+    influence_arrival = _influence_transit(fiber_length, influence_speed)
     emission = (influence_arrival, influence_arrival + t_on)
     photon_transit = fiber_length / photon_speed
     arrival = (emission[0] + photon_transit, emission[1] + photon_transit)

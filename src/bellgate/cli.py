@@ -5,7 +5,8 @@ measured count table), ``simulate`` (full experiment, writes CSV/JSON
 reports), ``causality`` (influence timing report or resonance sweep).
 
 Exit codes are stable for scripting: 0 success, 1 configuration or
-validation error (a run too large for memory included), 2 I/O error,
+validation error (a run too large for memory, or expecting more events
+than :data:`~bellgate.runner.MAX_RUN_EVENTS`, included), 2 I/O error,
 3 numerical failure.
 """
 
@@ -102,7 +103,7 @@ def cmd_simulate(args) -> int:
     table, result = run_chsh(plan)
     write_table_csv(table, out / "chsh_counts.csv")
 
-    geometry = gate_geometry(validate_config(plan.apparatus))
+    geometry = plan.geometry
     report = {
         "config": cfg,
         "seed": plan.master_seed,

@@ -2,7 +2,8 @@
 
 Four sections mirror the module boundaries -- ``apparatus``,
 ``detector``, ``model`` and ``run`` -- with keys named exactly after the
-corresponding dataclass fields (SI units throughout).  Unknown sections
+corresponding dataclass fields (SI units throughout); the first three
+take their key sets from those fields.  Unknown sections
 or keys are rejected so a typo cannot silently fall back to a default.
 Command-line overrides use dotted keys (``apparatus.aperture_width=2e-3``).
 """
@@ -10,6 +11,7 @@ Command-line overrides use dotted keys (``apparatus.aperture_width=2e-3``).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -31,27 +33,17 @@ class ConfigError(ValueError):
     """The configuration file or an override is malformed."""
 
 
-_APPARATUS_KEYS = {
-    "aperture_width",
-    "mirror_radius",
-    "rotation_rate",
-    "facet_count",
-    "fiber_length",
-    "fiber_group_index",
-    "vacuum_light_speed",
-}
-_DETECTOR_KEYS = {
-    "efficiency_alice",
-    "efficiency_bob",
-    "dark_rate_alice",
-    "dark_rate_bob",
-    "coincidence_window",
-}
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+_APPARATUS_KEYS = _field_names(ApparatusConfig)
+_DETECTOR_KEYS = _field_names(DetectorConfig)
 _MODEL_KEYS = {
-    "quantum": {"sign_convention", "visibility"},
-    "malus": set(),
-    "threshold": set(),
-    "traveling": {"influence_speed", "base", "uninformed"},
+    "quantum": _field_names(QuantumState),
+    "malus": _field_names(MalusLHV),
+    "threshold": _field_names(ThresholdLHV),
+    "traveling": _field_names(TravelingInfluence),
 }
 _RUN_KEYS = {
     "pair_rate",

@@ -4,7 +4,8 @@ Each arm's detector keeps a photon with its quantum-efficiency
 probability and adds an independent Poisson dark-count background.  The
 runner draws only pairs that fire at least one detector;
 :func:`detection_pattern` gives each its pattern (alice only, both, bob
-only) from the efficiencies and the polarizer pass probabilities.  The
+only) from the efficiencies and the polarizer pass probabilities
+(:data:`~bellgate.sources.NO_POLARIZERS` in luminosity runs).  The
 coincidence matcher reproduces a counting card: two detections closer
 than the window form one coincidence, each detection used at most once,
 matched greedily in time order.  The matcher counts in numpy: it cuts
@@ -45,26 +46,16 @@ class DetectorConfig:
         if not self.coincidence_window > 0:
             raise ValueError("coincidence window must be positive")
 
-    @property
-    def pair_keep_probability(self) -> float:
-        """Probability that at least one detector keeps a pair reaching both slits."""
-        return 1.0 - (1.0 - self.efficiency_alice) * (1.0 - self.efficiency_bob)
-
-    def fire_probability(self, joint=None):
+    def fire_probability(self, joint):
         """Probability that a pair reaching both slits fires at least one detector.
 
         ``joint`` holds the polarizer probabilities (pass-pass, pass-block,
-        block-pass), scalars or per-pair arrays; ``None`` means no
-        polarizers, where this is :attr:`pair_keep_probability`.
+        block-pass), scalars or per-pair arrays;
+        :data:`~bellgate.sources.NO_POLARIZERS` when the polarizers are out.
         """
-        if joint is None:
-            return self.pair_keep_probability
         p_pp, p_pb, p_bp = joint
-        return (
-            p_pp * self.pair_keep_probability
-            + self.efficiency_alice * p_pb
-            + self.efficiency_bob * p_bp
-        )
+        keep_both = 1.0 - (1.0 - self.efficiency_alice) * (1.0 - self.efficiency_bob)
+        return p_pp * keep_both + self.efficiency_alice * p_pb + self.efficiency_bob * p_bp
 
 
 @dataclass(frozen=True)
@@ -94,28 +85,27 @@ class CountRecord:
         )
 
 
-def detection_pattern(n: int, det: DetectorConfig, rng, joint=None, drawn_at=None):
-    """Which detectors fire, for ``n`` pairs drawn among those that fire one.
+def detection_pattern(n: int, det: DetectorConfig, rng, joint, drawn_at: float):
+    """Which detectors fire, for ``n`` pairs drawn at firing probability ``drawn_at``.
 
     A pair passes the polarizers as pass-pass, pass-block or block-pass
-    with the probabilities in ``joint`` (see
-    :meth:`DetectorConfig.fire_probability`; ``None``: no polarizers),
-    and each arm then keeps its photon independently, so alice only,
-    both and bob only have probabilities e_a(p_pb + p_pp(1-e_b)),
-    e_a*e_b*p_pp and e_b(p_bp + p_pp(1-e_a)).  Given a detection, one
-    uniform on [0, q) picks the pattern, q being the sum of the three.
-    ``drawn_at`` is the larger q the pairs were drawn at when their own
-    q varies per pair; a uniform past a pair's own q fires nothing.
-    Returns the boolean arrays (alice_kept, bob_kept).
+    with the probabilities in ``joint``, scalars or per-pair arrays (see
+    :meth:`DetectorConfig.fire_probability`), and each arm then keeps its
+    photon independently, so alice only, both and bob only have
+    probabilities e_a(p_pb + p_pp(1-e_b)), e_a*e_b*p_pp and
+    e_b(p_bp + p_pp(1-e_a)), which sum to the pair's own firing
+    probability q.  One uniform on [0, drawn_at) picks the pattern; when
+    ``drawn_at`` exceeds a pair's q (pairs of several models drawn at the
+    largest q), a uniform past q fires nothing.  With ``drawn_at`` equal
+    to q every pair fires one: ``random() <= 1 - 2**-53``, so the
+    rounded product stays below q.  Returns the boolean arrays
+    (alice_kept, bob_kept).
     """
     e_a, e_b = det.efficiency_alice, det.efficiency_bob
-    p_pp, p_pb, _ = (1.0, 0.0, 0.0) if joint is None else joint
-    fire = det.fire_probability(joint)
-    u = rng.random(n) * (fire if drawn_at is None else drawn_at)
+    p_pp, p_pb, _ = joint
+    u = rng.random(n) * drawn_at
     alice = u < e_a * (p_pp + p_pb)
-    bob = u >= e_a * (p_pb + p_pp * (1.0 - e_b))
-    if drawn_at is not None:
-        bob &= u < fire
+    bob = (u >= e_a * (p_pb + p_pp * (1.0 - e_b))) & (u < det.fire_probability(joint))
     return alice, bob
 
 
@@ -128,11 +118,12 @@ def thin_times(times, efficiency: float, rng) -> np.ndarray:
 
 
 def dark_times(rate: float, duration: float, rng) -> np.ndarray:
-    """Sorted dark-count timestamps: a Poisson process on [0, duration)."""
+    """Dark-count timestamps of a Poisson process on [0, duration), unsorted
+    (the runner sorts each arm once, with its detections)."""
     if rate <= 0 or duration <= 0:
         return np.empty(0, dtype=float)
     n = int(rng.poisson(rate * duration))
-    return np.sort(rng.random(n) * duration)
+    return rng.random(n) * duration
 
 
 def _greedy_sweep(a_list, b_list, window: float) -> int:

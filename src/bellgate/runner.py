@@ -18,15 +18,18 @@ independent mark is again Poisson (the marking theorem), so firing pairs
 are a Poisson process of rate ``pair_rate * q`` on the gate's open set,
 where ``q`` is the probability that a pair fires a detector
 (:meth:`~bellgate.detection.DetectorConfig.fire_probability` of the
-polarizer probabilities from :func:`~bellgate.sources.joint_probabilities`;
-``q = 1 - (1 - e_a)(1 - e_b)`` without polarizers).
-:func:`~bellgate.gating.sample_open_times` draws them and
-:func:`~bellgate.detection.detection_pattern` picks which detectors
-fire.  ``TravelingInfluence`` pairs are drawn at the larger ``q`` of its
-two models and each takes its pattern from the model its informed flag
-selects, a flag computed for drawn pairs only.  At the reference bench's
-1.6% duty cycle and 1-2% efficiencies about one emitted pair in 4000
-fires a detector at a polarizer setting.
+polarizer probabilities from :func:`~bellgate.sources.joint_probabilities`,
+or of :data:`~bellgate.sources.NO_POLARIZERS`, where it is
+``q = 1 - (1 - e_a)(1 - e_b)``).
+:func:`~bellgate.gating.sample_open_times` draws them and one
+:func:`~bellgate.detection.detection_pattern` call picks which detectors
+fire.  Gated ``TravelingInfluence`` pairs are drawn at the larger ``q``
+of its two models and each takes its pattern from the model its
+informed flag selects; the flag comes from
+:func:`~bellgate.causality.informed_emission_gate` and is computed for
+drawn pairs only.  At the reference bench's 1.6% duty cycle and 1-2%
+efficiencies about one emitted pair in 4000 fires a detector at a
+polarizer setting.
 
 Every run, the dark-only one included, is counted by :func:`_count`
 slice by slice: each slice's detections join its dark counts and the
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +65,8 @@ from .analysis import (
     dark_subtract,
     degradation_ratio,
 )
-from .apparatus import ApparatusConfig, gate_geometry, validate_config
+from .apparatus import ApparatusConfig, GateGeometry, gate_geometry, validate_config
+from .causality import informed_emission_gate
 from .detection import (
     CountRecord,
     DetectorConfig,
@@ -73,6 +77,7 @@ from .detection import (
 )
 from .gating import GateState, gate_open, sample_open_times
 from .sources import (
+    NO_POLARIZERS,
     CorrelationModel,
     TravelingInfluence,
     joint_outcomes,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.joint_outcomes
@@ -89,6 +94,10 @@ _CHUNK_EVENTS = 1 << 16
 # Events per arm that the search for a slice's last cluster gap looks
 # back over before it falls back to the whole slice.
 _LOOKBACK = 64
+# The most events (firing pairs and darks) a plan may expect in its
+# largest sub-run: about 750 times the largest run the README quotes, and
+# minutes of counting for that sub-run alone.  Fixed, like the slice size.
+MAX_RUN_EVENTS = 1e10
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,8 @@ class RunPlan:
     master_seed: int = 0
     gate_phase: float = 0.0
     accidental_convention: str = "double"
+    #: Gate timing derived from ``apparatus`` once, after validating it.
+    geometry: GateGeometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.pair_rate < math.inf:
@@ -113,6 +124,7 @@ class RunPlan:
         if self.accidental_convention not in ACCIDENTAL_CONVENTIONS:
             raise ValueError(f"unknown accidental convention {self.accidental_convention!r}")
         geometry = gate_geometry(validate_config(self.apparatus))
+        object.__setattr__(self, "geometry", geometry)
         # Every experiment includes a gated run; check its phase before any run.
         GateState.from_geometry(geometry, self.gate_phase)
         # A window as long as the gate period reaches into the next gate
@@ -121,6 +133,19 @@ class RunPlan:
             raise ValueError(
                 f"coincidence window {self.detector.coincidence_window:g} s must be "
                 f"shorter than the gate period {geometry.gate_period:g} s"
+            )
+        # The largest sub-run is the ungated luminosity run: no gate and no
+        # polarizer stops a pair, so no other run fires more.
+        det = self.detector
+        events = self.integration_time * (
+            self.pair_rate * det.fire_probability(NO_POLARIZERS)
+            + det.dark_rate_alice
+            + det.dark_rate_bob
+        )
+        if events > MAX_RUN_EVENTS:
+            raise ValueError(
+                f"run too large: the ungated luminosity run expects {events:.3g} events, "
+                f"more than the limit of {MAX_RUN_EVENTS:g}"
             )
 
 
@@ -179,39 +204,28 @@ def run_setting(
     ``polarized=False`` removes the polarizers from the path (luminosity
     and calibration runs): every photon pair continues to the gate.
     """
-    geometry = gate_geometry(validate_config(plan.apparatus))
     det = plan.detector
-    delay = geometry.fiber_delay
+    delay = plan.geometry.fiber_delay
     if rotation is None:
         rotation = plan.rotation
-    gate = GateState.from_geometry(geometry, plan.gate_phase) if rotation else None
+    gate = GateState.from_geometry(plan.geometry, plan.gate_phase) if rotation else None
 
-    model = plan.model
-    influence_gate = None
-    if polarized and isinstance(model, TravelingInfluence):
-        if gate is not None:
-            # An emission is "informed" iff the slit was in view one influence
-            # transit earlier, i.e. the gate pattern shifted by that delay.
-            influence_delay = (
-                0.0
-                if math.isinf(model.influence_speed)
-                else plan.apparatus.fiber_length / model.influence_speed
-            )
-            influence_gate = GateState(
-                gate.gate_period,
-                gate.aperture_time,
-                (gate.phase_offset + influence_delay) % gate.gate_period,
-            )
-            informed_joint = joint_probabilities(model.base, alice_angle, bob_angle)[:3]
-            uninformed_joint = joint_probabilities(model.uninformed, alice_angle, bob_angle)[:3]
-        # With the mirror stopped the line of sight is permanent: every
-        # emission is informed.
-        model = model.base
-    if influence_gate is None:
-        joint = joint_probabilities(model, alice_angle, bob_angle)[:3] if polarized else None
-        fire = det.fire_probability(joint)
-    else:
-        fire = max(det.fire_probability(informed_joint), det.fire_probability(uninformed_joint))
+    # One polarizer group per model a drawn pair may follow.  With the
+    # mirror stopped the line of sight is permanent: every emission is
+    # informed and a traveling model is its base model.
+    joints = [NO_POLARIZERS]
+    informed_gate = None
+    if polarized:
+        models = [plan.model]
+        if isinstance(plan.model, TravelingInfluence):
+            models = [plan.model.base]
+            if gate is not None:
+                models.append(plan.model.uninformed)
+                informed_gate = informed_emission_gate(
+                    gate, plan.apparatus.fiber_length, plan.model.influence_speed
+                )
+        joints = [joint_probabilities(model, alice_angle, bob_angle)[:3] for model in models]
+    fire = max(det.fire_probability(joint) for joint in joints)
     rate = plan.pair_rate * fire
 
     def draw(t0, t1):
@@ -221,16 +235,15 @@ def run_setting(
             # draws all pass it, and perfbench/trace_child.py counts the
             # gated pairs through this call.
             arrivals = arrivals[gate_open(arrivals, gate)]
-        if influence_gate is None:
-            alice_kept, bob_kept = detection_pattern(arrivals.size, det, rng, joint)
-        else:
-            informed = gate_open(arrivals - delay, influence_gate)
-            per_pair = [np.where(informed, p, r) for p, r in zip(informed_joint, uninformed_joint)]
-            alice_kept, bob_kept = detection_pattern(arrivals.size, det, rng, per_pair, fire)
+        joint = joints[0]
+        if informed_gate is not None:
+            informed = gate_open(arrivals - delay, informed_gate)
+            joint = [np.where(informed, p, r) for p, r in zip(*joints)]
+        alice_kept, bob_kept = detection_pattern(arrivals.size, det, rng, joint, fire)
         # compress: twice as fast as boolean indexing on these random masks
         return arrivals.compress(alice_kept), arrivals.compress(bob_kept)
 
-    open_fraction = geometry.duty_cycle if gate is not None else 1.0
+    open_fraction = plan.geometry.duty_cycle if gate is not None else 1.0
     return _count(draw, rate * open_fraction, det, plan.integration_time, rng)
 
 

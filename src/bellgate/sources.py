@@ -39,6 +39,10 @@ SIGN_CONVENTIONS = ("plus", "minus", "mirrored")
 #: Distinguished influence speed meaning "arrives with no delay".
 INSTANTANEOUS = math.inf
 
+#: (p_pass_pass, p_pass_block, p_block_pass) with the polarizers out of
+#: the path, as in luminosity runs: every pair reaches both detectors.
+NO_POLARIZERS = (1.0, 0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class QuantumState:

@@ -272,10 +272,13 @@ def test_simulate_rejects_window_as_long_as_gate_period(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override, message",
     [("run.accidental_convention=dobule", "unknown accidental convention 'dobule'"),
-     ("run.gate_phase=1.0", "phase offset must lie in [0, gate period)")],
+     ("run.gate_phase=1.0", "phase offset must lie in [0, gate period)"),
+     # about 4e16 events; it once ran silently for what would have been years
+     ("run.integration_time=1e12", "run too large: the ungated luminosity run expects 4.4e+16")],
 )
 def test_simulate_rejects_bad_plan_before_any_run(tmp_path, capsys, override, message):
-    # both once failed only after the luminosity runs, one after writing degradation.csv
+    # the first two once failed only after the luminosity runs, one after
+    # writing degradation.csv
     out = tmp_path / "o"
     args = ["simulate", "--config", str(fixture_path("demo.json")), "--out", str(out)]
     assert main([*args, "--set", override]) == 1

@@ -14,7 +14,13 @@ from bellgate.detection import (
     write_count_records,
 )
 from bellgate.runner import _count
-from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, joint_probabilities
+from bellgate.sources import (
+    NO_POLARIZERS,
+    MalusLHV,
+    QuantumState,
+    ThresholdLHV,
+    joint_probabilities,
+)
 
 
 def greedy_match_reference(alice, bob, window):
@@ -73,10 +79,10 @@ def test_thinning_rate():
 
 def test_detection_pattern_is_conditioned_on_a_detection():
     det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.4)
-    k = det.pair_keep_probability
+    k = det.fire_probability(NO_POLARIZERS)
     assert k == pytest.approx(0.7)
     n = 200_000
-    alice, bob = detection_pattern(n, det, np.random.default_rng(8))
+    alice, bob = detection_pattern(n, det, np.random.default_rng(8), NO_POLARIZERS, k)
     assert not np.any(~alice & ~bob)
     observed = np.array([np.sum(alice & ~bob), np.sum(alice & bob), np.sum(~alice & bob)])
     expected = n * np.array([0.5 * 0.6, 0.5 * 0.4, 0.5 * 0.4]) / k
@@ -114,9 +120,10 @@ def test_firing_pattern_frequencies_match_closed_form(name):
     model, e = PATTERN_MODELS[name]
     joint = joint_probabilities(model, 0.0, 22.5)[:3]
     expected = _pattern_probabilities(e)
-    assert PATTERN_DETECTOR.fire_probability(joint) == pytest.approx(expected.sum(), rel=1e-12)
+    fire = PATTERN_DETECTOR.fire_probability(joint)
+    assert fire == pytest.approx(expected.sum(), rel=1e-12)
     n = 400_000
-    alice, bob = detection_pattern(n, PATTERN_DETECTOR, np.random.default_rng(21), joint)
+    alice, bob = detection_pattern(n, PATTERN_DETECTOR, np.random.default_rng(21), joint, fire)
     assert not np.any(~alice & ~bob)
     observed = [np.sum(alice & ~bob), np.sum(alice & bob), np.sum(~alice & bob)]
     _assert_binomial_within_4_sigma(observed, n, expected / expected.sum())
@@ -146,7 +153,7 @@ def test_traveling_firing_pattern_frequencies_per_flag(informed):
 def test_perfect_detector_is_identity():
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
     rng = np.random.default_rng(4)
-    alice_kept, bob_kept = detection_pattern(1000, det, rng)
+    alice_kept, bob_kept = detection_pattern(1000, det, rng, NO_POLARIZERS, 1.0)
     assert alice_kept.all() and bob_kept.all()
     times = np.sort(np.random.default_rng(2).random(1000))
     assert np.array_equal(thin_times(times, 1.0, rng), times)
@@ -158,7 +165,7 @@ def test_dark_counts_alone():
     bob = dark_times(600.0, 1.0, rng)
     assert abs(alice.size - 1300) < 5 * math.sqrt(1300)
     assert abs(bob.size - 600) < 5 * math.sqrt(600)
-    assert np.all(np.diff(alice) >= 0)
+    assert np.all((alice >= 0) & (alice < 1.0))
 
 
 def test_match_inside_window():
@@ -271,8 +278,8 @@ def test_independent_streams_match_at_accidental_rate():
     # accidental convention because either side may open the window.
     rng = np.random.default_rng(8)
     duration = 3600.0
-    alice = dark_times(2301.0, duration, rng)
-    bob = dark_times(1098.0, duration, rng)
+    alice = np.sort(dark_times(2301.0, duration, rng))
+    bob = np.sort(dark_times(1098.0, duration, rng))
     window = 20e-9
     count = match_coincidences(alice, bob, window)
     expected_double = 2301.0 * 1098.0 * 2 * window * duration
@@ -306,7 +313,8 @@ def test_count_run_summary():
     rng = np.random.default_rng(13)
     record = _count(None, 0.0, darks, 2.0, rng)
     check = np.random.default_rng(13)
-    alice, bob = dark_times(1300.0, 2.0, check), dark_times(600.0, 2.0, check)
+    alice = np.sort(dark_times(1300.0, 2.0, check))
+    bob = np.sort(dark_times(600.0, 2.0, check))
     assert record == CountRecord(
         alice.size, bob.size, match_coincidences(alice, bob, darks.coincidence_window), 2.0
     )

@@ -7,7 +7,7 @@ from bellgate.apparatus import GateGeometry, ValidationError
 from bellgate.detection import DetectorConfig
 from bellgate.gating import GateState, gate_open, sample_open_times
 from bellgate.runner import RunPlan, run_setting
-from bellgate.sources import QuantumState
+from bellgate.sources import NO_POLARIZERS, QuantumState
 
 T_ON = 4.681027737996921e-07
 GATE_PERIOD = 2.9411764705882354e-05
@@ -107,7 +107,7 @@ def test_from_geometry_validates(bench_geometry):
 # Sampling directly on the open set
 
 PHASE = 1.1e-5
-K = DetectorConfig(efficiency_alice=0.0197, efficiency_bob=0.0119).pair_keep_probability
+K = DetectorConfig(efficiency_alice=0.0197, efficiency_bob=0.0119).fire_probability(NO_POLARIZERS)
 
 
 def _open_measure(t0, t1, gate):

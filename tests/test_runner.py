@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import statistics
 import tracemalloc
 import types
 from dataclasses import replace
@@ -8,9 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bellgate.analysis import NumericalError
+from bellgate.analysis import NumericalError, correlation_E
 from bellgate.apparatus import ApparatusConfig, LIGHT_SPEED_VACUUM, gate_geometry
-from bellgate.causality import resonant_influence_speeds
+from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.config import build_plan
 from bellgate.detection import CountRecord, DetectorConfig, match_coincidences
 from bellgate.fixtures import fixture_path
@@ -18,6 +19,7 @@ from bellgate.runner import (
     _CHUNK_EVENTS,
     _LOOKBACK,
     DEGRADATION_LABELS,
+    MAX_RUN_EVENTS,
     RunPlan,
     _count,
     calibrate_from_counts,
@@ -27,7 +29,13 @@ from bellgate.runner import (
     run_degradation,
     run_setting,
 )
-from bellgate.sources import MalusLHV, QuantumState, TravelingInfluence, joint_probabilities
+from bellgate.sources import (
+    MalusLHV,
+    QuantumState,
+    TravelingInfluence,
+    correlation_theory,
+    joint_probabilities,
+)
 
 PERFECT = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=20e-9)
 
@@ -120,6 +128,14 @@ def test_plan_validation():
         with pytest.raises(ValueError, match="shorter than the gate period"):
             replace(quick_plan(MalusLHV()), detector=replace(PERFECT, coincidence_window=window))
     replace(quick_plan(MalusLHV()), detector=replace(PERFECT, coincidence_window=0.99 * period))
+    # Perfect detectors fire every pair of the ungated luminosity run.
+    quick_plan(MalusLHV(), pair_rate=1e6, integration_time=MAX_RUN_EVENTS / 1e6)
+    with pytest.raises(ValueError, match="run too large"):
+        quick_plan(MalusLHV(), pair_rate=1e6, integration_time=1.01 * MAX_RUN_EVENTS / 1e6)
+    # Darks count too: 1e9 pairs alone fit, with 20 darks per second they do not.
+    dark_plan = quick_plan(MalusLHV(), pair_rate=1.0, integration_time=1e9)
+    with pytest.raises(ValueError, match="run too large"):
+        replace(dark_plan, detector=replace(PERFECT, dark_rate_alice=10.0, dark_rate_bob=10.0))
 
 
 def test_plan_rejects_non_finite_rate_and_time():
@@ -433,6 +449,55 @@ def test_traveling_influence_leaks_at_resonant_speed():
     # at the resonance every gated photon is an informed one
     assert result.S > 2.0 + 4 * result.S_sigma
     assert result.S == pytest.approx(2 * math.sqrt(2), abs=5 * result.S_sigma)
+
+
+# (window index, pass fraction): partial overlaps on the fast side of the
+# resonance, at both ends of the range and in between.
+PARTIAL_OVERLAPS = ((1, 0.25), (2, 0.5), (1, 0.9))
+# Total false-alarm rate 1e-3 over the cases (Bonferroni): |pull| < 3.59.
+PARTIAL_PULL_BOUND = statistics.NormalDist().inv_cdf(1 - 1e-3 / (2 * len(PARTIAL_OVERLAPS)))
+
+
+@pytest.mark.parametrize("window_index, target", PARTIAL_OVERLAPS)
+def test_traveling_influence_mixes_models_by_pass_fraction(window_index, target):
+    # Gated pairs are informed in the share of informed arrivals that the
+    # gate passes, so E(0, 22.5) is the pass-fraction mixture of the two
+    # models' correlations.  Perfect detectors make that exact: both
+    # photons of every pass-pass pair are counted, whichever model it
+    # follows.  The 1 ns window keeps accidental pairings of neighbouring
+    # pairs, which the mixture leaves out, below a tenth of a sigma.
+    apparatus = ApparatusConfig()
+    geometry = gate_geometry(apparatus)
+    fiber = apparatus.fiber_length
+    resonance = resonant_influence_speeds(geometry, fiber, LIGHT_SPEED_VACUUM, window_index)[-1]
+    # Overlap falls linearly from 1 at the centre transit to 0 at the
+    # shortest one (the interval's fast end).
+    centre, shortest = fiber / resonance.center, fiber / resonance.high
+    speed = fiber / (centre - (1 - target) * (centre - shortest))
+    pass_fraction = influence_window_analysis(
+        geometry, fiber, speed, LIGHT_SPEED_VACUUM
+    ).pass_fraction
+    assert pass_fraction == pytest.approx(target)
+    base, uninformed = QuantumState("mirrored", 1.0), MalusLHV()
+    plan = RunPlan(
+        apparatus=apparatus,
+        detector=replace(PERFECT, coincidence_window=1e-9),
+        model=TravelingInfluence(base, uninformed, speed),
+        pair_rate=1e5,
+        integration_time=4.0,
+    )
+    quadruple = ((0.0, 22.5), (90.0, 112.5), (0.0, 112.5), (90.0, 22.5))
+    counts = [
+        run_setting(
+            plan, alice, bob, np.random.default_rng([window_index, round(100 * target), cell])
+        ).coincidences
+        for cell, (alice, bob) in enumerate(quadruple)
+    ]
+    e, sigma = correlation_E(*counts)
+    expected = pass_fraction * correlation_theory(base, 0.0, 22.5) + (
+        1 - pass_fraction
+    ) * correlation_theory(uninformed, 0.0, 22.5)
+    assert abs(e - expected) < PARTIAL_PULL_BOUND * sigma, (e, expected, sigma)
 
 
 def test_traveling_influence_without_rotation_all_informed():
