@@ -31,12 +31,19 @@ from .sources import INSTANTANEOUS
 
 __all__ = [
     "CausalityReport",
+    "MAX_SWEEP_WINDOWS",
     "SpeedInterval",
     "INSTANTANEOUS",
     "influence_window_analysis",
     "informed_emission_gate",
     "resonant_influence_speeds",
 ]
+
+# The most later windows a resonance sweep may examine: the reference
+# bench's 10 000th window is 0.29 s out, where a resonant influence
+# crawls at under 700 m/s.  Fixed, not an option, so the sweep's time,
+# memory and output stay bounded.
+MAX_SWEEP_WINDOWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -153,8 +160,10 @@ def resonant_influence_speeds(
     plus the window width, i.e. 2 aperture times, centred on the period
     multiple).  Solving for v gives one speed interval per reachable k.
     """
-    if max_windows < 1:
-        raise ValueError("max_windows must be at least 1")
+    if not 1 <= max_windows <= MAX_SWEEP_WINDOWS:
+        raise ValueError(
+            f"max_windows must lie in [1, {MAX_SWEEP_WINDOWS}], got {max_windows}"
+        )
     if fiber_length <= 0:
         return []
     t_on = geometry.aperture_time

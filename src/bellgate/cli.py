@@ -6,8 +6,9 @@ reports), ``causality`` (influence timing report or resonance sweep).
 
 Exit codes are stable for scripting: 0 success, 1 configuration or
 validation error (a run too large for memory, or expecting more events
-than :data:`~bellgate.runner.MAX_RUN_EVENTS`, included), 2 I/O error,
-3 numerical failure.
+than :data:`~bellgate.runner.MAX_RUN_EVENTS`, and a sweep over more
+than :data:`~bellgate.causality.MAX_SWEEP_WINDOWS` windows included),
+2 I/O error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ from .analysis import (
     write_table_csv,
 )
 from .apparatus import gate_geometry, validate_config
-from .causality import influence_window_analysis, resonant_influence_speeds
+from .causality import (
+    MAX_SWEEP_WINDOWS,
+    influence_window_analysis,
+    resonant_influence_speeds,
+)
 from .config import (
     apply_overrides,
     build_apparatus,
@@ -278,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-windows",
         type=int,
         default=5,
-        help="how many later windows the sweep examines (default 5)",
+        help=f"how many later windows the sweep examines (default 5, at most {MAX_SWEEP_WINDOWS})",
     )
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(func=cmd_causality)

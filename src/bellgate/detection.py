@@ -3,17 +3,21 @@
 Each arm's detector keeps a photon with its quantum-efficiency
 probability and adds an independent Poisson dark-count background.  The
 runner draws only pairs that fire at least one detector;
-:func:`detection_pattern` gives each its pattern (alice only, both, bob
-only) from the efficiencies and the polarizer pass probabilities
-(:data:`~bellgate.sources.NO_POLARIZERS` in luminosity runs).  The
-coincidence matcher reproduces a counting card: two detections closer
-than the window form one coincidence, each detection used at most once,
-matched greedily in time order.  The matcher counts in numpy: it cuts
-the merged timeline at every gap of a window or more, counts an isolated
-two-event cluster as one coincidence when it spans both arms, and runs
-the greedy sweep only over the rare clusters of three or more events
-(see :func:`match_coincidences` for why that is exact).  The same cut
-lets the runner count a long run slice by slice.  Dark and accidental
+:func:`detection_pattern` gives each its arm code (:data:`ALICE`,
+:data:`BOTH` or :data:`BOB`) from the efficiencies and the polarizer
+pass probabilities (:data:`~bellgate.sources.NO_POLARIZERS` in
+luminosity runs).  Both photons of a pair share one arrival time, so a
+run is one time-ordered *tagged stream*, as a time tagger records it:
+entry times plus an ``int8`` arm code per entry, bit 1 for Alice and
+bit 2 for Bob.  A dark count is an entry of one arm.  The coincidence
+matcher reproduces a counting card on that stream: two detections
+closer than the window form one coincidence, each detection used at
+most once, matched greedily in time order.  It counts in numpy: it cuts
+the stream at every gap of a window or more, counts an isolated entry
+as one coincidence when both arms fired, and runs the greedy sweep only
+over the rare clusters of two or more entries (see
+:func:`match_coincidences` for why that is exact).  The same cut lets
+the runner count a long run slice by slice.  Dark and accidental
 coincidences are not injected anywhere; they emerge from the matcher
 like they do in hardware.
 """
@@ -24,6 +28,11 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Arm codes of a tagged stream entry: which detectors it fired.
+ALICE = 1
+BOB = 2
+BOTH = ALICE | BOB
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,7 @@ class CountRecord:
 
 
 def detection_pattern(n: int, det: DetectorConfig, rng, joint, drawn_at: float):
-    """Which detectors fire, for ``n`` pairs drawn at firing probability ``drawn_at``.
+    """Arm codes of ``n`` pairs drawn at firing probability ``drawn_at``.
 
     A pair passes the polarizers as pass-pass, pass-block or block-pass
     with the probabilities in ``joint``, scalars or per-pair arrays (see
@@ -98,15 +107,18 @@ def detection_pattern(n: int, det: DetectorConfig, rng, joint, drawn_at: float):
     ``drawn_at`` exceeds a pair's q (pairs of several models drawn at the
     largest q), a uniform past q fires nothing.  With ``drawn_at`` equal
     to q every pair fires one: ``random() <= 1 - 2**-53``, so the
-    rounded product stays below q.  Returns the boolean arrays
-    (alice_kept, bob_kept).
+    rounded product stays below q.  Returns an ``int8`` array of
+    :data:`ALICE`, :data:`BOTH`, :data:`BOB`, or 0 for a pair that fires
+    nothing.
     """
     e_a, e_b = det.efficiency_alice, det.efficiency_bob
     p_pp, p_pb, _ = joint
     u = rng.random(n) * drawn_at
     alice = u < e_a * (p_pp + p_pb)
     bob = (u >= e_a * (p_pb + p_pp * (1.0 - e_b))) & (u < det.fire_probability(joint))
-    return alice, bob
+    arms = bob.view(np.int8) * np.int8(BOB)
+    arms |= alice.view(np.int8)
+    return arms
 
 
 def thin_times(times, efficiency: float, rng) -> np.ndarray:
@@ -119,7 +131,7 @@ def thin_times(times, efficiency: float, rng) -> np.ndarray:
 
 def dark_times(rate: float, duration: float, rng) -> np.ndarray:
     """Dark-count timestamps of a Poisson process on [0, duration), unsorted
-    (the runner sorts each arm once, with its detections)."""
+    (the runner sorts them once, with the tail it carries)."""
     if rate <= 0 or duration <= 0:
         return np.empty(0, dtype=float)
     n = int(rng.poisson(rate * duration))
@@ -143,54 +155,45 @@ def _greedy_sweep(a_list, b_list, window: float) -> int:
     return matched
 
 
-def match_coincidences(alice_times, bob_times, window: float) -> int:
-    """Count one-to-one coincidences with |t_alice - t_bob| < window.
+def match_coincidences(times, arms, window: float) -> int:
+    """Count one-to-one coincidences with |t_alice - t_bob| < window on a
+    tagged stream: sorted entry ``times`` and their ``arms`` codes.
 
     The count is exactly that of the greedy earliest-first sweep over
-    the two sorted streams, where each detection participates in at most
-    one coincidence.  Raises on unsorted input; a NaN between two
-    timestamps counts as unsorted.
+    the two arms' sorted detections, where each detection participates
+    in at most one coincidence; an entry of code :data:`BOTH` gives one
+    detection to each arm, and one of code 0 none.  Raises on an
+    unsorted stream; a NaN between two timestamps counts as unsorted.
 
-    The merged timeline splits into clusters wherever two consecutive
-    events are at least a window apart.  Floating-point subtraction is
-    monotonic, so for ``x <= p < q <= y`` the computed ``y - x`` is at
-    least the computed ``q - p``: no pair across such a gap lies inside
-    the window, the sweep steps past it without matching, and its count
-    is the sum of its counts over the clusters.  A single event counts
-    0; two events count 1 if they are on different arms, which is the
-    common case because both photons of a pair share a timestamp.  Only
-    clusters of three or more events go through the sweep, in one call
-    over their concatenation, which is exact because whole clusters stay
-    at least a window apart.
+    The stream splits into clusters wherever two consecutive entries are
+    at least a window apart.  Floating-point subtraction is monotonic,
+    so for ``x <= p < q <= y`` the computed ``y - x`` is at least the
+    computed ``q - p``: no pair across such a gap lies inside the window,
+    the sweep steps past it without matching, and its count is the sum
+    of its counts over the clusters.  An isolated entry counts 1 if both
+    arms fired and 0 otherwise, which covers nearly every entry because
+    both photons of a pair share one entry.  Only clusters of two or
+    more entries go through the sweep, in one call over their
+    concatenation, which is exact because whole clusters stay at least a
+    window apart.
     """
-    a = np.asarray(alice_times, dtype=float)
-    b = np.asarray(bob_times, dtype=float)
-    if a.size > 1 and not np.all(a[1:] >= a[:-1]):
-        raise ValueError("alice timestamps are not sorted")
-    if b.size > 1 and not np.all(b[1:] >= b[:-1]):
-        raise ValueError("bob timestamps are not sorted")
-    # A stable sort (timsort) of two sorted runs is a linear merge, twice
-    # as fast as the default sort on such input.  How ties are ordered
-    # does not change the count.
-    merged = np.concatenate([a, b])
-    order = np.argsort(merged, kind="stable")
-    merged = merged[order]
-    # Link k joins merged events k and k + 1.  Negated so that a NaN gap
-    # (inf - inf) links, as the sweep would match the two events.
-    links = np.flatnonzero(~(np.diff(merged) >= window))
-    # A link with no link next to it is a cluster of exactly two events.
-    apart = np.diff(links) > 1
-    alone = np.ones(links.size, dtype=bool)
-    alone[1:] &= apart
-    alone[:-1] &= apart
-    pairs = links[alone]
-    matched = int(np.count_nonzero((order[pairs] < a.size) != (order[pairs + 1] < a.size)))
-    chained = links[~alone]
-    events = np.union1d(chained, chained + 1)
-    from_alice = order[events] < a.size
-    times = merged[events]
+    times = np.asarray(times, dtype=float)
+    arms = np.asarray(arms)
+    if times.shape != arms.shape:
+        raise ValueError("times and arms must have the same shape")
+    if times.size > 1 and not np.all(times[1:] >= times[:-1]):
+        raise ValueError("timestamps are not sorted")
+    # Link k joins entries k and k + 1.  Negated so that a NaN gap
+    # (inf - inf) links, as the sweep would match the two entries.
+    links = np.flatnonzero(~(np.diff(times) >= window))
+    both = arms == BOTH
+    chained = np.union1d(links, links + 1)
+    alone = int(np.count_nonzero(both)) - int(np.count_nonzero(both[chained]))
+    times, arms = times[chained], arms[chained]
     # Plain lists: much faster than ndarray scalar indexing.
-    return matched + _greedy_sweep(times[from_alice].tolist(), times[~from_alice].tolist(), window)
+    return alone + _greedy_sweep(
+        times[(arms & ALICE) != 0].tolist(), times[(arms & BOB) != 0].tolist(), window
+    )
 
 
 def write_count_records(rows, path) -> None:

@@ -4,7 +4,9 @@ Both arms run through equal-length fibers and bounce off the same
 mirror, so the two photons of a pair reach their slits simultaneously,
 one fiber delay after emission, and are transmitted or blocked as a
 unit.  The gate is a top-hat in time: open for ``aperture_time`` at the
-start of every ``gate_period``.
+start of every ``gate_period``.  :func:`sample_open_times` draws the
+arrivals of a Poisson process on the open set and returns them in time
+order, the order in which the runner counts them.
 """
 
 from __future__ import annotations
@@ -55,12 +57,15 @@ def sample_open_times(rate: float, t0: float, t1: float, gate: GateState | None,
     overlap the interval, each window at the edges weighted by the open
     length inside it, and every time lies uniformly on that open set.
     ``gate=None`` (mirror stopped) leaves the whole interval open.  The
-    times come back unsorted; memory grows with the number drawn, never
-    with the number of windows.
+    times come back sorted, in place after the draws, so they are the
+    time-ordered stream a time tagger records; memory grows with the
+    number drawn, never with the number of windows.
     """
     if gate is None:
         n = int(rng.poisson(rate * (t1 - t0)))
-        return t0 + rng.random(n) * (t1 - t0)
+        times = t0 + rng.random(n) * (t1 - t0)
+        times.sort()
+        return times
     period, width = gate.gate_period, gate.aperture_time
     # Window k opens at phase_offset + k*period.  Laying the windows from
     # ``first`` to ``last`` end to end gives an open-time coordinate s in
@@ -75,4 +80,6 @@ def sample_open_times(rate: float, t0: float, t1: float, gate: GateState | None,
     n = int(rng.poisson(rate * measure))
     s = s0 + rng.random(n) * measure
     window = np.floor(s / width)
-    return start + window * period + (s - window * width)
+    times = start + window * period + (s - window * width)
+    times.sort()
+    return times

@@ -32,10 +32,14 @@ efficiencies about one emitted pair in 4000 fires a detector at a
 polarizer setting.
 
 Every run, the dark-only one included, is counted by :func:`_count`
-slice by slice: each slice's detections join its dark counts and the
-tail carried from the slice before, each arm is sorted, and the events
-up to the last gap the rest of the run cannot bridge are matched, so
-memory stays bounded however long the run.
+slice by slice on one time-ordered tagged stream, as a time tagger
+records it: each drawn pair is one entry, tagged with the arms it fired
+(both photons share its arrival time).  The sampler returns the
+arrivals sorted, so the pattern uniforms go to the pairs in time order;
+each slice's dark counts and the tail carried from the slice before are
+spliced in, and the entries up to the last gap the rest of the run
+cannot bridge are matched, so memory stays bounded however long the
+run.
 
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
@@ -68,6 +72,8 @@ from .analysis import (
 from .apparatus import ApparatusConfig, GateGeometry, gate_geometry, validate_config
 from .causality import informed_emission_gate
 from .detection import (
+    ALICE,
+    BOB,
     CountRecord,
     DetectorConfig,
     dark_times,
@@ -91,8 +97,8 @@ DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
 # arrays stay cache-sized.  Fixed (not configurable) so a given plan
 # always consumes the same random stream.
 _CHUNK_EVENTS = 1 << 16
-# Events per arm that the search for a slice's last cluster gap looks
-# back over before it falls back to the whole slice.
+# Entries that the search for a slice's last cluster gap looks back over
+# before it falls back to the whole slice.
 _LOOKBACK = 64
 # The most events (firing pairs and darks) a plan may expect in its
 # largest sub-run: about 750 times the largest run the README quotes, and
@@ -239,9 +245,12 @@ def run_setting(
         if informed_gate is not None:
             informed = gate_open(arrivals - delay, informed_gate)
             joint = [np.where(informed, p, r) for p, r in zip(*joints)]
-        alice_kept, bob_kept = detection_pattern(arrivals.size, det, rng, joint, fire)
-        # compress: twice as fast as boolean indexing on these random masks
-        return arrivals.compress(alice_kept), arrivals.compress(bob_kept)
+        arms = detection_pattern(arrivals.size, det, rng, joint, fire)
+        if informed_gate is not None:
+            # Pairs drawn above their own model's q fire nothing.
+            fired = arms.astype(bool)
+            return arrivals[fired], arms[fired]
+        return arrivals, arms
 
     open_fraction = plan.geometry.duty_cycle if gate is not None else 1.0
     return _count(draw, rate * open_fraction, det, plan.integration_time, rng)
@@ -250,64 +259,84 @@ def run_setting(
 def _count(draw, draw_rate: float, det: DetectorConfig, duration: float, rng) -> CountRecord:
     """Count one run of ``duration`` seconds slice by slice, like a counting card.
 
-    ``draw(t0, t1)`` returns the unsorted (alice, bob) detection times of
-    the pairs emitted in [t0, t1), none earlier than t0, and draws about
-    ``draw_rate`` pairs per second; ``draw=None`` counts darks only.
-    Each slice adds each arm's dark counts (Alice's first) to its
-    detections, prepends the tail carried from the slice before and sorts
-    each arm.  Every later event is at t1 or after, so the greedy count
-    splits at the last gap of at least a window that also lies a window
-    below t1 (see :func:`~bellgate.detection.match_coincidences`): the
-    events before it are matched now, the rest are carried.
+    ``draw(t0, t1)`` returns the tagged stream ``(times, arms)``, sorted
+    by time, of the pairs emitted in [t0, t1), none detected earlier
+    than t0, and draws about ``draw_rate`` pairs per second;
+    ``draw=None`` counts darks only.  Each slice's dark counts (Alice's
+    first) and the tail carried from the slice before are merged into
+    the stream (see :func:`_merged`); singles are counted from the arm
+    codes as entries arrive.  Every later entry is at t1 or after, so
+    the greedy count splits at the last gap of at least a window that
+    also lies a window below t1 (see
+    :func:`~bellgate.detection.match_coincidences`): the entries before
+    it are matched now, the rest are carried.
     """
     window = det.coincidence_window
-    tail_alice = tail_bob = np.empty(0)
+    no_times, no_arms = np.empty(0), np.empty(0, dtype=np.int8)
+    tail_times, tail_arms = no_times, no_arms
     singles_alice = singles_bob = coincidences = 0
     event_rate = draw_rate + det.dark_rate_alice + det.dark_rate_bob
     for t0, t1 in _time_slices(duration, event_rate):
-        alice, bob = draw(t0, t1) if draw is not None else (np.empty(0), np.empty(0))
-        alice = np.sort(
-            np.concatenate([tail_alice, alice, t0 + dark_times(det.dark_rate_alice, t1 - t0, rng)])
+        times, arms = draw(t0, t1) if draw is not None else (no_times, no_arms)
+        dark_alice = t0 + dark_times(det.dark_rate_alice, t1 - t0, rng)
+        dark_bob = t0 + dark_times(det.dark_rate_bob, t1 - t0, rng)
+        singles_alice += dark_alice.size + int(np.count_nonzero(arms & ALICE))
+        singles_bob += dark_bob.size + int(np.count_nonzero(arms & BOB))
+        dark_alice.sort()
+        dark_bob.sort()
+        extra_times = np.concatenate([tail_times, dark_alice, dark_bob])
+        extra_arms = np.concatenate(
+            [
+                tail_arms,
+                np.full(dark_alice.size, ALICE, dtype=np.int8),
+                np.full(dark_bob.size, BOB, dtype=np.int8),
+            ]
         )
-        bob = np.sort(
-            np.concatenate([tail_bob, bob, t0 + dark_times(det.dark_rate_bob, t1 - t0, rng)])
-        )
-        i, j = _settled(alice, bob, t1, window)
-        coincidences += match_coincidences(alice[:i], bob[:j], window)
-        singles_alice += i
-        singles_bob += j
-        tail_alice, tail_bob = alice[i:], bob[j:]
-    coincidences += match_coincidences(tail_alice, tail_bob, window)
-    singles_alice += tail_alice.size
-    singles_bob += tail_bob.size
+        times, arms = _merged(times, arms, extra_times, extra_arms)
+        i = _settled(times, t1, window)
+        coincidences += match_coincidences(times[:i], arms[:i], window)
+        tail_times, tail_arms = times[i:], arms[i:]
+    coincidences += match_coincidences(tail_times, tail_arms, window)
     return CountRecord(singles_alice, singles_bob, coincidences, duration)
 
 
-def _settled(alice, bob, frontier: float, window: float) -> tuple[int, int]:
-    """(i, j) such that ``alice[:i]`` and ``bob[:j]`` can be matched apart
-    from the rest of the run, given sorted arms and later events at or
-    after ``frontier``.
+def _merged(times, arms, extra_times, extra_arms):
+    """One sorted tagged stream from the sorted draws and extra entries
+    that are a few sorted runs.
 
-    The cut follows the last merged event x whose next event, and the
-    frontier, are both at least a window later.  The search merges only
-    the events from the later of the two arms' ``_LOOKBACK``-th last
-    events on, where the merged timeline is complete, and both whole
-    arms only if no cut lies there; (0, 0) carries everything.
+    A stable sort merges sorted runs in linear time.  When the extras are
+    fewer than the draws, as darks are unless the signal is faint, it
+    sorts only them and ``insert`` splices them into the draws, which is
+    cheaper still.
     """
-    starts = [arm[-_LOOKBACK] for arm in (alice, bob) if arm.size > _LOOKBACK]
-    for lowest in ([max(starts)] if starts else []) + [-math.inf]:
-        merged = np.sort(
-            np.concatenate(
-                [alice[np.searchsorted(alice, lowest):], bob[np.searchsorted(bob, lowest):]]
-            )
-        )
-        ends = frontier - merged >= window
-        ends[:-1] &= np.diff(merged) >= window
+    if extra_times.size < times.size:
+        order = np.argsort(extra_times, kind="stable")
+        extra_times = extra_times[order]
+        at = np.searchsorted(times, extra_times)
+        return np.insert(times, at, extra_times), np.insert(arms, at, extra_arms[order])
+    times = np.concatenate([times, extra_times])
+    order = np.argsort(times, kind="stable")
+    return times[order], np.concatenate([arms, extra_arms])[order]
+
+
+def _settled(times, frontier: float, window: float) -> int:
+    """i such that ``times[:i]`` can be matched apart from the rest of
+    the run, given a sorted stream and later entries at or after
+    ``frontier``.
+
+    The cut follows the last entry x whose next entry, and the frontier,
+    are both at least a window later.  The search looks at the last
+    ``_LOOKBACK`` entries first and at the whole stream only if no cut
+    lies there; 0 carries everything.
+    """
+    for lowest in (max(times.size - _LOOKBACK, 0), 0):
+        part = times[lowest:]
+        ends = frontier - part >= window
+        ends[:-1] &= np.diff(part) >= window
         last = np.flatnonzero(ends)
         if last.size:
-            x = merged[last[-1]]
-            return int(np.searchsorted(alice, x, "right")), int(np.searchsorted(bob, x, "right"))
-    return 0, 0
+            return lowest + int(last[-1]) + 1
+    return 0
 
 
 def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:

@@ -3,6 +3,7 @@ import pytest
 
 from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, CountTable16
 from bellgate.apparatus import ApparatusConfig, gate_geometry, validate_config
+from bellgate.detection import ALICE, BOB
 from bellgate.sources import joint_probabilities
 
 
@@ -35,3 +36,14 @@ def sampled_table(model, pairs_per_setting, seed, integration_time=60.0):
         accidentals=np.zeros((4, 4)),
         integration_time=integration_time,
     )
+
+
+def tag_arms(alice, bob):
+    """The tagged stream (times, arms) of two arms' detection times: one
+    entry per detection, in time order, each tagged with its own arm."""
+    alice = np.asarray(alice, dtype=float)
+    bob = np.asarray(bob, dtype=float)
+    times = np.concatenate([alice, bob])
+    arms = np.repeat(np.array([ALICE, BOB], dtype=np.int8), [alice.size, bob.size])
+    order = np.argsort(times, kind="stable")
+    return times[order], arms[order]

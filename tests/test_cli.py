@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, CountTable16, write_table_csv
+from bellgate.causality import MAX_SWEEP_WINDOWS
 from bellgate.cli import main
 from bellgate.config import ConfigError, build_plan
 from bellgate.fixtures import fixture_path
@@ -364,6 +365,21 @@ def test_causality_sweep_finds_first_resonance(capsys):
     assert main(["causality", "--sweep", "--max-windows", "3"]) == 0
     out = capsys.readouterr().out
     assert "6.9578e+06" in out
+
+
+def test_causality_sweep_at_the_window_cap(capsys):
+    cap = str(MAX_SWEEP_WINDOWS)
+    assert main(["causality", "--sweep", "--max-windows", cap, "--json"]) == 0
+    intervals = json.loads(capsys.readouterr().out)
+    assert [iv["window_index"] for iv in intervals] == list(range(1, MAX_SWEEP_WINDOWS + 1))
+
+
+@pytest.mark.parametrize("windows", [MAX_SWEEP_WINDOWS + 1, 10**8, 0])
+def test_causality_sweep_rejects_windows_beyond_the_cap(capsys, windows):
+    assert main(["causality", "--sweep", "--max-windows", str(windows)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_windows must lie in [1, 10000], got {windows}\n"
 
 
 def test_causality_resonant_speed_passes(capsys):

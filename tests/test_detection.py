@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from bellgate.detection import (
+    ALICE,
+    BOB,
+    BOTH,
     CountRecord,
     DetectorConfig,
     dark_times,
@@ -21,6 +24,7 @@ from bellgate.sources import (
     ThresholdLHV,
     joint_probabilities,
 )
+from conftest import tag_arms
 
 
 def greedy_match_reference(alice, bob, window):
@@ -57,16 +61,23 @@ def two_pointer_reference(alice, bob, window):
     return matched
 
 
-def assert_exact(alice, bob, window, greedy=True):
-    """The matcher equals the two-pointer loop and, unless ``greedy`` is
-    off, the O(n*m) oracle too."""
-    alice = np.asarray(alice, dtype=float)
-    bob = np.asarray(bob, dtype=float)
-    expected = two_pointer_reference(alice.tolist(), bob.tolist(), window)
-    assert match_coincidences(alice, bob, window) == expected
+def assert_exact(times, arms, window, greedy=True):
+    """The matcher on a tagged stream equals the two-pointer loop over its
+    two arms and, unless ``greedy`` is off, the O(n*m) oracle too."""
+    times = np.asarray(times, dtype=float)
+    arms = np.asarray(arms, dtype=np.int8)
+    alice = times[(arms & ALICE) != 0].tolist()
+    bob = times[(arms & BOB) != 0].tolist()
+    expected = two_pointer_reference(alice, bob, window)
+    assert match_coincidences(times, arms, window) == expected
     if greedy:
-        assert greedy_match_reference(alice.tolist(), bob.tolist(), window) == expected
+        assert greedy_match_reference(alice, bob, window) == expected
     return expected
+
+
+def pattern_counts(arms):
+    """(alice only, both, bob only, none) of an array of arm codes."""
+    return [np.count_nonzero(arms == code) for code in (ALICE, BOTH, BOB, 0)]
 
 
 def test_thinning_rate():
@@ -82,9 +93,11 @@ def test_detection_pattern_is_conditioned_on_a_detection():
     k = det.fire_probability(NO_POLARIZERS)
     assert k == pytest.approx(0.7)
     n = 200_000
-    alice, bob = detection_pattern(n, det, np.random.default_rng(8), NO_POLARIZERS, k)
-    assert not np.any(~alice & ~bob)
-    observed = np.array([np.sum(alice & ~bob), np.sum(alice & bob), np.sum(~alice & bob)])
+    arms = detection_pattern(n, det, np.random.default_rng(8), NO_POLARIZERS, k)
+    assert arms.dtype == np.int8
+    *observed, none = pattern_counts(arms)
+    assert none == 0
+    observed = np.array(observed)
     expected = n * np.array([0.5 * 0.6, 0.5 * 0.4, 0.5 * 0.4]) / k
     assert np.all(np.abs(observed - expected) < 4 * np.sqrt(expected))
 
@@ -123,9 +136,9 @@ def test_firing_pattern_frequencies_match_closed_form(name):
     fire = PATTERN_DETECTOR.fire_probability(joint)
     assert fire == pytest.approx(expected.sum(), rel=1e-12)
     n = 400_000
-    alice, bob = detection_pattern(n, PATTERN_DETECTOR, np.random.default_rng(21), joint, fire)
-    assert not np.any(~alice & ~bob)
-    observed = [np.sum(alice & ~bob), np.sum(alice & bob), np.sum(~alice & bob)]
+    arms = detection_pattern(n, PATTERN_DETECTOR, np.random.default_rng(21), joint, fire)
+    *observed, none = pattern_counts(arms)
+    assert none == 0
     _assert_binomial_within_4_sigma(observed, n, expected / expected.sum())
 
 
@@ -140,21 +153,17 @@ def test_traveling_firing_pattern_frequencies_per_flag(informed):
     flags = np.arange(n) % 3 == 0
     per_pair = [np.where(flags, p, r) for p, r in zip(joints[True], joints[False])]
     rng = np.random.default_rng(22)
-    alice, bob = detection_pattern(n, PATTERN_DETECTOR, rng, per_pair, drawn_at)
+    arms = detection_pattern(n, PATTERN_DETECTOR, rng, per_pair, drawn_at)
     group = flags == informed
-    alice, bob = alice[group], bob[group]
     expected = _pattern_probabilities(COS45 if informed else 0.5 * COS45) / drawn_at
-    observed = [
-        np.sum(alice & ~bob), np.sum(alice & bob), np.sum(~alice & bob), np.sum(~alice & ~bob)
-    ]
+    observed = pattern_counts(arms[group])
     _assert_binomial_within_4_sigma(observed, group.sum(), [*expected, 1 - expected.sum()])
 
 
 def test_perfect_detector_is_identity():
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
     rng = np.random.default_rng(4)
-    alice_kept, bob_kept = detection_pattern(1000, det, rng, NO_POLARIZERS, 1.0)
-    assert alice_kept.all() and bob_kept.all()
+    assert np.all(detection_pattern(1000, det, rng, NO_POLARIZERS, 1.0) == BOTH)
     times = np.sort(np.random.default_rng(2).random(1000))
     assert np.array_equal(thin_times(times, 1.0, rng), times)
 
@@ -169,26 +178,34 @@ def test_dark_counts_alone():
 
 
 def test_match_inside_window():
-    assert match_coincidences([0.0], [15e-9], 20e-9) == 1
+    assert match_coincidences(*tag_arms([0.0], [15e-9]), 20e-9) == 1
 
 
 def test_match_outside_window():
-    assert match_coincidences([0.0], [25e-9], 20e-9) == 0
+    assert match_coincidences(*tag_arms([0.0], [25e-9]), 20e-9) == 0
 
 
 def test_match_rejects_unsorted():
     with pytest.raises(ValueError, match="not sorted"):
-        match_coincidences([2.0, 1.0], [0.0], 1e-9)
+        match_coincidences([2.0, 1.0], [ALICE, BOB], 1e-9)
     with pytest.raises(ValueError, match="not sorted"):
-        match_coincidences([0.0], [2.0, 1.0], 1e-9)
+        match_coincidences([0.0, 2.0, 1.0], [BOTH, BOB, BOB], 1e-9)
     with pytest.raises(ValueError, match="not sorted"):
-        match_coincidences([0.0, math.nan, 1.0], [0.0], 1e-9)
+        match_coincidences([0.0, math.nan, 1.0], [ALICE, ALICE, BOB], 1e-9)
+    with pytest.raises(ValueError, match="not sorted"):
+        match_coincidences([math.nan, math.nan], [BOTH, BOTH], 1e-9)
+    with pytest.raises(ValueError, match="same shape"):
+        match_coincidences([0.0, 1.0], [BOTH], 1e-9)
 
 
 def test_each_detection_used_once():
     # one bob event cannot serve two alice events
-    assert match_coincidences([0.0, 5e-9], [1e-9], 20e-9) == 1
-    assert match_coincidences([1e-9], [0.0, 5e-9], 20e-9) == 1
+    assert match_coincidences(*tag_arms([0.0, 5e-9], [1e-9]), 20e-9) == 1
+    assert match_coincidences(*tag_arms([1e-9], [0.0, 5e-9]), 20e-9) == 1
+    # nor can one entry where both arms fired serve a neighbour too
+    assert match_coincidences([0.0, 5e-9], [BOTH, ALICE], 20e-9) == 1
+    assert match_coincidences([0.0, 5e-9], [BOB, BOTH], 20e-9) == 1
+    assert match_coincidences([0.0, 5e-9], [BOTH, BOTH], 20e-9) == 2
 
 
 def test_match_agrees_with_reference_oracle():
@@ -200,7 +217,7 @@ def test_match_agrees_with_reference_oracle():
         bob = np.sort(rng.random(n_b))
         # up to windows spanning the whole stream
         window = float(rng.choice([1e-4, 1e-3, 1e-2, 0.05, 0.5, 2.0]))
-        assert_exact(alice, bob, window)
+        assert_exact(*tag_arms(alice, bob), window)
 
 
 def test_match_is_exact_on_dense_clusters():
@@ -216,22 +233,27 @@ def test_match_is_exact_on_dense_clusters():
             np.sort(rng.choice(centers, n) + spread * rng.random(n))
             for n in rng.integers(0, 150, 2)
         )
-        assert_exact(alice, bob, window)
+        assert_exact(*tag_arms(alice, bob), window)
         gaps = np.diff(np.sort(np.concatenate([alice, bob])))
         seen_multi += np.any((gaps[1:] < window) & (gaps[:-1] < window))
     assert seen_multi > 100
 
 
 def test_match_is_exact_on_runner_like_streams():
-    # Both photons of a detected pair share one timestamp; each arm keeps
-    # its own subset of pairs and adds uniform darks.
+    # Both photons of a detected pair share one entry; each arm keeps its
+    # own subset of pairs, and uniform darks join as entries of one arm.
     rng = np.random.default_rng(14)
     for _ in range(100):
         pairs = rng.random(int(rng.integers(0, 200)))
-        alice = np.sort(np.concatenate([pairs[rng.random(pairs.size) < 0.6], rng.random(30)]))
-        bob = np.sort(np.concatenate([pairs[rng.random(pairs.size) < 0.5], rng.random(20)]))
-        matched = assert_exact(alice, bob, float(rng.choice([1e-4, 1e-3, 2e-2])))
-        assert matched <= min(alice.size, bob.size)
+        codes = (ALICE * (rng.random(pairs.size) < 0.6) + BOB * (rng.random(pairs.size) < 0.5))
+        fired = codes != 0
+        times = np.concatenate([pairs[fired], rng.random(30), rng.random(20)])
+        arms = np.concatenate([codes[fired], np.full(30, ALICE), np.full(20, BOB)])
+        order = np.argsort(times)
+        times, arms = times[order], arms[order].astype(np.int8)
+        matched = assert_exact(times, arms, float(rng.choice([1e-4, 1e-3, 2e-2])))
+        singles = [np.count_nonzero(arms & arm) for arm in (ALICE, BOB)]
+        assert matched <= min(singles)
 
 
 def test_match_is_exact_on_gaps_of_one_window():
@@ -242,9 +264,9 @@ def test_match_is_exact_on_gaps_of_one_window():
         step = 2.0 ** -int(rng.integers(2, 8))
         alice = np.sort(rng.integers(0, 40, int(rng.integers(0, 60))) * step)
         bob = np.sort(rng.integers(0, 40, int(rng.integers(0, 60))) * step)
-        assert_exact(alice, bob, step)
-    assert match_coincidences([0.0, 0.5], [0.25, 0.75], 0.25) == 0
-    assert match_coincidences([0.0, 0.5], [0.25, 0.75], 0.2500001) == 2
+        assert_exact(*tag_arms(alice, bob), step)
+    assert match_coincidences(*tag_arms([0.0, 0.5], [0.25, 0.75]), 0.25) == 0
+    assert match_coincidences(*tag_arms([0.0, 0.5], [0.25, 0.75]), 0.2500001) == 2
     # Decimal grid: the differences round, and the gap test must round
     # exactly as the sweep does.  greedy_match_reference compares t - window
     # with u instead, which may round the other way, so it is left out.
@@ -252,15 +274,68 @@ def test_match_is_exact_on_gaps_of_one_window():
         step = float(rng.choice([0.1, 0.3, 0.7, 1e-3]))
         alice = np.sort(rng.integers(0, 50, int(rng.integers(0, 80))) * step)
         bob = np.sort(rng.integers(0, 50, int(rng.integers(0, 80))) * step)
-        assert_exact(alice, bob, step, greedy=False)
+        assert_exact(*tag_arms(alice, bob), step, greedy=False)
 
 
 def test_match_is_exact_on_empty_and_single_events():
     for alice, bob in [([], []), ([], [0.5]), ([0.5], []), ([0.5], [0.5]), ([0.5], [0.7])]:
-        assert_exact(alice, bob, 0.1)
-    assert_exact([], np.arange(10.0), 0.1)
-    assert_exact([3.0], np.arange(10.0), 0.1)
-    assert_exact(np.arange(10.0), [3.05], 0.1)
+        assert_exact(*tag_arms(alice, bob), 0.1)
+    assert_exact(*tag_arms([], np.arange(10.0)), 0.1)
+    assert_exact(*tag_arms([3.0], np.arange(10.0)), 0.1)
+    assert_exact(*tag_arms(np.arange(10.0), [3.05]), 0.1)
+
+
+# Codes with both arms firing dominate, as in a run's stream; a few
+# entries fire nothing.
+STREAM_CODES = np.array([ALICE, BOB, BOTH, 0], dtype=np.int8)
+STREAM_SHARES = [0.3, 0.25, 0.4, 0.05]
+
+
+def test_match_on_tagged_streams_with_both_arms_fired():
+    rng = np.random.default_rng(16)
+    seen_multi = 0
+    for _ in range(300):
+        window = float(rng.choice([1e-4, 1e-3, 1e-2, 0.5]))
+        centers = rng.random(int(rng.integers(1, 60)))
+        n = int(rng.integers(0, 150))
+        times = np.sort(rng.choice(centers, n) + window * rng.uniform(0.0, 3.0) * rng.random(n))
+        arms = rng.choice(STREAM_CODES, n, p=STREAM_SHARES)
+        assert_exact(times, arms, window)
+        seen_multi += np.any(np.diff(times) < window)
+    assert seen_multi > 200
+
+
+def test_match_on_tagged_streams_with_ties_and_gaps_of_one_window():
+    # Dyadic grid: entries share timestamps (ties of any codes), and gaps
+    # equal the window exactly, between chains when the window is two steps.
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        step = 2.0 ** -int(rng.integers(2, 8))
+        window = step * int(rng.integers(1, 3))
+        n = int(rng.integers(0, 80))
+        times = np.sort(rng.integers(0, 30, n) * step)
+        arms = rng.choice(STREAM_CODES, n, p=STREAM_SHARES)
+        expected = assert_exact(times, arms, window)
+        # the same instants, each arm's detections as entries of their own
+        alice, bob = (times[(arms & arm) != 0] for arm in (ALICE, BOB))
+        assert match_coincidences(*tag_arms(alice, bob), window) == expected
+    assert match_coincidences([0.0, 0.25, 0.5], [BOTH, BOTH, BOTH], 0.25) == 3
+    assert match_coincidences([0.0, 0.25], [ALICE, BOB], 0.25) == 0
+
+
+def test_match_on_tagged_streams_empty_and_single_entries():
+    for times, arms, expected in [
+        ([], [], 0),
+        ([0.5], [BOTH], 1),
+        ([0.5], [ALICE], 0),
+        ([0.5], [BOB], 0),
+        ([0.5], [0], 0),
+        ([0.5, 0.5], [ALICE, BOB], 1),
+        ([0.5, 0.5], [BOTH, BOTH], 2),
+        ([0.5, 0.5], [BOTH, 0], 1),
+        ([0.5, 0.7], [BOTH, BOTH], 2),
+    ]:
+        assert assert_exact(times, np.array(arms, dtype=np.int8), 0.1) == expected
 
 
 def test_coincidences_bounded_by_singles():
@@ -268,7 +343,7 @@ def test_coincidences_bounded_by_singles():
     for _ in range(20):
         alice = np.sort(rng.random(int(rng.integers(1, 500))))
         bob = np.sort(rng.random(int(rng.integers(1, 500))))
-        matched = match_coincidences(alice, bob, 0.05)
+        matched = match_coincidences(*tag_arms(alice, bob), 0.05)
         assert matched <= min(alice.size, bob.size)
 
 
@@ -278,10 +353,10 @@ def test_independent_streams_match_at_accidental_rate():
     # accidental convention because either side may open the window.
     rng = np.random.default_rng(8)
     duration = 3600.0
-    alice = np.sort(dark_times(2301.0, duration, rng))
-    bob = np.sort(dark_times(1098.0, duration, rng))
+    alice = dark_times(2301.0, duration, rng)
+    bob = dark_times(1098.0, duration, rng)
     window = 20e-9
-    count = match_coincidences(alice, bob, window)
+    count = match_coincidences(*tag_arms(alice, bob), window)
     expected_double = 2301.0 * 1098.0 * 2 * window * duration
     assert abs(count - expected_double) < 5 * math.sqrt(expected_double)
     # over one minute that is about 6 accidentals
@@ -297,13 +372,13 @@ def test_doubling_duration_doubles_counts():
 
 
 def test_count_run_summary():
-    # the runner's last step: add darks, sort, match
+    # the runner's last step: splice in darks, match
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
-    times = np.random.default_rng(11).random(500)  # unsorted, as the runner's draws are
+    times = np.sort(np.random.default_rng(11).random(500))  # sorted, as the runner's draws are
 
     def draw(t0, t1):
         kept = times[(times >= t0) & (times < t1)]
-        return kept, kept[::-1]
+        return kept, np.full(kept.size, BOTH, dtype=np.int8)
 
     record = _count(draw, 500.0, det, 1.0, np.random.default_rng(12))
     assert record == CountRecord(500, 500, 500, 1.0)  # identical timestamps always match
@@ -313,10 +388,13 @@ def test_count_run_summary():
     rng = np.random.default_rng(13)
     record = _count(None, 0.0, darks, 2.0, rng)
     check = np.random.default_rng(13)
-    alice = np.sort(dark_times(1300.0, 2.0, check))
-    bob = np.sort(dark_times(600.0, 2.0, check))
+    alice = dark_times(1300.0, 2.0, check)
+    bob = dark_times(600.0, 2.0, check)
     assert record == CountRecord(
-        alice.size, bob.size, match_coincidences(alice, bob, darks.coincidence_window), 2.0
+        alice.size,
+        bob.size,
+        match_coincidences(*tag_arms(alice, bob), darks.coincidence_window),
+        2.0,
     )
 
 

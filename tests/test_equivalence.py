@@ -18,7 +18,14 @@ import pytest
 
 from bellgate.apparatus import ApparatusConfig, gate_geometry, validate_config
 from bellgate.causality import resonant_influence_speeds
-from bellgate.detection import DetectorConfig, dark_times, match_coincidences, thin_times
+from bellgate.detection import (
+    ALICE,
+    BOB,
+    DetectorConfig,
+    dark_times,
+    match_coincidences,
+    thin_times,
+)
 from bellgate.gating import GateState, gate_open
 from bellgate.runner import RunPlan, run_setting
 from bellgate.sources import (
@@ -28,6 +35,14 @@ from bellgate.sources import (
     TravelingInfluence,
     joint_outcomes,
 )
+
+
+def tagged(alice, bob):
+    """One entry per detection of either arm, in time order."""
+    times = np.concatenate([alice, bob])
+    arms = np.repeat(np.array([ALICE, BOB], dtype=np.int8), [alice.size, bob.size])
+    order = np.argsort(times, kind="stable")
+    return times[order], arms[order]
 
 
 def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None, polarized=True):
@@ -69,9 +84,10 @@ def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None, polariz
         bob_pass = bob_pass & open_mask
     alice = thin_times(arrivals[alice_pass], det.efficiency_alice, rng)
     bob = thin_times(arrivals[bob_pass], det.efficiency_bob, rng)
-    alice = np.sort(np.concatenate([alice, dark_times(det.dark_rate_alice, duration, rng)]))
-    bob = np.sort(np.concatenate([bob, dark_times(det.dark_rate_bob, duration, rng)]))
-    return match_coincidences(alice, bob, det.coincidence_window), alice.size, bob.size
+    alice = np.concatenate([alice, dark_times(det.dark_rate_alice, duration, rng)])
+    bob = np.concatenate([bob, dark_times(det.dark_rate_bob, duration, rng)])
+    coincidences = match_coincidences(*tagged(alice, bob), det.coincidence_window)
+    return coincidences, alice.size, bob.size
 
 
 # Duty cycle 0.159, so the gate matters and counts stay cheap.

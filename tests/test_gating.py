@@ -65,11 +65,11 @@ def test_always_open_gate_keeps_everything():
 
 def test_no_rotation_mode_is_identity():
     # gate=None: the sampler is the plain Poisson process on the interval,
-    # draw for draw
+    # draw for draw, sorted
     times = sample_open_times(3e4, 0.25, 1.25, None, np.random.default_rng(43))
     rng = np.random.default_rng(43)
     expected = 0.25 + rng.random(int(rng.poisson(3e4))) * 1.0
-    assert np.array_equal(times, expected)
+    assert np.array_equal(times, np.sort(expected))
 
 
 def test_pairs_survive_or_drop_atomically(bench):
@@ -121,6 +121,26 @@ def _open_measure(t0, t1, gate):
     return total
 
 
+def _unsorted_open_times(rate, t0, t1, gate, rng):
+    """The sampler before it sorted its times, kept as the oracle: the
+    same Poisson count and uniforms, mapped from open time onto the
+    windows in draw order."""
+    if gate is None:
+        n = int(rng.poisson(rate * (t1 - t0)))
+        return t0 + rng.random(n) * (t1 - t0)
+    period, width = gate.gate_period, gate.aperture_time
+    first = math.floor((t0 - gate.phase_offset) / period)
+    last = math.ceil((t1 - gate.phase_offset) / period) - 1
+    start = gate.phase_offset + first * period
+    last_start = gate.phase_offset + last * period
+    s0 = min(max(t0 - start, 0.0), width)
+    s1 = (last - first) * width + min(max(t1 - last_start, 0.0), width)
+    measure = max(s1 - s0, 0.0)
+    s = s0 + rng.random(int(rng.poisson(rate * measure))) * measure
+    window = np.floor(s / width)
+    return start + window * period + (s - window * width)
+
+
 def _window_start(k):
     return PHASE + k * GATE_PERIOD
 
@@ -146,6 +166,21 @@ def test_sampled_arrivals_lie_on_the_open_set(t0, t1):
         times = sample_open_times(rate, t0, t1, gate, rng)
         assert np.all(gate_open(times, gate))
         assert np.all((times >= t0) & (times < t1))
+
+
+@pytest.mark.parametrize("gated", [True, False])
+@pytest.mark.parametrize("t0, t1", RANGES)
+def test_sampled_arrivals_are_the_sorted_draws(t0, t1, gated):
+    # Gated with a nonzero phase over partial windows at both edges, one
+    # window, a closed stretch and a long range; or with the mirror stopped.
+    gate = GateState(GATE_PERIOD, T_ON, PHASE) if gated else None
+    rate = 2000.0 / (max(_open_measure(t0, t1, gate), T_ON) if gated else t1 - t0)
+    for seed in range(5):
+        rng, check = np.random.default_rng(seed), np.random.default_rng(seed)
+        times = sample_open_times(rate, t0, t1, gate, rng)
+        assert np.all(times[1:] >= times[:-1])
+        assert np.array_equal(times, np.sort(_unsorted_open_times(rate, t0, t1, gate, check)))
+        assert rng.random() == check.random()  # the same number of draws
 
 
 @pytest.mark.parametrize("t0, t1", RANGES)

@@ -19,21 +19,21 @@ from bellgate.cli import main
 from bellgate.fixtures import fixture_path
 
 SIMULATE_DIGESTS = {
-    "results.json": "c097aa3d845f7b3f60735e029a5bf59b7845031e3576464eed427475d07e31b5",
-    "chsh_counts.csv": "e2047e8c5c65697750f1904cb528c71caa420ad6d529fc52be8040d257f77d17",
-    "degradation.csv": "42b6a7dcd6c659f7d49ff31c0dae2f510f04993823567479b7a347e28be6aa8e",
+    "results.json": "df28ebd34151f5327890e6c2b6f9f180ae77b01c1826c5906cca0c9f8aa67cd8",
+    "chsh_counts.csv": "9ff1ca39216ef523a2c26b29d25656b3365547f027d240574710cec978f697e0",
+    "degradation.csv": "118c79230defd00c1347f75176c89012c44a498f5b050b21ca4342256da35b01",
 }
 
 ROTATION_OFF_DIGESTS = {
-    "results.json": "da508261968b4d2e97aa69b62abc051a798ad543cf8c3307867dc4c360d3316b",
-    "chsh_counts.csv": "87cb9c9f5994330a08bb5835ec85b84b365097ed8eb4a5f979a5ddf23ca30057",
-    "degradation.csv": "42b6a7dcd6c659f7d49ff31c0dae2f510f04993823567479b7a347e28be6aa8e",
+    "results.json": "bfcbcd7e626b919cbe732f31d17b2aa1c7203eb34f89d747036ab3895cda1aef",
+    "chsh_counts.csv": "abff8a0ae179e3c91321cecb798ac2616b704448756f05a01b7a9bb75ebb8fc2",
+    "degradation.csv": "118c79230defd00c1347f75176c89012c44a498f5b050b21ca4342256da35b01",
 }
 
 TRAVELING_DIGESTS = {
-    "results.json": "7a66eaf2060d1e548b2578c7cbf75cc21a57661d15305ffe6ab1e47216612a37",
-    "chsh_counts.csv": "653fa1ef69a153c407493b9e0fc78294c2e372588a6077f7c329366b3b651b01",
-    "degradation.csv": "42b6a7dcd6c659f7d49ff31c0dae2f510f04993823567479b7a347e28be6aa8e",
+    "results.json": "1be97b189f85d8f6841aa108a3e0024479440271a80bc50e15157faff73731ad",
+    "chsh_counts.csv": "f9ad953d7f77f6cf8db93b00ae1f1111a5c6b416a7892b2f07ba0ea810b60f80",
+    "degradation.csv": "118c79230defd00c1347f75176c89012c44a498f5b050b21ca4342256da35b01",
 }
 
 ANALYZE_DIGESTS = {

@@ -13,7 +13,15 @@ from bellgate.analysis import NumericalError, correlation_E
 from bellgate.apparatus import ApparatusConfig, LIGHT_SPEED_VACUUM, gate_geometry
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.config import build_plan
-from bellgate.detection import CountRecord, DetectorConfig, match_coincidences
+from bellgate.detection import (
+    ALICE,
+    BOB,
+    BOTH,
+    CountRecord,
+    DetectorConfig,
+    dark_times,
+    match_coincidences,
+)
 from bellgate.fixtures import fixture_path
 from bellgate.runner import (
     _CHUNK_EVENTS,
@@ -36,6 +44,7 @@ from bellgate.sources import (
     correlation_theory,
     joint_probabilities,
 )
+from conftest import tag_arms
 
 PERFECT = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=20e-9)
 
@@ -167,22 +176,40 @@ def test_time_slices_are_lazy():
 FOUR_SLICES = 4.0 * _CHUNK_EVENTS
 
 
-def _streamed_equals_whole(alice, bob, window, delay=0.0, rate=FOUR_SLICES):
-    """_count over a fixed stream, each event drawn in the slice where it
-    was emitted (``delay`` before it is detected), against one
-    match_coincidences over the whole sorted stream."""
-    alice, bob = np.asarray(alice, dtype=float), np.asarray(bob, dtype=float)
-    det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=window)
+def _streamed_equals_whole(times, arms, window, delay=0.0, rate=FOUR_SLICES, darks=(0.0, 0.0)):
+    """_count over a fixed tagged stream, each entry drawn in the slice
+    where it was emitted (``delay`` before it is detected), against one
+    match_coincidences over the whole stream.  ``darks`` are the (alice,
+    bob) dark rates; the whole stream replays each slice's darks from a
+    twin generator.  Slices hold ``rate`` events per second, darks
+    included."""
+    det = DetectorConfig(
+        efficiency_alice=1.0,
+        efficiency_bob=1.0,
+        dark_rate_alice=darks[0],
+        dark_rate_bob=darks[1],
+        coincidence_window=window,
+    )
+    order = np.argsort(times, kind="stable")
+    times, arms = np.asarray(times, dtype=float)[order], np.asarray(arms, dtype=np.int8)[order]
 
     def draw(t0, t1):
-        def emitted(arm):
-            return arm[(arm - delay >= t0) & (arm - delay < t1)]
+        emitted = (times - delay >= t0) & (times - delay < t1)
+        return times[emitted], arms[emitted]
 
-        return emitted(alice), emitted(bob)
-
-    record = _count(draw, rate, det, 1.0, np.random.default_rng(0))
-    whole = match_coincidences(np.sort(alice), np.sort(bob), window)
-    assert record == CountRecord(alice.size, bob.size, whole, 1.0)
+    record = _count(draw, rate - sum(darks), det, 1.0, np.random.default_rng(0))
+    twin = np.random.default_rng(0)
+    all_times, all_arms = [times], [arms]
+    for t0, t1 in _time_slices(1.0, rate):
+        for dark_rate, arm in zip(darks, (ALICE, BOB)):
+            dark = t0 + dark_times(dark_rate, t1 - t0, twin)
+            all_times.append(dark)
+            all_arms.append(np.full(dark.size, arm, dtype=np.int8))
+    all_times, all_arms = np.concatenate(all_times), np.concatenate(all_arms)
+    order = np.argsort(all_times, kind="stable")
+    whole = match_coincidences(all_times[order], all_arms[order], window)
+    singles = [np.count_nonzero(all_arms & arm) for arm in (ALICE, BOB)]
+    assert record == CountRecord(*singles, whole, 1.0)
     return whole
 
 
@@ -205,9 +232,7 @@ def test_dark_only_run_without_darks_counts_nothing():
     assert record == CountRecord(0, 0, 0, 5.0)
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("delay", [0.0, 3e-3])
-def test_streamed_count_with_clusters_across_slice_edges(seed, delay):
+def _edge_clusters(seed, delay, darks=(0.0, 0.0)):
     rng = np.random.default_rng(seed)
     window = 1e-3
     edges = np.array([0.25, 0.5, 0.75])
@@ -221,10 +246,27 @@ def test_streamed_count_with_clusters_across_slice_edges(seed, delay):
     background_alice = rng.random(400) < 0.5
     alice = np.concatenate([chain_a, near[near_alice], background[background_alice]])
     bob = np.concatenate([chain_b, near[~near_alice], background[~background_alice]])
-    # Shared timestamps, as both photons of a pair have.
-    shared = rng.random(100) * 0.99
-    alice, bob = np.concatenate([alice, shared]), np.concatenate([bob, shared])
-    assert _streamed_equals_whole(alice + delay, bob + delay, window, delay) > 0
+    times, arms = tag_arms(alice, bob)
+    # Entries where both arms fired, as both photons of a pair share one.
+    pairs = rng.random(100) * 0.99
+    times = np.concatenate([times, pairs])
+    arms = np.concatenate([arms, np.full(pairs.size, BOTH, dtype=np.int8)])
+    assert _streamed_equals_whole(times + delay, arms, window, delay, darks=darks) > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("delay", [0.0, 3e-3])
+def test_streamed_count_with_clusters_across_slice_edges(seed, delay):
+    _edge_clusters(seed, delay)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("delay", [0.0, 3e-3])
+# A few darks per slice, spliced into the draws; more darks than draws,
+# merged with them by one sort.
+@pytest.mark.parametrize("darks", [(40.0, 20.0), (4e3, 2e3)], ids=["few", "many"])
+def test_streamed_count_with_darks_and_clusters_across_slice_edges(seed, delay, darks):
+    _edge_clusters(seed, delay, darks)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -241,7 +283,7 @@ def test_streamed_count_with_gaps_of_exactly_one_window_at_the_frontier(seed):
     # Exactly one window below and at each edge, the frontier itself.
     alice = np.concatenate([alice, [0.25 - window, 0.5 - window, 0.75 - window]])
     bob = np.concatenate([bob, [0.25, 0.5, 0.75]])
-    _streamed_equals_whole(alice, bob, window)
+    _streamed_equals_whole(*tag_arms(alice, bob), window)
 
 
 def test_streamed_count_at_the_frontier_to_the_last_bit():
@@ -251,8 +293,18 @@ def test_streamed_count_at_the_frontier_to_the_last_bit():
     just_inside = window * (1.0 - 2.0**-20)
     alice = [0.25 - window, 0.5 - just_inside, 0.75 - just_inside]
     bob = [0.25, 0.5, 0.75]
-    assert _streamed_equals_whole(alice, bob, window) == 2
-    assert _streamed_equals_whole(bob, alice, window) == 2
+    assert _streamed_equals_whole(*tag_arms(alice, bob), window) == 2
+    assert _streamed_equals_whole(*tag_arms(bob, alice), window) == 2
+
+
+@pytest.mark.parametrize("delay", [0.0, 3e-3])
+def test_streamed_count_matches_the_tail_left_at_the_end_of_the_run(delay):
+    # Entries within a window of the run's end, or detected after it, stay
+    # in the tail that the last slice carries and are matched after the loop.
+    window = 2.0**-12
+    times = 1.0 - np.array([0.75, 0.5, 0.25]) * window
+    arms = np.array([BOTH, ALICE, BOB], dtype=np.int8)
+    assert _streamed_equals_whole(times + delay, arms, window, delay) == 2
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -267,18 +319,18 @@ def test_streamed_count_with_a_cluster_longer_than_the_look_back(seed):
     on_alice = rng.random(200) < 0.5
     alice = np.concatenate([across[0], filling[0], background[on_alice]])
     bob = np.concatenate([across[1], filling[1], background[~on_alice]])
-    assert _streamed_equals_whole(alice, bob, window) > 0
+    assert _streamed_equals_whole(*tag_arms(alice, bob), window) > 0
 
 
 def test_streamed_count_looks_back_past_a_one_sided_chain():
-    # Alice's last 2 * _LOOKBACK events below the 0.5 edge are a chain
-    # with no cut; the last cut lies below it, between pairs that only a
-    # search over both arms' events sees as one cluster each.
+    # Alice's last 2 * _LOOKBACK entries below the 0.5 edge are a chain
+    # with no cut, longer than the look-back; the last cut lies below it,
+    # between pairs of an Alice and a Bob entry half a window apart.
     window = 2.0**-10
     chain = 0.5 - 0.5 * window * np.arange(1, 2 * _LOOKBACK + 1)
     pairs = chain[-1] - 3.0 * window * np.arange(1, 21)
     alice = np.concatenate([chain, pairs + 0.5 * window])
-    assert _streamed_equals_whole(alice, pairs, window) == 20
+    assert _streamed_equals_whole(*tag_arms(alice, pairs), window) == 20
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -294,8 +346,8 @@ def test_streamed_count_across_empty_slices(seed):
     on_alice = rng.random(events.size) < 0.5
     alice = np.concatenate([events[on_alice], chain_a])
     bob = np.concatenate([events[~on_alice], chain_b, events[on_alice][:50]])
-    _streamed_equals_whole(alice, bob, window, rate=2 * FOUR_SLICES)
-    _streamed_equals_whole(alice / 4, bob / 4, window, rate=2 * FOUR_SLICES)
+    _streamed_equals_whole(*tag_arms(alice, bob), window, rate=2 * FOUR_SLICES)
+    _streamed_equals_whole(*tag_arms(alice / 4, bob / 4), window, rate=2 * FOUR_SLICES)
 
 
 @pytest.mark.parametrize("rotation", [False, True])
