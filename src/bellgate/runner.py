@@ -37,7 +37,7 @@ records it: each drawn pair is one entry, tagged with the arms it fired
 (both photons share its arrival time).  The sampler returns the
 arrivals sorted, so the pattern uniforms go to the pairs in time order;
 each slice's dark counts and the tail carried from the slice before are
-spliced in, and the entries up to the last gap the rest of the run
+merged in, and the entries up to the last gap the rest of the run
 cannot bridge are matched, so memory stays bounded however long the
 run.
 
@@ -264,12 +264,11 @@ def _count(draw, draw_rate: float, det: DetectorConfig, duration: float, rng) ->
     than t0, and draws about ``draw_rate`` pairs per second;
     ``draw=None`` counts darks only.  Each slice's dark counts (Alice's
     first) and the tail carried from the slice before are merged into
-    the stream (see :func:`_merged`); singles are counted from the arm
-    codes as entries arrive.  Every later entry is at t1 or after, so
-    the greedy count splits at the last gap of at least a window that
-    also lies a window below t1 (see
-    :func:`~bellgate.detection.match_coincidences`): the entries before
-    it are matched now, the rest are carried.
+    the stream; singles are counted from the arm codes as entries
+    arrive.  Every later entry is at t1 or after, so the greedy count
+    splits at the last gap of at least a window that also lies a window
+    below t1 (see :func:`~bellgate.detection.match_coincidences`): the
+    entries before it are matched now, the rest are carried.
     """
     window = det.coincidence_window
     no_times, no_arms = np.empty(0), np.empty(0, dtype=np.int8)
@@ -282,41 +281,26 @@ def _count(draw, draw_rate: float, det: DetectorConfig, duration: float, rng) ->
         dark_bob = t0 + dark_times(det.dark_rate_bob, t1 - t0, rng)
         singles_alice += dark_alice.size + int(np.count_nonzero(arms & ALICE))
         singles_bob += dark_bob.size + int(np.count_nonzero(arms & BOB))
+        # The draws, the tail and each arm's darks are sorted runs, which
+        # one stable sort merges in linear time.
         dark_alice.sort()
         dark_bob.sort()
-        extra_times = np.concatenate([tail_times, dark_alice, dark_bob])
-        extra_arms = np.concatenate(
+        times = np.concatenate([times, tail_times, dark_alice, dark_bob])
+        order = np.argsort(times, kind="stable")
+        times = times[order]
+        arms = np.concatenate(
             [
+                arms,
                 tail_arms,
                 np.full(dark_alice.size, ALICE, dtype=np.int8),
                 np.full(dark_bob.size, BOB, dtype=np.int8),
             ]
-        )
-        times, arms = _merged(times, arms, extra_times, extra_arms)
+        )[order]
         i = _settled(times, t1, window)
         coincidences += match_coincidences(times[:i], arms[:i], window)
         tail_times, tail_arms = times[i:], arms[i:]
     coincidences += match_coincidences(tail_times, tail_arms, window)
     return CountRecord(singles_alice, singles_bob, coincidences, duration)
-
-
-def _merged(times, arms, extra_times, extra_arms):
-    """One sorted tagged stream from the sorted draws and extra entries
-    that are a few sorted runs.
-
-    A stable sort merges sorted runs in linear time.  When the extras are
-    fewer than the draws, as darks are unless the signal is faint, it
-    sorts only them and ``insert`` splices them into the draws, which is
-    cheaper still.
-    """
-    if extra_times.size < times.size:
-        order = np.argsort(extra_times, kind="stable")
-        extra_times = extra_times[order]
-        at = np.searchsorted(times, extra_times)
-        return np.insert(times, at, extra_times), np.insert(arms, at, extra_arms[order])
-    times = np.concatenate([times, extra_times])
-    order = np.argsort(times, kind="stable")
-    return times[order], np.concatenate([arms, extra_arms])[order]
 
 
 def _settled(times, frontier: float, window: float) -> int:
@@ -329,7 +313,7 @@ def _settled(times, frontier: float, window: float) -> int:
     ``_LOOKBACK`` entries first and at the whole stream only if no cut
     lies there; 0 carries everything.
     """
-    for lowest in (max(times.size - _LOOKBACK, 0), 0):
+    for lowest in ([times.size - _LOOKBACK] if times.size > _LOOKBACK else []) + [0]:
         part = times[lowest:]
         ends = frontier - part >= window
         ends[:-1] &= np.diff(part) >= window

@@ -283,6 +283,15 @@ def test_match_is_exact_on_empty_and_single_events():
     assert_exact(*tag_arms([], np.arange(10.0)), 0.1)
     assert_exact(*tag_arms([3.0], np.arange(10.0)), 0.1)
     assert_exact(*tag_arms(np.arange(10.0), [3.05]), 0.1)
+    # Entries where both arms fired, or none, alone or sharing a timestamp.
+    for times, arms, expected in [
+        ([0.5], [BOTH], 1),
+        ([0.5], [0], 0),
+        ([0.5, 0.5], [BOTH, BOTH], 2),
+        ([0.5, 0.5], [BOTH, 0], 1),
+        ([0.5, 0.7], [BOTH, BOTH], 2),
+    ]:
+        assert assert_exact(times, np.array(arms, dtype=np.int8), 0.1) == expected
 
 
 # Codes with both arms firing dominate, as in a run's stream; a few
@@ -323,21 +332,6 @@ def test_match_on_tagged_streams_with_ties_and_gaps_of_one_window():
     assert match_coincidences([0.0, 0.25], [ALICE, BOB], 0.25) == 0
 
 
-def test_match_on_tagged_streams_empty_and_single_entries():
-    for times, arms, expected in [
-        ([], [], 0),
-        ([0.5], [BOTH], 1),
-        ([0.5], [ALICE], 0),
-        ([0.5], [BOB], 0),
-        ([0.5], [0], 0),
-        ([0.5, 0.5], [ALICE, BOB], 1),
-        ([0.5, 0.5], [BOTH, BOTH], 2),
-        ([0.5, 0.5], [BOTH, 0], 1),
-        ([0.5, 0.7], [BOTH, BOTH], 2),
-    ]:
-        assert assert_exact(times, np.array(arms, dtype=np.int8), 0.1) == expected
-
-
 def test_coincidences_bounded_by_singles():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -372,7 +366,7 @@ def test_doubling_duration_doubles_counts():
 
 
 def test_count_run_summary():
-    # the runner's last step: splice in darks, match
+    # the runner's last step: merge in darks, match
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
     times = np.sort(np.random.default_rng(11).random(500))  # sorted, as the runner's draws are
 

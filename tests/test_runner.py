@@ -232,7 +232,9 @@ def test_dark_only_run_without_darks_counts_nothing():
     assert record == CountRecord(0, 0, 0, 5.0)
 
 
-def _edge_clusters(seed, delay, darks=(0.0, 0.0)):
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("delay", [0.0, 3e-3])
+def test_streamed_count_with_clusters_across_slice_edges(seed, delay):
     rng = np.random.default_rng(seed)
     window = 1e-3
     edges = np.array([0.25, 0.5, 0.75])
@@ -251,22 +253,9 @@ def _edge_clusters(seed, delay, darks=(0.0, 0.0)):
     pairs = rng.random(100) * 0.99
     times = np.concatenate([times, pairs])
     arms = np.concatenate([arms, np.full(pairs.size, BOTH, dtype=np.int8)])
-    assert _streamed_equals_whole(times + delay, arms, window, delay, darks=darks) > 0
-
-
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("delay", [0.0, 3e-3])
-def test_streamed_count_with_clusters_across_slice_edges(seed, delay):
-    _edge_clusters(seed, delay)
-
-
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("delay", [0.0, 3e-3])
-# A few darks per slice, spliced into the draws; more darks than draws,
-# merged with them by one sort.
-@pytest.mark.parametrize("darks", [(40.0, 20.0), (4e3, 2e3)], ids=["few", "many"])
-def test_streamed_count_with_darks_and_clusters_across_slice_edges(seed, delay, darks):
-    _edge_clusters(seed, delay, darks)
+    # No darks, a few per slice, and more darks than draws.
+    for darks in [(0.0, 0.0), (40.0, 20.0), (4e3, 2e3)]:
+        assert _streamed_equals_whole(times + delay, arms, window, delay, darks=darks) > 0
 
 
 @pytest.mark.parametrize("seed", range(5))
