@@ -45,13 +45,13 @@ class CountTable16:
 
     ``counts[i, j]`` belongs to ``alice_angles[i]`` x ``bob_angles[j]``;
     ``accidentals`` holds the per-cell accidental-coincidence estimates
-    subtracted before any correlation is formed.  Counts are stored as
-    floats so noise-free fractional tables round-trip exactly.
+    subtracted before any correlation is formed.  Cells are finite and
+    non-negative floats, so noise-free fractional tables round-trip
+    exactly; no duration is kept, as ``S`` depends on the counts alone.
     """
 
     counts: np.ndarray
     accidentals: np.ndarray
-    integration_time: float = 60.0
     alice_angles: tuple[float, ...] = ALICE_ANGLES
     bob_angles: tuple[float, ...] = BOB_ANGLES
 
@@ -60,12 +60,11 @@ class CountTable16:
         accidentals = np.asarray(self.accidentals, dtype=float)
         if counts.shape != (4, 4) or accidentals.shape != (4, 4):
             raise ValueError("count and accidental tables must be 4x4")
-        if np.any(counts < 0) or np.any(accidentals < 0):
-            raise ValueError("counts and accidentals must be non-negative")
+        cells = np.stack([counts, accidentals])
+        if not np.all((0 <= cells) & (cells < np.inf)):
+            raise ValueError("counts and accidentals must be finite and non-negative")
         if len(self.alice_angles) != 4 or len(self.bob_angles) != 4:
             raise ValueError("angle grids must have 4 entries each")
-        if not self.integration_time > 0:
-            raise ValueError("integration time must be positive")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "accidentals", accidentals)
 
@@ -76,9 +75,8 @@ class CountTable16:
 
 @dataclass(frozen=True)
 class ChshResult:
-    """Four correlations, their uncertainties, and the CHSH combination."""
+    """Correlations at :data:`CHSH_SETTINGS`, their sigmas, and the CHSH combination."""
 
-    settings: tuple[tuple[float, float], ...]
     E_values: tuple[float, float, float, float]
     E_sigmas: tuple[float, float, float, float]
     S: float
@@ -141,7 +139,7 @@ def degradation_ratio(
     return DegradationResult(ratios=tuple(ratios), sigmas=tuple(sigmas))
 
 
-def accidental_rate(r1: float, r2: float, window: float, convention: str = "single") -> float:
+def accidental_rate(r1: float, r2: float, window: float, convention: str) -> float:
     """Expected accidental-coincidence rate from two singles rates.
 
     ``single`` gives r1*r2*window, ``double`` gives r1*r2*2*window (a
@@ -223,7 +221,6 @@ def chsh_S(table: CountTable16) -> ChshResult:
     s = abs(e_values[0] - e_values[1]) + abs(e_values[2] + e_values[3])
     s_sigma = math.sqrt(sum(sig**2 for sig in e_sigmas))
     return ChshResult(
-        settings=CHSH_SETTINGS,
         E_values=tuple(e_values),
         E_sigmas=tuple(e_sigmas),
         S=s,
@@ -278,7 +275,7 @@ def _read_grid(path):
     return alice_angles, tuple(bob_angles), cells
 
 
-def read_table_csv(path, accidentals_path=None, integration_time: float = 60.0) -> CountTable16:
+def read_table_csv(path, accidentals_path=None) -> CountTable16:
     """Parse a 16-setting count table.
 
     Single-file form: each cell is ``count-accidental`` (e.g. ``226-5``).
@@ -313,7 +310,6 @@ def read_table_csv(path, accidentals_path=None, integration_time: float = 60.0) 
     return CountTable16(
         counts=counts,
         accidentals=accidentals,
-        integration_time=integration_time,
         alice_angles=alice_angles,
         bob_angles=bob_angles,
     )
@@ -347,7 +343,7 @@ def write_table_csv(table: CountTable16, path) -> None:
 def format_chsh_text(result: ChshResult) -> str:
     """Human-readable correlation/CHSH report."""
     lines = [f"{'setting (alice, bob)':<24}{'E':>10}{'sigma':>10}"]
-    for (alice, bob), e, sig in zip(result.settings, result.E_values, result.E_sigmas):
+    for (alice, bob), e, sig in zip(CHSH_SETTINGS, result.E_values, result.E_sigmas):
         label = f"({_format_number(alice)}, {_format_number(bob)})"
         lines.append(f"{label:<24}{e:>+10.4f}{sig:>10.4f}")
     lines.append(f"S = {result.S:.4f} +/- {result.S_sigma:.4f}")
@@ -358,7 +354,7 @@ def write_chsh_csv(result: ChshResult, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["quantity", "alice_angle", "bob_angle", "value", "sigma"])
-        for (alice, bob), e, sig in zip(result.settings, result.E_values, result.E_sigmas):
+        for (alice, bob), e, sig in zip(CHSH_SETTINGS, result.E_values, result.E_sigmas):
             writer.writerow(
                 ["E", _format_number(alice), _format_number(bob), repr(e), repr(sig)]
             )

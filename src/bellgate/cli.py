@@ -3,6 +3,9 @@
 Subcommands: ``geometry`` (derived gate timing), ``analyze`` (CHSH from a
 measured count table), ``simulate`` (full experiment, writes CSV/JSON
 reports), ``causality`` (influence timing report or resonance sweep).
+Every run value comes from the config, with ``--set section.key=value``
+overrides (``--set run.seed=3``); ``simulate`` echoes that config in
+``results.json``, so simulating the echo reproduces the run byte for byte.
 
 Exit codes are stable for scripting: 0 success, 1 configuration or
 validation error (a run too large for memory, or expecting more events
@@ -20,6 +23,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    CHSH_SETTINGS,
     chsh_S,
     format_chsh_text,
     read_table_csv,
@@ -97,8 +101,7 @@ def _record_json(record) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
-    rotation = None if args.rotation is None else args.rotation == "on"
-    plan = build_plan(cfg, seed=args.seed, rotation=rotation)
+    plan = build_plan(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -129,7 +132,7 @@ def cmd_simulate(args) -> int:
             "sigmas": dict(zip(("singles_alice", "singles_bob", "coincidences"), ratios.sigmas)),
         },
         "chsh": {
-            "settings": [list(s) for s in result.settings],
+            "settings": [list(s) for s in CHSH_SETTINGS],
             "E": list(result.E_values),
             "E_sigma": list(result.E_sigmas),
             "S": result.S,
@@ -264,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the full simulated experiment")
     add_config_args(p)
     p.add_argument("--out", default="bellgate-out", help="output directory")
-    p.add_argument("--seed", type=int, help="override run.seed")
-    p.add_argument("--rotation", choices=("on", "off"), help="override run.rotation")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("causality", help="influence timing report or resonance sweep")

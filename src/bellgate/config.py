@@ -197,8 +197,8 @@ def build_model(body: dict) -> CorrelationModel:
     )
 
 
-def build_plan(cfg: dict, seed=None, rotation=None) -> RunPlan:
-    """Assemble the RunPlan; ``seed``/``rotation`` override the file."""
+def build_plan(cfg: dict) -> RunPlan:
+    """Assemble the RunPlan from a schema-checked config."""
     if "model" not in cfg:
         raise ConfigError("config needs a model section to simulate")
     run = cfg.get("run", {})
@@ -206,13 +206,11 @@ def build_plan(cfg: dict, seed=None, rotation=None) -> RunPlan:
         raise ConfigError("run.pair_rate is required to simulate")
     if "integration_time" not in run:
         raise ConfigError("run.integration_time is required to simulate")
-    rotation_value = run.get("rotation", True)
-    if rotation is not None:
-        rotation_value = rotation
-    if not isinstance(rotation_value, bool):
+    rotation = run.get("rotation", True)
+    if not isinstance(rotation, bool):
         raise ConfigError("run.rotation must be true or false")
-    seed_value = run.get("seed", 0) if seed is None else seed
-    if isinstance(seed_value, bool) or not isinstance(seed_value, int):
+    seed = run.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("run.seed must be an integer")
     kwargs = dict(
         apparatus=build_apparatus(cfg),
@@ -220,8 +218,8 @@ def build_plan(cfg: dict, seed=None, rotation=None) -> RunPlan:
         model=build_model(cfg["model"]),
         pair_rate=_coerce_number("run", "pair_rate", run["pair_rate"]),
         integration_time=_coerce_number("run", "integration_time", run["integration_time"]),
-        rotation=rotation_value,
-        master_seed=seed_value,
+        rotation=rotation,
+        master_seed=seed,
         gate_phase=_coerce_number("run", "gate_phase", run.get("gate_phase", 0.0)),
         accidental_convention=run.get("accidental_convention", "double"),
     )

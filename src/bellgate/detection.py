@@ -25,6 +25,7 @@ like they do in hardware.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +78,11 @@ class CountRecord:
     duration: float = 1.0
 
     def __post_init__(self):
-        if min(self.singles_alice, self.singles_bob, self.coincidences) < 0:
-            raise ValueError("counts must be non-negative")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
+        counts = (self.singles_alice, self.singles_bob, self.coincidences)
+        if not all(0 <= n < math.inf for n in counts):
+            raise ValueError("counts must be finite and non-negative")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if self.coincidences > min(self.singles_alice, self.singles_bob):
             raise ValueError("coincidences cannot exceed either singles count")
 

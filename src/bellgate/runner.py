@@ -347,7 +347,7 @@ def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:
                 plan.detector.coincidence_window,
                 plan.accidental_convention,
             )
-    table = CountTable16(counts=counts, accidentals=accidentals, integration_time=duration)
+    table = CountTable16(counts=counts, accidentals=accidentals)
     return table, chsh_S(table)
 
 

@@ -18,7 +18,7 @@ def bench_geometry(bench):
     return gate_geometry(validate_config(bench))
 
 
-def sampled_table(model, pairs_per_setting, seed, integration_time=60.0):
+def sampled_table(model, pairs_per_setting, seed):
     """Count table drawn directly from a model's joint pass probabilities.
 
     Bypasses the event-level pipeline: each cell is a binomial draw of
@@ -31,11 +31,7 @@ def sampled_table(model, pairs_per_setting, seed, integration_time=60.0):
         for j, bob in enumerate(BOB_ANGLES):
             p_pass_pass = joint_probabilities(model, alice, bob)[0]
             counts[i, j] = rng.binomial(pairs_per_setting, p_pass_pass)
-    return CountTable16(
-        counts=counts,
-        accidentals=np.zeros((4, 4)),
-        integration_time=integration_time,
-    )
+    return CountTable16(counts=counts, accidentals=np.zeros((4, 4)))
 
 
 def tag_arms(alice, bob):

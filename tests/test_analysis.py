@@ -141,10 +141,10 @@ def test_accidental_rate_conventions():
 
 
 def test_accidental_rate_zero_and_errors():
-    assert accidental_rate(0.0, 1098.0, 20e-9) == 0.0
-    assert accidental_rate(2301.0, 0.0, 20e-9) == 0.0
+    assert accidental_rate(0.0, 1098.0, 20e-9, "double") == 0.0
+    assert accidental_rate(2301.0, 0.0, 20e-9, "single") == 0.0
     with pytest.raises(ValueError):
-        accidental_rate(-1.0, 1.0, 20e-9)
+        accidental_rate(-1.0, 1.0, 20e-9, "double")
     with pytest.raises(ValueError):
         accidental_rate(1.0, 1.0, 20e-9, "triple")
 
@@ -289,6 +289,13 @@ def test_count_table_validation():
         CountTable16(counts=np.zeros((3, 4)), accidentals=np.zeros((4, 4)))
     with pytest.raises(ValueError, match="non-negative"):
         CountTable16(counts=-np.ones((4, 4)), accidentals=np.zeros((4, 4)))
+    for bad in (math.nan, math.inf, -math.inf):
+        cells = np.full((4, 4), 5.0)
+        cells[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CountTable16(counts=cells, accidentals=np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="finite"):
+            CountTable16(counts=np.full((4, 4), 5.0), accidentals=cells)
     table = CountTable16(counts=np.full((4, 4), 5.0), accidentals=np.full((4, 4), 8.0))
     assert np.all(table.corrected() == 0.0)
 

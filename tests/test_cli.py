@@ -127,9 +127,18 @@ def test_analyze_two_file_variant(capsys, tmp_path):
 
 
 def test_analyze_malformed_table(capsys, tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("bob_angle,0,45\n22.5,1-0,2-0\n")
-    assert main(["analyze", str(path)]) == 1
+    rows = "".join(f"{b},226-5,85-4,42-4,184-4\n" for b in ("67.5", "112.5", "157.5"))
+    texts = ["bob_angle,0,45\n22.5,1-0,2-0\n"] + [
+        # a non-finite cell is refused, not carried into S or floored to 0
+        f"bob_angle,0,45,90,135\n22.5,{cell},85-4,42-4,184-4\n{rows}"
+        for cell in ("nan-5", "226-inf", "inf-5", "226-nan")
+    ]
+    for text in texts:
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_analyze_wrong_grid(capsys, tmp_path):
@@ -187,7 +196,9 @@ def test_simulate_seed_flag_changes_counts(tmp_path):
     config = write_config(tmp_path)
     dirs = (tmp_path / "a", tmp_path / "b")
     assert main(["simulate", "--config", str(config), "--out", str(dirs[0])]) == 0
-    assert main(["simulate", "--config", str(config), "--out", str(dirs[1]), "--seed", "6"]) == 0
+    assert main(
+        ["simulate", "--config", str(config), "--out", str(dirs[1]), "--set", "run.seed=6"]
+    ) == 0
     assert (dirs[0] / "chsh_counts.csv").read_bytes() != (dirs[1] / "chsh_counts.csv").read_bytes()
 
 
@@ -223,10 +234,36 @@ def test_simulate_rotation_flag_override(tmp_path):
     config = write_config(tmp_path)
     out_dir = tmp_path / "out"
     assert main(
-        ["simulate", "--config", str(config), "--out", str(out_dir), "--rotation", "on"]
+        ["simulate", "--config", str(config), "--out", str(out_dir), "--set", "run.rotation=true"]
     ) == 0
     results = json.loads((out_dir / "results.json").read_text())
     assert results["rotation"] is True
+    assert results["config"]["run"]["rotation"] is True
+
+
+def test_simulate_config_echo_reproduces_the_run(tmp_path):
+    # results.json echoes the config with its overrides applied, so
+    # simulating the echo writes the same three artifacts.
+    config = write_config(tmp_path)
+    first, second = tmp_path / "a", tmp_path / "b"
+    overrides = ["--set", "run.seed=6", "--set", "run.rotation=true"]
+    assert main(["simulate", "--config", str(config), *overrides, "--out", str(first)]) == 0
+    echo = json.loads((first / "results.json").read_text())["config"]
+    assert echo["run"]["seed"] == 6 and echo["run"]["rotation"] is True
+    echoed = write_config(tmp_path, echo, name="echo.json")
+    assert main(["simulate", "--config", str(echoed), "--out", str(second)]) == 0
+    for name in ("results.json", "chsh_counts.csv", "degradation.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--rotation", "off"]])
+def test_simulate_has_no_run_value_flags(tmp_path, capsys, flag):
+    # run values are set in the config or by --set, which the echo records
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(config), "--out", str(tmp_path / "o"), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_simulate_bad_config_schema(tmp_path, capsys):

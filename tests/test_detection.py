@@ -415,13 +415,24 @@ def test_detector_config_validation():
         DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, coincidence_window=0.0)
 
 
-def test_count_record_validation():
+def test_count_record_validation(tmp_path):
     with pytest.raises(ValueError, match="non-negative"):
         CountRecord(-1.0, 10.0, 0.0)
     with pytest.raises(ValueError, match="cannot exceed"):
         CountRecord(10.0, 10.0, 11.0)
     with pytest.raises(ValueError, match="duration"):
         CountRecord(10.0, 10.0, 1.0, duration=0.0)
+    for bad in (math.nan, math.inf):
+        for counts in ((bad, 10.0, 0.0), (10.0, bad, 0.0), (10.0, 10.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                CountRecord(*counts)
+        with pytest.raises(ValueError, match="duration"):
+            CountRecord(10.0, 10.0, 1.0, duration=bad)
+    path = tmp_path / "records.csv"
+    path.write_text("label,singles_alice_per_s,singles_bob_per_s,coincidences_per_s\n"
+                    "dark,nan,600,0.08\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_count_records(path)
     record = CountRecord(100.0, 50.0, 10.0, duration=2.0)
     assert record.rates == (50.0, 25.0, 5.0)
 

@@ -25,7 +25,7 @@ SIMULATE_DIGESTS = {
 }
 
 ROTATION_OFF_DIGESTS = {
-    "results.json": "bfcbcd7e626b919cbe732f31d17b2aa1c7203eb34f89d747036ab3895cda1aef",
+    "results.json": "df7e5f97ca288c4862794cf8aff6bc0fb5162012afa3e88347c9d20a85da3ad0",
     "chsh_counts.csv": "abff8a0ae179e3c91321cecb798ac2616b704448756f05a01b7a9bb75ebb8fc2",
     "degradation.csv": "118c79230defd00c1347f75176c89012c44a498f5b050b21ca4342256da35b01",
 }
@@ -55,7 +55,8 @@ def test_simulate_demo_is_byte_identical(tmp_path):
 def test_simulate_demo_without_rotation_is_byte_identical(tmp_path):
     out = tmp_path / "sim"
     config = str(fixture_path("demo.json"))
-    assert main(["simulate", "--config", config, "--rotation", "off", "--out", str(out)]) == 0
+    args = ["--config", config, "--set", "run.rotation=false", "--out", str(out)]
+    assert main(["simulate", *args]) == 0
     assert _digests(out, ROTATION_OFF_DIGESTS) == ROTATION_OFF_DIGESTS
 
 
