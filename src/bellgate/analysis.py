@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import CountRecord
+from .detection import CountRecord, format_number
 
 ALICE_ANGLES = (0.0, 45.0, 90.0, 135.0)
 BOB_ANGLES = (22.5, 67.5, 112.5, 157.5)
@@ -46,7 +46,8 @@ class CountTable16:
     ``counts[i, j]`` belongs to ``alice_angles[i]`` x ``bob_angles[j]``;
     ``accidentals`` holds the per-cell accidental-coincidence estimates
     subtracted before any correlation is formed.  Cells are finite and
-    non-negative floats, so noise-free fractional tables round-trip
+    non-negative floats, which :func:`write_table_csv` writes in their
+    shortest exact digits, so every table round-trips through its CSV
     exactly; no duration is kept, as ``S`` depends on the counts alone.
     """
 
@@ -315,23 +316,18 @@ def read_table_csv(path, accidentals_path=None) -> CountTable16:
     )
 
 
-def _format_number(x: float) -> str:
-    if float(x).is_integer() and abs(x) < 1e15:
-        return str(int(x))
-    return f"{x:g}"
-
-
 def write_table_csv(table: CountTable16, path) -> None:
-    """Write the single-file ``count-accidental`` layout."""
+    """Write the single-file ``count-accidental`` layout, which
+    :func:`read_table_csv` reads back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bob_angle"] + [_format_number(a) for a in table.alice_angles])
+        writer.writerow(["bob_angle"] + [format_number(a) for a in table.alice_angles])
         for j, bob in enumerate(table.bob_angles):
-            row = [_format_number(bob)]
+            row = [format_number(bob)]
             for i in range(4):
                 row.append(
-                    f"{_format_number(table.counts[i, j])}-"
-                    f"{_format_number(table.accidentals[i, j])}"
+                    f"{format_number(table.counts[i, j])}-"
+                    f"{format_number(table.accidentals[i, j])}"
                 )
             writer.writerow(row)
 
@@ -344,7 +340,7 @@ def format_chsh_text(result: ChshResult) -> str:
     """Human-readable correlation/CHSH report."""
     lines = [f"{'setting (alice, bob)':<24}{'E':>10}{'sigma':>10}"]
     for (alice, bob), e, sig in zip(CHSH_SETTINGS, result.E_values, result.E_sigmas):
-        label = f"({_format_number(alice)}, {_format_number(bob)})"
+        label = f"({format_number(alice)}, {format_number(bob)})"
         lines.append(f"{label:<24}{e:>+10.4f}{sig:>10.4f}")
     lines.append(f"S = {result.S:.4f} +/- {result.S_sigma:.4f}")
     return "\n".join(lines) + "\n"
@@ -356,6 +352,6 @@ def write_chsh_csv(result: ChshResult, path) -> None:
         writer.writerow(["quantity", "alice_angle", "bob_angle", "value", "sigma"])
         for (alice, bob), e, sig in zip(CHSH_SETTINGS, result.E_values, result.E_sigmas):
             writer.writerow(
-                ["E", _format_number(alice), _format_number(bob), repr(e), repr(sig)]
+                ["E", format_number(alice), format_number(bob), repr(e), repr(sig)]
             )
         writer.writerow(["S", "", "", repr(result.S), repr(result.S_sigma)])

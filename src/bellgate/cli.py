@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .analysis import (
     CHSH_SETTINGS,
+    DEGRADATION_COLUMNS,
     chsh_S,
     format_chsh_text,
     read_table_csv,
@@ -114,7 +115,7 @@ def cmd_simulate(args) -> int:
     geometry = plan.geometry
     report = {
         "config": cfg,
-        "seed": plan.master_seed,
+        "seed": plan.seed,
         "rotation": plan.rotation,
         "geometry": {
             "aperture_time_s": geometry.aperture_time,
@@ -128,8 +129,8 @@ def cmd_simulate(args) -> int:
                 label: _record_json(rec)
                 for label, rec in zip(DEGRADATION_LABELS, records)
             },
-            "ratios": dict(zip(("singles_alice", "singles_bob", "coincidences"), ratios.ratios)),
-            "sigmas": dict(zip(("singles_alice", "singles_bob", "coincidences"), ratios.sigmas)),
+            "ratios": dict(zip(DEGRADATION_COLUMNS, ratios.ratios)),
+            "sigmas": dict(zip(DEGRADATION_COLUMNS, ratios.sigmas)),
         },
         "chsh": {
             "settings": [list(s) for s in CHSH_SETTINGS],

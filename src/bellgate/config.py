@@ -1,9 +1,10 @@
 """Run-configuration files: one strict JSON document per run.
 
 Four sections mirror the module boundaries -- ``apparatus``,
-``detector``, ``model`` and ``run`` -- with keys named exactly after the
-corresponding dataclass fields (SI units throughout); the first three
-take their key sets from those fields.  Unknown sections
+``detector``, ``model`` and ``run`` -- and each takes its key set from
+the init fields of its dataclass (``RunPlan`` less its three section
+fields; SI units throughout).  An omitted key takes that dataclass's
+default, and every value gets that dataclass's checks.  Unknown sections
 or keys are rejected so a typo cannot silently fall back to a default.
 Command-line overrides use dotted keys (``apparatus.aperture_width=2e-3``).
 """
@@ -34,26 +35,20 @@ class ConfigError(ValueError):
 
 
 def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
+    return {f.name for f in dataclasses.fields(cls) if f.init}
 
 
-_APPARATUS_KEYS = _field_names(ApparatusConfig)
-_DETECTOR_KEYS = _field_names(DetectorConfig)
-_MODEL_KEYS = {
-    "quantum": _field_names(QuantumState),
-    "malus": _field_names(MalusLHV),
-    "threshold": _field_names(ThresholdLHV),
-    "traveling": _field_names(TravelingInfluence),
-}
-_RUN_KEYS = {
-    "pair_rate",
-    "integration_time",
-    "rotation",
-    "gate_phase",
-    "accidental_convention",
-    "seed",
+_MODELS = {
+    "quantum": QuantumState,
+    "malus": MalusLHV,
+    "threshold": ThresholdLHV,
+    "traveling": TravelingInfluence,
 }
 _SECTIONS = {"apparatus", "detector", "model", "run"}
+_APPARATUS_KEYS = _field_names(ApparatusConfig)
+_DETECTOR_KEYS = _field_names(DetectorConfig)
+_MODEL_KEYS = {name: _field_names(cls) for name, cls in _MODELS.items()}
+_RUN_KEYS = _field_names(RunPlan) - _SECTIONS
 
 
 def load_config(path) -> dict:
@@ -133,13 +128,23 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return out
 
 
+def _to_float(value) -> float:
+    # An int beyond the float range is an infinity, as json reads 1e400.
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _coerce_number(section: str, key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    # Python's json accepts Infinity and NaN; no bench quantity is either.
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
-    return float(value)
+    # Python's json accepts Infinity, NaN and integers of any size; no
+    # bench quantity is infinite, NaN or beyond the float range.
+    number = _to_float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{section}.{key} must be finite, got {number!r}")
+    return number
 
 
 def build_apparatus(cfg: dict) -> ApparatusConfig:
@@ -173,57 +178,36 @@ def parse_speed(value) -> float:
             raise ConfigError(f"invalid speed {value!r}") from exc
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"invalid speed {value!r}")
-    value = float(value)
+    value = _to_float(value)
     if not value > 0 or math.isnan(value):
         raise ConfigError("speed must be positive or 'instant'")
     return value
 
 
 def build_model(body: dict) -> CorrelationModel:
-    name = body["name"]
-    if name == "quantum":
-        return QuantumState(
-            sign_convention=body.get("sign_convention", "mirrored"),
-            visibility=_coerce_number("model", "visibility", body.get("visibility", 1.0)),
-        )
-    if name == "malus":
-        return MalusLHV()
-    if name == "threshold":
-        return ThresholdLHV()
-    return TravelingInfluence(
-        base=build_model(body["base"]),
-        uninformed=build_model(body["uninformed"]),
-        influence_speed=parse_speed(body.get("influence_speed", "instant")),
-    )
+    kwargs = {k: v for k, v in body.items() if k != "name"}
+    if "visibility" in kwargs:
+        kwargs["visibility"] = _coerce_number("model", "visibility", kwargs["visibility"])
+    if "influence_speed" in kwargs:
+        kwargs["influence_speed"] = parse_speed(kwargs["influence_speed"])
+    for sub in ("base", "uninformed"):
+        if sub in kwargs:
+            kwargs[sub] = build_model(kwargs[sub])
+    return _MODELS[body["name"]](**kwargs)
 
 
 def build_plan(cfg: dict) -> RunPlan:
     """Assemble the RunPlan from a schema-checked config."""
     if "model" not in cfg:
         raise ConfigError("config needs a model section to simulate")
-    run = cfg.get("run", {})
-    if "pair_rate" not in run:
-        raise ConfigError("run.pair_rate is required to simulate")
-    if "integration_time" not in run:
-        raise ConfigError("run.integration_time is required to simulate")
-    rotation = run.get("rotation", True)
-    if not isinstance(rotation, bool):
-        raise ConfigError("run.rotation must be true or false")
-    seed = run.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("run.seed must be an integer")
-    kwargs = dict(
-        apparatus=build_apparatus(cfg),
-        detector=build_detector(cfg),
-        model=build_model(cfg["model"]),
-        pair_rate=_coerce_number("run", "pair_rate", run["pair_rate"]),
-        integration_time=_coerce_number("run", "integration_time", run["integration_time"]),
-        rotation=rotation,
-        master_seed=seed,
-        gate_phase=_coerce_number("run", "gate_phase", run.get("gate_phase", 0.0)),
-        accidental_convention=run.get("accidental_convention", "double"),
-    )
+    run = dict(cfg.get("run", {}))
+    for key in ("pair_rate", "integration_time"):
+        if key not in run:
+            raise ConfigError(f"run.{key} is required to simulate")
+    for key in ("pair_rate", "integration_time", "gate_phase"):
+        if key in run:
+            run[key] = _coerce_number("run", key, run[key])
     try:
-        return RunPlan(**kwargs)
+        return RunPlan(build_apparatus(cfg), build_detector(cfg), build_model(cfg["model"]), **run)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

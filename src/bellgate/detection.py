@@ -35,6 +35,9 @@ ALICE = 1
 BOB = 2
 BOTH = ALICE | BOB
 
+#: Header of the count-record CSV (:func:`write_count_records`).
+COUNT_RECORD_HEADER = ("label", "singles_alice_per_s", "singles_bob_per_s", "coincidences_per_s")
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -198,30 +201,34 @@ def match_coincidences(times, arms, window: float) -> int:
     )
 
 
+def format_number(x: float) -> str:
+    """The shortest digits that read back as exactly ``x``, with no exponent
+    (whose ``-`` would split a ``count-accidental`` cell) and -0.0 as 0."""
+    return np.format_float_positional(float(x) + 0.0, trim="-")
+
+
 def write_count_records(rows, path) -> None:
-    """Write labeled CountRecords as CSV rows of per-second rates.
+    """Write labeled CountRecords as CSV rows of per-second rates, which
+    :func:`read_count_records` reads back exactly.
 
     ``rows`` is an iterable of (label, CountRecord).
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["label", "singles_alice_per_s", "singles_bob_per_s", "coincidences_per_s"]
-        )
+        writer.writerow(COUNT_RECORD_HEADER)
         for label, record in rows:
-            writer.writerow([label, *(f"{r:g}" for r in record.rates)])
+            writer.writerow([label, *(format_number(r) for r in record.rates)])
 
 
 def read_count_records(path) -> dict[str, CountRecord]:
     """Read the CSV written by :func:`write_count_records`; rates become
     counts over a 1 s duration."""
-    expected = ["label", "singles_alice_per_s", "singles_bob_per_s", "coincidences_per_s"]
     records: dict[str, CountRecord] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected:
-            raise ValueError(f"count-record CSV must start with header {expected}")
+        if header is None or tuple(h.strip() for h in header) != COUNT_RECORD_HEADER:
+            raise ValueError(f"count-record CSV must start with header {COUNT_RECORD_HEADER}")
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue

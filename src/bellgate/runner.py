@@ -116,13 +116,19 @@ class RunPlan:
     pair_rate: float
     integration_time: float  # seconds per setting / per luminosity run
     rotation: bool = True
-    master_seed: int = 0
+    seed: int = 0
     gate_phase: float = 0.0
     accidental_convention: str = "double"
     #: Gate timing derived from ``apparatus`` once, after validating it.
     geometry: GateGeometry = field(init=False, repr=False, compare=False)
+    #: The gate of every gated run, checked against ``gate_phase`` once.
+    gate: GateState = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.rotation, bool):
+            raise ValueError("rotation must be true or false")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError("seed must be an integer")
         if not 0 < self.pair_rate < math.inf:
             raise ValueError("pair rate must be positive and finite")
         if not 0 < self.integration_time < math.inf:
@@ -132,7 +138,7 @@ class RunPlan:
         geometry = gate_geometry(validate_config(self.apparatus))
         object.__setattr__(self, "geometry", geometry)
         # Every experiment includes a gated run; check its phase before any run.
-        GateState.from_geometry(geometry, self.gate_phase)
+        object.__setattr__(self, "gate", GateState.from_geometry(geometry, self.gate_phase))
         # A window as long as the gate period reaches into the next gate
         # opening and pairs detections that no single opening let through.
         if not self.detector.coincidence_window < geometry.gate_period:
@@ -214,7 +220,7 @@ def run_setting(
     delay = plan.geometry.fiber_delay
     if rotation is None:
         rotation = plan.rotation
-    gate = GateState.from_geometry(plan.geometry, plan.gate_phase) if rotation else None
+    gate = plan.gate if rotation else None
 
     # One polarizer group per model a drawn pair may follow.  With the
     # mirror stopped the line of sight is permanent: every emission is
@@ -336,7 +342,7 @@ def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:
     for i, alice_angle in enumerate(ALICE_ANGLES):
         for j, bob_angle in enumerate(BOB_ANGLES):
             rng = np.random.default_rng(
-                derive_seed(plan.master_seed, "chsh", float(alice_angle), float(bob_angle))
+                derive_seed(plan.seed, "chsh", float(alice_angle), float(bob_angle))
             )
             record = run_setting(plan, alice_angle, bob_angle, rng)
             singles_alice, singles_bob, _ = record.rates
@@ -357,10 +363,10 @@ def run_degradation(plan: RunPlan) -> tuple[list[CountRecord], DegradationResult
     Returns the three records in :data:`DEGRADATION_LABELS` order plus
     the dark-subtracted with/without rotation ratios.
     """
-    dark_rng = np.random.default_rng(derive_seed(plan.master_seed, "degradation", "dark"))
+    dark_rng = np.random.default_rng(derive_seed(plan.seed, "degradation", "dark"))
     records = [_count(None, 0.0, plan.detector, plan.integration_time, dark_rng)]
     for label, rotation in (("no_rotation", False), ("with_rotation", True)):
-        rng = np.random.default_rng(derive_seed(plan.master_seed, "degradation", label))
+        rng = np.random.default_rng(derive_seed(plan.seed, "degradation", label))
         records.append(run_setting(plan, 0.0, 0.0, rng, rotation=rotation, polarized=False))
     ratios = degradation_ratio(records[2], records[1], records[0])
     return records, ratios

@@ -101,7 +101,7 @@ def test_criterion_4_monte_carlo_physics():
         pair_rate=30000.0,
         integration_time=1.0,
         rotation=False,
-        master_seed=20260809,
+        seed=20260809,
     )
     table, result = run_chsh(quantum_plan)
     total = int(table.counts.sum())
@@ -117,7 +117,7 @@ def test_criterion_4_monte_carlo_physics():
             pair_rate=4000.0,
             integration_time=1.0,
             rotation=False,
-            master_seed=seed,
+            seed=seed,
         )
         _, lhv = run_chsh(plan)
         if lhv.S > 2.0 + 4 * lhv.S_sigma:
@@ -142,7 +142,7 @@ def test_criterion_5_gating_linearity():
         model=QuantumState(),
         pair_rate=5e4,
         integration_time=120.0,
-        master_seed=2026,
+        seed=2026,
     )
     _, ratios = run_degradation(plan)
     duty = gate_geometry(ApparatusConfig()).duty_cycle

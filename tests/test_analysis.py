@@ -339,12 +339,16 @@ def test_table_two_file_variant(tmp_path):
 
 def test_table_fractional_accidentals_roundtrip(tmp_path):
     counts = np.full((4, 4), 120.0)
+    counts[0, 0] = 1e-05  # once written 1e-05, which split at the exponent's "-"
+    counts[3, 3] = -0.0  # written 0: "-0" would split the cell too
     accidentals = np.full((4, 4), 4.73)
+    accidentals[1, 2] = 1 / 3
     table = CountTable16(counts=counts, accidentals=accidentals)
     path = tmp_path / "frac.csv"
     write_table_csv(table, path)
     back = read_table_csv(path)
-    assert np.allclose(back.accidentals, 4.73)
+    assert np.array_equal(back.counts, counts)
+    assert np.array_equal(back.accidentals, accidentals)
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,26 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, CountTable16, write_table_csv
+from bellgate.analysis import (
+    ALICE_ANGLES,
+    BOB_ANGLES,
+    CountTable16,
+    chsh_S,
+    read_table_csv,
+    write_table_csv,
+)
+from bellgate.apparatus import ApparatusConfig
 from bellgate.causality import MAX_SWEEP_WINDOWS
 from bellgate.cli import main
-from bellgate.config import ConfigError, build_plan
+from bellgate.config import ConfigError, build_plan, validate_schema
+from bellgate.detection import DetectorConfig
 from bellgate.fixtures import fixture_path
+from bellgate.runner import RunPlan
+from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, TravelingInfluence
 
 TINY_CONFIG = {
     "apparatus": {"aperture_width": 1e-3, "mirror_radius": 0.34, "rotation_rate": 1000.0,
@@ -177,7 +189,8 @@ def test_simulate_writes_reports(capsys, tmp_path):
     assert set(results["degradation"]["records"]) == {"dark", "no_rotation", "with_rotation"}
     assert (out_dir / "chsh_counts.csv").is_file()
     assert (out_dir / "degradation.csv").is_file()
-    # the counts CSV round-trips through the analyze command
+    # the counts CSV round-trips through the analyze command, to the last bit
+    assert chsh_S(read_table_csv(out_dir / "chsh_counts.csv")).S == results["chsh"]["S"]
     capsys.readouterr()
     assert main(["analyze", str(out_dir / "chsh_counts.csv")]) == 0
     assert "S = " in capsys.readouterr().out
@@ -283,7 +296,9 @@ def test_simulate_rejects_infinite_integration_time(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, key, value",
     [("run", "pair_rate", math.inf), ("run", "gate_phase", math.nan),
-     ("model", "visibility", math.nan)],
+     ("model", "visibility", math.nan),
+     pytest.param("run", "pair_rate", 10**400, id="run-pair_rate-10**400"),
+     pytest.param("apparatus", "fiber_length", 10**400, id="apparatus-fiber_length-10**400")],
 )
 def test_build_plan_rejects_non_finite_numbers(section, key, value):
     # checked without simulating: an infinite pair rate must never reach the runner
@@ -291,6 +306,55 @@ def test_build_plan_rejects_non_finite_numbers(section, key, value):
     cfg[section][key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key} must be finite"):
         build_plan(cfg)
+
+
+def test_build_plan_reads_speed_beyond_float_range_as_json_reads_1e400():
+    # once exit 3, "int too large to convert to float"
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["model"] = {"name": "traveling", "base": {"name": "quantum"},
+                    "uninformed": {"name": "malus"}, "influence_speed": 10**400}
+    assert build_plan(cfg).model.influence_speed == math.inf
+    cfg["model"]["influence_speed"] = -(10**400)
+    with pytest.raises(ConfigError, match="speed must be positive"):
+        build_plan(cfg)
+
+
+@pytest.mark.parametrize(
+    "section, cls, name",
+    [("apparatus", ApparatusConfig, None), ("detector", DetectorConfig, None),
+     ("run", RunPlan, None), ("model", QuantumState, "quantum"),
+     ("model", MalusLHV, "malus"), ("model", ThresholdLHV, "threshold"),
+     ("model", TravelingInfluence, "traveling")],
+)
+def test_sections_accept_exactly_their_dataclass_fields(section, cls, name):
+    keys = {f.name for f in dataclasses.fields(cls) if f.init}
+    if cls is RunPlan:
+        keys -= {"apparatus", "detector", "model"}  # sections of their own
+    # The schema reads key names only, and nested models: any value will do.
+    body = {key: {"name": "malus"} for key in keys}
+    if name is not None:
+        body["name"] = name
+    validate_schema({section: body})
+    with pytest.raises(ConfigError, match="unknown key"):
+        validate_schema({section: {**body, "not_a_field": 0}})
+
+
+def test_build_plan_defaults_are_the_dataclass_defaults():
+    # config keeps no default of its own: an omitted key takes its dataclass's
+    cfg = {
+        "detector": {"efficiency_alice": 0.5, "efficiency_bob": 0.25},
+        "model": {"name": "traveling", "base": {"name": "quantum"},
+                  "uninformed": {"name": "malus"}},
+        "run": {"pair_rate": 1000.0, "integration_time": 2.0},
+    }
+    validate_schema(cfg)
+    assert build_plan(cfg) == RunPlan(
+        apparatus=ApparatusConfig(),
+        detector=DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.25),
+        model=TravelingInfluence(base=QuantumState(), uninformed=MalusLHV()),
+        pair_rate=1000.0,
+        integration_time=2.0,
+    )
 
 
 def test_simulate_rejects_window_as_long_as_gate_period(tmp_path, capsys):

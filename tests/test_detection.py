@@ -441,12 +441,14 @@ def test_count_records_roundtrip(tmp_path):
     rows = [
         ("dark", CountRecord(1300.0, 600.0, 0.08)),
         ("no_rotation", CountRecord(33894.0, 20329.0, 389.0)),
+        ("third", CountRecord(1.0, 1.0, 1 / 3)),
     ]
     path = tmp_path / "records.csv"
     write_count_records(rows, path)
     back = read_count_records(path)
     assert back["dark"].rates == (1300.0, 600.0, 0.08)
     assert back["no_rotation"].rates == (33894.0, 20329.0, 389.0)
+    assert back["third"].rates == (1.0, 1.0, 1 / 3)
 
 
 def test_count_records_reject_bad_header(tmp_path):

@@ -5,9 +5,9 @@ same file with the mirror stopped (the ungated polarized path) and with
 a ``traveling`` model at a partially resonant influence speed (both
 model groups drawn through the gate), and ``analyze`` on the bundled
 ``table2.csv`` are hashed file by file.  A pure refactor leaves every
-digest unchanged.  A change that alters the
-random stream or the arithmetic on purpose updates the digests below and
-says so in CHANGES.md, with the reason.
+digest unchanged.  A change that alters the random stream, the
+arithmetic or the written digits on purpose updates the digests below
+and says so in CHANGES.md, with the reason.
 """
 
 import hashlib
@@ -20,20 +20,20 @@ from bellgate.fixtures import fixture_path
 
 SIMULATE_DIGESTS = {
     "results.json": "df28ebd34151f5327890e6c2b6f9f180ae77b01c1826c5906cca0c9f8aa67cd8",
-    "chsh_counts.csv": "9ff1ca39216ef523a2c26b29d25656b3365547f027d240574710cec978f697e0",
-    "degradation.csv": "118c79230defd00c1347f75176c89012c44a498f5b050b21ca4342256da35b01",
+    "chsh_counts.csv": "80fdf900549935920b12ab777e165dc60cd5c8a9580ff8ca6d11b8cc1b13922e",
+    "degradation.csv": "e75f5c92d16f3b66e7b6e4e2caebe3cb1b0299fd2253fbe5e0381468400e8803",
 }
 
 ROTATION_OFF_DIGESTS = {
     "results.json": "df7e5f97ca288c4862794cf8aff6bc0fb5162012afa3e88347c9d20a85da3ad0",
-    "chsh_counts.csv": "abff8a0ae179e3c91321cecb798ac2616b704448756f05a01b7a9bb75ebb8fc2",
-    "degradation.csv": "118c79230defd00c1347f75176c89012c44a498f5b050b21ca4342256da35b01",
+    "chsh_counts.csv": "02a4d3f7ad285ea26a7e36b819663af2069e63d89a0891377f355de74b56ff0d",
+    "degradation.csv": "e75f5c92d16f3b66e7b6e4e2caebe3cb1b0299fd2253fbe5e0381468400e8803",
 }
 
 TRAVELING_DIGESTS = {
     "results.json": "1be97b189f85d8f6841aa108a3e0024479440271a80bc50e15157faff73731ad",
-    "chsh_counts.csv": "f9ad953d7f77f6cf8db93b00ae1f1111a5c6b416a7892b2f07ba0ea810b60f80",
-    "degradation.csv": "118c79230defd00c1347f75176c89012c44a498f5b050b21ca4342256da35b01",
+    "chsh_counts.csv": "b32056b78e1e25b61ca7bbc9861bf77cd6cd07c14c8046b9c1589c0b5b89cfcd",
+    "degradation.csv": "e75f5c92d16f3b66e7b6e4e2caebe3cb1b0299fd2253fbe5e0381468400e8803",
 }
 
 ANALYZE_DIGESTS = {

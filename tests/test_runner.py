@@ -57,7 +57,7 @@ def quick_plan(model, pair_rate=20000.0, integration_time=1.0, seed=0, **kwargs)
         pair_rate=pair_rate,
         integration_time=integration_time,
         rotation=False,
-        master_seed=seed,
+        seed=seed,
         **kwargs,
     )
 
@@ -133,6 +133,13 @@ def test_plan_validation():
         with pytest.raises(ValueError, match="phase offset must lie in"):
             quick_plan(MalusLHV(), gate_phase=phase)
     quick_plan(MalusLHV(), gate_phase=0.5 * period, accidental_convention="single")
+    # derive_seed would run seed 1.5 as seed 1, and a truthy string would run gated
+    for seed in (1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            quick_plan(MalusLHV(), seed=seed)
+    for rotation in ("false", 1):
+        with pytest.raises(ValueError, match="rotation must be true or false"):
+            replace(quick_plan(MalusLHV()), rotation=rotation)
     for window in (period, 2 * period):
         with pytest.raises(ValueError, match="shorter than the gate period"):
             replace(quick_plan(MalusLHV()), detector=replace(PERFECT, coincidence_window=window))
@@ -394,7 +401,7 @@ def test_gating_ratio_matches_enlarged_duty_cycle():
         model=QuantumState(),
         pair_rate=20000.0,
         integration_time=20.0,
-        master_seed=92,
+        seed=92,
     )
     records, ratios = run_degradation(plan)
     duty = 0.01 * 34 / (2 * math.pi * 0.34)
@@ -425,7 +432,7 @@ def test_coincidence_to_singles_ratio_invariant_under_gating():
         model=QuantumState(),
         pair_rate=20000.0,
         integration_time=20.0,
-        master_seed=94,
+        seed=94,
     )
     records, _ = run_degradation(plan)
     _, no_rotation, with_rotation = records
@@ -457,7 +464,7 @@ def test_traveling_influence_blocked_when_isolated():
         pair_rate=1e5,
         integration_time=2.0,
         rotation=True,
-        master_seed=96,
+        seed=96,
     )
     _, result = run_chsh(plan)
     assert result.S <= 2.0 + 4 * result.S_sigma
@@ -484,7 +491,7 @@ def test_traveling_influence_leaks_at_resonant_speed():
         pair_rate=1e5,
         integration_time=2.0,
         rotation=True,
-        master_seed=97,
+        seed=97,
     )
     _, result = run_chsh(plan)
     # at the resonance every gated photon is an informed one
