@@ -15,6 +15,10 @@ Uncertainties are propagated by assigning each accidental-corrected
 count a Poisson variance equal to the corrected count itself.
 :func:`chsh_S` takes each correlation and its sigma from
 :func:`correlation_E`, at the fixed settings :data:`CHSH_SETTINGS`.
+
+Count tables have one grid, :data:`ALICE_ANGLES` by :data:`BOB_ANGLES`,
+and one CSV layout, the one :func:`write_table_csv` writes and
+:func:`read_table_csv` reads back exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,18 +48,20 @@ class NumericalError(ArithmeticError):
 class CountTable16:
     """Coincidence counts over the 4x4 polarizer-setting grid.
 
-    ``counts[i, j]`` belongs to ``alice_angles[i]`` x ``bob_angles[j]``;
-    ``accidentals`` holds the per-cell accidental-coincidence estimates
-    subtracted before any correlation is formed.  Cells are finite and
-    non-negative floats, which :func:`write_table_csv` writes in their
-    shortest exact digits, so every table round-trips through its CSV
-    exactly; no duration is kept, as ``S`` depends on the counts alone.
+    ``counts[i, j]`` belongs to ``ALICE_ANGLES[i]`` x ``BOB_ANGLES[j]``;
+    the grid is fixed, not data, and ``alice_angles``/``bob_angles``
+    read it.  ``accidentals`` holds the per-cell accidental-coincidence
+    estimates subtracted before any correlation is formed.  Cells are
+    finite and non-negative floats, which :func:`write_table_csv` writes
+    in their shortest exact digits, so every table round-trips through
+    its CSV exactly; no duration is kept, as ``S`` depends on the counts
+    alone.
     """
 
     counts: np.ndarray
     accidentals: np.ndarray
-    alice_angles: tuple[float, ...] = ALICE_ANGLES
-    bob_angles: tuple[float, ...] = BOB_ANGLES
+    alice_angles: ClassVar[tuple[float, ...]] = ALICE_ANGLES
+    bob_angles: ClassVar[tuple[float, ...]] = BOB_ANGLES
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float)
@@ -64,8 +71,6 @@ class CountTable16:
         cells = np.stack([counts, accidentals])
         if not np.all((0 <= cells) & (cells < np.inf)):
             raise ValueError("counts and accidentals must be finite and non-negative")
-        if len(self.alice_angles) != 4 or len(self.bob_angles) != 4:
-            raise ValueError("angle grids must have 4 entries each")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "accidentals", accidentals)
 
@@ -180,15 +185,6 @@ def correlation_E(c_ab, c_aperp_bperp, c_a_bperp, c_aperp_b) -> tuple[float, flo
     return e, math.sqrt(var)
 
 
-def _angle_index(angles: tuple[float, ...], value: float, axis: str) -> int:
-    for i, angle in enumerate(angles):
-        if math.isclose(angle, value, abs_tol=1e-9):
-            return i
-    raise ValueError(
-        f"angle grid mismatch: {value} not among {axis} angles {angles}"
-    )
-
-
 def chsh_S(table: CountTable16) -> ChshResult:
     """CHSH statistic from a 16-setting count table.
 
@@ -201,9 +197,8 @@ def chsh_S(table: CountTable16) -> ChshResult:
     corrected = table.corrected()
 
     def cell(alice: float, bob: float) -> float:
-        i = _angle_index(table.alice_angles, alice % 180.0, "alice")
-        j = _angle_index(table.bob_angles, bob % 180.0, "bob")
-        return float(corrected[i, j])
+        # The +90 partners of CHSH_SETTINGS are exact floats on the grid.
+        return float(corrected[ALICE_ANGLES.index(alice % 180.0), BOB_ANGLES.index(bob % 180.0)])
 
     e_values = []
     e_sigmas = []
@@ -233,13 +228,6 @@ def chsh_S(table: CountTable16) -> ChshResult:
 # Table file formats
 
 
-def _parse_angles(cells, axis: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(c) for c in cells)
-    except ValueError as exc:
-        raise ValueError(f"malformed {axis} angle header: {cells!r}") from exc
-
-
 def _parse_combined_cell(text: str) -> tuple[float, float]:
     # "226-5" -> count 226, accidental 5; counts are non-negative so the
     # first "-" is always the separator.
@@ -252,68 +240,33 @@ def _parse_combined_cell(text: str) -> tuple[float, float]:
         raise ValueError(f"malformed cell {text!r}") from exc
 
 
-def _read_grid(path):
-    """Common layout: header 'bob_angle,<alice angles>', rows start with
-    the bob angle.  Returns (alice_angles, bob_angles, raw cell strings
-    indexed [alice][bob])."""
+def read_table_csv(path) -> CountTable16:
+    """Parse the one table layout, the one :func:`write_table_csv` writes.
+
+    The header is ``bob_angle`` and the alice angles, and each of the
+    four rows is a bob angle and its ``count-accidental`` cells (e.g.
+    ``226-5``).  The angles must be :data:`ALICE_ANGLES` and
+    :data:`BOB_ANGLES` in that order; any other grid, a permuted one
+    included, is refused.
+    """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     if not rows or rows[0][0].strip() != "bob_angle" or len(rows[0]) != 5:
+        raise ValueError(f"{path}: table CSV must start with 'bob_angle,<four alice angles>'")
+    if len(rows) != 5 or any(len(row) != 5 for row in rows):
+        raise ValueError(f"{path}: expected 4 data rows of 5 columns after the header")
+    try:
+        alice = tuple(float(c) for c in rows[0][1:])
+        bob = tuple(float(row[0]) for row in rows[1:])
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed angle label: {exc}") from exc
+    if alice != ALICE_ANGLES or bob != BOB_ANGLES:
         raise ValueError(
-            f"{path}: table CSV must start with 'bob_angle,<four alice angles>'"
+            f"{path}: angle grid must be alice {ALICE_ANGLES} by bob {BOB_ANGLES}"
+            f" in that order, got alice {alice} by bob {bob}"
         )
-    alice_angles = _parse_angles(rows[0][1:], "alice")
-    if len(rows) != 5:
-        raise ValueError(f"{path}: expected 4 data rows, found {len(rows) - 1}")
-    bob_angles = []
-    cells = [[None] * 4 for _ in range(4)]
-    for j, row in enumerate(rows[1:]):
-        if len(row) != 5:
-            raise ValueError(f"{path}: row {row!r} must have 5 columns")
-        bob_angles.append(_parse_angles(row[:1], "bob")[0])
-        for i in range(4):
-            cells[i][j] = row[1 + i]
-    return alice_angles, tuple(bob_angles), cells
-
-
-def read_table_csv(path, accidentals_path=None) -> CountTable16:
-    """Parse a 16-setting count table.
-
-    Single-file form: each cell is ``count-accidental`` (e.g. ``226-5``).
-    Two-file form: ``path`` holds plain counts and ``accidentals_path``
-    plain accidentals on the same grid.
-    """
-    alice_angles, bob_angles, cells = _read_grid(path)
-    counts = np.zeros((4, 4))
-    accidentals = np.zeros((4, 4))
-    if accidentals_path is None:
-        for i in range(4):
-            for j in range(4):
-                counts[i, j], accidentals[i, j] = _parse_combined_cell(cells[i][j])
-    else:
-        for i in range(4):
-            for j in range(4):
-                try:
-                    counts[i, j] = float(cells[i][j])
-                except ValueError as exc:
-                    raise ValueError(f"malformed count cell {cells[i][j]!r}") from exc
-        acc_alice, acc_bob, acc_cells = _read_grid(accidentals_path)
-        if acc_alice != alice_angles or acc_bob != bob_angles:
-            raise ValueError("accidentals file angle grid differs from counts file")
-        for i in range(4):
-            for j in range(4):
-                try:
-                    accidentals[i, j] = float(acc_cells[i][j])
-                except ValueError as exc:
-                    raise ValueError(
-                        f"malformed accidental cell {acc_cells[i][j]!r}"
-                    ) from exc
-    return CountTable16(
-        counts=counts,
-        accidentals=accidentals,
-        alice_angles=alice_angles,
-        bob_angles=bob_angles,
-    )
+    cells = np.array([[_parse_combined_cell(row[1 + i]) for row in rows[1:]] for i in range(4)])
+    return CountTable16(counts=cells[..., 0], accidentals=cells[..., 1])
 
 
 def write_table_csv(table: CountTable16, path) -> None:
@@ -321,8 +274,8 @@ def write_table_csv(table: CountTable16, path) -> None:
     :func:`read_table_csv` reads back exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["bob_angle"] + [format_number(a) for a in table.alice_angles])
-        for j, bob in enumerate(table.bob_angles):
+        writer.writerow(["bob_angle"] + [format_number(a) for a in ALICE_ANGLES])
+        for j, bob in enumerate(BOB_ANGLES):
             row = [format_number(bob)]
             for i in range(4):
                 row.append(

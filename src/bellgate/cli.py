@@ -44,7 +44,7 @@ from .config import (
     load_config,
     parse_speed,
 )
-from .detection import write_count_records
+from .detection import COUNT_RECORD_HEADER, write_count_records
 from .fixtures import fixture_path
 from .runner import DEGRADATION_LABELS, run_degradation, run_chsh
 
@@ -78,7 +78,7 @@ def cmd_geometry(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    table = read_table_csv(args.table, accidentals_path=args.accidentals)
+    table = read_table_csv(args.table)
     result = chsh_S(table)
     text = format_chsh_text(result)
     print(text, end="")
@@ -91,13 +91,7 @@ def cmd_analyze(args) -> int:
 
 
 def _record_json(record) -> dict:
-    sa, sb, c = record.rates
-    return {
-        "singles_alice_per_s": sa,
-        "singles_bob_per_s": sb,
-        "coincidences_per_s": c,
-        "duration_s": record.duration,
-    }
+    return dict(zip(COUNT_RECORD_HEADER[1:], record.rates), duration_s=record.duration)
 
 
 def cmd_simulate(args) -> int:
@@ -257,10 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_geometry)
 
     p = sub.add_parser("analyze", help="CHSH statistic from a measured count table")
-    p.add_argument("table", help="counts CSV (cells 'count-accidental')")
     p.add_argument(
-        "--accidentals",
-        help="separate accidentals CSV; the table file then holds plain counts",
+        "table", help="counts CSV as simulate writes it ('count-accidental' cells, CHSH grid)"
     )
     p.add_argument("--out", help="directory for the CSV/text reports")
     p.set_defaults(func=cmd_analyze)

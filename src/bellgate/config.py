@@ -51,11 +51,20 @@ _MODEL_KEYS = {name: _field_names(cls) for name, cls in _MODELS.items()}
 _RUN_KEYS = _field_names(RunPlan) - _SECTIONS
 
 
+def _parse_int(digits: str):
+    # Past Python's 4300-digit limit for int(), read the literal as the
+    # float it spells, as for an int beyond the float range (_to_float).
+    try:
+        return int(digits)
+    except ValueError:
+        return float(digits)
+
+
 def load_config(path) -> dict:
     """Read and schema-check a config file; returns the raw dict."""
     text = Path(path).read_text()
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     validate_schema(cfg)
@@ -115,7 +124,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
         if len(parts) < 2 or not all(parts):
             raise ConfigError(f"override key {dotted!r} must be section.key")
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_int=_parse_int)
         except json.JSONDecodeError:
             value = raw
         node = out

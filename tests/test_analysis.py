@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -273,17 +274,6 @@ def test_chsh_lhv_tables_respect_classical_bound():
         assert violations <= 10
 
 
-def test_chsh_rejects_wrong_grid():
-    table = CountTable16(
-        counts=np.full((4, 4), 10.0),
-        accidentals=np.zeros((4, 4)),
-        alice_angles=(10.0, 55.0, 100.0, 145.0),
-        bob_angles=BOB_ANGLES,
-    )
-    with pytest.raises(ValueError, match="angle grid"):
-        chsh_S(table)
-
-
 def test_count_table_validation():
     with pytest.raises(ValueError, match="4x4"):
         CountTable16(counts=np.zeros((3, 4)), accidentals=np.zeros((4, 4)))
@@ -298,6 +288,15 @@ def test_count_table_validation():
             CountTable16(counts=np.full((4, 4), 5.0), accidentals=cells)
     table = CountTable16(counts=np.full((4, 4), 5.0), accidentals=np.full((4, 4), 8.0))
     assert np.all(table.corrected() == 0.0)
+
+
+def test_count_table_grid_is_fixed():
+    # the grid is a constant of the table, not data in it
+    assert [f.name for f in dataclasses.fields(CountTable16)] == ["counts", "accidentals"]
+    table = bench_table()
+    assert table.alice_angles == ALICE_ANGLES and table.bob_angles == BOB_ANGLES
+    with pytest.raises(TypeError):
+        CountTable16(counts=table.counts, accidentals=table.accidentals, alice_angles=ALICE_ANGLES)
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +317,6 @@ def test_table_roundtrip_single_file(tmp_path):
     path = tmp_path / "table.csv"
     write_table_csv(table, path)
     back = read_table_csv(path)
-    assert np.array_equal(back.counts, table.counts)
-    assert np.array_equal(back.accidentals, table.accidentals)
-
-
-def test_table_two_file_variant(tmp_path):
-    table = bench_table()
-    counts_path = tmp_path / "counts.csv"
-    acc_path = tmp_path / "accidentals.csv"
-    header = "bob_angle,0,45,90,135\n"
-    for path, grid in ((counts_path, table.counts), (acc_path, table.accidentals)):
-        rows = [header]
-        for j, bob in enumerate(BOB_ANGLES):
-            rows.append(",".join([f"{bob:g}"] + [f"{grid[i, j]:g}" for i in range(4)]) + "\n")
-        path.write_text("".join(rows))
-    back = read_table_csv(counts_path, accidentals_path=acc_path)
     assert np.array_equal(back.counts, table.counts)
     assert np.array_equal(back.accidentals, table.accidentals)
 

@@ -125,19 +125,6 @@ def test_analyze_noise_free_quantum_table(capsys, tmp_path):
     assert "S = 2.8284" in capsys.readouterr().out
 
 
-def test_analyze_two_file_variant(capsys, tmp_path):
-    header = "bob_angle,0,45,90,135\n"
-    rows = ["22.5", "67.5", "112.5", "157.5"]
-    counts = header + "".join(f"{b},10,10,10,10\n" for b in rows)
-    accidentals = header + "".join(f"{b},1,1,1,1\n" for b in rows)
-    counts_path = tmp_path / "counts.csv"
-    acc_path = tmp_path / "acc.csv"
-    counts_path.write_text(counts)
-    acc_path.write_text(accidentals)
-    assert main(["analyze", str(counts_path), "--accidentals", str(acc_path)]) == 0
-    assert "S = 0.0000" in capsys.readouterr().out
-
-
 def test_analyze_malformed_table(capsys, tmp_path):
     rows = "".join(f"{b},226-5,85-4,42-4,184-4\n" for b in ("67.5", "112.5", "157.5"))
     texts = ["bob_angle,0,45\n22.5,1-0,2-0\n"] + [
@@ -154,13 +141,28 @@ def test_analyze_malformed_table(capsys, tmp_path):
 
 
 def test_analyze_wrong_grid(capsys, tmp_path):
-    text = "bob_angle,10,55,100,145\n" + "".join(
-        f"{b},5-0,5-0,5-0,5-0\n" for b in ("22.5", "67.5", "112.5", "157.5")
-    )
-    path = tmp_path / "grid.csv"
-    path.write_text(text)
-    assert main(["analyze", str(path)]) == 1
-    assert "angle grid" in capsys.readouterr().err
+    canonical_bob = ("22.5", "67.5", "112.5", "157.5")
+    grids = [
+        ("10,55,100,145", canonical_bob),
+        # a permuted grid was once read; the one layout is the canonical order
+        ("0,90,45,135", canonical_bob),
+        ("0,45,90,135", ("67.5", "22.5", "112.5", "157.5")),
+        ("0,45,90,135", ("22.5000001", "67.5", "112.5", "157.5")),
+    ]
+    for alice, bob in grids:
+        path = tmp_path / "grid.csv"
+        path.write_text(f"bob_angle,{alice}\n" + "".join(f"{b},5-0,5-0,5-0,5-0\n" for b in bob))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "angle grid" in err
+        assert f"{ALICE_ANGLES}" in err and f"{BOB_ANGLES}" in err
+
+
+def test_analyze_takes_no_accidentals_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(fixture_path("table2.csv")), "--accidentals", "acc.csv"])
+    assert exc.value.code == 2
 
 
 def test_analyze_missing_table(capsys):
@@ -376,7 +378,11 @@ def test_simulate_rejects_window_as_long_as_gate_period(tmp_path, capsys):
     [("run.accidental_convention=dobule", "unknown accidental convention 'dobule'"),
      ("run.gate_phase=1.0", "phase offset must lie in [0, gate period)"),
      # about 4e16 events; it once ran silently for what would have been years
-     ("run.integration_time=1e12", "run too large: the ungated luminosity run expects 4.4e+16")],
+     ("run.integration_time=1e12", "run too large: the ungated luminosity run expects 4.4e+16"),
+     # past int()'s 4300-digit limit; once exited with Python's advice, naming no key
+     pytest.param("run.pair_rate=1" + "0" * 5000, "run.pair_rate must be finite, got inf",
+                  id="run.pair_rate=1e5000"),
+     pytest.param("run.seed=1" + "0" * 5000, "seed must be an integer", id="run.seed=1e5000")],
 )
 def test_simulate_rejects_bad_plan_before_any_run(tmp_path, capsys, override, message):
     # the first two once failed only after the luminosity runs, one after
@@ -387,6 +393,15 @@ def test_simulate_rejects_bad_plan_before_any_run(tmp_path, capsys, override, me
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()
+
+
+def test_simulate_reads_oversized_integer_in_config_file_as_float(tmp_path, capsys):
+    config = write_config(tmp_path, dict(TINY_CONFIG, run=dict(TINY_CONFIG["run"], pair_rate=0)))
+    config.write_text(config.read_text().replace('"pair_rate": 0', '"pair_rate": 1' + "0" * 5000))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: run.pair_rate must be finite, got inf\n"
     assert not out.exists()
 
 
