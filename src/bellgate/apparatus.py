@@ -85,27 +85,19 @@ def validate_config(cfg: ApparatusConfig) -> ApparatusConfig:
     return cfg
 
 
-def aperture_time(cfg: ApparatusConfig) -> float:
-    """Gate-open duration A / (2*pi*R*w).  Assumes a validated config."""
-    return cfg.aperture_width / (2.0 * math.pi * cfg.mirror_radius * cfg.rotation_rate)
-
-
-def duty_cycle(cfg: ApparatusConfig) -> float:
-    """Open fraction A*N / (2*pi*R).  Assumes a validated config."""
-    return cfg.aperture_width * cfg.facet_count / (2.0 * math.pi * cfg.mirror_radius)
-
-
 def gate_geometry(cfg: ApparatusConfig) -> GateGeometry:
     """Compute all derived timing quantities in one place.
 
-    The flight distance uses the in-fiber speed c/index, which with the
-    default index of 1.0 reduces to the vacuum-speed convention.
+    The gate-open duration is A / (2*pi*R*w) and the open fraction
+    A*N / (2*pi*R).  The flight distance uses the in-fiber speed
+    c/index, which with the default index of 1.0 reduces to the
+    vacuum-speed convention.  Assumes a validated config.
     """
-    t_on = aperture_time(cfg)
+    t_on = cfg.aperture_width / (2.0 * math.pi * cfg.mirror_radius * cfg.rotation_rate)
     fiber_speed = cfg.vacuum_light_speed / cfg.fiber_group_index
     return GateGeometry(
         aperture_time=t_on,
-        duty_cycle=duty_cycle(cfg),
+        duty_cycle=cfg.aperture_width * cfg.facet_count / (2.0 * math.pi * cfg.mirror_radius),
         gate_period=1.0 / (cfg.rotation_rate * cfg.facet_count),
         fiber_delay=cfg.fiber_length / fiber_speed,
         flight_distance_during_gate=fiber_speed * t_on,

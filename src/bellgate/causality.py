@@ -27,17 +27,6 @@ from dataclasses import dataclass, replace
 
 from .apparatus import GateGeometry
 from .gating import GateState
-from .sources import INSTANTANEOUS
-
-__all__ = [
-    "CausalityReport",
-    "MAX_SWEEP_WINDOWS",
-    "SpeedInterval",
-    "INSTANTANEOUS",
-    "influence_window_analysis",
-    "informed_emission_gate",
-    "resonant_influence_speeds",
-]
 
 # The most later windows a resonance sweep may examine: the reference
 # bench's 10 000th window is 0.29 s out, where a resonant influence
@@ -119,7 +108,9 @@ def influence_window_analysis(
     fraction is the part of their arrival interval that lands inside any
     open window.  The arrival at the source is the transit of
     :func:`informed_emission_gate`, not reduced modulo the gate period,
-    because the window index and the margin depend on it.
+    because the window index and the margin depend on it.  A speed so
+    slow that one float step at the arrival time exceeds 1e-6 aperture
+    times is refused: the overlap would be rounding noise.
     """
     if not influence_speed > 0:
         raise ValueError("influence speed must be positive or instantaneous")
@@ -132,6 +123,11 @@ def influence_window_analysis(
     emission = (influence_arrival, influence_arrival + t_on)
     photon_transit = fiber_length / photon_speed
     arrival = (emission[0] + photon_transit, emission[1] + photon_transit)
+    if not math.isfinite(arrival[1]) or math.ulp(arrival[1]) > 1e-6 * t_on:
+        raise ValueError(
+            f"influence speed {influence_speed!r} m/s is too slow: float "
+            "precision cannot resolve its arrival window"
+        )
     overlap, earliest = _windowed_overlap(
         arrival[0], arrival[1], geometry.gate_period, t_on
     )

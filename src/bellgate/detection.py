@@ -54,8 +54,8 @@ class DetectorConfig:
             raise ValueError("alice efficiency must lie in (0, 1]")
         if not 0.0 < self.efficiency_bob <= 1.0:
             raise ValueError("bob efficiency must lie in (0, 1]")
-        if self.dark_rate_alice < 0 or self.dark_rate_bob < 0:
-            raise ValueError("dark rates must be non-negative")
+        if not (0 <= self.dark_rate_alice < math.inf and 0 <= self.dark_rate_bob < math.inf):
+            raise ValueError("dark rates must be finite and non-negative")
         if not self.coincidence_window > 0:
             raise ValueError("coincidence window must be positive")
 

@@ -16,16 +16,12 @@ from bellgate.apparatus import (
     gate_geometry,
     validate_config,
 )
-from bellgate.causality import (
-    INSTANTANEOUS,
-    influence_window_analysis,
-    resonant_influence_speeds,
-)
+from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.cli import main
 from bellgate.detection import DetectorConfig, read_count_records
 from bellgate.fixtures import fixture_path
 from bellgate.runner import RunPlan, run_chsh, run_degradation
-from bellgate.sources import MalusLHV, QuantumState
+from bellgate.sources import INSTANTANEOUS, MalusLHV, QuantumState
 
 FIBER_LENGTH = 200.0
 

@@ -8,8 +8,6 @@ from bellgate.apparatus import (
     FIBER_GROUP_INDEX_SMF,
     ApparatusConfig,
     ValidationError,
-    aperture_time,
-    duty_cycle,
     gate_geometry,
     validate_config,
 )
@@ -57,7 +55,7 @@ def test_each_invariant_is_named(kwargs, message):
 
 
 def test_aperture_time_reference_bench(bench):
-    t_on = aperture_time(bench)
+    t_on = gate_geometry(bench).aperture_time
     assert t_on == pytest.approx(1e-3 / (2 * math.pi * 0.34 * 1000.0), rel=1e-15)
     assert t_on == pytest.approx(T_ON, rel=1e-12)
     # quoted bench value, good to two significant figures
@@ -66,16 +64,18 @@ def test_aperture_time_reference_bench(bench):
 
 def test_aperture_time_linear_in_width(bench):
     doubled = replace(bench, aperture_width=2 * bench.aperture_width)
-    assert aperture_time(doubled) == pytest.approx(2 * aperture_time(bench), rel=1e-12)
+    assert gate_geometry(doubled).aperture_time == pytest.approx(
+        2 * gate_geometry(bench).aperture_time, rel=1e-12
+    )
 
 
 def test_aperture_time_unit_denominators():
     cfg = ApparatusConfig(aperture_width=1e-3, mirror_radius=1 / (2 * math.pi), rotation_rate=1.0)
-    assert aperture_time(cfg) == pytest.approx(1e-3, rel=1e-12)
+    assert gate_geometry(cfg).aperture_time == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_duty_cycle_reference_bench(bench):
-    d = duty_cycle(bench)
+    d = gate_geometry(bench).duty_cycle
     assert d == pytest.approx(1e-3 * 34 / (2 * math.pi * 0.34), rel=1e-15)
     assert d == pytest.approx(DUTY, rel=1e-12)
     assert d == pytest.approx(0.016, rel=0.01)
@@ -85,13 +85,13 @@ def test_duty_cycle_full_duty_boundary():
     # Degenerate always-open geometry; deliberately skips validate_config,
     # which rejects apertures at or beyond one facet sweep.
     cfg = ApparatusConfig(aperture_width=2 * math.pi * 0.5, mirror_radius=0.5, facet_count=1)
-    assert duty_cycle(cfg) == pytest.approx(1.0, rel=1e-12)
+    assert gate_geometry(cfg).duty_cycle == pytest.approx(1.0, rel=1e-12)
 
 
 def test_duty_cycle_equals_aperture_time_times_sweep_rate(bench):
     # At the reference bench: 4.681e-7 * 1000 * 34 = 0.01592.
-    assert duty_cycle(bench) == pytest.approx(
-        aperture_time(bench) * bench.rotation_rate * bench.facet_count, rel=1e-12
+    assert gate_geometry(bench).duty_cycle == pytest.approx(
+        gate_geometry(bench).aperture_time * bench.rotation_rate * bench.facet_count, rel=1e-12
     )
 
 
@@ -149,8 +149,9 @@ def test_scaling_aperture_and_radius_together_changes_nothing(bench):
             aperture_width=factor * bench.aperture_width,
             mirror_radius=factor * bench.mirror_radius,
         )
-        assert duty_cycle(scaled) == pytest.approx(duty_cycle(bench), rel=1e-12)
-        assert aperture_time(scaled) == pytest.approx(aperture_time(bench), rel=1e-12)
+        scaled_geometry, geometry = gate_geometry(scaled), gate_geometry(bench)
+        assert scaled_geometry.duty_cycle == pytest.approx(geometry.duty_cycle, rel=1e-12)
+        assert scaled_geometry.aperture_time == pytest.approx(geometry.aperture_time, rel=1e-12)
 
 
 def test_fiber_delay_exceeds_aperture_time(bench_geometry):

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from bellgate.apparatus import GateGeometry, LIGHT_SPEED_VACUUM
-from bellgate.causality import (
-    INSTANTANEOUS,
-    influence_window_analysis,
-    resonant_influence_speeds,
-)
+from bellgate.causality import influence_window_analysis, resonant_influence_speeds
+from bellgate.sources import INSTANTANEOUS
 
 FIBER_LENGTH = 200.0
 T_ON = 4.681027737996921e-07

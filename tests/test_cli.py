@@ -505,6 +505,21 @@ def test_causality_resonant_speed_passes(capsys):
     assert report["earliest_open_window"] == 1
 
 
+@pytest.mark.parametrize("speed, status", [("1e-8", 1), ("1e-320", 1), ("0.05", 0)])
+def test_causality_refuses_speeds_too_slow_to_resolve(capsys, speed, status):
+    # Past about 2**52 aperture times of transit, float spacing swamps
+    # the informed arrival window; on the reference bench that boundary
+    # lies between 0.05 and 0.01 m/s.
+    assert main(["causality", "--speed", speed]) == status
+    captured = capsys.readouterr()
+    if status:
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: influence speed {float(speed)!r} m/s")
+        assert captured.err.count("\n") == 1
+    else:
+        assert "pass_fraction" in captured.out
+
+
 def test_causality_invalid_speed(capsys):
     assert main(["causality", "--speed", "warp9"]) == 1
     assert "invalid speed" in capsys.readouterr().err

@@ -409,8 +409,10 @@ def test_detector_config_validation():
         DetectorConfig(efficiency_alice=0.0, efficiency_bob=0.5)
     with pytest.raises(ValueError, match="bob efficiency"):
         DetectorConfig(efficiency_alice=0.5, efficiency_bob=1.5)
-    with pytest.raises(ValueError, match="dark rates"):
-        DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=-1.0)
+    for arm in ("dark_rate_alice", "dark_rate_bob"):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dark rates must be finite and non-negative"):
+                DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, **{arm: bad})
     with pytest.raises(ValueError, match="coincidence window"):
         DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, coincidence_window=0.0)
 

@@ -4,7 +4,8 @@
 same file with the mirror stopped (the ungated polarized path) and with
 a ``traveling`` model at a partially resonant influence speed (both
 model groups drawn through the gate), and ``analyze`` on the bundled
-``table2.csv`` are hashed file by file.  A pure refactor leaves every
+``table2.csv`` are hashed file by file; the stdout of ``geometry`` and
+of three ``causality`` reports is hashed whole.  A pure refactor leaves every
 digest unchanged.  A change that alters the random stream, the
 arithmetic or the written digits on purpose updates the digests below
 and says so in CHANGES.md, with the reason.
@@ -12,6 +13,8 @@ and says so in CHANGES.md, with the reason.
 
 import hashlib
 import json
+
+import pytest
 
 from bellgate.apparatus import ApparatusConfig, gate_geometry
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
@@ -39,6 +42,19 @@ TRAVELING_DIGESTS = {
 ANALYZE_DIGESTS = {
     "chsh_report.txt": "c87c7915124ccac94ff5ba8e6f611a4a0e0774c0a752cfc2b3132cacde126f8b",
     "chsh_report.csv": "0165c1e2fefd01e1fd7ef28b777723d60be99d4c7144c43e4ab448abe1711a85",
+}
+
+STDOUT_DIGESTS = {
+    "geometry": "1e8016006c269df1531ad6f90e21d2bfefdb9f9f6011b759c6ed1342f09051d1",
+    "causality --speed instant": (
+        "8ccd864de43729ec7ae2b4986573e5a57d568476cb2621b4c710687807e7cb30"
+    ),
+    "causality --speed 2.998e8 --json": (
+        "9dcfa21de16f3e462e28268f365ed2793d6ee65a952b6adfa6742ba3b03c480f"
+    ),
+    "causality --sweep --max-windows 5 --json": (
+        "d34eab75fda3d3849c72799c3d4a22fb19aaec5f5b397dedac161d893bd964d4"
+    ),
 }
 
 
@@ -93,3 +109,10 @@ def test_analyze_table2_is_byte_identical(tmp_path):
     out = tmp_path / "report"
     assert main(["analyze", str(fixture_path("table2.csv")), "--out", str(out)]) == 0
     assert _digests(out, ANALYZE_DIGESTS) == ANALYZE_DIGESTS
+
+
+@pytest.mark.parametrize("command", STDOUT_DIGESTS)
+def test_report_stdout_is_byte_identical(capsys, command):
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == STDOUT_DIGESTS[command]
