@@ -80,6 +80,16 @@ def _influence_transit(fiber_length: float, influence_speed: float) -> float:
     return 0.0 if math.isinf(influence_speed) else fiber_length / influence_speed
 
 
+def check_resolvable(time: float, aperture_time: float, influence_speed: float) -> None:
+    """Raise ``ValueError`` unless float precision resolves an informed
+    window placed at ``time``: to 1e-6 aperture times or better."""
+    if not math.isfinite(time) or math.ulp(time) > 1e-6 * aperture_time:
+        raise ValueError(
+            f"influence speed {influence_speed!r} m/s is too slow: float "
+            "precision cannot resolve its informed window"
+        )
+
+
 def informed_emission_gate(
     gate: GateState, fiber_length: float, influence_speed: float
 ) -> GateState:
@@ -87,10 +97,11 @@ def informed_emission_gate(
 
     An emission at t is informed iff the slit was in view one influence
     transit earlier, so the informed pattern is ``gate`` delayed by that
-    transit, its phase taken modulo the gate period.
+    transit, its phase taken modulo the gate period once it is resolved.
     """
-    transit = _influence_transit(fiber_length, influence_speed)
-    return replace(gate, phase_offset=(gate.phase_offset + transit) % gate.gate_period)
+    delayed = gate.phase_offset + _influence_transit(fiber_length, influence_speed)
+    check_resolvable(delayed, gate.aperture_time, influence_speed)
+    return replace(gate, phase_offset=delayed % gate.gate_period)
 
 
 def influence_window_analysis(
@@ -108,9 +119,9 @@ def influence_window_analysis(
     fraction is the part of their arrival interval that lands inside any
     open window.  The arrival at the source is the transit of
     :func:`informed_emission_gate`, not reduced modulo the gate period,
-    because the window index and the margin depend on it.  A speed so
-    slow that one float step at the arrival time exceeds 1e-6 aperture
-    times is refused: the overlap would be rounding noise.
+    because the window index and the margin depend on it.  A speed too
+    slow for the arrival window to be resolved is refused
+    (:func:`check_resolvable`).
     """
     if not influence_speed > 0:
         raise ValueError("influence speed must be positive or instantaneous")
@@ -123,11 +134,7 @@ def influence_window_analysis(
     emission = (influence_arrival, influence_arrival + t_on)
     photon_transit = fiber_length / photon_speed
     arrival = (emission[0] + photon_transit, emission[1] + photon_transit)
-    if not math.isfinite(arrival[1]) or math.ulp(arrival[1]) > 1e-6 * t_on:
-        raise ValueError(
-            f"influence speed {influence_speed!r} m/s is too slow: float "
-            "precision cannot resolve its arrival window"
-        )
+    check_resolvable(arrival[1], t_on, influence_speed)
     overlap, earliest = _windowed_overlap(
         arrival[0], arrival[1], geometry.gate_period, t_on
     )

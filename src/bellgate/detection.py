@@ -2,24 +2,24 @@
 
 Each arm's detector keeps a photon with its quantum-efficiency
 probability and adds an independent Poisson dark-count background.  The
-runner draws only pairs that fire at least one detector;
-:func:`detection_pattern` gives each its arm code (:data:`ALICE`,
-:data:`BOTH` or :data:`BOB`) from the efficiencies and the polarizer
-pass probabilities (:data:`~bellgate.sources.NO_POLARIZERS` in
-luminosity runs).  Both photons of a pair share one arrival time, so a
-run is one time-ordered *tagged stream*, as a time tagger records it:
-entry times plus an ``int8`` arm code per entry, bit 1 for Alice and
-bit 2 for Bob.  A dark count is an entry of one arm.  The coincidence
-matcher reproduces a counting card on that stream: two detections
-closer than the window form one coincidence, each detection used at
-most once, matched greedily in time order.  It counts in numpy: it cuts
-the stream at every gap of a window or more, counts an isolated entry
-as one coincidence when both arms fired, and runs the greedy sweep only
-over the rare clusters of two or more entries (see
-:func:`match_coincidences` for why that is exact).  The same cut lets
-the runner count a long run slice by slice.  Dark and accidental
-coincidences are not injected anywhere; they emerge from the matcher
-like they do in hardware.
+runner draws the darks and the pairs that fire a detector as one stream;
+:func:`detection_pattern` marks each entry a pair or a dark and gives it
+its arm code (:data:`ALICE`, :data:`BOTH` or :data:`BOB`) from the dark
+rates, the efficiencies and the polarizer pass probabilities
+(:data:`~bellgate.sources.NO_POLARIZERS` in luminosity runs).  Both
+photons of a pair share one arrival time, so a run is one time-ordered
+*tagged stream*, as a time tagger records it: entry times plus an
+``int8`` arm code per entry, bit 1 for Alice and bit 2 for Bob.  A dark
+count is an entry of one arm.  The coincidence matcher reproduces a
+counting card on that stream: two detections closer than the window form
+one coincidence, each detection used at most once, matched greedily in
+time order.  It counts in numpy: it cuts the stream at every gap of a
+window or more, counts an isolated entry as one coincidence when both
+arms fired, and runs the greedy sweep only over the rare clusters of two
+or more entries (see :func:`match_coincidences` for why that is exact).
+The same cut lets the runner count a long run slice by slice.  Dark and
+accidental coincidences are not injected anywhere; they emerge from the
+matcher like they do in hardware.
 """
 
 from __future__ import annotations
@@ -99,30 +99,40 @@ class CountRecord:
         )
 
 
-def detection_pattern(n: int, det: DetectorConfig, rng, joint, drawn_at: float):
-    """Arm codes of ``n`` pairs drawn at firing probability ``drawn_at``.
+def detection_pattern(
+    n: int, det: DetectorConfig, rng, joint, drawn_at: float, pair_rate: float, is_open
+):
+    """Arm codes of ``n`` entries of one stream of pairs and darks.
 
-    A pair passes the polarizers as pass-pass, pass-block or block-pass
-    with the probabilities in ``joint``, scalars or per-pair arrays (see
-    :meth:`DetectorConfig.fire_probability`), and each arm then keeps its
+    The stream's intensity is the sum of its parts': pairs at
+    ``pair_rate * drawn_at`` (in the dark rates' unit; with no darks the
+    scale cancels) where ``is_open``, a scalar or a per-entry mask, holds,
+    and each arm's darks.  By the marking theorem one uniform on
+    [0, intensity) per entry picks its part from intervals laid end to
+    end: Alice's darks, pairs that fire Alice only, both or Bob only,
+    Bob's darks, then pairs that fire nothing; a closed-set entry is a
+    dark.  A pair passes the polarizers with the probabilities in
+    ``joint`` (scalars or per-pair arrays, see
+    :meth:`DetectorConfig.fire_probability`) and each arm keeps its
     photon independently, so alice only, both and bob only have
     probabilities e_a(p_pb + p_pp(1-e_b)), e_a*e_b*p_pp and
     e_b(p_bp + p_pp(1-e_a)), which sum to the pair's own firing
-    probability q.  One uniform on [0, drawn_at) picks the pattern; when
-    ``drawn_at`` exceeds a pair's q (pairs of several models drawn at the
-    largest q), a uniform past q fires nothing.  With ``drawn_at`` equal
-    to q every pair fires one: ``random() <= 1 - 2**-53``, so the
-    rounded product stays below q.  Returns an ``int8`` array of
-    :data:`ALICE`, :data:`BOTH`, :data:`BOB`, or 0 for a pair that fires
-    nothing.
+    probability q; pairs drawn at a larger ``drawn_at`` (several models
+    drawn at the largest q) fire nothing past q.  With ``drawn_at`` equal
+    to q every entry fires: ``random() <= 1 - 2**-53`` keeps the rounded
+    product below the intensity.  Returns an ``int8`` array of
+    :data:`ALICE`, :data:`BOTH`, :data:`BOB`, or 0 for an entry that
+    fires nothing, which the counts skip.
     """
     e_a, e_b = det.efficiency_alice, det.efficiency_bob
+    d_a, d_b = det.dark_rate_alice, det.dark_rate_bob
     p_pp, p_pb, _ = joint
-    u = rng.random(n) * drawn_at
-    alice = u < e_a * (p_pp + p_pb)
-    bob = (u >= e_a * (p_pb + p_pp * (1.0 - e_b))) & (u < det.fire_probability(joint))
+    rate = np.where(is_open, pair_rate, 0.0)  # the pairs' scale per entry
+    u = rng.random(n) * (d_a + rate * drawn_at + d_b)
+    bob = u >= d_a + rate * (e_a * (p_pb + p_pp * (1.0 - e_b)))
+    bob &= u < d_a + rate * det.fire_probability(joint) + d_b
     arms = bob.view(np.int8) * np.int8(BOB)
-    arms |= alice.view(np.int8)
+    arms |= (u < d_a + rate * (e_a * (p_pp + p_pb))).view(np.int8)
     return arms
 
 
@@ -135,8 +145,8 @@ def thin_times(times, efficiency: float, rng) -> np.ndarray:
 
 
 def dark_times(rate: float, duration: float, rng) -> np.ndarray:
-    """Dark-count timestamps of a Poisson process on [0, duration), unsorted
-    (the runner sorts them once, with the tail it carries)."""
+    """Unsorted timestamps of a Poisson process on [0, duration): one arm's
+    darks drawn on their own (the runner draws them in its stream)."""
     if rate <= 0 or duration <= 0:
         return np.empty(0, dtype=float)
     n = int(rng.poisson(rate * duration))
@@ -192,7 +202,9 @@ def match_coincidences(times, arms, window: float) -> int:
     # (inf - inf) links, as the sweep would match the two entries.
     links = np.flatnonzero(~(np.diff(times) >= window))
     both = arms == BOTH
-    chained = np.union1d(links, links + 1)
+    # A mask, not np.union1d: that lazily imports numpy.ma on first use.
+    chained = np.zeros(times.size, dtype=bool)
+    chained[links] = chained[links + 1] = True
     alone = int(np.count_nonzero(both)) - int(np.count_nonzero(both[chained]))
     times, arms = times[chained], arms[chained]
     # Plain lists: much faster than ndarray scalar indexing.

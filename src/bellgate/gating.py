@@ -5,8 +5,9 @@ mirror, so the two photons of a pair reach their slits simultaneously,
 one fiber delay after emission, and are transmitted or blocked as a
 unit.  The gate is a top-hat in time: open for ``aperture_time`` at the
 start of every ``gate_period``.  :func:`sample_open_times` draws the
-arrivals of a Poisson process on the open set and returns them in time
-order, the order in which the runner counts them.
+times of a Poisson process with one intensity on the open set and a
+lower one on the closed set (pairs and darks, or darks alone) and
+returns them in time order, the order in which the runner counts them.
 """
 
 from __future__ import annotations
@@ -50,36 +51,48 @@ def gate_open(t, gate: GateState):
     return is_open
 
 
-def sample_open_times(rate: float, t0: float, t1: float, gate: GateState | None, rng):
-    """Times of a Poisson process of ``rate`` kept to the open part of [t0, t1).
+def sample_open_times(
+    rate: float, t0: float, t1: float, gate: GateState | None, rng, closed_rate: float = 0.0
+):
+    """Sorted times on [t0, t1) of a Poisson process of intensity ``rate``
+    while the gate is open and ``closed_rate`` (at most ``rate``) while
+    it is closed; ``gate=None`` (mirror stopped) opens the whole interval.
 
-    The count is Poisson over the exact open measure of the windows that
-    overlap the interval, each window at the edges weighted by the open
-    length inside it, and every time lies uniformly on that open set.
-    ``gate=None`` (mirror stopped) leaves the whole interval open.  The
-    times come back sorted, in place after the draws, so they are the
-    time-ordered stream a time tagger records; memory grows with the
-    number drawn, never with the number of windows.
+    The cumulative intensity over ``rate`` is a coordinate s that grows
+    by each window's aperture time, then by its closed time times
+    ``closed_rate / rate``.  One Poisson count over the measure of s on
+    the interval and uniforms on it, mapped back to time, give every time,
+    sorted in place and clipped to [t0, t1) against rounding; memory grows
+    with the number drawn, never with the number of windows.
     """
     if gate is None:
         n = int(rng.poisson(rate * (t1 - t0)))
         times = t0 + rng.random(n) * (t1 - t0)
-        times.sort()
-        return times
-    period, width = gate.gate_period, gate.aperture_time
-    # Window k opens at phase_offset + k*period.  Laying the windows from
-    # ``first`` to ``last`` end to end gives an open-time coordinate s in
-    # [0, n*width); the interval covers s in [s0, s1).
-    first = math.floor((t0 - gate.phase_offset) / period)
-    last = math.ceil((t1 - gate.phase_offset) / period) - 1
-    start = gate.phase_offset + first * period
-    last_start = gate.phase_offset + last * period
-    s0 = min(max(t0 - start, 0.0), width)
-    s1 = (last - first) * width + min(max(t1 - last_start, 0.0), width)
-    measure = max(s1 - s0, 0.0)
-    n = int(rng.poisson(rate * measure))
-    s = s0 + rng.random(n) * measure
-    window = np.floor(s / width)
-    times = start + window * period + (s - window * width)
+    else:
+        period, width = gate.gate_period, gate.aperture_time
+        shrink = closed_rate / rate if closed_rate > 0 else 0.0
+        span = width + shrink * (period - width)  # s per period
+        # Window k opens at phase_offset + k*period; s counts from the
+        # opening of window ``first``, and [t0, t1) covers s in [s0, s1).
+        first = math.floor((t0 - gate.phase_offset) / period)
+        last = math.ceil((t1 - gate.phase_offset) / period) - 1
+        start, last_start = (gate.phase_offset + k * period for k in (first, last))
+        s0, s1 = (
+            min(max(x, 0.0), width) + shrink * max(x - width, 0.0)
+            for x in (t0 - start, t1 - last_start)
+        )
+        measure = max((last - first) * span + s1 - s0, 0.0)
+        s = s0 + rng.random(int(rng.poisson(rate * measure))) * measure
+        window = s / span
+        np.floor(window, out=window)  # in place: fresh arrays cost page faults
+        s -= window * span  # s within its window
+        if shrink:  # closed time, stretched back
+            excess = s - width
+            np.maximum(excess, 0.0, out=excess)
+            excess *= 1.0 / shrink - 1.0
+            s += excess
+        times = start + window * period + s
     times.sort()
+    if times.size and not t0 <= times[0] <= times[-1] < t1:
+        np.clip(times, t0, np.nextafter(t1, t0), out=times)
     return times

@@ -10,36 +10,24 @@ A simulated experiment is two measurements, both always made:
 * :func:`run_degradation` -- polarizer-free luminosity runs (dark only,
   gate off, gate on) and the per-column with/without rotation ratios.
 
-A counting run draws only *firing* pairs: pairs that reach the slits
-while the gate is open and fire at least one detector.  The gate, the
-polarizer outcomes and the detector efficiencies are independent marks
-of the Poisson emission stream, and a Poisson process thinned by an
-independent mark is again Poisson (the marking theorem), so firing pairs
-are a Poisson process of rate ``pair_rate * q`` on the gate's open set,
-where ``q`` is the probability that a pair fires a detector
-(:meth:`~bellgate.detection.DetectorConfig.fire_probability` of the
-polarizer probabilities from :func:`~bellgate.sources.joint_probabilities`,
-or of :data:`~bellgate.sources.NO_POLARIZERS`, where it is
-``q = 1 - (1 - e_a)(1 - e_b)``).
-:func:`~bellgate.gating.sample_open_times` draws them and one
-:func:`~bellgate.detection.detection_pattern` call picks which detectors
-fire.  Gated ``TravelingInfluence`` pairs are drawn at the larger ``q``
-of its two models and each takes its pattern from the model its
-informed flag selects; the flag comes from
-:func:`~bellgate.causality.informed_emission_gate` and is computed for
-drawn pairs only.  At the reference bench's 1.6% duty cycle and 1-2%
-efficiencies about one emitted pair in 4000 fires a detector at a
-polarizer setting.
-
-Every run, the dark-only one included, is counted by :func:`_count`
-slice by slice on one time-ordered tagged stream, as a time tagger
-records it: each drawn pair is one entry, tagged with the arms it fired
-(both photons share its arrival time).  The sampler returns the
-arrivals sorted, so the pattern uniforms go to the pairs in time order;
-each slice's dark counts and the tail carried from the slice before are
-merged in, and the entries up to the last gap the rest of the run
-cannot bridge are matched, so memory stays bounded however long the
-run.
+A counting run draws one Poisson stream of pairs and darks per time
+slice, in detection time.  The gate, the polarizer outcomes and the
+detector efficiencies are independent marks of the emission stream, so
+the pairs that fire a detector are a Poisson process of rate
+``pair_rate * q`` on the gate's open set (the marking theorem), ``q``
+from :meth:`~bellgate.detection.DetectorConfig.fire_probability`; with
+each arm's darks they add up to one Poisson process (superposition).
+:func:`~bellgate.gating.sample_open_times` draws it sorted and
+:func:`~bellgate.detection.detection_pattern` marks each entry a pair or
+a dark and picks the detectors it fires, :func:`~bellgate.gating.gate_open`
+being the one test of an open slit.  Gated ``TravelingInfluence`` pairs
+are drawn at the larger ``q`` of its two models, each taking its pattern
+from the model its informed flag selects.  The dark-only run is the same
+draw with the source off.  :func:`_count` counts every run slice by
+slice on that tagged stream, as a time tagger records it: the tail
+carried from the slice before joins by concatenation, and the entries up
+to the last gap the rest of the run cannot bridge are matched, so memory
+stays bounded however long the run.
 
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
@@ -76,7 +64,7 @@ from .detection import (
     BOB,
     CountRecord,
     DetectorConfig,
-    dark_times,
+    dark_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.dark_times
     detection_pattern,
     match_coincidences,
     thin_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.thin_times
@@ -123,6 +111,8 @@ class RunPlan:
     geometry: GateGeometry = field(init=False, repr=False, compare=False)
     #: The gate of every gated run, checked against ``gate_phase`` once.
     gate: GateState = field(init=False, repr=False, compare=False)
+    #: The informed emission times of a ``TravelingInfluence`` model, or None.
+    informed_gate: GateState | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.rotation, bool):
@@ -139,6 +129,12 @@ class RunPlan:
         object.__setattr__(self, "geometry", geometry)
         # Every experiment includes a gated run; check its phase before any run.
         object.__setattr__(self, "gate", GateState.from_geometry(geometry, self.gate_phase))
+        if isinstance(self.model, TravelingInfluence):
+            # Refuses a speed too slow for its informed phase to be resolved.
+            informed_gate = informed_emission_gate(
+                self.gate, self.apparatus.fiber_length, self.model.influence_speed
+            )
+            object.__setattr__(self, "informed_gate", informed_gate)
         # A window as long as the gate period reaches into the next gate
         # opening and pairs detections that no single opening let through.
         if not self.detector.coincidence_window < geometry.gate_period:
@@ -210,11 +206,13 @@ def run_setting(
     rng,
     rotation: bool | None = None,
     polarized: bool = True,
+    source: bool = True,
 ) -> CountRecord:
     """One counting run at a fixed polarizer setting.
 
     ``polarized=False`` removes the polarizers from the path (luminosity
     and calibration runs): every photon pair continues to the gate.
+    ``source=False`` turns the source off, leaving the darks alone.
     """
     det = plan.detector
     delay = plan.geometry.fiber_delay
@@ -226,82 +224,52 @@ def run_setting(
     # mirror stopped the line of sight is permanent: every emission is
     # informed and a traveling model is its base model.
     joints = [NO_POLARIZERS]
-    informed_gate = None
     if polarized:
         models = [plan.model]
         if isinstance(plan.model, TravelingInfluence):
-            models = [plan.model.base]
-            if gate is not None:
-                models.append(plan.model.uninformed)
-                informed_gate = informed_emission_gate(
-                    gate, plan.apparatus.fiber_length, plan.model.influence_speed
-                )
+            models = [plan.model.base] + ([plan.model.uninformed] if gate is not None else [])
         joints = [joint_probabilities(model, alice_angle, bob_angle)[:3] for model in models]
     fire = max(det.fire_probability(joint) for joint in joints)
-    rate = plan.pair_rate * fire
+    pair_rate = plan.pair_rate if source else 0.0
+    darks = det.dark_rate_alice + det.dark_rate_bob
+    open_rate = pair_rate * fire + darks
 
     def draw(t0, t1):
-        arrivals = sample_open_times(rate, t0 + delay, t1 + delay, gate, rng)
-        if gate is not None:
-            # Keeps gate_open the one test of an open slit; the sampler's
-            # draws all pass it, and perfbench/trace_child.py counts the
-            # gated pairs through this call.
-            arrivals = arrivals[gate_open(arrivals, gate)]
+        times = sample_open_times(open_rate, t0 + delay, t1 + delay, gate, rng, darks)
+        # gate_open is the one test of an open slit; perfbench/trace_child.py
+        # counts the gated entries through this call.
+        is_open = True if gate is None else gate_open(times, gate)
         joint = joints[0]
-        if informed_gate is not None:
-            informed = gate_open(arrivals - delay, informed_gate)
+        if len(joints) > 1:
+            informed = gate_open(times - delay, plan.informed_gate)
             joint = [np.where(informed, p, r) for p, r in zip(*joints)]
-        arms = detection_pattern(arrivals.size, det, rng, joint, fire)
-        if informed_gate is not None:
-            # Pairs drawn above their own model's q fire nothing.
-            fired = arms.astype(bool)
-            return arrivals[fired], arms[fired]
-        return arrivals, arms
+        return times, detection_pattern(times.size, det, rng, joint, fire, pair_rate, is_open)
 
-    open_fraction = plan.geometry.duty_cycle if gate is not None else 1.0
-    return _count(draw, rate * open_fraction, det, plan.integration_time, rng)
+    event_rate = pair_rate * fire * (plan.geometry.duty_cycle if gate is not None else 1.0) + darks
+    return _count(draw, event_rate, det.coincidence_window, plan.integration_time)
 
 
-def _count(draw, draw_rate: float, det: DetectorConfig, duration: float, rng) -> CountRecord:
+def _count(draw, event_rate: float, window: float, duration: float) -> CountRecord:
     """Count one run of ``duration`` seconds slice by slice, like a counting card.
 
-    ``draw(t0, t1)`` returns the tagged stream ``(times, arms)``, sorted
-    by time, of the pairs emitted in [t0, t1), none detected earlier
-    than t0, and draws about ``draw_rate`` pairs per second;
-    ``draw=None`` counts darks only.  Each slice's dark counts (Alice's
-    first) and the tail carried from the slice before are merged into
-    the stream; singles are counted from the arm codes as entries
-    arrive.  Every later entry is at t1 or after, so the greedy count
-    splits at the last gap of at least a window that also lies a window
-    below t1 (see :func:`~bellgate.detection.match_coincidences`): the
-    entries before it are matched now, the rest are carried.
+    ``draw(t0, t1)`` returns a tagged stream ``(times, arms)``, sorted by
+    time and detected in [t0 + delay, t1 + delay) for a fixed delay >= 0,
+    of about ``event_rate`` entries per second.  The tail carried from
+    the slice before is earlier than every new entry, so it joins by
+    concatenation; singles are counted from the arm codes.  Every later
+    entry is at t1 or after, so the greedy count splits at the last gap
+    of at least a window that also lies a window below t1 (see
+    :func:`~bellgate.detection.match_coincidences`): the entries before
+    it are matched now, the rest are carried.
     """
-    window = det.coincidence_window
-    no_times, no_arms = np.empty(0), np.empty(0, dtype=np.int8)
-    tail_times, tail_arms = no_times, no_arms
+    tail_times, tail_arms = np.empty(0), np.empty(0, dtype=np.int8)
     singles_alice = singles_bob = coincidences = 0
-    event_rate = draw_rate + det.dark_rate_alice + det.dark_rate_bob
     for t0, t1 in _time_slices(duration, event_rate):
-        times, arms = draw(t0, t1) if draw is not None else (no_times, no_arms)
-        dark_alice = t0 + dark_times(det.dark_rate_alice, t1 - t0, rng)
-        dark_bob = t0 + dark_times(det.dark_rate_bob, t1 - t0, rng)
-        singles_alice += dark_alice.size + int(np.count_nonzero(arms & ALICE))
-        singles_bob += dark_bob.size + int(np.count_nonzero(arms & BOB))
-        # The draws, the tail and each arm's darks are sorted runs, which
-        # one stable sort merges in linear time.
-        dark_alice.sort()
-        dark_bob.sort()
-        times = np.concatenate([times, tail_times, dark_alice, dark_bob])
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        arms = np.concatenate(
-            [
-                arms,
-                tail_arms,
-                np.full(dark_alice.size, ALICE, dtype=np.int8),
-                np.full(dark_bob.size, BOB, dtype=np.int8),
-            ]
-        )[order]
+        times, arms = draw(t0, t1)
+        singles_alice += int(np.count_nonzero(arms & ALICE))
+        singles_bob += int(np.count_nonzero(arms & BOB))
+        times = np.concatenate([tail_times, times])
+        arms = np.concatenate([tail_arms, arms])
         i = _settled(times, t1, window)
         coincidences += match_coincidences(times[:i], arms[:i], window)
         tail_times, tail_arms = times[i:], arms[i:]
@@ -363,10 +331,10 @@ def run_degradation(plan: RunPlan) -> tuple[list[CountRecord], DegradationResult
     Returns the three records in :data:`DEGRADATION_LABELS` order plus
     the dark-subtracted with/without rotation ratios.
     """
-    dark_rng = np.random.default_rng(derive_seed(plan.seed, "degradation", "dark"))
-    records = [_count(None, 0.0, plan.detector, plan.integration_time, dark_rng)]
-    for label, rotation in (("no_rotation", False), ("with_rotation", True)):
+    records = []
+    for label in DEGRADATION_LABELS:
         rng = np.random.default_rng(derive_seed(plan.seed, "degradation", label))
-        records.append(run_setting(plan, 0.0, 0.0, rng, rotation=rotation, polarized=False))
+        source, gated = label != "dark", label == "with_rotation"
+        records.append(run_setting(plan, 0.0, 0.0, rng, gated, polarized=False, source=source))
     ratios = degradation_ratio(records[2], records[1], records[0])
     return records, ratios

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -518,6 +522,47 @@ def test_causality_refuses_speeds_too_slow_to_resolve(capsys, speed, status):
         assert captured.err.count("\n") == 1
     else:
         assert "pass_fraction" in captured.out
+
+
+@pytest.mark.parametrize("speed, status", [(1e-8, 1), (1e-320, 1), (0.05, 0)])
+def test_simulate_refuses_influence_speeds_too_slow_to_resolve(tmp_path, capsys, speed, status):
+    # At 1e-320 m/s the transit overflows to inf and the informed phase
+    # was NaN; at 1e-8 m/s it was rounding noise of a 2e10 s transit.
+    # Both once ran as pure uninformed statistics and exited 0.
+    model = {
+        "name": "traveling",
+        "influence_speed": speed,
+        "base": {"name": "quantum"},
+        "uninformed": {"name": "malus"},
+    }
+    body = dict(TINY_CONFIG, model=model, run=dict(TINY_CONFIG["run"], rotation=True))
+    config, out = write_config(tmp_path, body), tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == status
+    captured = capsys.readouterr()
+    if status:
+        assert captured.err == (
+            f"error: influence speed {speed!r} m/s is too slow: "
+            "float precision cannot resolve its informed window\n"
+        )
+        assert not out.exists()
+    else:
+        assert (out / "results.json").is_file()
+
+
+def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
+    # numpy.ma (and the inspect module it pulls in) once cost 10-15 ms of
+    # every simulate: np.union1d in the matcher imports it on first use.
+    code = (
+        "import sys\n"
+        "from bellgate.cli import main\n"
+        f"assert main(['simulate', '--config', {str(write_config(tmp_path))!r},"
+        f" '--out', {str(tmp_path / 'o')!r}]) == 0\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_causality_invalid_speed(capsys):

@@ -16,7 +16,8 @@ from bellgate.detection import (
     thin_times,
     write_count_records,
 )
-from bellgate.runner import _count
+from bellgate.apparatus import ApparatusConfig
+from bellgate.runner import RunPlan, _count, run_setting
 from bellgate.sources import (
     NO_POLARIZERS,
     MalusLHV,
@@ -93,7 +94,7 @@ def test_detection_pattern_is_conditioned_on_a_detection():
     k = det.fire_probability(NO_POLARIZERS)
     assert k == pytest.approx(0.7)
     n = 200_000
-    arms = detection_pattern(n, det, np.random.default_rng(8), NO_POLARIZERS, k)
+    arms = detection_pattern(n, det, np.random.default_rng(8), NO_POLARIZERS, k, 1.0, True)
     assert arms.dtype == np.int8
     *observed, none = pattern_counts(arms)
     assert none == 0
@@ -136,7 +137,9 @@ def test_firing_pattern_frequencies_match_closed_form(name):
     fire = PATTERN_DETECTOR.fire_probability(joint)
     assert fire == pytest.approx(expected.sum(), rel=1e-12)
     n = 400_000
-    arms = detection_pattern(n, PATTERN_DETECTOR, np.random.default_rng(21), joint, fire)
+    arms = detection_pattern(
+        n, PATTERN_DETECTOR, np.random.default_rng(21), joint, fire, 1.0, True
+    )
     *observed, none = pattern_counts(arms)
     assert none == 0
     _assert_binomial_within_4_sigma(observed, n, expected / expected.sum())
@@ -153,7 +156,7 @@ def test_traveling_firing_pattern_frequencies_per_flag(informed):
     flags = np.arange(n) % 3 == 0
     per_pair = [np.where(flags, p, r) for p, r in zip(joints[True], joints[False])]
     rng = np.random.default_rng(22)
-    arms = detection_pattern(n, PATTERN_DETECTOR, rng, per_pair, drawn_at)
+    arms = detection_pattern(n, PATTERN_DETECTOR, rng, per_pair, drawn_at, 1.0, True)
     group = flags == informed
     expected = _pattern_probabilities(COS45 if informed else 0.5 * COS45) / drawn_at
     observed = pattern_counts(arms[group])
@@ -163,7 +166,7 @@ def test_traveling_firing_pattern_frequencies_per_flag(informed):
 def test_perfect_detector_is_identity():
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
     rng = np.random.default_rng(4)
-    assert np.all(detection_pattern(1000, det, rng, NO_POLARIZERS, 1.0) == BOTH)
+    assert np.all(detection_pattern(1000, det, rng, NO_POLARIZERS, 1.0, 1.0, True) == BOTH)
     times = np.sort(np.random.default_rng(2).random(1000))
     assert np.array_equal(thin_times(times, 1.0, rng), times)
 
@@ -366,28 +369,32 @@ def test_doubling_duration_doubles_counts():
 
 
 def test_count_run_summary():
-    # the runner's last step: merge in darks, match
-    det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
+    # the runner's last step: join the carried tail to each slice's draws, match
+    window = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0).coincidence_window
     times = np.sort(np.random.default_rng(11).random(500))  # sorted, as the runner's draws are
 
     def draw(t0, t1):
         kept = times[(times >= t0) & (times < t1)]
         return kept, np.full(kept.size, BOTH, dtype=np.int8)
 
-    record = _count(draw, 500.0, det, 1.0, np.random.default_rng(12))
+    record = _count(draw, 500.0, window, 1.0)
     assert record == CountRecord(500, 500, 500, 1.0)  # identical timestamps always match
-    darks = DetectorConfig(
-        efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=1300.0, dark_rate_bob=600.0
-    )
+    # Darks only, drawn in the slice as the runner's draws bring them.
     rng = np.random.default_rng(13)
-    record = _count(None, 0.0, darks, 2.0, rng)
+
+    def dark_draw(t0, t1):
+        alice = t0 + dark_times(1300.0, t1 - t0, rng)
+        bob = t0 + dark_times(600.0, t1 - t0, rng)
+        return tag_arms(alice, bob)
+
+    record = _count(dark_draw, 1900.0, window, 2.0)
     check = np.random.default_rng(13)
     alice = dark_times(1300.0, 2.0, check)
     bob = dark_times(600.0, 2.0, check)
     assert record == CountRecord(
         alice.size,
         bob.size,
-        match_coincidences(*tag_arms(alice, bob), darks.coincidence_window),
+        match_coincidences(*tag_arms(alice, bob), window),
         2.0,
     )
 
@@ -397,7 +404,10 @@ def test_dark_only_run_over_many_slices_has_the_accidental_rate():
     det = DetectorConfig(
         efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=1e5, dark_rate_bob=1e5
     )
-    record = _count(None, 0.0, det, 3.0, np.random.default_rng(14))
+    plan = RunPlan(ApparatusConfig(), det, MalusLHV(), pair_rate=1.0, integration_time=3.0)
+    record = run_setting(
+        plan, 0.0, 0.0, np.random.default_rng(14), rotation=False, polarized=False, source=False
+    )
     for singles in (record.singles_alice, record.singles_bob):
         assert abs(singles - 3e5) < 4 * math.sqrt(3e5)
     accidentals = 2 * det.coincidence_window * 1e5 * 1e5 * 3.0  # 1200

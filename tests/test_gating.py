@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bellgate.apparatus import GateGeometry, ValidationError
-from bellgate.detection import DetectorConfig
+from bellgate.apparatus import ApparatusConfig, GateGeometry, ValidationError
+from bellgate.detection import ALICE, BOB, BOTH, DetectorConfig, detection_pattern
 from bellgate.gating import GateState, gate_open, sample_open_times
 from bellgate.runner import RunPlan, run_setting
 from bellgate.sources import NO_POLARIZERS, QuantumState
@@ -223,3 +224,118 @@ def test_stopped_mirror_opens_the_whole_interval():
         assert np.all((times >= t0) & (times < t1))
         total += times.size
     assert abs(total - 1e5) <= 4 * math.sqrt(1e5)
+
+
+# ---------------------------------------------------------------------------
+# Pairs and darks drawn as one marked stream
+
+LOSSLESS_DARK = DetectorConfig(
+    efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=3e4, dark_rate_bob=1e4
+)
+
+
+def _marked_stream(pair_rate, t0, t1, gate, rng, det=LOSSLESS_DARK, joint=NO_POLARIZERS):
+    """The runner's draw: one sampler call and one mark per entry."""
+    darks = det.dark_rate_alice + det.dark_rate_bob
+    fire = det.fire_probability(joint)
+    times = sample_open_times(pair_rate * fire + darks, t0, t1, gate, rng, darks)
+    is_open = True if gate is None else gate_open(times, gate)
+    arms = detection_pattern(times.size, det, rng, joint, fire, pair_rate, is_open)
+    return times, is_open, arms
+
+
+@pytest.mark.parametrize("t0, t1", RANGES)
+def test_marked_stream_parts_match_their_poisson_means(t0, t1):
+    # Lossless detectors without polarizers: a pair fires both arms, a
+    # dark one, so each part of the stream on each set is countable.
+    gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    open_measure = _open_measure(t0, t1, gate)
+    closed_measure = (t1 - t0) - open_measure
+    pair_rate = 4000.0 / max(open_measure, T_ON)
+    counts = np.zeros((2, 3))  # [closed, open] x [alice, bob, both]
+    seeds = 40
+    for seed in range(seeds):
+        _, is_open, arms = _marked_stream(pair_rate, t0, t1, gate, np.random.default_rng(seed))
+        for k, code in enumerate((ALICE, BOB, BOTH)):
+            counts[0, k] += np.count_nonzero(~is_open & (arms == code))
+            counts[1, k] += np.count_nonzero(is_open & (arms == code))
+        assert np.all(arms != 0)  # every entry fires a detector
+    d_a, d_b = LOSSLESS_DARK.dark_rate_alice, LOSSLESS_DARK.dark_rate_bob
+    expected = seeds * np.array(
+        [
+            [d_a * closed_measure, d_b * closed_measure, 0.0],
+            [d_a * open_measure, d_b * open_measure, pair_rate * open_measure],
+        ]
+    )
+    assert counts[0, 2] == 0  # the closed set holds darks only
+    assert np.all(np.abs(counts - expected) <= 4 * np.sqrt(np.maximum(expected, 1.0))), counts
+
+
+@pytest.mark.parametrize("t0, t1", RANGES)
+def test_marked_stream_is_sorted_and_inside_the_slice(t0, t1):
+    gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    pair_rate = 2000.0 / max(_open_measure(t0, t1, gate), T_ON)
+    for seed in range(10):
+        times, is_open, arms = _marked_stream(pair_rate, t0, t1, gate, np.random.default_rng(seed))
+        assert np.all(times[1:] >= times[:-1])
+        assert np.all((times >= t0) & (times < t1))
+        assert np.all(is_open[arms == BOTH])  # every pair passes the gate
+
+
+def test_closed_rate_alone_is_uniform_across_the_gate():
+    # q = 0 with darks: the open and closed sets draw at one rate.
+    t0, t1 = RANGES[0]
+    gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    total = 0
+    open_count = 0
+    for seed in range(20):
+        times = sample_open_times(2e7, t0, t1, gate, np.random.default_rng(seed), 2e7)
+        total += times.size
+        open_count += np.count_nonzero(gate_open(times, gate))
+    expected = 20 * 2e7 * (t1 - t0)
+    assert abs(total - expected) <= 4 * math.sqrt(expected)
+    share = _open_measure(t0, t1, gate) / (t1 - t0)
+    assert abs(open_count - share * total) <= 4 * math.sqrt(share * (1 - share) * total)
+
+
+@pytest.mark.parametrize(
+    "pair_rate, joint, darks",
+    [
+        (5e5, NO_POLARIZERS, 0.0),  # no darks
+        (5e5, (0.0, 0.0, 0.0), 5e5),  # q = 0
+        (0.0, NO_POLARIZERS, 5e5),  # dark only
+        (0.0, NO_POLARIZERS, 0.0),  # nothing at all
+    ],
+)
+@pytest.mark.parametrize("gated", [True, False])
+def test_zero_rate_edges_raise_no_warning(pair_rate, joint, darks, gated):
+    gate = GateState(GATE_PERIOD, T_ON, PHASE) if gated else None
+    det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=darks)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rng = np.random.default_rng(3)
+        times, _, arms = _marked_stream(pair_rate, 0.0, 0.01, gate, rng, det, joint)
+    assert np.all(arms != 0)  # no part is drawn past its own firing probability
+    expected = 0.01 * (darks + pair_rate * det.fire_probability(joint) * (DUTY if gated else 1.0))
+    assert abs(times.size - expected) <= 4 * math.sqrt(max(expected, 1.0))
+
+
+@pytest.mark.parametrize("darks", [0.0, 2e4])
+@pytest.mark.parametrize("rotation", [False, True])
+def test_dark_only_run_raises_no_warning(darks, rotation):
+    detector = DetectorConfig(
+        efficiency_alice=0.3, efficiency_bob=0.3, dark_rate_alice=darks, dark_rate_bob=darks / 2
+    )
+    plan = RunPlan(
+        apparatus=ApparatusConfig(),
+        detector=detector,
+        model=QuantumState(),
+        pair_rate=1e5,
+        integration_time=0.5,
+    )
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rng = np.random.default_rng(4)
+        record = run_setting(plan, 0.0, 0.0, rng, rotation, polarized=False, source=False)
+    for singles, rate in ((record.singles_alice, darks), (record.singles_bob, darks / 2)):
+        assert abs(singles - 0.5 * rate) <= 4 * math.sqrt(max(0.5 * rate, 1.0))

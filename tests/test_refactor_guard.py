@@ -22,21 +22,21 @@ from bellgate.cli import main
 from bellgate.fixtures import fixture_path
 
 SIMULATE_DIGESTS = {
-    "results.json": "df28ebd34151f5327890e6c2b6f9f180ae77b01c1826c5906cca0c9f8aa67cd8",
-    "chsh_counts.csv": "80fdf900549935920b12ab777e165dc60cd5c8a9580ff8ca6d11b8cc1b13922e",
-    "degradation.csv": "e75f5c92d16f3b66e7b6e4e2caebe3cb1b0299fd2253fbe5e0381468400e8803",
+    "results.json": "b3b1cd584f83e4af6dc5e4318461dbf0117906a3873b8d3cd17c129c9245a20e",
+    "chsh_counts.csv": "ac37c6032515e593d85d51562e8a97f9928bfe292d2dbbfbde29aceb67540983",
+    "degradation.csv": "983bba1f8f51b202458da5c1b50be912045a54fd95c6e0d16b9e5c06126d318f",
 }
 
 ROTATION_OFF_DIGESTS = {
-    "results.json": "df7e5f97ca288c4862794cf8aff6bc0fb5162012afa3e88347c9d20a85da3ad0",
-    "chsh_counts.csv": "02a4d3f7ad285ea26a7e36b819663af2069e63d89a0891377f355de74b56ff0d",
-    "degradation.csv": "e75f5c92d16f3b66e7b6e4e2caebe3cb1b0299fd2253fbe5e0381468400e8803",
+    "results.json": "1c3f9609182e5c8513c0ae5f645709c6f881a93caa49bfba4a4f88b3cc6e8ee8",
+    "chsh_counts.csv": "058e3f5843f39cd5f1d61148dfcc90bc50d8b18d94e5093974945e428c748d72",
+    "degradation.csv": "983bba1f8f51b202458da5c1b50be912045a54fd95c6e0d16b9e5c06126d318f",
 }
 
 TRAVELING_DIGESTS = {
-    "results.json": "1be97b189f85d8f6841aa108a3e0024479440271a80bc50e15157faff73731ad",
-    "chsh_counts.csv": "b32056b78e1e25b61ca7bbc9861bf77cd6cd07c14c8046b9c1589c0b5b89cfcd",
-    "degradation.csv": "e75f5c92d16f3b66e7b6e4e2caebe3cb1b0299fd2253fbe5e0381468400e8803",
+    "results.json": "86c86d2316a30a61bf3f9af8b7fa3e998a305388dd3f255672cb267d3712c360",
+    "chsh_counts.csv": "9f1c91bcc2dd039fac4cc227b947c17635ad55600393a1784b090dfb5a824fea",
+    "degradation.csv": "983bba1f8f51b202458da5c1b50be912045a54fd95c6e0d16b9e5c06126d318f",
 }
 
 ANALYZE_DIGESTS = {

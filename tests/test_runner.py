@@ -187,37 +187,37 @@ def _streamed_equals_whole(times, arms, window, delay=0.0, rate=FOUR_SLICES, dar
     """_count over a fixed tagged stream, each entry drawn in the slice
     where it was emitted (``delay`` before it is detected), against one
     match_coincidences over the whole stream.  ``darks`` are the (alice,
-    bob) dark rates; the whole stream replays each slice's darks from a
-    twin generator.  Slices hold ``rate`` events per second, darks
-    included."""
-    det = DetectorConfig(
-        efficiency_alice=1.0,
-        efficiency_bob=1.0,
-        dark_rate_alice=darks[0],
-        dark_rate_bob=darks[1],
-        coincidence_window=window,
-    )
+    bob) dark rates: each slice's draw adds its own darks, detected in
+    the same delayed slice, and the whole stream holds every draw.
+    Slices hold ``rate`` events per second, darks included."""
     order = np.argsort(times, kind="stable")
     times, arms = np.asarray(times, dtype=float)[order], np.asarray(arms, dtype=np.int8)[order]
+    rng = np.random.default_rng(0)
+    drawn = []
 
     def draw(t0, t1):
         emitted = (times - delay >= t0) & (times - delay < t1)
-        return times[emitted], arms[emitted]
-
-    record = _count(draw, rate - sum(darks), det, 1.0, np.random.default_rng(0))
-    twin = np.random.default_rng(0)
-    all_times, all_arms = [times], [arms]
-    for t0, t1 in _time_slices(1.0, rate):
+        parts = [(times[emitted], arms[emitted])]
         for dark_rate, arm in zip(darks, (ALICE, BOB)):
-            dark = t0 + dark_times(dark_rate, t1 - t0, twin)
-            all_times.append(dark)
-            all_arms.append(np.full(dark.size, arm, dtype=np.int8))
-    all_times, all_arms = np.concatenate(all_times), np.concatenate(all_arms)
-    order = np.argsort(all_times, kind="stable")
-    whole = match_coincidences(all_times[order], all_arms[order], window)
+            dark = t0 + delay + dark_times(dark_rate, t1 - t0, rng)
+            parts.append((dark, np.full(dark.size, arm, dtype=np.int8)))
+        drawn.extend(parts)
+        return tag_parts(parts)
+
+    record = _count(draw, rate, window, 1.0)
+    all_times, all_arms = tag_parts(drawn)
+    whole = match_coincidences(all_times, all_arms, window)
     singles = [np.count_nonzero(all_arms & arm) for arm in (ALICE, BOB)]
     assert record == CountRecord(*singles, whole, 1.0)
     return whole
+
+
+def tag_parts(parts):
+    """One time-ordered tagged stream of (times, arms) parts."""
+    times = np.concatenate([t for t, _ in parts])
+    arms = np.concatenate([a for _, a in parts])
+    order = np.argsort(times, kind="stable")
+    return times[order], arms[order]
 
 
 def _clusters(rng, centers, size, spacing):
@@ -235,8 +235,12 @@ def test_time_slices_with_no_events_make_one_slice():
 
 
 def test_dark_only_run_without_darks_counts_nothing():
-    record = _count(None, 0.0, PERFECT, 5.0, np.random.default_rng(1))
-    assert record == CountRecord(0, 0, 0, 5.0)
+    plan = quick_plan(MalusLHV(), integration_time=5.0)
+    for rotation in (False, True):
+        record = run_setting(
+            plan, 0.0, 0.0, np.random.default_rng(1), rotation, polarized=False, source=False
+        )
+        assert record == CountRecord(0, 0, 0, 5.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
