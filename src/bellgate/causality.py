@@ -4,8 +4,8 @@ Suppose something leaves the slit the moment a gate window opens,
 travels back down the fiber at speed v (possibly instantaneous), and
 makes the source emit "informed" pairs for as long as the line of sight
 stays open.  Those pairs still have to cover the fiber to reach the
-slit.  :func:`informed_emission_gate` gives the periodic pattern of
-informed emission times, the one the runner flags simulated pairs with.
+slit.  :func:`informed_slit_gate` gives the periodic pattern of informed
+slit arrival times, the one the runner flags simulated pairs with.
 :func:`influence_window_analysis` computes the informed photons'
 arrival interval and how much of it overlaps *any* periodic gate
 window; a pass fraction of zero means no photon carrying information
@@ -90,16 +90,17 @@ def check_resolvable(time: float, aperture_time: float, influence_speed: float) 
         )
 
 
-def informed_emission_gate(
-    gate: GateState, fiber_length: float, influence_speed: float
+def informed_slit_gate(
+    gate: GateState, fiber_length: float, influence_speed: float, fiber_delay: float
 ) -> GateState:
-    """The emission times that are informed: ``gate_open(t, result)``.
+    """The slit arrival times of informed pairs: ``gate_open(t, result)``.
 
-    An emission at t is informed iff the slit was in view one influence
-    transit earlier, so the informed pattern is ``gate`` delayed by that
-    transit, its phase taken modulo the gate period once it is resolved.
+    An emission is informed iff the slit was in view one influence transit
+    earlier, and its photons reach the slit one ``fiber_delay`` later, so
+    the informed pattern is ``gate`` delayed by both, its phase taken
+    modulo the gate period once it is resolved.
     """
-    delayed = gate.phase_offset + _influence_transit(fiber_length, influence_speed)
+    delayed = gate.phase_offset + _influence_transit(fiber_length, influence_speed) + fiber_delay
     check_resolvable(delayed, gate.aperture_time, influence_speed)
     return replace(gate, phase_offset=delayed % gate.gate_period)
 
@@ -118,7 +119,7 @@ def influence_window_analysis(
     photons then need fiber_length/photon_speed to come back.  The pass
     fraction is the part of their arrival interval that lands inside any
     open window.  The arrival at the source is the transit of
-    :func:`informed_emission_gate`, not reduced modulo the gate period,
+    :func:`informed_slit_gate`, not reduced modulo the gate period,
     because the window index and the margin depend on it.  A speed too
     slow for the arrival window to be resolved is refused
     (:func:`check_resolvable`).

@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .analysis import (
     CHSH_SETTINGS,
@@ -62,18 +63,75 @@ def _load(args) -> dict:
     return apply_overrides(cfg, args.set or [])
 
 
-def _speed_json(speed: float):
-    return "instant" if math.isinf(speed) else speed
+class _Field(NamedTuple):
+    """One reported quantity: text label, JSON key, record attribute, text form."""
+
+    label: str
+    key: str
+    attr: str
+    text: Callable[..., str]
+
+
+_SECONDS = "{:.6e} s".format
+_INTERVAL = "[{0[0]:.6e}, {0[1]:.6e}] s".format
+
+GEOMETRY_FIELDS = (
+    _Field("aperture_time", "aperture_time_s", "aperture_time", _SECONDS),
+    _Field("duty_cycle", "duty_cycle", "duty_cycle", "{:.6f}".format),
+    _Field("gate_period", "gate_period_s", "gate_period", _SECONDS),
+    _Field("fiber_delay", "fiber_delay_s", "fiber_delay", _SECONDS),
+    _Field("flight_distance", "flight_distance_m", "flight_distance_during_gate",
+           "{:.4f} m".format),
+)
+
+CAUSALITY_FIELDS = (
+    _Field("influence_speed", "influence_speed_m_per_s", "influence_speed",
+           lambda v: "instantaneous" if math.isinf(v) else f"{v:.6e} m/s"),
+    _Field("arrival_at_source", "arrival_at_source_s", "influence_arrival_at_source", _SECONDS),
+    _Field("informed_emissions", "informed_emission_window_s", "informed_emission_window",
+           _INTERVAL),
+    _Field("informed_slit_arrivals", "informed_arrival_window_s",
+           "informed_arrival_window_at_slit", _INTERVAL),
+    _Field("earliest_open_window", "earliest_open_window", "earliest_open_overlap",
+           lambda k: "none" if k is None else str(k)),
+    _Field("pass_fraction", "pass_fraction", "pass_fraction", "{:.6f}".format),
+    _Field("isolation_margin", "isolation_margin_s", "isolation_margin", _SECONDS),
+)
+
+SWEEP_FIELDS = (
+    _Field("window", "window_index", "window_index", str),
+    _Field("low (m/s)", "low_m_per_s", "low", "{:.4e}".format),
+    _Field("high (m/s)", "high_m_per_s", "high", "{:.4e}".format),
+    _Field("center (m/s)", "center_m_per_s", "center", "{:.4e}".format),
+)
+
+
+def _json(fields, record) -> dict:
+    """The record as JSON values; an infinite speed reads "instant", as ``--speed`` does."""
+    values = (getattr(record, f.attr) for f in fields)
+    return {f.key: "instant" if v == math.inf else v for f, v in zip(fields, values)}
+
+
+def _lines(fields, record, width: int) -> list[str]:
+    return [f"{f.label:<{width}}{f.text(getattr(record, f.attr))}" for f in fields]
+
+
+def _table(fields, records) -> list[str]:
+    """Header and rows: the first column left-aligned in 8 characters, the rest right in 14."""
+    rows = [[f.label for f in fields]]
+    rows += [[f.text(getattr(r, f.attr)) for f in fields] for r in records]
+    return [f"{first:<8}" + "".join(f"{cell:>14}" for cell in rest) for first, *rest in rows]
+
+
+def _apparatus(args):
+    """Validated apparatus from the config, and its gate geometry."""
+    apparatus = validate_config(build_apparatus(_load(args)))
+    return apparatus, gate_geometry(apparatus)
 
 
 def cmd_geometry(args) -> int:
-    cfg = _load(args)
-    geometry = gate_geometry(validate_config(build_apparatus(cfg)))
-    print(f"{'aperture_time':<22}{geometry.aperture_time:.6e} s")
-    print(f"{'duty_cycle':<22}{geometry.duty_cycle:.6f}")
-    print(f"{'gate_period':<22}{geometry.gate_period:.6e} s")
-    print(f"{'fiber_delay':<22}{geometry.fiber_delay:.6e} s")
-    print(f"{'flight_distance':<22}{geometry.flight_distance_during_gate:.4f} m")
+    _, geometry = _apparatus(args)
+    print("\n".join(_lines(GEOMETRY_FIELDS, geometry, 22)))
     return 0
 
 
@@ -106,18 +164,11 @@ def cmd_simulate(args) -> int:
     table, result = run_chsh(plan)
     write_table_csv(table, out / "chsh_counts.csv")
 
-    geometry = plan.geometry
     report = {
         "config": cfg,
         "seed": plan.seed,
         "rotation": plan.rotation,
-        "geometry": {
-            "aperture_time_s": geometry.aperture_time,
-            "duty_cycle": geometry.duty_cycle,
-            "gate_period_s": geometry.gate_period,
-            "fiber_delay_s": geometry.fiber_delay,
-            "flight_distance_m": geometry.flight_distance_during_gate,
-        },
+        "geometry": _json(GEOMETRY_FIELDS, plan.geometry),
         "degradation": {
             "records": {
                 label: _record_json(rec)
@@ -145,32 +196,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _report_lines(report) -> list[str]:
-    speed = (
-        "instantaneous"
-        if math.isinf(report.influence_speed)
-        else f"{report.influence_speed:.6e} m/s"
-    )
-    win = report.informed_arrival_window_at_slit
-    emi = report.informed_emission_window
-    overlap = (
-        "none" if report.earliest_open_overlap is None else str(report.earliest_open_overlap)
-    )
-    return [
-        f"{'influence_speed':<28}{speed}",
-        f"{'arrival_at_source':<28}{report.influence_arrival_at_source:.6e} s",
-        f"{'informed_emissions':<28}[{emi[0]:.6e}, {emi[1]:.6e}] s",
-        f"{'informed_slit_arrivals':<28}[{win[0]:.6e}, {win[1]:.6e}] s",
-        f"{'earliest_open_window':<28}{overlap}",
-        f"{'pass_fraction':<28}{report.pass_fraction:.6f}",
-        f"{'isolation_margin':<28}{report.isolation_margin:.6e} s",
-    ]
-
-
 def cmd_causality(args) -> int:
-    cfg = _load(args)
-    apparatus = validate_config(build_apparatus(cfg))
-    geometry = gate_geometry(apparatus)
+    apparatus, geometry = _apparatus(args)
     photon_speed = apparatus.vacuum_light_speed / apparatus.fiber_group_index
 
     if args.sweep:
@@ -178,51 +205,19 @@ def cmd_causality(args) -> int:
             geometry, apparatus.fiber_length, photon_speed, args.max_windows
         )
         if args.json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "window_index": iv.window_index,
-                            "low_m_per_s": iv.low,
-                            "high_m_per_s": _speed_json(iv.high),
-                            "center_m_per_s": _speed_json(iv.center),
-                        }
-                        for iv in intervals
-                    ],
-                    indent=2,
-                )
-            )
+            print(json.dumps([_json(SWEEP_FIELDS, iv) for iv in intervals], indent=2))
         else:
-            print(f"{'window':<8}{'low (m/s)':>14}{'high (m/s)':>14}{'center (m/s)':>14}")
-            for iv in intervals:
-                print(
-                    f"{iv.window_index:<8}{iv.low:>14.4e}{iv.high:>14.4e}{iv.center:>14.4e}"
-                )
+            print("\n".join(_table(SWEEP_FIELDS, intervals)))
             if not intervals:
                 print("no resonant speeds within the requested windows")
         return 0
 
     speed = parse_speed(args.speed if args.speed is not None else "instant")
-    report = influence_window_analysis(
-        geometry, apparatus.fiber_length, speed, photon_speed
-    )
+    report = influence_window_analysis(geometry, apparatus.fiber_length, speed, photon_speed)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "influence_speed_m_per_s": _speed_json(report.influence_speed),
-                    "arrival_at_source_s": report.influence_arrival_at_source,
-                    "informed_emission_window_s": list(report.informed_emission_window),
-                    "informed_arrival_window_s": list(report.informed_arrival_window_at_slit),
-                    "earliest_open_window": report.earliest_open_overlap,
-                    "pass_fraction": report.pass_fraction,
-                    "isolation_margin_s": report.isolation_margin,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(_json(CAUSALITY_FIELDS, report), indent=2))
     else:
-        print("\n".join(_report_lines(report)))
+        print("\n".join(_lines(CAUSALITY_FIELDS, report, 28)))
     return 0
 
 

@@ -43,8 +43,10 @@ def gate_open(t, gate: GateState):
 
     Accepts a scalar or an array; the window is the half-open interval
     [0, aperture_time) within each period, measured from ``phase_offset``.
+    A time within a few float steps of a window edge may fall either side.
     """
-    rem = np.mod(np.asarray(t, dtype=float) - gate.phase_offset, gate.gate_period)
+    rem = np.asarray(t, dtype=float) - gate.phase_offset
+    rem -= np.floor(rem / gate.gate_period) * gate.gate_period  # np.mod is several times slower
     is_open = rem < gate.aperture_time
     if np.ndim(t) == 0:
         return bool(is_open)

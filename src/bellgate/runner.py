@@ -22,12 +22,13 @@ each arm's darks they add up to one Poisson process (superposition).
 a dark and picks the detectors it fires, :func:`~bellgate.gating.gate_open`
 being the one test of an open slit.  Gated ``TravelingInfluence`` pairs
 are drawn at the larger ``q`` of its two models, each taking its pattern
-from the model its informed flag selects.  The dark-only run is the same
-draw with the source off.  :func:`_count` counts every run slice by
-slice on that tagged stream, as a time tagger records it: the tail
-carried from the slice before joins by concatenation, and the entries up
-to the last gap the rest of the run cannot bridge are matched, so memory
-stays bounded however long the run.
+from the model its informed flag selects: ``gate_open`` of its slit time
+against :attr:`RunPlan.informed_gate`, derived once per plan.  The
+dark-only run is the same draw with the source off.  :func:`_count`
+counts every run slice by slice on that tagged stream, as a time tagger
+records it: the tail carried from the slice before joins by
+concatenation, and the entries up to the last gap the rest of the run
+cannot bridge are matched, so memory stays bounded however long the run.
 
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
@@ -58,7 +59,7 @@ from .analysis import (
     degradation_ratio,
 )
 from .apparatus import ApparatusConfig, GateGeometry, gate_geometry, validate_config
-from .causality import informed_emission_gate
+from .causality import informed_slit_gate
 from .detection import (
     ALICE,
     BOB,
@@ -111,7 +112,7 @@ class RunPlan:
     geometry: GateGeometry = field(init=False, repr=False, compare=False)
     #: The gate of every gated run, checked against ``gate_phase`` once.
     gate: GateState = field(init=False, repr=False, compare=False)
-    #: The informed emission times of a ``TravelingInfluence`` model, or None.
+    #: The slit times of a ``TravelingInfluence`` model's informed pairs, or None.
     informed_gate: GateState | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,9 +132,8 @@ class RunPlan:
         object.__setattr__(self, "gate", GateState.from_geometry(geometry, self.gate_phase))
         if isinstance(self.model, TravelingInfluence):
             # Refuses a speed too slow for its informed phase to be resolved.
-            informed_gate = informed_emission_gate(
-                self.gate, self.apparatus.fiber_length, self.model.influence_speed
-            )
+            length, speed = self.apparatus.fiber_length, self.model.influence_speed
+            informed_gate = informed_slit_gate(self.gate, length, speed, geometry.fiber_delay)
             object.__setattr__(self, "informed_gate", informed_gate)
         # A window as long as the gate period reaches into the next gate
         # opening and pairs detections that no single opening let through.
@@ -241,7 +241,7 @@ def run_setting(
         is_open = True if gate is None else gate_open(times, gate)
         joint = joints[0]
         if len(joints) > 1:
-            informed = gate_open(times - delay, plan.informed_gate)
+            informed = gate_open(times, plan.informed_gate)
             joint = [np.where(informed, p, r) for p, r in zip(*joints)]
         return times, detection_pattern(times.size, det, rng, joint, fire, pair_rate, is_open)
 

@@ -19,7 +19,7 @@ from bellgate.analysis import (
 )
 from bellgate.apparatus import ApparatusConfig
 from bellgate.causality import MAX_SWEEP_WINDOWS
-from bellgate.cli import main
+from bellgate.cli import CAUSALITY_FIELDS, SWEEP_FIELDS, main
 from bellgate.config import ConfigError, build_plan, validate_schema
 from bellgate.detection import DetectorConfig
 from bellgate.fixtures import fixture_path
@@ -479,6 +479,59 @@ def test_causality_light_speed_isolated(capsys):
     assert main(["causality", "--speed", "2.998e8", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass_fraction"] == 0.0
+
+
+# Text label -> JSON key of the causality report, in output order.
+REPORT_KEYS = {
+    "influence_speed": "influence_speed_m_per_s",
+    "arrival_at_source": "arrival_at_source_s",
+    "informed_emissions": "informed_emission_window_s",
+    "informed_slit_arrivals": "informed_arrival_window_s",
+    "earliest_open_window": "earliest_open_window",
+    "pass_fraction": "pass_fraction",
+    "isolation_margin": "isolation_margin_s",
+}
+
+
+def _at_precision_of(token: str, value) -> str:
+    """``value`` written with as many digits as the text ``token``."""
+    mantissa, _, exponent = token.partition("e")
+    digits = len(mantissa.partition(".")[2])
+    if exponent:
+        return f"{value:.{digits}e}"
+    return f"{value:.{digits}f}" if digits else str(value)
+
+
+@pytest.mark.parametrize("speed", ["instant", "2.998e8", "6957815.699658703", "1e5"])
+def test_causality_text_and_json_carry_the_same_values(capsys, speed):
+    assert main(["causality", "--speed", speed]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["causality", "--speed", speed, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    text = dict(line.split(maxsplit=1) for line in lines)
+    assert list(text) == list(REPORT_KEYS)
+    assert list(report) == list(REPORT_KEYS.values())
+    for label, key in REPORT_KEYS.items():
+        value = report[key]
+        if value == "instant" or value is None:
+            assert text[label] == {"instant": "instantaneous", None: "none"}[value]
+            continue
+        # The JSON key names the unit the text line ends with.
+        unit = "m/s" if key.endswith("_m_per_s") else "s" if key.endswith("_s") else ""
+        numbers = text[label].removesuffix(" " + unit) if unit else text[label]
+        assert not unit or numbers != text[label]
+        tokens = numbers.strip("[]").split(", ")
+        values = value if isinstance(value, list) else [value]
+        assert len(tokens) == len(values)
+        assert tokens == [_at_precision_of(t, v) for t, v in zip(tokens, values)]
+
+
+def test_readme_lists_every_causality_json_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for field in CAUSALITY_FIELDS:
+        assert f"| `{field.label}` | `{field.key}` |" in readme
+    keys = ", ".join(f"`{field.key}`" for field in SWEEP_FIELDS[:-1])
+    assert f"{keys} and `{SWEEP_FIELDS[-1].key}`" in " ".join(readme.split())
 
 
 def test_causality_sweep_finds_first_resonance(capsys):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,31 @@ def test_phase_offset_shifts_the_window(bench_gate):
     shifted = GateState(bench_gate.gate_period, bench_gate.aperture_time, 1e-5)
     assert gate_open(1e-5 + 1e-8, shifted) is True
     assert gate_open(1e-8, shifted) is False
+
+
+@pytest.mark.parametrize("phase", [0.0, 1.2345678e-5])
+def test_gate_open_agrees_with_exact_arithmetic(bench_geometry, phase):
+    # gate_open reduces in floats, so only a time within a few float steps
+    # of a window edge may land on the wrong side; every other time must
+    # agree with the exact remainder.  Half the times are drawn uniformly
+    # over 1000 s, half 16-64 float steps from an edge of a window between
+    # the first and the 3*10**7th.
+    gate = GateState.from_geometry(bench_geometry, phase)
+    period, width = Fraction(gate.gate_period), Fraction(gate.aperture_time)
+    rng = np.random.default_rng(44)
+    times = list(rng.random(1000) * 1e3)
+    windows = (10 ** rng.uniform(0, 7.5, 1000)).astype(int)
+    for k, edge in zip(windows, rng.choice([0.0, gate.aperture_time], 1000)):
+        t = phase + k * gate.gate_period + edge
+        times.append(t + int(rng.choice([-1, 1]) * rng.integers(16, 65)) * math.ulp(t))
+    got = gate_open(np.array(times), gate)
+    checked = 0
+    for t, is_open in zip(times, got):
+        rem = (Fraction(t) - Fraction(phase)) % period
+        if min(rem, abs(rem - width), period - rem) > 8 * math.ulp(abs(t) + gate.gate_period):
+            assert is_open == (rem < width), t
+            checked += 1
+    assert checked > 1900
 
 
 def test_uniform_arrivals_pass_at_duty_cycle(bench_gate):

@@ -5,10 +5,11 @@ same file with the mirror stopped (the ungated polarized path) and with
 a ``traveling`` model at a partially resonant influence speed (both
 model groups drawn through the gate), and ``analyze`` on the bundled
 ``table2.csv`` are hashed file by file; the stdout of ``geometry`` and
-of three ``causality`` reports is hashed whole.  A pure refactor leaves every
-digest unchanged.  A change that alters the random stream, the
-arithmetic or the written digits on purpose updates the digests below
-and says so in CHANGES.md, with the reason.
+of four ``causality`` outputs (a report and the resonance sweep, each as
+text and as JSON) is hashed whole.  A pure refactor leaves every digest
+unchanged.  A change that alters the random stream, the arithmetic or
+the written digits on purpose updates the digests below and says so in
+CHANGES.md, with the reason.
 """
 
 import hashlib
@@ -54,6 +55,9 @@ STDOUT_DIGESTS = {
     ),
     "causality --sweep --max-windows 5 --json": (
         "d34eab75fda3d3849c72799c3d4a22fb19aaec5f5b397dedac161d893bd964d4"
+    ),
+    "causality --sweep --max-windows 5": (
+        "4959270325c0908b70f0850e8b84343f182a40220e782ad5b5267b3f9c75b4b8"
     ),
 }
 
