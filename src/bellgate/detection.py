@@ -17,7 +17,9 @@ time order.  It counts in numpy: it cuts the stream at every gap of a
 window or more, counts an isolated entry as one coincidence when both
 arms fired, and runs the greedy sweep only over the rare clusters of two
 or more entries (see :func:`match_coincidences` for why that is exact).
-The same cut lets the runner count a long run slice by slice.  Dark and
+The same cut lets the runner count a long run slice by slice, and count
+a mirror-stopped run from the entries within a window of a neighbour
+alone, the isolated rest split by :func:`pattern_bounds`.  Dark and
 accidental coincidences are not injected anywhere; they emerge from the
 matcher like they do in hardware.
 """
@@ -124,16 +126,34 @@ def detection_pattern(
     :data:`ALICE`, :data:`BOTH`, :data:`BOB`, or 0 for an entry that
     fires nothing, which the counts skip.
     """
+    rate = np.where(is_open, pair_rate, 0.0)  # the pairs' scale per entry
+    bounds = pattern_bounds(det, joint, rate, drawn_at)
+    u = rng.random(n) * next(bounds)
+    bob = u >= next(bounds)
+    alice = u < next(bounds)
+    bob &= u < next(bounds)
+    arms = bob.view(np.int8) * np.int8(BOB)
+    arms |= alice.view(np.int8)
+    return arms
+
+
+def pattern_bounds(det: DetectorConfig, joint, pair_rate, drawn_at):
+    """The intensity of a stream of pairs and darks, then the upper ends of
+    its parts that fire Alice only, both and Bob only, laid end to end as
+    :func:`detection_pattern` lays them; the rest fires nothing.
+
+    Alice only holds her darks and the pairs that fire her alone, Bob
+    only the pairs that fire him alone and his darks.  Yielded one at a
+    time, so per-entry bounds are made only when used: fresh arrays cost
+    page faults.
+    """
     e_a, e_b = det.efficiency_alice, det.efficiency_bob
     d_a, d_b = det.dark_rate_alice, det.dark_rate_bob
     p_pp, p_pb, _ = joint
-    rate = np.where(is_open, pair_rate, 0.0)  # the pairs' scale per entry
-    u = rng.random(n) * (d_a + rate * drawn_at + d_b)
-    bob = u >= d_a + rate * (e_a * (p_pb + p_pp * (1.0 - e_b)))
-    bob &= u < d_a + rate * det.fire_probability(joint) + d_b
-    arms = bob.view(np.int8) * np.int8(BOB)
-    arms |= (u < d_a + rate * (e_a * (p_pp + p_pb))).view(np.int8)
-    return arms
+    yield d_a + pair_rate * drawn_at + d_b
+    yield d_a + pair_rate * (e_a * (p_pb + p_pp * (1.0 - e_b)))
+    yield d_a + pair_rate * (e_a * (p_pp + p_pb))
+    yield d_a + pair_rate * det.fire_probability(joint) + d_b
 
 
 def thin_times(times, efficiency: float, rng) -> np.ndarray:

@@ -10,25 +10,35 @@ A simulated experiment is two measurements, both always made:
 * :func:`run_degradation` -- polarizer-free luminosity runs (dark only,
   gate off, gate on) and the per-column with/without rotation ratios.
 
-A counting run draws one Poisson stream of pairs and darks per time
-slice, in detection time.  The gate, the polarizer outcomes and the
-detector efficiencies are independent marks of the emission stream, so
-the pairs that fire a detector are a Poisson process of rate
-``pair_rate * q`` on the gate's open set (the marking theorem), ``q``
-from :meth:`~bellgate.detection.DetectorConfig.fire_probability`; with
-each arm's darks they add up to one Poisson process (superposition).
-:func:`~bellgate.gating.sample_open_times` draws it sorted and
+A counting run draws one Poisson stream of pairs and darks, in detection
+time.  The gate, the polarizer outcomes and the detector efficiencies
+are independent marks of the emission stream, so the pairs that fire a
+detector are a Poisson process of rate ``pair_rate * q`` on the gate's
+open set (the marking theorem), ``q`` from
+:meth:`~bellgate.detection.DetectorConfig.fire_probability`; with each
+arm's darks they add up to one Poisson process (superposition).
 :func:`~bellgate.detection.detection_pattern` marks each entry a pair or
-a dark and picks the detectors it fires, :func:`~bellgate.gating.gate_open`
-being the one test of an open slit.  Gated ``TravelingInfluence`` pairs
-are drawn at the larger ``q`` of its two models, each taking its pattern
-from the model its informed flag selects: ``gate_open`` of its slit time
-against :attr:`RunPlan.informed_gate`, derived once per plan.  The
-dark-only run is the same draw with the source off.  :func:`_count`
-counts every run slice by slice on that tagged stream, as a time tagger
-records it: the tail carried from the slice before joins by
-concatenation, and the entries up to the last gap the rest of the run
-cannot bridge are matched, so memory stays bounded however long the run.
+a dark and picks the detectors it fires.
+
+With the mirror rotating, :func:`~bellgate.gating.sample_open_times`
+draws the stream sorted, one time slice at a time,
+:func:`~bellgate.gating.gate_open` being the one test of an open slit.
+Gated ``TravelingInfluence`` pairs are drawn at the larger ``q`` of its
+two models, each taking its pattern from the model its informed flag
+selects: ``gate_open`` of its slit time against
+:attr:`RunPlan.informed_gate`, derived once per plan.  :func:`_count`
+counts the tagged stream slice by slice, as a time tagger records it:
+the tail carried from the slice before joins by concatenation, and the
+entries up to the last gap the rest of the run cannot bridge are
+matched, so memory stays bounded however long the run.
+
+With the mirror stopped (the dark and gate-off luminosity runs, and every
+run of a scan with ``rotation`` false) the stream's intensity is
+constant, and :func:`_count_homogeneous` counts it by its close pairs: it
+places only the entries within a window of a neighbour, which are all
+that the matcher can pair, and counts the isolated rest by one
+multinomial over the same marks.  The dark-only run is the same count
+with the source off.
 
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
@@ -68,6 +78,7 @@ from .detection import (
     dark_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.dark_times
     detection_pattern,
     match_coincidences,
+    pattern_bounds,
     thin_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.thin_times
 )
 from .gating import GateState, gate_open, sample_open_times
@@ -86,6 +97,9 @@ DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
 # arrays stay cache-sized.  Fixed (not configurable) so a given plan
 # always consumes the same random stream.
 _CHUNK_EVENTS = 1 << 16
+# Steps (see _count_homogeneous) that a mirror-stopped run draws per
+# block.  Fixed, like the slice size.
+_BLOCK_STEPS = 1 << 11
 # Entries that the search for a slice's last cluster gap looks back over
 # before it falls back to the whole slice.
 _LOOKBACK = 64
@@ -215,10 +229,8 @@ def run_setting(
     ``source=False`` turns the source off, leaving the darks alone.
     """
     det = plan.detector
-    delay = plan.geometry.fiber_delay
     if rotation is None:
         rotation = plan.rotation
-    gate = plan.gate if rotation else None
 
     # One polarizer group per model a drawn pair may follow.  With the
     # mirror stopped the line of sight is permanent: every emission is
@@ -227,10 +239,13 @@ def run_setting(
     if polarized:
         models = [plan.model]
         if isinstance(plan.model, TravelingInfluence):
-            models = [plan.model.base] + ([plan.model.uninformed] if gate is not None else [])
+            models = [plan.model.base] + ([plan.model.uninformed] if rotation else [])
         joints = [joint_probabilities(model, alice_angle, bob_angle)[:3] for model in models]
     fire = max(det.fire_probability(joint) for joint in joints)
     pair_rate = plan.pair_rate if source else 0.0
+    if not rotation:
+        return _count_homogeneous(det, joints[0], fire, pair_rate, plan.integration_time, rng)
+    gate, delay = plan.gate, plan.geometry.fiber_delay
     darks = det.dark_rate_alice + det.dark_rate_bob
     open_rate = pair_rate * fire + darks
 
@@ -238,15 +253,132 @@ def run_setting(
         times = sample_open_times(open_rate, t0 + delay, t1 + delay, gate, rng, darks)
         # gate_open is the one test of an open slit; perfbench/trace_child.py
         # counts the gated entries through this call.
-        is_open = True if gate is None else gate_open(times, gate)
+        is_open = gate_open(times, gate)
         joint = joints[0]
         if len(joints) > 1:
             informed = gate_open(times, plan.informed_gate)
             joint = [np.where(informed, p, r) for p, r in zip(*joints)]
         return times, detection_pattern(times.size, det, rng, joint, fire, pair_rate, is_open)
 
-    event_rate = pair_rate * fire * (plan.geometry.duty_cycle if gate is not None else 1.0) + darks
+    event_rate = pair_rate * fire * plan.geometry.duty_cycle + darks
     return _count(draw, event_rate, det.coincidence_window, plan.integration_time)
+
+
+def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecord:
+    """Count a mirror-stopped run of ``duration`` seconds by its close pairs.
+
+    With the mirror stopped, pairs and darks are one Poisson stream of
+    constant intensity, the first of :func:`~bellgate.detection.pattern_bounds`,
+    and each entry's arm code is an independent mark (the marking
+    theorem).  Its gaps are independent Exp(rate), each shorter than the
+    window with probability p = 1 - exp(-rate*window).  An entry whose
+    gaps on both sides are a window or longer never changes the greedy
+    count (see :func:`~bellgate.detection.match_coincidences`), so only
+    the entries next to a short gap are placed.  The run is drawn as
+    steps from an entry that fires nothing at 0, each m long gaps and
+    then one short gap: m is geometric, the floor of Exp(1)/(rate*window);
+    the long gaps, each a window plus Exp(rate) by memorylessness, add up
+    to m*window + Gamma(m)/rate; the short gap is Exp(rate) truncated to
+    [0, window).  A step places the entry that ends its short gap and,
+    if m > 0, the one that starts it, after m - 1 isolated entries.
+
+    Steps are drawn ``_BLOCK_STEPS`` at a time.  Their entries are marked
+    by :func:`~bellgate.detection.detection_pattern` and matched a slice's
+    worth at a time (the steps that span about ``_CHUNK_EVENTS`` entries,
+    at most a block), the open cluster carried, so the matcher holds
+    about a slice however long the run and however much of a block it
+    uses.  The isolated entries are counted by one multinomial over the
+    same parts.
+    """
+    window = det.coincidence_window
+    rate, *ends = pattern_bounds(det, joint, pair_rate, fire)
+    if rate == 0:
+        return CountRecord(0, 0, 0, duration)
+    short_p = -math.expm1(-rate * window)
+    singles_alice = singles_bob = coincidences = isolated = 0
+    tail_times, tail_arms = np.empty(0), np.empty(0, dtype=np.int8)
+    last = 0.0  # the entry that ends the last step drawn
+    n = _BLOCK_STEPS
+    piece = min(n, math.ceil(_CHUNK_EVENTS * short_p))
+    # Below 1e-100 entries per window, a run holds a close pair with
+    # probability under 1e-90 and its long runs overflow float: every
+    # entry is isolated.
+    done = short_p < 1e-100
+    if done:
+        isolated = int(rng.poisson(rate * duration))
+    while not done:
+        longs = np.floor(rng.standard_exponential(n) / (rate * window))
+        excess = rng.standard_gamma(longs)
+        shorts = -np.log1p(-short_p * rng.random(n)) / rate
+        # One sequential sum over each step's long run and short gap gives
+        # the entries that start and end its short gap, in time order.
+        steps = np.column_stack([longs * window + excess / rate, shorts]).ravel()
+        points = np.cumsum(np.concatenate([[last], steps]))[1:].reshape(n, 2)
+        full = int(np.searchsorted(points[:, 1], duration))  # steps ending before the end
+        keep = np.column_stack([longs > 0, np.ones(n, dtype=bool)])
+        keep[full:] = False
+        isolated += int(np.maximum(longs[:full] - 1.0, 0.0).sum())
+        done = full < n
+        if done:
+            # The run ends in step ``full``: in its short gap, or in its long run.
+            room = duration - (points[full - 1, 1] if full else last)
+            count = int(longs[full])
+            if points[full, 0] < duration:
+                keep[full, 0] = count > 0
+                isolated += max(count - 1, 0)
+            else:
+                isolated += _entries_before(room, count, excess[full], rate, window, rng)
+        else:
+            last = float(points[-1, 1])
+        used = full + 1 if done else n
+        for lo in range(0, used, piece):
+            hi = lo + piece
+            times = points[lo:hi][keep[lo:hi]]
+            arms = detection_pattern(times.size, det, rng, joint, fire, pair_rate, True)
+            singles_alice += int(np.count_nonzero(arms & ALICE))
+            singles_bob += int(np.count_nonzero(arms & BOB))
+            times = np.concatenate([tail_times, times])
+            arms = np.concatenate([tail_arms, arms])
+            # A placed entry that starts a short gap follows a long one, so
+            # the last of them starts the open cluster.
+            starts = np.flatnonzero(keep[lo:hi, 0])
+            i = 0
+            if starts.size:
+                i = tail_times.size + int(np.count_nonzero(keep[lo : lo + starts[-1]]))
+            coincidences += match_coincidences(times[:i], arms[:i], window)
+            tail_times, tail_arms = times[i:], arms[i:]
+    coincidences += match_coincidences(tail_times, tail_arms, window)
+    part_alice, part_both, part_bob, _ = rng.multinomial(isolated, np.diff([0, *ends, rate]) / rate)
+    return CountRecord(
+        singles_alice + int(part_alice + part_both),
+        singles_bob + int(part_both + part_bob),
+        coincidences + int(part_both),
+        duration,
+    )
+
+
+def _entries_before(
+    room: float, count: int, excess: float, rate: float, window: float, rng
+) -> int:
+    """How many of the ``count`` entries that long gaps put after an entry
+    lie less than ``room`` after it, given that the last does not.
+
+    Entry i lies i*window + excess*B_i/rate after the first, where
+    ``excess`` is the gaps' Gamma(count) total excess over the window and
+    B_i the share of it that the first i gaps hold.  Between B_lo and
+    B_hi, B_mid is B_lo + (B_hi - B_lo)*Beta(mid - lo, hi - mid) (the
+    Dirichlet bridge), so bisection finds the count with O(log count)
+    Beta draws.
+    """
+    lo, hi, share_lo, share_hi = 0, count, 0.0, 1.0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        share = share_lo + (share_hi - share_lo) * rng.beta(mid - lo, hi - mid)
+        if mid * window + excess * share / rate < room:
+            lo, share_lo = mid, share
+        else:
+            hi, share_hi = mid, share
+    return lo
 
 
 def _count(draw, event_rate: float, window: float, duration: float) -> CountRecord:

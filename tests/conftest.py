@@ -4,7 +4,11 @@ import pytest
 from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, CountTable16
 from bellgate.apparatus import ApparatusConfig, gate_geometry, validate_config
 from bellgate.detection import ALICE, BOB
+from bellgate.gating import GateState
 from bellgate.sources import joint_probabilities
+
+# A gate with no closed time: built directly, as from_geometry refuses it.
+ALWAYS_OPEN = GateState(gate_period=1.0, aperture_time=1.0)
 
 
 @pytest.fixture

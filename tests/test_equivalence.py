@@ -5,13 +5,15 @@
 sorts the stream, draws polarizer outcomes for all of them, gates the
 slit arrivals, thins each arm by its efficiency and matches the whole
 run at once.  The runner now draws only the pairs that fire a detector
-and counts them slice by slice.  Both must give the same distribution of
-coincidences and singles, which is tested over a seed list fixed in
-advance: Welch's z on the means and an F-test on the variances of each
-quantity.
+and counts them slice by slice, or with the mirror stopped places only
+the entries within a window of a neighbour.  Both must give the same
+distribution of coincidences and singles, which is tested over a seed
+list fixed in advance: Welch's z on the means and an F-test on the
+variances of each quantity.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +121,17 @@ CASES = {
         False,
         True,
     ),
+    "ungated_clustered": (QuantumState("mirrored", 0.82), False, True),
+    "ungated_crowded": (QuantumState("mirrored", 0.82), False, False),
+}
+# name -> (pair rate, alice and bob dark rates, integration time) where
+# not 2e4, DETECTOR's and 0.3.  The ungated cases above see about 2e-4
+# entries per window (rate * window), so nearly every entry is isolated
+# and they would pass with clusters misplaced; these see about 0.05 and
+# 0.5, and a short run keeps the oracle's pair by pair draw cheap.
+RATES = {
+    "ungated_clustered": (5e6, (3e5, 2e5), 1e-3),
+    "ungated_crowded": (3e7, (2.4e6, 1.6e6), 1e-4),
 }
 QUANTITIES = ("coincidences", "singles_alice", "singles_bob")
 SEEDS = range(400)
@@ -134,12 +147,15 @@ def _two_sided_p(z: float) -> float:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_candidate_path_matches_event_level_oracle(case):
     model, rotation, polarized = CASES[case]
+    pair_rate, (dark_alice, dark_bob), duration = RATES.get(
+        case, (2e4, (DETECTOR.dark_rate_alice, DETECTOR.dark_rate_bob), 0.3)
+    )
     plan = RunPlan(
         apparatus=APPARATUS,
-        detector=DETECTOR,
+        detector=replace(DETECTOR, dark_rate_alice=dark_alice, dark_rate_bob=dark_bob),
         model=model,
-        pair_rate=2e4,
-        integration_time=0.3,
+        pair_rate=pair_rate,
+        integration_time=duration,
         rotation=rotation,
         gate_phase=7.3e-6,
     )

@@ -10,6 +10,7 @@ from bellgate.detection import ALICE, BOB, BOTH, DetectorConfig, detection_patte
 from bellgate.gating import GateState, gate_open, sample_open_times
 from bellgate.runner import RunPlan, run_setting
 from bellgate.sources import NO_POLARIZERS, QuantumState
+from conftest import ALWAYS_OPEN
 
 T_ON = 4.681027737996921e-07
 GATE_PERIOD = 2.9411764705882354e-05
@@ -76,7 +77,7 @@ def test_uniform_arrivals_pass_at_duty_cycle(bench_gate):
 
 
 def test_poisson_arrivals_pass_at_duty_cycle(bench_gate):
-    times = sample_open_times(2e5, 0.0, 10.0, None, np.random.default_rng(41))
+    times = sample_open_times(2e5, 0.0, 10.0, ALWAYS_OPEN, np.random.default_rng(41))
     fraction = np.count_nonzero(gate_open(times, bench_gate)) / times.size
     sigma = math.sqrt(DUTY * (1 - DUTY) / times.size)
     assert abs(fraction - DUTY) < 4 * sigma
@@ -88,15 +89,6 @@ def test_always_open_gate_keeps_everything():
     gate = GateState(gate_period=1e-3, aperture_time=1e-3)
     times = np.linspace(0, 1, 5000)
     assert np.all(gate_open(times, gate))
-
-
-def test_no_rotation_mode_is_identity():
-    # gate=None: the sampler is the plain Poisson process on the interval,
-    # draw for draw, sorted
-    times = sample_open_times(3e4, 0.25, 1.25, None, np.random.default_rng(43))
-    rng = np.random.default_rng(43)
-    expected = 0.25 + rng.random(int(rng.poisson(3e4))) * 1.0
-    assert np.array_equal(times, np.sort(expected))
 
 
 def test_pairs_survive_or_drop_atomically(bench):
@@ -152,9 +144,6 @@ def _unsorted_open_times(rate, t0, t1, gate, rng):
     """The sampler before it sorted its times, kept as the oracle: the
     same Poisson count and uniforms, mapped from open time onto the
     windows in draw order."""
-    if gate is None:
-        n = int(rng.poisson(rate * (t1 - t0)))
-        return t0 + rng.random(n) * (t1 - t0)
     period, width = gate.gate_period, gate.aperture_time
     first = math.floor((t0 - gate.phase_offset) / period)
     last = math.ceil((t1 - gate.phase_offset) / period) - 1
@@ -199,9 +188,9 @@ def test_sampled_arrivals_lie_on_the_open_set(t0, t1):
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_sampled_arrivals_are_the_sorted_draws(t0, t1, gated):
     # Gated with a nonzero phase over partial windows at both edges, one
-    # window, a closed stretch and a long range; or with the mirror stopped.
-    gate = GateState(GATE_PERIOD, T_ON, PHASE) if gated else None
-    rate = 2000.0 / (max(_open_measure(t0, t1, gate), T_ON) if gated else t1 - t0)
+    # window, a closed stretch and a long range; or never closed.
+    gate = GateState(GATE_PERIOD, T_ON if gated else GATE_PERIOD, PHASE)
+    rate = 2000.0 / max(_open_measure(t0, t1, gate), T_ON)
     for seed in range(5):
         rng, check = np.random.default_rng(seed), np.random.default_rng(seed)
         times = sample_open_times(rate, t0, t1, gate, rng)
@@ -242,11 +231,11 @@ def test_edge_windows_weighted_by_open_length():
     assert chi2 < 33.7  # chi-square, 9 degrees of freedom, p = 1e-4
 
 
-def test_stopped_mirror_opens_the_whole_interval():
+def test_always_open_gate_samples_the_whole_interval():
     t0, t1 = 60.0, 60.5
     total = 0
     for seed in range(20):
-        times = sample_open_times(1e4, t0, t1, None, np.random.default_rng(seed))
+        times = sample_open_times(1e4, t0, t1, ALWAYS_OPEN, np.random.default_rng(seed))
         assert np.all((times >= t0) & (times < t1))
         total += times.size
     assert abs(total - 1e5) <= 4 * math.sqrt(1e5)
@@ -265,7 +254,7 @@ def _marked_stream(pair_rate, t0, t1, gate, rng, det=LOSSLESS_DARK, joint=NO_POL
     darks = det.dark_rate_alice + det.dark_rate_bob
     fire = det.fire_probability(joint)
     times = sample_open_times(pair_rate * fire + darks, t0, t1, gate, rng, darks)
-    is_open = True if gate is None else gate_open(times, gate)
+    is_open = gate_open(times, gate)
     arms = detection_pattern(times.size, det, rng, joint, fire, pair_rate, is_open)
     return times, is_open, arms
 
@@ -335,7 +324,7 @@ def test_closed_rate_alone_is_uniform_across_the_gate():
 )
 @pytest.mark.parametrize("gated", [True, False])
 def test_zero_rate_edges_raise_no_warning(pair_rate, joint, darks, gated):
-    gate = GateState(GATE_PERIOD, T_ON, PHASE) if gated else None
+    gate = GateState(GATE_PERIOD, T_ON, PHASE) if gated else ALWAYS_OPEN
     det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=darks)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")

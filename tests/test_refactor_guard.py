@@ -23,21 +23,21 @@ from bellgate.cli import main
 from bellgate.fixtures import fixture_path
 
 SIMULATE_DIGESTS = {
-    "results.json": "b3b1cd584f83e4af6dc5e4318461dbf0117906a3873b8d3cd17c129c9245a20e",
+    "results.json": "d6f0a1577798a0b16c3711a0cc816d851326216711184724bc69af68969af220",
     "chsh_counts.csv": "ac37c6032515e593d85d51562e8a97f9928bfe292d2dbbfbde29aceb67540983",
-    "degradation.csv": "983bba1f8f51b202458da5c1b50be912045a54fd95c6e0d16b9e5c06126d318f",
+    "degradation.csv": "ebb355f66eb582b1fa78dfcb6f3cf6dffe46017d157b6fb779abbb533a6912bb",
 }
 
 ROTATION_OFF_DIGESTS = {
-    "results.json": "1c3f9609182e5c8513c0ae5f645709c6f881a93caa49bfba4a4f88b3cc6e8ee8",
-    "chsh_counts.csv": "058e3f5843f39cd5f1d61148dfcc90bc50d8b18d94e5093974945e428c748d72",
-    "degradation.csv": "983bba1f8f51b202458da5c1b50be912045a54fd95c6e0d16b9e5c06126d318f",
+    "results.json": "81f1d07a38964bbed5e1a792ee43b5628195b304abc1c190132fdabcb2280965",
+    "chsh_counts.csv": "010d1d023f3b2e0ae23fa7b8d9677fdd8e362279dc92148bbb135f6ab13af123",
+    "degradation.csv": "ebb355f66eb582b1fa78dfcb6f3cf6dffe46017d157b6fb779abbb533a6912bb",
 }
 
 TRAVELING_DIGESTS = {
-    "results.json": "86c86d2316a30a61bf3f9af8b7fa3e998a305388dd3f255672cb267d3712c360",
+    "results.json": "6006b33d7a3f19265ec07d0115a91b36a28065894f9fc53e9241b750d2236845",
     "chsh_counts.csv": "9f1c91bcc2dd039fac4cc227b947c17635ad55600393a1784b090dfb5a824fea",
-    "degradation.csv": "983bba1f8f51b202458da5c1b50be912045a54fd95c6e0d16b9e5c06126d318f",
+    "degradation.csv": "ebb355f66eb582b1fa78dfcb6f3cf6dffe46017d157b6fb779abbb533a6912bb",
 }
 
 ANALYZE_DIGESTS = {

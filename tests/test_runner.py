@@ -4,6 +4,7 @@ import math
 import statistics
 import tracemalloc
 import types
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,16 +21,21 @@ from bellgate.detection import (
     CountRecord,
     DetectorConfig,
     dark_times,
+    detection_pattern,
     match_coincidences,
 )
 from bellgate.fixtures import fixture_path
+from bellgate import runner
 from bellgate.runner import (
+    _BLOCK_STEPS,
     _CHUNK_EVENTS,
     _LOOKBACK,
     DEGRADATION_LABELS,
     MAX_RUN_EVENTS,
     RunPlan,
     _count,
+    _count_homogeneous,
+    _entries_before,
     calibrate_from_counts,
     _time_slices,
     derive_seed,
@@ -38,6 +44,7 @@ from bellgate.runner import (
     run_setting,
 )
 from bellgate.sources import (
+    NO_POLARIZERS,
     MalusLHV,
     QuantumState,
     TravelingInfluence,
@@ -350,16 +357,33 @@ def test_streamed_count_across_empty_slices(seed):
     _streamed_equals_whole(*tag_arms(alice / 4, bob / 4), window, rate=2 * FOUR_SLICES)
 
 
-@pytest.mark.parametrize("rotation", [False, True])
-def test_run_setting_memory_does_not_grow_with_integration_time(rotation):
+@pytest.mark.parametrize(
+    "rotation, crowded",
+    [
+        pytest.param(False, False, id="False"),
+        pytest.param(True, False, id="True"),
+        # About one entry per window with the mirror stopped: most entries
+        # are placed and clusters straddle the blocks, so the open cluster
+        # is carried between them.
+        pytest.param(False, True, id="crowded"),
+    ],
+)
+def test_run_setting_memory_does_not_grow_with_integration_time(rotation, crowded):
     plan = replace(build_plan(json.loads(fixture_path("demo.json").read_text())), rotation=rotation)
     det = plan.detector
     fire = det.fire_probability(joint_probabilities(plan.model, 0.0, 22.5)[:3])
+    darks = det.dark_rate_alice + det.dark_rate_bob
+    slice_events = _CHUNK_EVENTS
+    if crowded:
+        plan = replace(plan, pair_rate=(1.0 / det.coincidence_window - darks) / fire)
+        # A block's steps, each one short gap, span this many entries.
+        slice_events = _BLOCK_STEPS / -math.expm1(-1.0)
     open_fraction = gate_geometry(plan.apparatus).duty_cycle if rotation else 1.0
-    draws_per_s = plan.pair_rate * fire * open_fraction + det.dark_rate_alice + det.dark_rate_bob
+    draws_per_s = plan.pair_rate * fire * open_fraction + darks
     # Just under four full slices, so T and 8T both cut into full slices.
-    duration = 3.99 * _CHUNK_EVENTS / draws_per_s
-    run_setting(replace(plan, integration_time=1.0), 0.0, 22.5, np.random.default_rng(0))
+    duration = 3.99 * slice_events / draws_per_s
+    warm_up = replace(plan, integration_time=min(1.0, duration))
+    run_setting(warm_up, 0.0, 22.5, np.random.default_rng(0))
     peaks = []
     for scale in (1, 8):
         tracemalloc.start()
@@ -373,8 +397,251 @@ def test_run_setting_memory_does_not_grow_with_integration_time(rotation):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert record.singles_alice > scale * _CHUNK_EVENTS / 2  # the slices really filled
+        assert record.singles_alice > scale * slice_events / 2  # the slices really filled
     assert peaks[1] <= 1.25 * peaks[0], f"peak {peaks[0]} B at T, {peaks[1]} B at 8T"
+
+
+# ---------------------------------------------------------------------------
+# Mirror-stopped runs, counted by their close pairs
+
+# A pair fires both arms in 43% of its entries, so coincidences are common.
+STOPPED_JOINT = (0.5, 0.2, 0.2)
+STOPPED_WINDOW = 1e-3
+
+
+def _stopped_detector(rate):
+    """Detectors whose darks are half of a stream of ``rate`` entries per
+    second, Alice's twice Bob's, with the pairs at (pair rate, q)."""
+    det = DetectorConfig(
+        efficiency_alice=0.9,
+        efficiency_bob=0.8,
+        dark_rate_alice=rate / 3,
+        dark_rate_bob=rate / 6,
+        coincidence_window=STOPPED_WINDOW,
+    )
+    fire = det.fire_probability(STOPPED_JOINT)
+    return det, rate / 2 / fire, fire
+
+
+def _placed_counts(det, pair_rate, fire, duration, rng):
+    """(singles_alice, singles_bob, coincidences) of the same run with every
+    entry placed: a Poisson count of sorted uniforms, marked and matched whole."""
+    rate = pair_rate * fire + det.dark_rate_alice + det.dark_rate_bob
+    times = np.sort(rng.random(rng.poisson(rate * duration)) * duration)
+    arms = detection_pattern(times.size, det, rng, STOPPED_JOINT, fire, pair_rate, True)
+    singles = [np.count_nonzero(arms & arm) for arm in (ALICE, BOB)]
+    return *singles, match_coincidences(times, arms, det.coincidence_window)
+
+
+# name -> (entries per window, entries per run): where the run's end
+# mostly falls, and whether clusters are rare, common or the whole run.
+STOPPED_REGIMES = {
+    "end_in_a_long_run": (1e-3, 20.0),
+    "end_in_a_short_gap": (8.0, 20.0),
+    "one_per_window": (1.0, 40.0),
+    "far_past_one_per_window": (40.0, 40.0),  # p rounds to 1: one cluster
+}
+STOPPED_SEEDS = range(400)
+# Total false-alarm rate 1e-3 over two tests of three quantities per regime.
+STOPPED_ALPHA = 1e-3 / (2 * 3 * len(STOPPED_REGIMES))
+
+
+def _counts(record):
+    return record.singles_alice, record.singles_bob, record.coincidences
+
+
+def _same_distribution(x, y, alpha):
+    """Welch's z on the means and Fisher's z on the variance ratio of two
+    samples, each two-sided p-value above ``alpha``."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    z_mean = (y.mean() - x.mean()) / math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
+    z_var = 0.5 * math.log(y.var(ddof=1) / x.var(ddof=1)) / math.sqrt(
+        0.5 / (x.size - 1) + 0.5 / (y.size - 1)
+    )
+    assert all(math.erfc(abs(z) / math.sqrt(2.0)) > alpha for z in (z_mean, z_var)), (z_mean, z_var)
+
+
+@pytest.mark.parametrize("regime", sorted(STOPPED_REGIMES))
+def test_mirror_stopped_count_matches_the_fully_placed_stream(regime):
+    per_window, entries = STOPPED_REGIMES[regime]
+    det, pair_rate, fire = _stopped_detector(per_window / STOPPED_WINDOW)
+    duration = entries * STOPPED_WINDOW / per_window
+    placed, counted = [], []
+    for seed in STOPPED_SEEDS:
+        rng = np.random.default_rng([seed, 0])
+        placed.append(_placed_counts(det, pair_rate, fire, duration, rng))
+        rng = np.random.default_rng([seed, 1])
+        record = _count_homogeneous(det, STOPPED_JOINT, fire, pair_rate, duration, rng)
+        counted.append(_counts(record))
+    for column in range(3):
+        _same_distribution(np.array(placed)[:, column], np.array(counted)[:, column], STOPPED_ALPHA)
+
+
+def test_mirror_stopped_run_ending_before_its_first_entry():
+    # 0.3 entries per run: three runs in four end before their first
+    # entry, in the first step's long run or in its short gap.
+    det, pair_rate, fire = _stopped_detector(6.0)
+    duration, seeds = 0.05, 1000
+    records = [
+        _count_homogeneous(det, STOPPED_JOINT, fire, pair_rate, duration, np.random.default_rng(s))
+        for s in range(seeds)
+    ]
+    # Every entry fires a detector, so a run with no singles has no entries.
+    empty = sum(record.singles_alice + record.singles_bob == 0 for record in records)
+    p_empty = math.exp(-6.0 * duration)
+    assert abs(empty - seeds * p_empty) <= 4 * math.sqrt(seeds * p_empty * (1 - p_empty))
+    # Each arm fires in its own darks and in the pairs that pass its polarizer.
+    alice = duration * (det.dark_rate_alice + pair_rate * 0.9 * (0.5 + 0.2))
+    bob = duration * (det.dark_rate_bob + pair_rate * 0.8 * (0.5 + 0.2))
+    for singles, mean in (
+        (sum(record.singles_alice for record in records), alice),
+        (sum(record.singles_bob for record in records), bob),
+    ):
+        assert abs(singles - seeds * mean) <= 4 * math.sqrt(seeds * mean)
+
+
+def test_mirror_stopped_count_of_nothing_draws_nothing():
+    # No darks, and the source off or a pair that fires no detector.
+    det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, coincidence_window=20e-9)
+    for pair_rate, joint in ((0.0, STOPPED_JOINT), (1e5, (0.0, 0.0, 0.0))):
+        rng = np.random.default_rng(5)
+        record = _count_homogeneous(det, joint, det.fire_probability(joint), pair_rate, 3.0, rng)
+        assert record == CountRecord(0, 0, 0, 3.0)
+        assert rng.random() == np.random.default_rng(5).random()
+
+
+def test_mirror_stopped_run_at_one_entry_in_1e20_windows():
+    # Darks of 1e-12/s each with the source off: its steps' long runs hold
+    # about 1e20 gaps, where numpy's geometric draw returns 2**63 - 1, yet
+    # the singles are Poisson and nothing warns.
+    detector = DetectorConfig(
+        efficiency_alice=0.5,
+        efficiency_bob=0.5,
+        dark_rate_alice=1e-12,
+        dark_rate_bob=1e-12,
+        coincidence_window=20e-9,
+    )
+    plan = quick_plan(MalusLHV(), pair_rate=1e-3, integration_time=1.5e12)
+    plan = replace(plan, detector=detector)
+    totals = []
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for seed in range(1000):
+            rng = np.random.default_rng(seed)
+            record = run_setting(plan, 0.0, 0.0, rng, polarized=False, source=False)
+            assert record.coincidences == 0
+            totals.append(record.singles_alice + record.singles_bob)
+    totals = np.array(totals)
+    mean = 2e-12 * 1.5e12
+    assert abs(totals.mean() - mean) <= 4 * math.sqrt(mean / totals.size)
+    # A Poisson count's variance is its mean; the sample variance spreads
+    # by sqrt((2 mean^2 + mean) / n).
+    assert abs(totals.var(ddof=1) - mean) <= 4 * math.sqrt((2 * mean**2 + mean) / totals.size)
+
+
+def test_mirror_stopped_run_below_one_entry_in_1e100_windows():
+    # 1e-300 darks per second: every entry is isolated, and the count is
+    # Poisson with no warning from gaps past the float range.
+    det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=1e-300)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        singles = [
+            _count_homogeneous(
+                det, NO_POLARIZERS, 0.75, 0.0, 3e300, np.random.default_rng(seed)
+            ).singles_alice
+            for seed in range(400)
+        ]
+    assert abs(np.mean(singles) - 3.0) <= 4 * math.sqrt(3.0 / 400)
+
+
+class _ScriptedSteps(np.random.Generator):
+    """A generator whose first block of steps is scripted at rate 1 and
+    window 0.5: (m, excess, short gap) per step, then steps far past any
+    end.  Later draws, the arm codes' among them, are its own."""
+
+    def __init__(self, steps):
+        super().__init__(np.random.PCG64(0))
+        self.steps = np.array(steps + [(1e6, 1e6, 0.1)] * (_BLOCK_STEPS - len(steps)))
+        self.scripted = False
+
+    def standard_exponential(self, size):
+        return (self.steps[:, 0] + 0.5) * 0.5  # floor(2 * x) is m
+
+    def standard_gamma(self, shape):
+        return self.steps[:, 1]
+
+    def random(self, size=None):
+        if self.scripted:
+            return super().random(size)
+        self.scripted = True
+        return np.expm1(-self.steps[:, 2]) / np.expm1(-0.5)  # the short gaps' inverse
+
+
+# name -> (steps, duration, entries before it)
+SCRIPTED_ENDS = {
+    # Three long gaps to 2.4, then a short gap to 2.7.
+    "in_the_short_gap_after_a_long_run": ([(3, 0.9, 0.3)], 2.5, 3),
+    "in_the_long_run": ([(3, 0.9, 0.3)], 2.0, 2),
+    "before_the_first_entry": ([(0, 0.0, 0.3)], 0.2, 0),
+    "before_the_first_entry_of_a_long_run": ([(2, 0.3, 0.3)], 0.4, 0),
+    # Then a short gap straight after, from 1.5 to 1.9.
+    "in_a_second_short_gap": ([(2, 0.2, 0.3), (0, 0.0, 0.4)], 1.7, 3),
+}
+
+
+@pytest.mark.parametrize("end", sorted(SCRIPTED_ENDS))
+def test_mirror_stopped_run_counts_the_entries_before_its_end(end):
+    steps, duration, entries = SCRIPTED_ENDS[end]
+    det = DetectorConfig(
+        efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=1.0, coincidence_window=0.5
+    )
+    record = _count_homogeneous(det, NO_POLARIZERS, 0.75, 0.0, duration, _ScriptedSteps(steps))
+    assert record == CountRecord(entries, 0, 0, duration)
+
+
+def test_mirror_stopped_count_in_pieces_equals_one_match(monkeypatch):
+    # About one entry per window over several blocks: the open cluster is
+    # carried from piece to piece, so the pieces' counts must add up to
+    # one match over the whole placed stream.
+    det, pair_rate, fire = _stopped_detector(1.0 / STOPPED_WINDOW)
+    pieces = []
+
+    def match(times, arms, window):
+        count = match_coincidences(times, arms, window)
+        pieces.append((times, arms, count))
+        return count
+
+    monkeypatch.setattr(runner, "match_coincidences", match)
+    _count_homogeneous(det, STOPPED_JOINT, fire, pair_rate, 30.0, np.random.default_rng(11))
+    assert len(pieces) > 30_000 * -math.expm1(-1.0) / _BLOCK_STEPS  # one per block
+    times = np.concatenate([times for times, _, _ in pieces])
+    arms = np.concatenate([arms for _, arms, _ in pieces])
+    whole = match_coincidences(times, arms, STOPPED_WINDOW)
+    assert sum(count for _, _, count in pieces) == whole > 0
+
+
+# (count, room): a run of two long gaps, and one of fifty that the end
+# cuts early or near its last entry.
+LONG_RUNS = ((2, 2.5), (50, 30.0), (50, 99.0))
+
+
+@pytest.mark.parametrize("count, room", LONG_RUNS)
+def test_entries_before_the_end_of_a_long_run(count, room):
+    # The bisection on the Dirichlet bridge against the run drawn gap by
+    # gap, both given that its last entry lies ``room`` or more after the
+    # first.  With window and rate 1, entry i lies i + (i Exp(1) summed).
+    rng = np.random.default_rng(count)
+    bridged, direct = [], []
+    while len(bridged) < 500:
+        excess = rng.standard_gamma(count)
+        if count + excess >= room:
+            bridged.append(_entries_before(room, count, excess, 1.0, 1.0, rng))
+    while len(direct) < 500:
+        points = np.arange(1, count + 1) + np.cumsum(rng.standard_exponential(count))
+        if points[-1] >= room:
+            direct.append(int(np.count_nonzero(points < room)))
+    assert 0 <= min(bridged) and max(bridged) < count
+    _same_distribution(direct, bridged, 1e-3 / (2 * len(LONG_RUNS)))
 
 
 # ---------------------------------------------------------------------------
