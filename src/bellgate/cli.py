@@ -85,8 +85,7 @@ GEOMETRY_FIELDS = (
 )
 
 CAUSALITY_FIELDS = (
-    _Field("influence_speed", "influence_speed_m_per_s", "influence_speed",
-           lambda v: "instantaneous" if math.isinf(v) else f"{v:.6e} m/s"),
+    _Field("influence_speed", "influence_speed_m_per_s", "influence_speed", "{:.6e} m/s".format),
     _Field("arrival_at_source", "arrival_at_source_s", "influence_arrival_at_source", _SECONDS),
     _Field("informed_emissions", "informed_emission_window_s", "informed_emission_window",
            _INTERVAL),
@@ -112,14 +111,20 @@ def _json(fields, record) -> dict:
     return {f.key: "instant" if v == math.inf else v for f, v in zip(fields, values)}
 
 
+def _text(field, record) -> str:
+    """The field's text form; an infinite speed reads "instant", as in :func:`_json`."""
+    value = getattr(record, field.attr)
+    return "instant" if value == math.inf else field.text(value)
+
+
 def _lines(fields, record, width: int) -> list[str]:
-    return [f"{f.label:<{width}}{f.text(getattr(record, f.attr))}" for f in fields]
+    return [f"{f.label:<{width}}{_text(f, record)}" for f in fields]
 
 
 def _table(fields, records) -> list[str]:
     """Header and rows: the first column left-aligned in 8 characters, the rest right in 14."""
     rows = [[f.label for f in fields]]
-    rows += [[f.text(getattr(r, f.attr)) for f in fields] for r in records]
+    rows += [[_text(f, r) for f in fields] for r in records]
     return [f"{first:<8}" + "".join(f"{cell:>14}" for cell in rest) for first, *rest in rows]
 
 

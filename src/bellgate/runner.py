@@ -26,19 +26,22 @@ draws the stream sorted, one time slice at a time,
 Gated ``TravelingInfluence`` pairs are drawn at the larger ``q`` of its
 two models, each taking its pattern from the model its informed flag
 selects: ``gate_open`` of its slit time against
-:attr:`RunPlan.informed_gate`, derived once per plan.  :func:`_count`
-counts the tagged stream slice by slice, as a time tagger records it:
-the tail carried from the slice before joins by concatenation, and the
-entries up to the last gap the rest of the run cannot bridge are
-matched, so memory stays bounded however long the run.
+:attr:`RunPlan.informed_gate`, derived once per plan.
 
 With the mirror stopped (the dark and gate-off luminosity runs, and every
 run of a scan with ``rotation`` false) the stream's intensity is
-constant, and :func:`_count_homogeneous` counts it by its close pairs: it
-places only the entries within a window of a neighbour, which are all
-that the matcher can pair, and counts the isolated rest by one
-multinomial over the same marks.  The dark-only run is the same count
-with the source off.
+constant, and :func:`_count_homogeneous` places only the entries within a
+window of a neighbour, which are all that the matcher can pair, and
+counts the isolated rest by one multinomial over the same marks.  The
+dark-only run is the same count with the source off.
+
+Either way one counter, :func:`_count`, counts the tagged stream piece by
+piece, as a time tagger records it: a gated run hands it one piece per
+time slice, a mirror-stopped run its placed entries a few steps at a
+time, each piece with a frontier that no later entry precedes.  The tail
+carried from the piece before joins by concatenation, and the entries
+up to the last gap the rest of the run cannot bridge are matched, so
+memory stays bounded however long the run.
 
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
@@ -100,9 +103,6 @@ _CHUNK_EVENTS = 1 << 16
 # Steps (see _count_homogeneous) that a mirror-stopped run draws per
 # block.  Fixed, like the slice size.
 _BLOCK_STEPS = 1 << 11
-# Entries that the search for a slice's last cluster gap looks back over
-# before it falls back to the whole slice.
-_LOOKBACK = 64
 # The most events (firing pairs and darks) a plan may expect in its
 # largest sub-run: about 750 times the largest run the README quotes, and
 # minutes of counting for that sub-run alone.  Fixed, like the slice size.
@@ -261,7 +261,9 @@ def run_setting(
         return times, detection_pattern(times.size, det, rng, joint, fire, pair_rate, is_open)
 
     event_rate = pair_rate * fire * plan.geometry.duty_cycle + darks
-    return _count(draw, event_rate, det.coincidence_window, plan.integration_time)
+    slices = _time_slices(plan.integration_time, event_rate)
+    pieces = ((*draw(t0, t1), t1) for t0, t1 in slices)
+    return _count(pieces, det.coincidence_window, plan.integration_time)
 
 
 def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecord:
@@ -282,77 +284,70 @@ def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecor
     [0, window).  A step places the entry that ends its short gap and,
     if m > 0, the one that starts it, after m - 1 isolated entries.
 
-    Steps are drawn ``_BLOCK_STEPS`` at a time.  Their entries are marked
-    by :func:`~bellgate.detection.detection_pattern` and matched a slice's
-    worth at a time (the steps that span about ``_CHUNK_EVENTS`` entries,
-    at most a block), the open cluster carried, so the matcher holds
-    about a slice however long the run and however much of a block it
-    uses.  The isolated entries are counted by one multinomial over the
-    same parts.
+    Steps are drawn ``_BLOCK_STEPS`` at a time and handed to
+    :func:`_count` a piece at a time (the steps that span about
+    ``_CHUNK_EVENTS`` entries, at most a block), their placed entries
+    marked by :func:`~bellgate.detection.detection_pattern`.  A piece's
+    frontier is the entry that ends its last step, where every later
+    step starts, so the counter holds about a piece however long the
+    run.  The isolated entries are counted afterwards by one
+    multinomial over the same parts.
     """
     window = det.coincidence_window
     rate, *ends = pattern_bounds(det, joint, pair_rate, fire)
     if rate == 0:
         return CountRecord(0, 0, 0, duration)
     short_p = -math.expm1(-rate * window)
-    singles_alice = singles_bob = coincidences = isolated = 0
-    tail_times, tail_arms = np.empty(0), np.empty(0, dtype=np.int8)
-    last = 0.0  # the entry that ends the last step drawn
-    n = _BLOCK_STEPS
-    piece = min(n, math.ceil(_CHUNK_EVENTS * short_p))
-    # Below 1e-100 entries per window, a run holds a close pair with
-    # probability under 1e-90 and its long runs overflow float: every
-    # entry is isolated.
-    done = short_p < 1e-100
-    if done:
-        isolated = int(rng.poisson(rate * duration))
-    while not done:
-        longs = np.floor(rng.standard_exponential(n) / (rate * window))
-        excess = rng.standard_gamma(longs)
-        shorts = -np.log1p(-short_p * rng.random(n)) / rate
-        # One sequential sum over each step's long run and short gap gives
-        # the entries that start and end its short gap, in time order.
-        steps = np.column_stack([longs * window + excess / rate, shorts]).ravel()
-        points = np.cumsum(np.concatenate([[last], steps]))[1:].reshape(n, 2)
-        full = int(np.searchsorted(points[:, 1], duration))  # steps ending before the end
-        keep = np.column_stack([longs > 0, np.ones(n, dtype=bool)])
-        keep[full:] = False
-        isolated += int(np.maximum(longs[:full] - 1.0, 0.0).sum())
-        done = full < n
+    isolated = 0
+
+    def placed():
+        nonlocal isolated
+        last = 0.0  # the entry that ends the last step drawn
+        n = _BLOCK_STEPS
+        piece = min(n, math.ceil(_CHUNK_EVENTS * short_p))
+        # Below 1e-100 entries per window, a run holds a close pair with
+        # probability under 1e-90 and its long runs overflow float: every
+        # entry is isolated.
+        done = short_p < 1e-100
         if done:
-            # The run ends in step ``full``: in its short gap, or in its long run.
-            room = duration - (points[full - 1, 1] if full else last)
-            count = int(longs[full])
-            if points[full, 0] < duration:
-                keep[full, 0] = count > 0
-                isolated += max(count - 1, 0)
+            isolated = int(rng.poisson(rate * duration))
+        while not done:
+            longs = np.floor(rng.standard_exponential(n) / (rate * window))
+            excess = rng.standard_gamma(longs)
+            shorts = -np.log1p(-short_p * rng.random(n)) / rate
+            # One sequential sum over each step's long run and short gap gives
+            # the entries that start and end its short gap, in time order.
+            steps = np.column_stack([longs * window + excess / rate, shorts]).ravel()
+            points = np.cumsum(np.concatenate([[last], steps]))[1:].reshape(n, 2)
+            full = int(np.searchsorted(points[:, 1], duration))  # steps ending before the end
+            keep = np.column_stack([longs > 0, np.ones(n, dtype=bool)])
+            keep[full:] = False
+            isolated += int(np.maximum(longs[:full] - 1.0, 0.0).sum())
+            done = full < n
+            if done:
+                # The run ends in step ``full``: in its short gap, or in its long run.
+                room = duration - (points[full - 1, 1] if full else last)
+                count = int(longs[full])
+                if points[full, 0] < duration:
+                    keep[full, 0] = count > 0
+                    isolated += max(count - 1, 0)
+                else:
+                    isolated += _entries_before(room, count, excess[full], rate, window, rng)
             else:
-                isolated += _entries_before(room, count, excess[full], rate, window, rng)
-        else:
-            last = float(points[-1, 1])
-        used = full + 1 if done else n
-        for lo in range(0, used, piece):
-            hi = lo + piece
-            times = points[lo:hi][keep[lo:hi]]
-            arms = detection_pattern(times.size, det, rng, joint, fire, pair_rate, True)
-            singles_alice += int(np.count_nonzero(arms & ALICE))
-            singles_bob += int(np.count_nonzero(arms & BOB))
-            times = np.concatenate([tail_times, times])
-            arms = np.concatenate([tail_arms, arms])
-            # A placed entry that starts a short gap follows a long one, so
-            # the last of them starts the open cluster.
-            starts = np.flatnonzero(keep[lo:hi, 0])
-            i = 0
-            if starts.size:
-                i = tail_times.size + int(np.count_nonzero(keep[lo : lo + starts[-1]]))
-            coincidences += match_coincidences(times[:i], arms[:i], window)
-            tail_times, tail_arms = times[i:], arms[i:]
-    coincidences += match_coincidences(tail_times, tail_arms, window)
+                last = float(points[-1, 1])
+            used = full + 1 if done else n
+            for lo in range(0, used, piece):
+                hi = min(lo + piece, used)
+                times = points[lo:hi][keep[lo:hi]]
+                arms = detection_pattern(times.size, det, rng, joint, fire, pair_rate, True)
+                yield times, arms, points[hi - 1, 1]
+
+    record = _count(placed(), window, duration)
     part_alice, part_both, part_bob, _ = rng.multinomial(isolated, np.diff([0, *ends, rate]) / rate)
     return CountRecord(
-        singles_alice + int(part_alice + part_both),
-        singles_bob + int(part_both + part_bob),
-        coincidences + int(part_both),
+        record.singles_alice + int(part_alice + part_both),
+        record.singles_bob + int(part_both + part_bob),
+        record.coincidences + int(part_both),
         duration,
     )
 
@@ -381,28 +376,25 @@ def _entries_before(
     return lo
 
 
-def _count(draw, event_rate: float, window: float, duration: float) -> CountRecord:
-    """Count one run of ``duration`` seconds slice by slice, like a counting card.
+def _count(pieces, window: float, duration: float) -> CountRecord:
+    """Count one run of ``duration`` seconds piece by piece, like a counting card.
 
-    ``draw(t0, t1)`` returns a tagged stream ``(times, arms)``, sorted by
-    time and detected in [t0 + delay, t1 + delay) for a fixed delay >= 0,
-    of about ``event_rate`` entries per second.  The tail carried from
-    the slice before is earlier than every new entry, so it joins by
-    concatenation; singles are counted from the arm codes.  Every later
-    entry is at t1 or after, so the greedy count splits at the last gap
-    of at least a window that also lies a window below t1 (see
-    :func:`~bellgate.detection.match_coincidences`): the entries before
-    it are matched now, the rest are carried.
+    ``pieces`` yields tagged streams ``(times, arms, frontier)``, each
+    sorted by time, with every entry of a later piece at or after
+    ``frontier``.  The tail carried from the piece before is earlier
+    than every new entry, so it joins by concatenation; singles are
+    counted from the arm codes.  The entries that :func:`_settled` puts
+    before the cut are matched now, the rest are carried, and the last
+    tail is matched when the pieces run out.
     """
     tail_times, tail_arms = np.empty(0), np.empty(0, dtype=np.int8)
     singles_alice = singles_bob = coincidences = 0
-    for t0, t1 in _time_slices(duration, event_rate):
-        times, arms = draw(t0, t1)
+    for times, arms, frontier in pieces:
         singles_alice += int(np.count_nonzero(arms & ALICE))
         singles_bob += int(np.count_nonzero(arms & BOB))
         times = np.concatenate([tail_times, times])
         arms = np.concatenate([tail_arms, arms])
-        i = _settled(times, t1, window)
+        i = _settled(times, frontier, window)
         coincidences += match_coincidences(times[:i], arms[:i], window)
         tail_times, tail_arms = times[i:], arms[i:]
     coincidences += match_coincidences(tail_times, tail_arms, window)
@@ -415,18 +407,14 @@ def _settled(times, frontier: float, window: float) -> int:
     ``frontier``.
 
     The cut follows the last entry x whose next entry, and the frontier,
-    are both at least a window later.  The search looks at the last
-    ``_LOOKBACK`` entries first and at the whole stream only if no cut
-    lies there; 0 carries everything.
+    are both at least a window later, so the greedy count splits there
+    (see :func:`~bellgate.detection.match_coincidences`); 0 carries
+    everything.
     """
-    for lowest in ([times.size - _LOOKBACK] if times.size > _LOOKBACK else []) + [0]:
-        part = times[lowest:]
-        ends = frontier - part >= window
-        ends[:-1] &= np.diff(part) >= window
-        last = np.flatnonzero(ends)
-        if last.size:
-            return lowest + int(last[-1]) + 1
-    return 0
+    ends = frontier - times >= window
+    ends[:-1] &= np.diff(times) >= window
+    last = np.flatnonzero(ends)
+    return int(last[-1]) + 1 if last.size else 0
 
 
 def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:

@@ -5,6 +5,7 @@ from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, CountTable16
 from bellgate.apparatus import ApparatusConfig, gate_geometry, validate_config
 from bellgate.detection import ALICE, BOB
 from bellgate.gating import GateState
+from bellgate.runner import _time_slices
 from bellgate.sources import joint_probabilities
 
 # A gate with no closed time: built directly, as from_geometry refuses it.
@@ -47,3 +48,10 @@ def tag_arms(alice, bob):
     arms = np.repeat(np.array([ALICE, BOB], dtype=np.int8), [alice.size, bob.size])
     order = np.argsort(times, kind="stable")
     return times[order], arms[order]
+
+
+def _sliced(draw, rate, duration):
+    """The pieces a gated run hands the counter: ``draw(t0, t1)``'s tagged
+    stream ``(times, arms)`` for each time slice of [0, duration) at
+    ``rate`` entries per second, with the slice's end as its frontier."""
+    return ((*draw(t0, t1), t1) for t0, t1 in _time_slices(duration, rate))

@@ -513,8 +513,8 @@ def test_causality_text_and_json_carry_the_same_values(capsys, speed):
     assert list(report) == list(REPORT_KEYS.values())
     for label, key in REPORT_KEYS.items():
         value = report[key]
-        if value == "instant" or value is None:
-            assert text[label] == {"instant": "instantaneous", None: "none"}[value]
+        if value in ("instant", None):
+            assert text[label] == (value or "none")
             continue
         # The JSON key names the unit the text line ends with.
         unit = "m/s" if key.endswith("_m_per_s") else "s" if key.endswith("_s") else ""
@@ -538,6 +538,17 @@ def test_causality_sweep_finds_first_resonance(capsys):
     assert main(["causality", "--sweep", "--max-windows", "3"]) == 0
     out = capsys.readouterr().out
     assert "6.9578e+06" in out
+
+
+def test_causality_sweep_spells_an_infinite_speed_instant(capsys):
+    # 8900 m of fiber: window 1 opens to influences of every speed above its low end.
+    args = ["causality", "--sweep", "--max-windows", "2", "--set", "apparatus.fiber_length=8900"]
+    assert main(args) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[0][0] == "1" and rows[0][2:] == ["instant", "instant"]
+    assert main(args + ["--json"]) == 0
+    first = json.loads(capsys.readouterr().out)[0]
+    assert first["high_m_per_s"] == first["center_m_per_s"] == "instant"
 
 
 def test_causality_sweep_at_the_window_cap(capsys):

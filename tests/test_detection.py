@@ -25,7 +25,7 @@ from bellgate.sources import (
     ThresholdLHV,
     joint_probabilities,
 )
-from conftest import tag_arms
+from conftest import _sliced, tag_arms
 
 
 def greedy_match_reference(alice, bob, window):
@@ -377,7 +377,7 @@ def test_count_run_summary():
         kept = times[(times >= t0) & (times < t1)]
         return kept, np.full(kept.size, BOTH, dtype=np.int8)
 
-    record = _count(draw, 500.0, window, 1.0)
+    record = _count(_sliced(draw, 500.0, 1.0), window, 1.0)
     assert record == CountRecord(500, 500, 500, 1.0)  # identical timestamps always match
     # Darks only, drawn in the slice as the runner's draws bring them.
     rng = np.random.default_rng(13)
@@ -387,7 +387,7 @@ def test_count_run_summary():
         bob = t0 + dark_times(600.0, t1 - t0, rng)
         return tag_arms(alice, bob)
 
-    record = _count(dark_draw, 1900.0, window, 2.0)
+    record = _count(_sliced(dark_draw, 1900.0, 2.0), window, 2.0)
     check = np.random.default_rng(13)
     alice = dark_times(1300.0, 2.0, check)
     bob = dark_times(600.0, 2.0, check)

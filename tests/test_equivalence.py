@@ -20,14 +20,7 @@ import pytest
 
 from bellgate.apparatus import ApparatusConfig, gate_geometry, validate_config
 from bellgate.causality import resonant_influence_speeds
-from bellgate.detection import (
-    ALICE,
-    BOB,
-    DetectorConfig,
-    dark_times,
-    match_coincidences,
-    thin_times,
-)
+from bellgate.detection import DetectorConfig, dark_times, match_coincidences, thin_times
 from bellgate.gating import GateState, gate_open
 from bellgate.runner import RunPlan, run_setting
 from bellgate.sources import (
@@ -37,14 +30,7 @@ from bellgate.sources import (
     TravelingInfluence,
     joint_outcomes,
 )
-
-
-def tagged(alice, bob):
-    """One entry per detection of either arm, in time order."""
-    times = np.concatenate([alice, bob])
-    arms = np.repeat(np.array([ALICE, BOB], dtype=np.int8), [alice.size, bob.size])
-    order = np.argsort(times, kind="stable")
-    return times[order], arms[order]
+from conftest import tag_arms
 
 
 def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None, polarized=True):
@@ -88,7 +74,7 @@ def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None, polariz
     bob = thin_times(arrivals[bob_pass], det.efficiency_bob, rng)
     alice = np.concatenate([alice, dark_times(det.dark_rate_alice, duration, rng)])
     bob = np.concatenate([bob, dark_times(det.dark_rate_bob, duration, rng)])
-    coincidences = match_coincidences(*tagged(alice, bob), det.coincidence_window)
+    coincidences = match_coincidences(*tag_arms(alice, bob), det.coincidence_window)
     return coincidences, alice.size, bob.size
 
 

@@ -48,7 +48,7 @@ ANALYZE_DIGESTS = {
 STDOUT_DIGESTS = {
     "geometry": "1e8016006c269df1531ad6f90e21d2bfefdb9f9f6011b759c6ed1342f09051d1",
     "causality --speed instant": (
-        "8ccd864de43729ec7ae2b4986573e5a57d568476cb2621b4c710687807e7cb30"
+        "7edea1a5e3acf34fc22a34f7115dcb8d138fc1fa229b8595970dea90d1b632fe"
     ),
     "causality --speed 2.998e8 --json": (
         "9dcfa21de16f3e462e28268f365ed2793d6ee65a952b6adfa6742ba3b03c480f"

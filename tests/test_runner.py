@@ -29,7 +29,6 @@ from bellgate import runner
 from bellgate.runner import (
     _BLOCK_STEPS,
     _CHUNK_EVENTS,
-    _LOOKBACK,
     DEGRADATION_LABELS,
     MAX_RUN_EVENTS,
     RunPlan,
@@ -51,7 +50,7 @@ from bellgate.sources import (
     correlation_theory,
     joint_probabilities,
 )
-from conftest import tag_arms
+from conftest import _sliced, tag_arms
 
 PERFECT = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=20e-9)
 
@@ -211,7 +210,7 @@ def _streamed_equals_whole(times, arms, window, delay=0.0, rate=FOUR_SLICES, dar
         drawn.extend(parts)
         return tag_parts(parts)
 
-    record = _count(draw, rate, window, 1.0)
+    record = _count(_sliced(draw, rate, 1.0), window, 1.0)
     all_times, all_arms = tag_parts(drawn)
     whole = match_coincidences(all_times, all_arms, window)
     singles = [np.count_nonzero(all_arms & arm) for arm in (ALICE, BOB)]
@@ -315,12 +314,12 @@ def test_streamed_count_matches_the_tail_left_at_the_end_of_the_run(delay):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_streamed_count_with_a_cluster_longer_than_the_look_back(seed):
+def test_streamed_count_with_a_long_cluster_and_a_slice_without_a_cut(seed):
     rng = np.random.default_rng(seed)
     window = 2.0**-10
-    # A chain far longer than _LOOKBACK events across the 0.5 edge, and
-    # one that fills the whole slice [0.25, 0.5) so that slice has no cut.
-    across = _clusters(rng, [0.5], 8 * _LOOKBACK, 0.3 * window)
+    # A chain of 512 events across the 0.5 edge, and one that fills the
+    # whole slice [0.25, 0.5) so that slice has no cut.
+    across = _clusters(rng, [0.5], 512, 0.3 * window)
     filling = _clusters(rng, [0.4], int(0.3 / (0.7 * window)), 0.7 * window)
     background = rng.random(200) * 0.99
     on_alice = rng.random(200) < 0.5
@@ -329,15 +328,37 @@ def test_streamed_count_with_a_cluster_longer_than_the_look_back(seed):
     assert _streamed_equals_whole(*tag_arms(alice, bob), window) > 0
 
 
-def test_streamed_count_looks_back_past_a_one_sided_chain():
-    # Alice's last 2 * _LOOKBACK entries below the 0.5 edge are a chain
-    # with no cut, longer than the look-back; the last cut lies below it,
-    # between pairs of an Alice and a Bob entry half a window apart.
+def test_streamed_count_cuts_below_a_one_sided_chain():
+    # Alice's last 128 entries below the 0.5 edge are a chain with no
+    # cut; the last cut lies below it, between pairs of an Alice and a
+    # Bob entry half a window apart.
     window = 2.0**-10
-    chain = 0.5 - 0.5 * window * np.arange(1, 2 * _LOOKBACK + 1)
+    chain = 0.5 - 0.5 * window * np.arange(1, 129)
     pairs = chain[-1] - 3.0 * window * np.arange(1, 21)
     alice = np.concatenate([chain, pairs + 0.5 * window])
     assert _streamed_equals_whole(*tag_arms(alice, pairs), window) == 20
+
+
+def test_count_with_frontiers_at_the_last_entry_of_each_piece():
+    # Each frontier is its piece's last entry, not a slice edge.  The
+    # second piece starts at that frontier and chains a cluster across it
+    # (Alice, Alice | Bob, Bob, Bob), and the third piece is empty.
+    window = 2.0**-10
+    pieces = [
+        ([0.1, 0.25, 0.25 + 0.5 * window], [BOTH, ALICE, ALICE], 0.25 + 0.5 * window),
+        ([0.25 + 0.5 * window, 0.25 + 0.75 * window, 0.25 + 1.25 * window, 0.5],
+         [BOB, BOB, BOB, ALICE], 0.5),
+        ([], [], 0.75),
+        ([0.75, 0.9], [BOB, BOTH], 0.9),
+    ]
+    pieces = [(np.array(t, dtype=float), np.array(a, dtype=np.int8), f) for t, a, f in pieces]
+    times = np.concatenate([t for t, _, _ in pieces])
+    arms = np.concatenate([a for _, a, _ in pieces])
+    whole = match_coincidences(times, arms, window)
+    # Matched piece by piece with nothing carried, the chain goes unmatched.
+    assert sum(match_coincidences(t, a, window) for t, a, _ in pieces) == 2 < whole == 4
+    singles = [np.count_nonzero(arms & arm) for arm in (ALICE, BOB)]
+    assert _count(iter(pieces), window, 1.0) == CountRecord(*singles, whole, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -618,6 +639,28 @@ def test_mirror_stopped_count_in_pieces_equals_one_match(monkeypatch):
     arms = np.concatenate([arms for _, arms, _ in pieces])
     whole = match_coincidences(times, arms, STOPPED_WINDOW)
     assert sum(count for _, _, count in pieces) == whole > 0
+
+
+def test_mirror_stopped_pieces_keep_their_frontiers(monkeypatch):
+    # At 1/64 entries per window a block splits into three pieces.  Each
+    # piece's entries lie at or before its frontier, and every entry of a
+    # later piece, in the same block or the next, at or after it.
+    det, pair_rate, fire = _stopped_detector(1 / 64 / STOPPED_WINDOW)
+    seen = []
+
+    def count(pieces, window, duration):
+        seen.extend(pieces)
+        return _count(iter(seen), window, duration)
+
+    monkeypatch.setattr(runner, "_count", count)
+    duration = 2.5 * _BLOCK_STEPS * 64 * 64 * STOPPED_WINDOW  # 64 entries a step
+    _count_homogeneous(det, STOPPED_JOINT, fire, pair_rate, duration, np.random.default_rng(3))
+    assert len(seen) >= 7
+    ends = np.cumsum([times.size for times, _, _ in seen])
+    times = np.concatenate([times for times, _, _ in seen])
+    assert np.all(np.diff(times) >= 0)
+    for end, (_, _, frontier) in zip(ends, seen):
+        assert times[:end].max(initial=-np.inf) <= frontier <= times[end:].min(initial=np.inf)
 
 
 # (count, room): a run of two long gaps, and one of fifty that the end
