@@ -17,6 +17,7 @@ than :data:`~bellgate.causality.MAX_SWEEP_WINDOWS` windows included),
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -160,15 +161,15 @@ def _record_json(record) -> dict:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     plan = build_plan(cfg)
+    # Both measurements run before --out is touched, so a failed run
+    # leaves no report from it beside those of an earlier run.
+    records, ratios = run_degradation(plan)
+    table, result = run_chsh(plan)
+
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    records, ratios = run_degradation(plan)
     write_count_records(zip(DEGRADATION_LABELS, records), out / "degradation.csv")
-
-    table, result = run_chsh(plan)
     write_table_csv(table, out / "chsh_counts.csv")
-
     report = {
         "config": cfg,
         "seed": plan.seed,
@@ -305,7 +306,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    # What the imports built, and what main() leaves, lives until exit:
+    # frozen, neither the run's collections nor those at shutdown walk it.
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

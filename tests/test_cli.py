@@ -211,6 +211,26 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+def test_failed_simulate_leaves_out_as_it_was(tmp_path, capsys):
+    # A 1 ms demo scan has an empty cell: its degradation runs succeed, and
+    # their report must not land beside an earlier run's files.
+    def simulate(out, seconds):
+        return main(["simulate", "--config", str(fixture_path("demo.json")), "--out", str(out),
+                     "--set", f"run.integration_time={seconds}"])
+
+    out = tmp_path / "d"
+    assert simulate(out, 0.01) == 0
+    names = ("results.json", "chsh_counts.csv", "degradation.csv")
+    first = {name: (out / name).read_bytes() for name in names}
+    capsys.readouterr()
+    assert simulate(out, 0.001) == 3
+    assert "needs at least one count" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in names} == first
+    # Nor does a failed run create --out.
+    assert simulate(tmp_path / "fresh", 0.001) == 3
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_simulate_seed_flag_changes_counts(tmp_path):
     config = write_config(tmp_path)
     dirs = (tmp_path / "a", tmp_path / "b")
@@ -627,6 +647,46 @@ def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_entry_point_freezes_the_import_heap_and_keeps_main_s_exit_codes(tmp_path, capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # run() freezes the heap before main(); main() itself does not.
+    freeze = (
+        "import gc, bellgate.cli as c\n"
+        "c.main = lambda: 0 if gc.get_freeze_count() else 4\n"
+        "c.run()\n"
+    )
+    demo = str(fixture_path("demo.json"))
+    simulate = ["-m", "bellgate.cli", "simulate", "--out", "o"]
+    runs = {
+        0: ["-c", freeze],
+        2: [*simulate, "--config", "does-not-exist.json"],
+        1: [*simulate, "--set", "run.no_such_key=1"],
+        3: [*simulate, "--config", demo, "--set", "run.integration_time=0.001"],
+        "geometry": ["-m", "bellgate.cli", "geometry"],
+    }
+    # The children run side by side.
+    children = {
+        key: subprocess.Popen(
+            [sys.executable, *args], env=env, cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for key, args in runs.items()
+    }
+    outputs = {key: child.communicate() for key, child in children.items()}
+    for status in (0, 2, 1, 3):
+        assert children[status].returncode == status, outputs[status][1]
+        if status:
+            err = outputs[status][1]
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+    # Piped stdout is the bytes main() prints.
+    assert children["geometry"].returncode == 0, outputs["geometry"][1]
+    capsys.readouterr()
+    assert main(["geometry"]) == 0
+    assert outputs["geometry"][0] == capsys.readouterr().out
 
 
 def test_causality_invalid_speed(capsys):

@@ -347,13 +347,19 @@ def test_coincidences_bounded_by_singles():
 def test_independent_streams_match_at_accidental_rate():
     # Two unrelated Poisson streams at the reference bench's with-rotation
     # singles rates; the greedy matcher realizes the 2*tau ("double")
-    # accidental convention because either side may open the window.
+    # accidental convention because either side may open the window.  The
+    # hour is drawn and counted slice by slice, as the runner counts a run,
+    # so its 12 million entries are never held at once.
     rng = np.random.default_rng(8)
     duration = 3600.0
-    alice = dark_times(2301.0, duration, rng)
-    bob = dark_times(1098.0, duration, rng)
+
+    def draw(t0, t1):
+        alice = t0 + dark_times(2301.0, t1 - t0, rng)
+        bob = t0 + dark_times(1098.0, t1 - t0, rng)
+        return tag_arms(alice, bob)
+
     window = 20e-9
-    count = match_coincidences(*tag_arms(alice, bob), window)
+    count = _count(_sliced(draw, 2301.0 + 1098.0, duration), window, duration).coincidences
     expected_double = 2301.0 * 1098.0 * 2 * window * duration
     assert abs(count - expected_double) < 5 * math.sqrt(expected_double)
     # over one minute that is about 6 accidentals
