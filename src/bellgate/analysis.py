@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .detection import CountRecord, format_number
+from .record import Record
 
 ALICE_ANGLES = (0.0, 45.0, 90.0, 135.0)
 BOB_ANGLES = (22.5, 67.5, 112.5, 157.5)
@@ -44,8 +43,7 @@ class NumericalError(ArithmeticError):
     """A count computation cannot proceed (zero denominator or the like)."""
 
 
-@dataclass(frozen=True)
-class CountTable16:
+class CountTable16(Record):
     """Coincidence counts over the 4x4 polarizer-setting grid.
 
     ``counts[i, j]`` belongs to ``ALICE_ANGLES[i]`` x ``BOB_ANGLES[j]``;
@@ -60,8 +58,8 @@ class CountTable16:
 
     counts: np.ndarray
     accidentals: np.ndarray
-    alice_angles: ClassVar[tuple[float, ...]] = ALICE_ANGLES
-    bob_angles: ClassVar[tuple[float, ...]] = BOB_ANGLES
+    alice_angles = ALICE_ANGLES
+    bob_angles = BOB_ANGLES
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=float)
@@ -79,8 +77,7 @@ class CountTable16:
         return np.clip(self.counts - self.accidentals, 0.0, None)
 
 
-@dataclass(frozen=True)
-class ChshResult:
+class ChshResult(Record):
     """Correlations at :data:`CHSH_SETTINGS`, their sigmas, and the CHSH combination."""
 
     E_values: tuple[float, float, float, float]
@@ -92,8 +89,7 @@ class ChshResult:
 DEGRADATION_COLUMNS = ("singles_alice", "singles_bob", "coincidences")
 
 
-@dataclass(frozen=True)
-class DegradationResult:
+class DegradationResult(Record):
     """With-rotation / without-rotation rate ratios, one per count column."""
 
     ratios: tuple[float, float, float]

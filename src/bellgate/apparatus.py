@@ -11,7 +11,8 @@ modules work from identical numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 LIGHT_SPEED_VACUUM = 2.998e8  # m/s
 
@@ -24,8 +25,7 @@ class ValidationError(ValueError):
     """A configuration value violates a bench invariant."""
 
 
-@dataclass(frozen=True)
-class ApparatusConfig:
+class ApparatusConfig(Record):
     """Physical bench parameters, SI units.
 
     Defaults reproduce the reference bench: 1 mm slits 0.34 m from a
@@ -43,8 +43,7 @@ class ApparatusConfig:
     vacuum_light_speed: float = LIGHT_SPEED_VACUUM
 
 
-@dataclass(frozen=True)
-class GateGeometry:
+class GateGeometry(Record):
     """Derived gate timing; see :func:`gate_geometry`."""
 
     aperture_time: float                # gate-open duration per facet, s

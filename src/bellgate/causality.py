@@ -23,10 +23,10 @@ intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .apparatus import GateGeometry
 from .gating import GateState
+from .record import Record, replace
 
 # The most later windows a resonance sweep may examine: the reference
 # bench's 10 000th window is 0.29 s out, where a resonant influence
@@ -35,8 +35,7 @@ from .gating import GateState
 MAX_SWEEP_WINDOWS = 10_000
 
 
-@dataclass(frozen=True)
-class CausalityReport:
+class CausalityReport(Record):
     """Windows, overlap and margin for one hypothesized influence speed."""
 
     influence_speed: float                         # m/s; math.inf = instantaneous
@@ -48,8 +47,7 @@ class CausalityReport:
     isolation_margin: float                        # arrival start minus window-0 close, s
 
 
-@dataclass(frozen=True)
-class SpeedInterval:
+class SpeedInterval(Record):
     """Influence speeds whose informed arrivals overlap gate window k."""
 
     window_index: int

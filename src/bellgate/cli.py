@@ -22,7 +22,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .analysis import (
     CHSH_SETTINGS,
@@ -48,6 +48,7 @@ from .config import (
 )
 from .detection import COUNT_RECORD_HEADER, write_count_records
 from .fixtures import fixture_path
+from .record import Record
 from .runner import DEGRADATION_LABELS, run_degradation, run_chsh
 
 DEFAULT_CONFIG = "reference_bench.json"
@@ -64,7 +65,7 @@ def _load(args) -> dict:
     return apply_overrides(cfg, args.set or [])
 
 
-class _Field(NamedTuple):
+class _Field(Record):
     """One reported quantity: text label, JSON key, record attribute, text form."""
 
     label: str

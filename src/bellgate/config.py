@@ -2,23 +2,23 @@
 
 Four sections mirror the module boundaries -- ``apparatus``,
 ``detector``, ``model`` and ``run`` -- and each takes its key set from
-the init fields of its dataclass (``RunPlan`` less its three section
-fields; SI units throughout).  An omitted key takes that dataclass's
-default, and every value gets that dataclass's checks.  Unknown sections
-or keys are rejected so a typo cannot silently fall back to a default.
+the fields of its record (``RunPlan`` less its three section fields;
+SI units throughout).  An omitted key takes that record's default, and
+every value gets that record's checks.  Unknown sections or keys are
+rejected so a typo cannot silently fall back to a default.
 Command-line overrides use dotted keys (``apparatus.aperture_width=2e-3``).
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import math
 from pathlib import Path
 
 from .apparatus import ApparatusConfig
 from .detection import DetectorConfig
+from .record import fields
 from .runner import RunPlan
 from .sources import (
     INSTANTANEOUS,
@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 
 
 def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls) if f.init}
+    return set(fields(cls))
 
 
 _MODELS = {

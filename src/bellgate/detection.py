@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .record import Record
 
 #: Arm codes of a tagged stream entry: which detectors it fired.
 ALICE = 1
@@ -41,8 +42,7 @@ BOTH = ALICE | BOB
 COUNT_RECORD_HEADER = ("label", "singles_alice_per_s", "singles_bob_per_s", "coincidences_per_s")
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(Record):
     """Per-arm APD characteristics plus the shared coincidence window."""
 
     efficiency_alice: float
@@ -73,8 +73,7 @@ class DetectorConfig:
         return p_pp * keep_both + self.efficiency_alice * p_pb + self.efficiency_bob * p_bp
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(Record):
     """Singles and coincidence totals accumulated over ``duration`` seconds."""
 
     singles_alice: float

@@ -15,15 +15,14 @@ intensity is constant, and the runner counts it by its close pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .apparatus import GateGeometry, ValidationError
+from .record import Record
 
 
-@dataclass(frozen=True)
-class GateState:
+class GateState(Record):
     """Periodic top-hat transmission window shared by both slits."""
 
     gate_period: float

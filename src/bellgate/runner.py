@@ -53,8 +53,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,7 +69,7 @@ from .analysis import (
     dark_subtract,
     degradation_ratio,
 )
-from .apparatus import ApparatusConfig, GateGeometry, gate_geometry, validate_config
+from .apparatus import ApparatusConfig, gate_geometry, validate_config
 from .causality import informed_slit_gate
 from .detection import (
     ALICE,
@@ -85,6 +83,7 @@ from .detection import (
     thin_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.thin_times
 )
 from .gating import GateState, gate_open, sample_open_times
+from .record import Record
 from .sources import (
     NO_POLARIZERS,
     CorrelationModel,
@@ -109,9 +108,15 @@ _BLOCK_STEPS = 1 << 11
 MAX_RUN_EVENTS = 1e10
 
 
-@dataclass(frozen=True)
-class RunPlan:
-    """Everything needed to reproduce one simulated experiment."""
+class RunPlan(Record):
+    """Everything needed to reproduce one simulated experiment.
+
+    ``__post_init__`` derives three attributes that are not fields:
+    ``geometry``, the gate timing of ``apparatus``, derived once after
+    validating it; ``gate``, the gate of every gated run, checked against
+    ``gate_phase`` once; and ``informed_gate``, the slit times of a
+    ``TravelingInfluence`` model's informed pairs, or None.
+    """
 
     apparatus: ApparatusConfig
     detector: DetectorConfig
@@ -122,12 +127,6 @@ class RunPlan:
     seed: int = 0
     gate_phase: float = 0.0
     accidental_convention: str = "double"
-    #: Gate timing derived from ``apparatus`` once, after validating it.
-    geometry: GateGeometry = field(init=False, repr=False, compare=False)
-    #: The gate of every gated run, checked against ``gate_phase`` once.
-    gate: GateState = field(init=False, repr=False, compare=False)
-    #: The slit times of a ``TravelingInfluence`` model's informed pairs, or None.
-    informed_gate: GateState | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.rotation, bool):
@@ -144,11 +143,12 @@ class RunPlan:
         object.__setattr__(self, "geometry", geometry)
         # Every experiment includes a gated run; check its phase before any run.
         object.__setattr__(self, "gate", GateState.from_geometry(geometry, self.gate_phase))
+        informed_gate = None
         if isinstance(self.model, TravelingInfluence):
             # Refuses a speed too slow for its informed phase to be resolved.
             length, speed = self.apparatus.fiber_length, self.model.influence_speed
             informed_gate = informed_slit_gate(self.gate, length, speed, geometry.fiber_delay)
-            object.__setattr__(self, "informed_gate", informed_gate)
+        object.__setattr__(self, "informed_gate", informed_gate)
         # A window as long as the gate period reaches into the next gate
         # opening and pairs detections that no single opening let through.
         if not self.detector.coincidence_window < geometry.gate_period:
@@ -171,7 +171,7 @@ class RunPlan:
             )
 
 
-class Calibration(NamedTuple):
+class Calibration(Record):
     pair_rate: float
     efficiency_alice: float
     efficiency_bob: float

@@ -29,10 +29,11 @@ estimator converge to these closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .record import Record
 
 SIGN_CONVENTIONS = ("plus", "minus", "mirrored")
 
@@ -44,8 +45,7 @@ INSTANTANEOUS = math.inf
 NO_POLARIZERS = (1.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class QuantumState:
+class QuantumState(Record):
     sign_convention: str = "mirrored"
     visibility: float = 1.0
 
@@ -59,18 +59,15 @@ class QuantumState:
             raise ValueError("visibility must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class MalusLHV:
+class MalusLHV(Record):
     pass
 
 
-@dataclass(frozen=True)
-class ThresholdLHV:
+class ThresholdLHV(Record):
     pass
 
 
-@dataclass(frozen=True)
-class TravelingInfluence:
+class TravelingInfluence(Record):
     base: "CorrelationModel"
     uninformed: "CorrelationModel"
     influence_speed: float = INSTANTANEOUS  # m/s; math.inf = instantaneous

@@ -14,7 +14,7 @@ ALWAYS_OPEN = GateState(gate_period=1.0, aperture_time=1.0)
 
 @pytest.fixture
 def bench():
-    """Reference bench configuration (the dataclass defaults)."""
+    """Reference bench configuration (the record defaults)."""
     return ApparatusConfig()
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -22,6 +21,7 @@ from bellgate.analysis import (
 )
 from bellgate.detection import CountRecord
 from bellgate.fixtures import fixture_path
+from bellgate.record import fields
 from bellgate.sources import MalusLHV, ThresholdLHV
 
 from conftest import sampled_table
@@ -292,7 +292,7 @@ def test_count_table_validation():
 
 def test_count_table_grid_is_fixed():
     # the grid is a constant of the table, not data in it
-    assert [f.name for f in dataclasses.fields(CountTable16)] == ["counts", "accidentals"]
+    assert fields(CountTable16) == ("counts", "accidentals")
     table = bench_table()
     assert table.alice_angles == ALICE_ANGLES and table.bob_angles == BOB_ANGLES
     with pytest.raises(TypeError):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from bellgate.apparatus import (
     gate_geometry,
     validate_config,
 )
+from bellgate.record import replace
 
 # Reference bench: A=1e-3 m slit, R=0.34 m, w=1000 Hz, N=34 facets,
 # L=200 m fiber per arm, vacuum-speed timing.

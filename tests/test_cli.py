@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -23,6 +22,7 @@ from bellgate.cli import CAUSALITY_FIELDS, SWEEP_FIELDS, main
 from bellgate.config import ConfigError, build_plan, validate_schema
 from bellgate.detection import DetectorConfig
 from bellgate.fixtures import fixture_path
+from bellgate.record import fields
 from bellgate.runner import RunPlan
 from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, TravelingInfluence
 
@@ -353,7 +353,7 @@ def test_build_plan_reads_speed_beyond_float_range_as_json_reads_1e400():
      ("model", TravelingInfluence, "traveling")],
 )
 def test_sections_accept_exactly_their_dataclass_fields(section, cls, name):
-    keys = {f.name for f in dataclasses.fields(cls) if f.init}
+    keys = set(fields(cls))
     if cls is RunPlan:
         keys -= {"apparatus", "detector", "model"}  # sections of their own
     # The schema reads key names only, and nested models: any value will do.
@@ -366,7 +366,7 @@ def test_sections_accept_exactly_their_dataclass_fields(section, cls, name):
 
 
 def test_build_plan_defaults_are_the_dataclass_defaults():
-    # config keeps no default of its own: an omitted key takes its dataclass's
+    # config keeps no default of its own: an omitted key takes its record's
     cfg = {
         "detector": {"efficiency_alice": 0.5, "efficiency_bob": 0.25},
         "model": {"name": "traveling", "base": {"name": "quantum"},
@@ -426,6 +426,18 @@ def test_simulate_reads_oversized_integer_in_config_file_as_float(tmp_path, caps
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: run.pair_rate must be finite, got inf\n"
+    assert not out.exists()
+
+
+def test_simulate_needs_both_detector_efficiencies(tmp_path, capsys):
+    # config reads the record constructor's TypeError for a missing field
+    detector = {k: v for k, v in TINY_CONFIG["detector"].items() if k != "efficiency_bob"}
+    config = write_config(tmp_path, dict(TINY_CONFIG, detector=detector))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: detector section needs efficiency_alice and efficiency_bob\n"
+    )
     assert not out.exists()
 
 

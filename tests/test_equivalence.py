@@ -13,7 +13,6 @@ variances of each quantity.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from bellgate.apparatus import ApparatusConfig, gate_geometry, validate_config
 from bellgate.causality import resonant_influence_speeds
 from bellgate.detection import DetectorConfig, dark_times, match_coincidences, thin_times
 from bellgate.gating import GateState, gate_open
+from bellgate.record import replace
 from bellgate.runner import RunPlan, run_setting
 from bellgate.sources import (
     MalusLHV,

@@ -5,7 +5,6 @@ import statistics
 import tracemalloc
 import types
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from bellgate.detection import (
 )
 from bellgate.fixtures import fixture_path
 from bellgate import runner
+from bellgate.record import replace
 from bellgate.runner import (
     _BLOCK_STEPS,
     _CHUNK_EVENTS,
