@@ -17,11 +17,12 @@ time order.  It counts in numpy: it cuts the stream at every gap of a
 window or more, counts an isolated entry as one coincidence when both
 arms fired, and runs the greedy sweep only over the rare clusters of two
 or more entries (see :func:`match_coincidences` for why that is exact).
-The same cut lets the runner's one counter take a run a piece at a
-time: a gated run's time slices, or a mirror-stopped run's entries within
-a window of a neighbour, the isolated rest split by
-:func:`pattern_bounds`.  Dark and accidental coincidences are not
-injected anywhere; they emerge from the matcher like they do in hardware.
+The same cut lets the runner's one counter take a run in pieces that
+need only come in time order: a gated run's time slices, or a
+mirror-stopped run's entries within a window of a neighbour, the
+isolated rest split by :func:`pattern_bounds`.  Dark and accidental
+coincidences are not injected anywhere; they emerge from the matcher
+like they do in hardware.
 """
 
 from __future__ import annotations

@@ -36,12 +36,11 @@ counts the isolated rest by one multinomial over the same marks.  The
 dark-only run is the same count with the source off.
 
 Either way one counter, :func:`_count`, counts the tagged stream piece by
-piece, as a time tagger records it: a gated run hands it one piece per
-time slice, a mirror-stopped run its placed entries a few steps at a
-time, each piece with a frontier that no later entry precedes.  The tail
-carried from the piece before joins by concatenation, and the entries
-up to the last gap the rest of the run cannot bridge are matched, so
-memory stays bounded however long the run.
+piece, in time order, as a time tagger records it: a gated run hands it
+one piece per time slice, a mirror-stopped run its placed entries a few
+steps at a time.  The tail carried from the piece before joins by
+concatenation, and the entries up to the last gap of a window or more
+are matched, so memory stays bounded however long the run.
 
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
@@ -262,7 +261,7 @@ def run_setting(
 
     event_rate = pair_rate * fire * plan.geometry.duty_cycle + darks
     slices = _time_slices(plan.integration_time, event_rate)
-    pieces = ((*draw(t0, t1), t1) for t0, t1 in slices)
+    pieces = (draw(t0, t1) for t0, t1 in slices)
     return _count(pieces, det.coincidence_window, plan.integration_time)
 
 
@@ -287,10 +286,10 @@ def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecor
     Steps are drawn ``_BLOCK_STEPS`` at a time and handed to
     :func:`_count` a piece at a time (the steps that span about
     ``_CHUNK_EVENTS`` entries, at most a block), their placed entries
-    marked by :func:`~bellgate.detection.detection_pattern`.  A piece's
-    frontier is the entry that ends its last step, where every later
-    step starts, so the counter holds about a piece however long the
-    run.  The isolated entries are counted afterwards by one
+    marked by :func:`~bellgate.detection.detection_pattern`.  Every later
+    step starts at the entry that ends a piece's last step, so the pieces
+    come in time order and the counter holds about a piece however long
+    the run.  The isolated entries are counted afterwards by one
     multinomial over the same parts.
     """
     window = det.coincidence_window
@@ -339,8 +338,7 @@ def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecor
             for lo in range(0, used, piece):
                 hi = min(lo + piece, used)
                 times = points[lo:hi][keep[lo:hi]]
-                arms = detection_pattern(times.size, det, rng, joint, fire, pair_rate, True)
-                yield times, arms, points[hi - 1, 1]
+                yield times, detection_pattern(times.size, det, rng, joint, fire, pair_rate, True)
 
     record = _count(placed(), window, duration)
     part_alice, part_both, part_bob, _ = rng.multinomial(isolated, np.diff([0, *ends, rate]) / rate)
@@ -379,42 +377,29 @@ def _entries_before(
 def _count(pieces, window: float, duration: float) -> CountRecord:
     """Count one run of ``duration`` seconds piece by piece, like a counting card.
 
-    ``pieces`` yields tagged streams ``(times, arms, frontier)``, each
-    sorted by time, with every entry of a later piece at or after
-    ``frontier``.  The tail carried from the piece before is earlier
-    than every new entry, so it joins by concatenation; singles are
-    counted from the arm codes.  The entries that :func:`_settled` puts
-    before the cut are matched now, the rest are carried, and the last
-    tail is matched when the pieces run out.
+    ``pieces`` yields tagged streams ``(times, arms)`` in time order: no
+    entry is earlier than an entry of an earlier piece.  The tail carried
+    from the piece before joins by concatenation; singles are counted
+    from the arm codes.  The greedy count splits at every gap of a window
+    or more (see :func:`~bellgate.detection.match_coincidences`), so the
+    entries up to the last such gap are matched now and the rest are
+    carried; the last tail is matched when the pieces run out.  A piece
+    out of time order raises: at least its last entry is carried, so the
+    bad junction reaches a match.
     """
     tail_times, tail_arms = np.empty(0), np.empty(0, dtype=np.int8)
     singles_alice = singles_bob = coincidences = 0
-    for times, arms, frontier in pieces:
+    for times, arms in pieces:
         singles_alice += int(np.count_nonzero(arms & ALICE))
         singles_bob += int(np.count_nonzero(arms & BOB))
         times = np.concatenate([tail_times, times])
         arms = np.concatenate([tail_arms, arms])
-        i = _settled(times, frontier, window)
+        gaps = np.flatnonzero(np.diff(times) >= window)
+        i = int(gaps[-1]) + 1 if gaps.size else 0
         coincidences += match_coincidences(times[:i], arms[:i], window)
         tail_times, tail_arms = times[i:], arms[i:]
     coincidences += match_coincidences(tail_times, tail_arms, window)
     return CountRecord(singles_alice, singles_bob, coincidences, duration)
-
-
-def _settled(times, frontier: float, window: float) -> int:
-    """i such that ``times[:i]`` can be matched apart from the rest of
-    the run, given a sorted stream and later entries at or after
-    ``frontier``.
-
-    The cut follows the last entry x whose next entry, and the frontier,
-    are both at least a window later, so the greedy count splits there
-    (see :func:`~bellgate.detection.match_coincidences`); 0 carries
-    everything.
-    """
-    ends = frontier - times >= window
-    ends[:-1] &= np.diff(times) >= window
-    last = np.flatnonzero(ends)
-    return int(last[-1]) + 1 if last.size else 0
 
 
 def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:

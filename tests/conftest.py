@@ -53,5 +53,5 @@ def tag_arms(alice, bob):
 def _sliced(draw, rate, duration):
     """The pieces a gated run hands the counter: ``draw(t0, t1)``'s tagged
     stream ``(times, arms)`` for each time slice of [0, duration) at
-    ``rate`` entries per second, with the slice's end as its frontier."""
-    return ((*draw(t0, t1), t1) for t0, t1 in _time_slices(duration, rate))
+    ``rate`` entries per second."""
+    return (draw(t0, t1) for t0, t1 in _time_slices(duration, rate))

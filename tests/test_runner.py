@@ -279,14 +279,14 @@ def test_streamed_count_with_clusters_across_slice_edges(seed, delay):
 def test_streamed_count_with_gaps_of_exactly_one_window_at_the_frontier(seed):
     # Dyadic grid of half windows around each edge: every difference is
     # exact, so gaps of exactly one window (no match, a valid cut) fall on
-    # and around the frontier.
+    # and around the slice edge.
     rng = np.random.default_rng(seed)
     window = 2.0**-12
     steps = np.arange(-8, 8)
     grid = (np.array([0.25, 0.5, 0.75])[:, None] + 0.5 * window * steps).ravel()
     alice = grid[rng.random(grid.size) < 0.4]
     bob = grid[rng.random(grid.size) < 0.4]
-    # Exactly one window below and at each edge, the frontier itself.
+    # Exactly one window below and at each edge, the slice edge itself.
     alice = np.concatenate([alice, [0.25 - window, 0.5 - window, 0.75 - window]])
     bob = np.concatenate([bob, [0.25, 0.5, 0.75]])
     _streamed_equals_whole(*tag_arms(alice, bob), window)
@@ -294,7 +294,7 @@ def test_streamed_count_with_gaps_of_exactly_one_window_at_the_frontier(seed):
 
 def test_streamed_count_at_the_frontier_to_the_last_bit():
     # Each slice's last event is one window, or one window less 2**-20 of
-    # it, below the frontier, where the next slice's first event sits.
+    # it, below the slice edge, where the next slice's first event sits.
     window = 2.0**-12
     just_inside = window * (1.0 - 2.0**-20)
     alice = [0.25 - window, 0.5 - just_inside, 0.75 - just_inside]
@@ -339,26 +339,92 @@ def test_streamed_count_cuts_below_a_one_sided_chain():
     assert _streamed_equals_whole(*tag_arms(alice, pairs), window) == 20
 
 
-def test_count_with_frontiers_at_the_last_entry_of_each_piece():
-    # Each frontier is its piece's last entry, not a slice edge.  The
-    # second piece starts at that frontier and chains a cluster across it
-    # (Alice, Alice | Bob, Bob, Bob), and the third piece is empty.
+def test_count_with_a_piece_starting_at_the_last_entry_before_it():
+    # The second piece starts at the first piece's last entry, not at a
+    # slice edge, and chains a cluster across the junction (Alice,
+    # Alice | Bob, Bob, Bob); the third piece is empty.
     window = 2.0**-10
     pieces = [
-        ([0.1, 0.25, 0.25 + 0.5 * window], [BOTH, ALICE, ALICE], 0.25 + 0.5 * window),
+        ([0.1, 0.25, 0.25 + 0.5 * window], [BOTH, ALICE, ALICE]),
         ([0.25 + 0.5 * window, 0.25 + 0.75 * window, 0.25 + 1.25 * window, 0.5],
-         [BOB, BOB, BOB, ALICE], 0.5),
-        ([], [], 0.75),
-        ([0.75, 0.9], [BOB, BOTH], 0.9),
+         [BOB, BOB, BOB, ALICE]),
+        ([], []),
+        ([0.75, 0.9], [BOB, BOTH]),
     ]
-    pieces = [(np.array(t, dtype=float), np.array(a, dtype=np.int8), f) for t, a, f in pieces]
-    times = np.concatenate([t for t, _, _ in pieces])
-    arms = np.concatenate([a for _, a, _ in pieces])
+    pieces = [(np.array(t, dtype=float), np.array(a, dtype=np.int8)) for t, a in pieces]
+    times = np.concatenate([t for t, _ in pieces])
+    arms = np.concatenate([a for _, a in pieces])
     whole = match_coincidences(times, arms, window)
     # Matched piece by piece with nothing carried, the chain goes unmatched.
-    assert sum(match_coincidences(t, a, window) for t, a, _ in pieces) == 2 < whole == 4
+    assert sum(match_coincidences(t, a, window) for t, a in pieces) == 2 < whole == 4
     singles = [np.count_nonzero(arms & arm) for arm in (ALICE, BOB)]
     assert _count(iter(pieces), window, 1.0) == CountRecord(*singles, whole, 1.0)
+
+
+def test_count_carries_a_cluster_that_starts_before_the_next_piece():
+    # Alice at 1.0 ends her piece; Bob half a window later starts the next.
+    window = 1e-3
+    pieces = [
+        (np.array([1.0]), np.array([ALICE], dtype=np.int8)),
+        (np.array([1.0005]), np.array([BOB], dtype=np.int8)),
+    ]
+    assert _count(iter(pieces), window, 2.0) == CountRecord(1, 1, 1, 2.0)
+
+
+def _random_split(rng, window):
+    """A random tagged stream on a grid of quarter windows, about one entry
+    per window (ties, gaps of exactly one window and clusters all occur),
+    and sorted cut indices into it, repeats and ends included."""
+    n = int(rng.integers(0, 80))
+    times = np.sort(rng.integers(0, 4 * n + 1, n)) * (window / 4)
+    arms = rng.choice(np.array([0, ALICE, BOB, BOTH], dtype=np.int8), n)
+    cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 12))))
+    return times, arms, cuts
+
+
+def test_count_of_any_split_in_time_order_equals_one_match():
+    window = 2.0**-6
+    rng = np.random.default_rng(2024)
+    seen = {"inside a cluster": 0, "between tied entries": 0, "at one window": 0,
+            "empty piece": 0, "one-entry piece": 0}
+    for _ in range(300):
+        times, arms, cuts = _random_split(rng, window)
+        edges = [0, *cuts, times.size]
+        pieces = [(times[lo:hi], arms[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        whole = match_coincidences(times, arms, window)
+        singles = [np.count_nonzero(arms & arm) for arm in (ALICE, BOB)]
+        assert _count(iter(pieces), window, 1.0) == CountRecord(*singles, whole, 1.0)
+        gaps = [times[c] - times[c - 1] for c in cuts if 0 < c < times.size]
+        seen["inside a cluster"] += sum(0 < gap < window for gap in gaps)
+        seen["between tied entries"] += sum(gap == 0 for gap in gaps)
+        seen["at one window"] += sum(gap == window for gap in gaps)
+        seen["empty piece"] += sum(hi == lo for lo, hi in zip(edges, edges[1:]))
+        seen["one-entry piece"] += sum(hi - lo == 1 for lo, hi in zip(edges, edges[1:]))
+    assert min(seen.values()) > 0, seen
+
+
+def test_count_of_a_piece_earlier_than_the_carried_tail_raises():
+    # At least the last entry of every piece is carried, so an entry of a
+    # later piece before it always reaches a match.
+    window = 2.0**-6
+    rng = np.random.default_rng(2025)
+    cases = 0
+    while cases < 200:
+        times, arms, cuts = _random_split(rng, window)
+        cuts = cuts[(0 < cuts) & (cuts < times.size)]
+        if not cuts.size:
+            continue
+        cases += 1
+        edges = [0, *cuts, times.size]
+        pieces = [(times[lo:hi], arms[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+        # The new entry starts a later piece, which stays sorted itself.
+        k = int(rng.integers(1, len(pieces)))
+        early = times[edges[k] - 1] - int(rng.integers(1, 9)) * (window / 4)
+        later_times, later_arms = pieces[k]
+        pieces[k] = (np.concatenate([[early], later_times]),
+                     np.concatenate([[BOTH], later_arms]).astype(np.int8))
+        with pytest.raises(ValueError, match="timestamps are not sorted"):
+            _count(iter(pieces), window, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -641,10 +707,10 @@ def test_mirror_stopped_count_in_pieces_equals_one_match(monkeypatch):
     assert sum(count for _, _, count in pieces) == whole > 0
 
 
-def test_mirror_stopped_pieces_keep_their_frontiers(monkeypatch):
-    # At 1/64 entries per window a block splits into three pieces.  Each
-    # piece's entries lie at or before its frontier, and every entry of a
-    # later piece, in the same block or the next, at or after it.
+def test_mirror_stopped_pieces_come_in_time_order(monkeypatch):
+    # At 1/64 entries per window a block splits into three pieces.  No
+    # entry of a piece is earlier than an entry of an earlier piece, in the
+    # same block or the one before.
     det, pair_rate, fire = _stopped_detector(1 / 64 / STOPPED_WINDOW)
     seen = []
 
@@ -656,11 +722,35 @@ def test_mirror_stopped_pieces_keep_their_frontiers(monkeypatch):
     duration = 2.5 * _BLOCK_STEPS * 64 * 64 * STOPPED_WINDOW  # 64 entries a step
     _count_homogeneous(det, STOPPED_JOINT, fire, pair_rate, duration, np.random.default_rng(3))
     assert len(seen) >= 7
-    ends = np.cumsum([times.size for times, _, _ in seen])
-    times = np.concatenate([times for times, _, _ in seen])
-    assert np.all(np.diff(times) >= 0)
-    for end, (_, _, frontier) in zip(ends, seen):
-        assert times[:end].max(initial=-np.inf) <= frontier <= times[end:].min(initial=np.inf)
+    times = np.concatenate([times for times, _ in seen])
+    assert times.size > 0 and np.all(np.diff(times) >= 0)
+
+
+def test_mirror_stopped_record_does_not_depend_on_piece_size(monkeypatch):
+    # Blocks keep their 2048 steps whatever the piece size, and each piece
+    # marks its entries with the next uniforms of the same generator, so
+    # smaller pieces draw the same numbers.  (A gated slice draws its own
+    # Poisson count, so this holds only with the mirror stopped.)
+    plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
+    det = plan.detector
+    joint = joint_probabilities(plan.model, 0.0, 22.5)[:3]
+    fire = det.fire_probability(joint)
+    pieces = []
+
+    def count(stream, window, duration):
+        stream = list(stream)
+        pieces.append(len(stream))
+        return _count(iter(stream), window, duration)
+
+    monkeypatch.setattr(runner, "_count", count)
+    records = []
+    for chunk in (1 << 16, 1 << 13, 1 << 10):
+        monkeypatch.setattr(runner, "_CHUNK_EVENTS", chunk)
+        rng = np.random.default_rng(5)
+        records.append(_count_homogeneous(det, joint, fire, plan.pair_rate, 30.0, rng))
+    assert pieces[0] < pieces[1] < pieces[2]
+    assert records[0].coincidences > 0
+    assert records[1] == records[0] and records[2] == records[0]
 
 
 # (count, room): a run of two long gaps, and one of fifty that the end
