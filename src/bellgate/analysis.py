@@ -1,5 +1,6 @@
-"""Count arithmetic: dark subtraction, degradation ratios, accidental
-estimates, the two-channel correlation estimator and the CHSH statistic.
+"""Counts once counted: run totals and 4x4 tables, their CSV files (the
+paper's Tables 1 and 2), and all arithmetic on them, from dark subtraction
+and calibration to ``S``.  It imports no ``bellgate`` module but ``record``.
 
 The correlation estimator over a quadruple of transmitted-port
 coincidence counts is
@@ -28,7 +29,6 @@ import math
 
 import numpy as np
 
-from .detection import CountRecord, format_number
 from .record import Record
 
 ALICE_ANGLES = (0.0, 45.0, 90.0, 135.0)
@@ -38,9 +38,39 @@ CHSH_SETTINGS = ((0.0, 22.5), (0.0, 67.5), (45.0, 22.5), (45.0, 67.5))
 
 ACCIDENTAL_CONVENTIONS = ("single", "double")
 
+#: Header of the count-record CSV (:func:`write_count_records`).
+COUNT_RECORD_HEADER = ("label", "singles_alice_per_s", "singles_bob_per_s", "coincidences_per_s")
+
 
 class NumericalError(ArithmeticError):
     """A count computation cannot proceed (zero denominator or the like)."""
+
+
+class CountRecord(Record):
+    """Singles and coincidence totals accumulated over ``duration`` seconds."""
+
+    singles_alice: float
+    singles_bob: float
+    coincidences: float
+    duration: float = 1.0
+
+    def __post_init__(self):
+        counts = (self.singles_alice, self.singles_bob, self.coincidences)
+        if not all(0 <= n < math.inf for n in counts):
+            raise ValueError("counts must be finite and non-negative")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
+        if self.coincidences > min(self.singles_alice, self.singles_bob):
+            raise ValueError("coincidences cannot exceed either singles count")
+
+    @property
+    def rates(self) -> tuple[float, float, float]:
+        """(singles_alice, singles_bob, coincidences) per second."""
+        return (
+            self.singles_alice / self.duration,
+            self.singles_bob / self.duration,
+            self.coincidences / self.duration,
+        )
 
 
 class CountTable16(Record):
@@ -96,6 +126,12 @@ class DegradationResult(Record):
     sigmas: tuple[float, float, float]
 
 
+class Calibration(Record):
+    pair_rate: float
+    efficiency_alice: float
+    efficiency_bob: float
+
+
 def dark_subtract(raw: CountRecord, dark: CountRecord) -> CountRecord:
     """Subtract dark rates column-wise, flooring at zero.
 
@@ -139,6 +175,24 @@ def degradation_ratio(
         ratios.append(ratio)
         sigmas.append(sigma)
     return DegradationResult(ratios=tuple(ratios), sigmas=tuple(sigmas))
+
+
+def calibrate_from_counts(record: CountRecord, dark: CountRecord) -> Calibration:
+    """Infer pair rate and efficiencies from one polarizer-free run.
+
+    With corrected rates S_a, S_b, C and independent per-arm losses,
+    C/S_b recovers alice's efficiency, C/S_a bob's, and S_a*S_b/C the
+    source pair rate.
+    """
+    corrected = dark_subtract(record, dark)
+    s_a, s_b, c = corrected.rates
+    if c <= 0:
+        raise NumericalError("coincidence rate is zero after dark subtraction")
+    return Calibration(
+        pair_rate=s_a * s_b / c,
+        efficiency_alice=c / s_b,
+        efficiency_bob=c / s_a,
+    )
 
 
 def accidental_rate(r1: float, r2: float, window: float, convention: str) -> float:
@@ -221,7 +275,51 @@ def chsh_S(table: CountTable16) -> ChshResult:
 
 
 # ---------------------------------------------------------------------------
-# Table file formats
+# File formats
+
+
+def format_number(x: float) -> str:
+    """The shortest digits that read back as exactly ``x``, with no exponent
+    (whose ``-`` would split a ``count-accidental`` cell) and -0.0 as 0."""
+    return np.format_float_positional(float(x) + 0.0, trim="-")
+
+
+def write_count_records(rows, path) -> None:
+    """Write labeled CountRecords as CSV rows of per-second rates, which
+    :func:`read_count_records` reads back exactly.
+
+    ``rows`` is an iterable of (label, CountRecord).
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COUNT_RECORD_HEADER)
+        for label, record in rows:
+            writer.writerow([label, *(format_number(r) for r in record.rates)])
+
+
+def read_count_records(path) -> dict[str, CountRecord]:
+    """Read the CSV written by :func:`write_count_records`; rates become
+    counts over a 1 s duration.  A repeated label is refused."""
+    records: dict[str, CountRecord] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != COUNT_RECORD_HEADER:
+            raise ValueError(f"count-record CSV must start with header {COUNT_RECORD_HEADER}")
+        for row in reader:
+            if not row or not any(cell.strip() for cell in row):
+                continue
+            if len(row) != 4:
+                raise ValueError(f"malformed count-record row: {row!r}")
+            label = row[0].strip()
+            if label in records:
+                raise ValueError(f"count-record CSV repeats label {label!r}")
+            try:
+                sa, sb, c = (float(cell) for cell in row[1:])
+            except ValueError as exc:
+                raise ValueError(f"malformed count-record row: {row!r}") from exc
+            records[label] = CountRecord(sa, sb, c, duration=1.0)
+    return records
 
 
 def _parse_combined_cell(text: str) -> tuple[float, float]:

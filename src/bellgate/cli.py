@@ -26,11 +26,13 @@ from typing import Callable
 
 from .analysis import (
     CHSH_SETTINGS,
+    COUNT_RECORD_HEADER,
     DEGRADATION_COLUMNS,
     chsh_S,
     format_chsh_text,
     read_table_csv,
     write_chsh_csv,
+    write_count_records,
     write_table_csv,
 )
 from .apparatus import gate_geometry, validate_config
@@ -46,7 +48,6 @@ from .config import (
     load_config,
     parse_speed,
 )
-from .detection import COUNT_RECORD_HEADER, write_count_records
 from .fixtures import fixture_path
 from .record import Record
 from .runner import DEGRADATION_LABELS, run_degradation, run_chsh

@@ -34,10 +34,6 @@ class ConfigError(ValueError):
     """The configuration file or an override is malformed."""
 
 
-def _field_names(cls) -> set[str]:
-    return set(fields(cls))
-
-
 _MODELS = {
     "quantum": QuantumState,
     "malus": MalusLHV,
@@ -45,10 +41,10 @@ _MODELS = {
     "traveling": TravelingInfluence,
 }
 _SECTIONS = {"apparatus", "detector", "model", "run"}
-_APPARATUS_KEYS = _field_names(ApparatusConfig)
-_DETECTOR_KEYS = _field_names(DetectorConfig)
-_MODEL_KEYS = {name: _field_names(cls) for name, cls in _MODELS.items()}
-_RUN_KEYS = _field_names(RunPlan) - _SECTIONS
+_APPARATUS_KEYS = set(fields(ApparatusConfig))
+_DETECTOR_KEYS = set(fields(DetectorConfig))
+_MODEL_KEYS = {name: set(fields(cls)) for name, cls in _MODELS.items()}
+_RUN_KEYS = set(fields(RunPlan)) - _SECTIONS
 
 
 def _parse_int(digits: str):
@@ -60,11 +56,22 @@ def _parse_int(digits: str):
         return float(digits)
 
 
+def _unique_keys(pairs) -> dict:
+    # json.loads would keep the last of two equal keys without a word.
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
-    """Read and schema-check a config file; returns the raw dict."""
+    """Read and schema-check a config file; returns the raw dict.  A key
+    repeated within one object is refused."""
     text = Path(path).read_text()
     try:
-        cfg = json.loads(text, parse_int=_parse_int)
+        cfg = json.loads(text, parse_int=_parse_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     validate_schema(cfg)

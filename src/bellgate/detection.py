@@ -1,4 +1,6 @@
-"""Avalanche-photodiode detection and hardware coincidence matching.
+"""Avalanche-photodiode detection and hardware coincidence matching: the
+detectors, the marks of a stream and the matcher, but not the totals they
+count (:class:`~bellgate.analysis.CountRecord`).
 
 Each arm's detector keeps a photon with its quantum-efficiency
 probability and adds an independent Poisson dark-count background.  The
@@ -27,7 +29,6 @@ like they do in hardware.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -38,9 +39,6 @@ from .record import Record
 ALICE = 1
 BOB = 2
 BOTH = ALICE | BOB
-
-#: Header of the count-record CSV (:func:`write_count_records`).
-COUNT_RECORD_HEADER = ("label", "singles_alice_per_s", "singles_bob_per_s", "coincidences_per_s")
 
 
 class DetectorConfig(Record):
@@ -72,33 +70,6 @@ class DetectorConfig(Record):
         p_pp, p_pb, p_bp = joint
         keep_both = 1.0 - (1.0 - self.efficiency_alice) * (1.0 - self.efficiency_bob)
         return p_pp * keep_both + self.efficiency_alice * p_pb + self.efficiency_bob * p_bp
-
-
-class CountRecord(Record):
-    """Singles and coincidence totals accumulated over ``duration`` seconds."""
-
-    singles_alice: float
-    singles_bob: float
-    coincidences: float
-    duration: float = 1.0
-
-    def __post_init__(self):
-        counts = (self.singles_alice, self.singles_bob, self.coincidences)
-        if not all(0 <= n < math.inf for n in counts):
-            raise ValueError("counts must be finite and non-negative")
-        if not 0 < self.duration < math.inf:
-            raise ValueError("duration must be positive and finite")
-        if self.coincidences > min(self.singles_alice, self.singles_bob):
-            raise ValueError("coincidences cannot exceed either singles count")
-
-    @property
-    def rates(self) -> tuple[float, float, float]:
-        """(singles_alice, singles_bob, coincidences) per second."""
-        return (
-            self.singles_alice / self.duration,
-            self.singles_bob / self.duration,
-            self.coincidences / self.duration,
-        )
 
 
 def detection_pattern(
@@ -231,45 +202,3 @@ def match_coincidences(times, arms, window: float) -> int:
     return alone + _greedy_sweep(
         times[(arms & ALICE) != 0].tolist(), times[(arms & BOB) != 0].tolist(), window
     )
-
-
-def format_number(x: float) -> str:
-    """The shortest digits that read back as exactly ``x``, with no exponent
-    (whose ``-`` would split a ``count-accidental`` cell) and -0.0 as 0."""
-    return np.format_float_positional(float(x) + 0.0, trim="-")
-
-
-def write_count_records(rows, path) -> None:
-    """Write labeled CountRecords as CSV rows of per-second rates, which
-    :func:`read_count_records` reads back exactly.
-
-    ``rows`` is an iterable of (label, CountRecord).
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COUNT_RECORD_HEADER)
-        for label, record in rows:
-            writer.writerow([label, *(format_number(r) for r in record.rates)])
-
-
-def read_count_records(path) -> dict[str, CountRecord]:
-    """Read the CSV written by :func:`write_count_records`; rates become
-    counts over a 1 s duration."""
-    records: dict[str, CountRecord] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != COUNT_RECORD_HEADER:
-            raise ValueError(f"count-record CSV must start with header {COUNT_RECORD_HEADER}")
-        for row in reader:
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"malformed count-record row: {row!r}")
-            label = row[0].strip()
-            try:
-                sa, sb, c = (float(cell) for cell in row[1:])
-            except ValueError as exc:
-                raise ValueError(f"malformed count-record row: {row!r}") from exc
-            records[label] = CountRecord(sa, sb, c, duration=1.0)
-    return records

@@ -1,5 +1,6 @@
 """End-to-end simulated runs: emission -> polarizers -> fibers -> gate ->
-detectors -> coincidence counting -> analysis.
+detectors -> coincidence counting -> analysis.  It owns the run plan, the
+sub-runs and the counter; the counts belong to :mod:`bellgate.analysis`.
 
 A simulated experiment is two measurements, both always made:
 
@@ -60,12 +61,11 @@ from .analysis import (
     ALICE_ANGLES,
     BOB_ANGLES,
     ChshResult,
+    CountRecord,
     CountTable16,
     DegradationResult,
-    NumericalError,
     accidental_rate,
     chsh_S,
-    dark_subtract,
     degradation_ratio,
 )
 from .apparatus import ApparatusConfig, gate_geometry, validate_config
@@ -73,7 +73,6 @@ from .causality import informed_slit_gate
 from .detection import (
     ALICE,
     BOB,
-    CountRecord,
     DetectorConfig,
     dark_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.dark_times
     detection_pattern,
@@ -168,30 +167,6 @@ class RunPlan(Record):
                 f"run too large: the ungated luminosity run expects {events:.3g} events, "
                 f"more than the limit of {MAX_RUN_EVENTS:g}"
             )
-
-
-class Calibration(Record):
-    pair_rate: float
-    efficiency_alice: float
-    efficiency_bob: float
-
-
-def calibrate_from_counts(record: CountRecord, dark: CountRecord) -> Calibration:
-    """Infer pair rate and efficiencies from one polarizer-free run.
-
-    With corrected rates S_a, S_b, C and independent per-arm losses,
-    C/S_b recovers alice's efficiency, C/S_a bob's, and S_a*S_b/C the
-    source pair rate.
-    """
-    corrected = dark_subtract(record, dark)
-    s_a, s_b, c = corrected.rates
-    if c <= 0:
-        raise NumericalError("coincidence rate is zero after dark subtraction")
-    return Calibration(
-        pair_rate=s_a * s_b / c,
-        efficiency_alice=c / s_b,
-        efficiency_bob=c / s_a,
-    )
 
 
 def derive_seed(master_seed: int, *parts) -> int:

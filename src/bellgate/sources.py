@@ -83,17 +83,6 @@ class TravelingInfluence(Record):
 CorrelationModel = Union[QuantumState, MalusLHV, ThresholdLHV, TravelingInfluence]
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def draw_hidden_angles(n: int, seed) -> np.ndarray:
-    """Hidden polarization angles, uniform on [0, pi)."""
-    return _as_rng(seed).random(n) * math.pi
-
-
 def correlation_kernel(convention: str, alice_angle: float, bob_angle: float) -> float:
     """Correlation kernel K(a, b) for the given sign convention (degrees in)."""
     a = math.radians(alice_angle)
@@ -160,7 +149,7 @@ def joint_outcomes(
     runner does not sample outcomes pair by pair: it draws only pairs
     that fire a detector, from :func:`joint_probabilities`.
     """
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
     if isinstance(model, QuantumState):
         p_pp, p_pb, p_bp, _ = joint_probabilities(model, alice_angle, bob_angle)
         u = rng.random(n)
@@ -170,7 +159,7 @@ def joint_outcomes(
 
     if isinstance(model, (MalusLHV, ThresholdLHV)):
         if hidden is None:
-            theta = draw_hidden_angles(n, rng)
+            theta = rng.random(n) * math.pi
         else:
             theta = np.asarray(hidden, dtype=float)
             if theta.shape != (n,):

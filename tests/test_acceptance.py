@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from bellgate.analysis import degradation_ratio
+from bellgate.analysis import degradation_ratio, read_count_records
 from bellgate.apparatus import (
     ApparatusConfig,
     LIGHT_SPEED_VACUUM,
@@ -18,7 +18,7 @@ from bellgate.apparatus import (
 )
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.cli import main
-from bellgate.detection import DetectorConfig, read_count_records
+from bellgate.detection import DetectorConfig
 from bellgate.fixtures import fixture_path
 from bellgate.runner import RunPlan, run_chsh, run_degradation
 from bellgate.sources import INSTANTANEOUS, MalusLHV, QuantumState

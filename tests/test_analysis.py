@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from bellgate.analysis import (
     ALICE_ANGLES,
     BOB_ANGLES,
+    CountRecord,
     CountTable16,
     NumericalError,
     accidental_rate,
@@ -15,11 +20,11 @@ from bellgate.analysis import (
     dark_subtract,
     degradation_ratio,
     format_chsh_text,
+    read_count_records,
     read_table_csv,
     write_chsh_csv,
     write_table_csv,
 )
-from bellgate.detection import CountRecord
 from bellgate.fixtures import fixture_path
 from bellgate.record import fields
 from bellgate.sources import MalusLHV, ThresholdLHV
@@ -353,6 +358,15 @@ def test_malformed_tables_rejected(tmp_path, text):
         read_table_csv(path)
 
 
+def test_count_records_refuse_a_repeated_label(tmp_path):
+    # once the last row won and the first was dropped without a word
+    path = tmp_path / "records.csv"
+    path.write_text("label,singles_alice_per_s,singles_bob_per_s,coincidences_per_s\n"
+                    "dark,1,1,0\ndark,5,5,0\n")
+    with pytest.raises(ValueError, match="repeats label 'dark'"):
+        read_count_records(path)
+
+
 def test_report_formats(tmp_path):
     result = chsh_S(bench_table())
     text = format_chsh_text(result)
@@ -364,3 +378,23 @@ def test_report_formats(tmp_path):
     assert lines[0] == "quantity,alice_angle,bob_angle,value,sigma"
     assert len(lines) == 6
     assert lines[-1].startswith("S,,,")
+
+
+# ---------------------------------------------------------------------------
+# Module boundary
+
+
+def test_counts_import_apart_from_the_detectors():
+    # analysis reads counts from any source, measured or simulated; the
+    # detectors and the matcher that produce them are not its business.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    loaded = "print(sorted(m for m in sys.modules if m.startswith('bellgate')))"
+    code = f"import sys, bellgate.analysis; {loaded}"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['bellgate', 'bellgate.analysis', 'bellgate.record']\n"
+    code = f"import sys, bellgate.detection; {loaded}"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "'bellgate.analysis'" not in result.stdout

@@ -88,6 +88,21 @@ def test_geometry_rejects_fractional_facet_count(capsys):
     assert "2.941176e-05" in capsys.readouterr().out
 
 
+def test_config_file_refuses_a_repeated_key(tmp_path, capsys):
+    # json keeps the last of two equal keys: this printed the 2e-3 timing, exit 0
+    path = tmp_path / "config.json"
+    path.write_text('{"apparatus": {"aperture_width": 1e-3, "aperture_width": 2e-3}}')
+    assert main(["geometry", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: config repeats key 'aperture_width'\n"
+    path.write_text('{"apparatus": {}, "apparatus": {}}')
+    assert main(["geometry", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: config repeats key 'apparatus'\n"
+    # Repeated overrides apply in order: the last one wins.
+    overrides = ["--set", "apparatus.aperture_width=1e-3", "--set", "apparatus.aperture_width=2e-3"]
+    assert main(["geometry", *overrides]) == 0
+    assert "9.362055e-07" in capsys.readouterr().out
+
+
 def test_unknown_config_key_rejected(capsys):
     assert main(["geometry", "--set", "apparatus.slit_count=2"]) == 1
     assert "unknown key" in capsys.readouterr().err

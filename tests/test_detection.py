@@ -7,15 +7,13 @@ from bellgate.detection import (
     ALICE,
     BOB,
     BOTH,
-    CountRecord,
     DetectorConfig,
     dark_times,
     detection_pattern,
     match_coincidences,
-    read_count_records,
     thin_times,
-    write_count_records,
 )
+from bellgate.analysis import CountRecord, read_count_records, write_count_records
 from bellgate.apparatus import ApparatusConfig
 from bellgate.runner import RunPlan, _count, run_setting
 from bellgate.sources import (

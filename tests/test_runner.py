@@ -9,7 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from bellgate.analysis import NumericalError, correlation_E
+from bellgate.analysis import (
+    CountRecord,
+    NumericalError,
+    calibrate_from_counts,
+    correlation_E,
+)
 from bellgate.apparatus import ApparatusConfig, LIGHT_SPEED_VACUUM, gate_geometry
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.config import build_plan
@@ -17,7 +22,6 @@ from bellgate.detection import (
     ALICE,
     BOB,
     BOTH,
-    CountRecord,
     DetectorConfig,
     dark_times,
     detection_pattern,
@@ -35,7 +39,6 @@ from bellgate.runner import (
     _count,
     _count_homogeneous,
     _entries_before,
-    calibrate_from_counts,
     _time_slices,
     derive_seed,
     run_chsh,

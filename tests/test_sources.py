@@ -15,7 +15,6 @@ from bellgate.sources import (
     TravelingInfluence,
     correlation_kernel,
     correlation_theory,
-    draw_hidden_angles,
     joint_outcomes,
     joint_probabilities,
 )
@@ -221,6 +220,20 @@ def test_joint_outcome_scalar_contract():
     assert (alice[0], bob[0]) == (again[0][0], again[1][0])
 
 
+@pytest.mark.parametrize(
+    "model",
+    [QuantumState(), MalusLHV(), ThresholdLHV(), TravelingInfluence(QuantumState(), MalusLHV())],
+    ids=lambda model: type(model).__name__,
+)
+def test_joint_outcomes_integer_seed_draws_as_default_rng(model):
+    # An integer seed is the generator np.random.default_rng builds from it.
+    n = 1000
+    informed = np.arange(n) % 3 == 0 if isinstance(model, TravelingInfluence) else None
+    by_seed = joint_outcomes(model, 0.0, 22.5, n, 41, hidden=informed)
+    by_rng = joint_outcomes(model, 0.0, 22.5, n, np.random.default_rng(41), hidden=informed)
+    assert all(np.array_equal(a, b) for a, b in zip(by_seed, by_rng))
+
+
 def test_threshold_outcome_is_deterministic_given_hidden_angle():
     # hidden angle at the setting: cos(0) > 0 on alice, 45 deg away on bob
     theta = np.array([0.0])
@@ -231,7 +244,7 @@ def test_threshold_outcome_is_deterministic_given_hidden_angle():
 
 
 def test_shared_hidden_angle_is_respected():
-    theta = draw_hidden_angles(200_000, seed=23)
+    theta = np.random.default_rng(23).random(200_000) * math.pi
     alice, bob = joint_outcomes(ThresholdLHV(), 0.0, 0.0, theta.size, seed=0, hidden=theta)
     assert np.array_equal(alice, bob)  # identical settings, shared hidden angle
 
