@@ -5,7 +5,8 @@ travels back down the fiber at speed v (possibly instantaneous), and
 makes the source emit "informed" pairs for as long as the line of sight
 stays open.  Those pairs still have to cover the fiber to reach the
 slit.  :func:`informed_slit_gate` gives the periodic pattern of informed
-slit arrival times, the one the runner flags simulated pairs with.
+pairs on the time axis of the gate it is given, the one the runner
+flags simulated pairs with.
 :func:`influence_window_analysis` computes the informed photons'
 arrival interval and how much of it overlaps *any* periodic gate
 window; a pass fraction of zero means no photon carrying information
@@ -91,12 +92,15 @@ def check_resolvable(time: float, aperture_time: float, influence_speed: float) 
 def informed_slit_gate(
     gate: GateState, fiber_length: float, influence_speed: float, fiber_delay: float
 ) -> GateState:
-    """The slit arrival times of informed pairs: ``gate_open(t, result)``.
+    """The informed pairs on ``gate``'s own time axis: ``gate_open(t, result)``.
 
-    An emission is informed iff the slit was in view one influence transit
-    earlier, and its photons reach the slit one ``fiber_delay`` later, so
-    the informed pattern is ``gate`` delayed by both, its phase taken
-    modulo the gate period once it is resolved.
+    ``gate`` passes a pair labelled ``t`` iff the slit is open one
+    ``fiber_delay`` after its emission, whatever origin the labels have
+    (the runner labels a pair by its emission time).  The pair is
+    informed iff the slit was in view one influence transit before its
+    emission, so one transit plus one ``fiber_delay`` before the time
+    ``gate`` tests: the informed pattern is ``gate`` delayed by both,
+    its phase taken modulo the gate period once it is resolved.
     """
     delayed = gate.phase_offset + _influence_transit(fiber_length, influence_speed) + fiber_delay
     check_resolvable(delayed, gate.aperture_time, influence_speed)

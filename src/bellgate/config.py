@@ -120,8 +120,9 @@ def _validate_model_schema(body, where: str) -> None:
 
 
 def apply_overrides(cfg: dict, assignments) -> dict:
-    """Apply ``section.key=value`` overrides; values parse as JSON scalars
-    (bare words fall back to strings).  Returns a new validated dict."""
+    """Apply ``section.key=value`` overrides; values parse as JSON
+    (bare words fall back to strings), a key repeated within one object
+    refused as in a config file.  Returns a new validated dict."""
     out = copy.deepcopy(cfg)
     for text in assignments:
         if "=" not in text:
@@ -131,7 +132,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
         if len(parts) < 2 or not all(parts):
             raise ConfigError(f"override key {dotted!r} must be section.key")
         try:
-            value = json.loads(raw, parse_int=_parse_int)
+            value = json.loads(raw, parse_int=_parse_int, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError:
             value = raw
         node = out

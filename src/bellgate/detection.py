@@ -3,16 +3,16 @@ detectors, the marks of a stream and the matcher, but not the totals they
 count (:class:`~bellgate.analysis.CountRecord`).
 
 Each arm's detector keeps a photon with its quantum-efficiency
-probability and adds an independent Poisson dark-count background.  The
-runner draws the darks and the pairs that fire a detector as one stream;
-:func:`detection_pattern` marks each entry a pair or a dark and gives it
-its arm code (:data:`ALICE`, :data:`BOTH` or :data:`BOB`) from the dark
-rates, the efficiencies and the polarizer pass probabilities
-(:data:`~bellgate.sources.NO_POLARIZERS` in luminosity runs).  Both
-photons of a pair share one arrival time, so a run is one time-ordered
-*tagged stream*, as a time tagger records it: entry times plus an
-``int8`` arm code per entry, bit 1 for Alice and bit 2 for Bob.  A dark
-count is an entry of one arm.  The coincidence matcher reproduces a
+probability and adds an independent Poisson dark-count background.
+Neither is drawn on its own: the runner draws the darks and the pairs
+that fire a detector as one stream; :func:`detection_pattern` marks each
+entry a pair or a dark and gives it its arm code (:data:`ALICE`,
+:data:`BOTH` or :data:`BOB`) from the dark rates, the efficiencies and
+the polarizer pass probabilities (:data:`~bellgate.sources.NO_POLARIZERS`
+in luminosity runs).  Both photons of a pair share one arrival time, so
+a run is one time-ordered *tagged stream*, as a time tagger records it:
+entry times plus an ``int8`` arm code per entry, bit 1 for Alice and bit
+2 for Bob.  A dark count is an entry of one arm.  The coincidence matcher reproduces a
 counting card on that stream: two detections closer than the window form
 one coincidence, each detection used at most once, matched greedily in
 time order.  It counts in numpy: it cuts the stream at every gap of a
@@ -125,23 +125,6 @@ def pattern_bounds(det: DetectorConfig, joint, pair_rate, drawn_at):
     yield d_a + pair_rate * (e_a * (p_pb + p_pp * (1.0 - e_b)))
     yield d_a + pair_rate * (e_a * (p_pp + p_pb))
     yield d_a + pair_rate * det.fire_probability(joint) + d_b
-
-
-def thin_times(times, efficiency: float, rng) -> np.ndarray:
-    """Keep each timestamp independently with the given probability."""
-    times = np.asarray(times, dtype=float)
-    if efficiency >= 1.0:
-        return times
-    return times[rng.random(times.size) < efficiency]
-
-
-def dark_times(rate: float, duration: float, rng) -> np.ndarray:
-    """Unsorted timestamps of a Poisson process on [0, duration): one arm's
-    darks drawn on their own (the runner draws them in its stream)."""
-    if rate <= 0 or duration <= 0:
-        return np.empty(0, dtype=float)
-    n = int(rng.poisson(rate * duration))
-    return rng.random(n) * duration
 
 
 def _greedy_sweep(a_list, b_list, window: float) -> int:

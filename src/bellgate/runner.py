@@ -11,13 +11,16 @@ A simulated experiment is two measurements, both always made:
 * :func:`run_degradation` -- polarizer-free luminosity runs (dark only,
   gate off, gate on) and the per-column with/without rotation ratios.
 
-A counting run draws one Poisson stream of pairs and darks, in detection
-time.  The gate, the polarizer outcomes and the detector efficiencies
-are independent marks of the emission stream, so the pairs that fire a
-detector are a Poisson process of rate ``pair_rate * q`` on the gate's
-open set (the marking theorem), ``q`` from
-:meth:`~bellgate.detection.DetectorConfig.fire_probability`; with each
-arm's darks they add up to one Poisson process (superposition).
+A counting run draws one Poisson stream of pairs and darks, in emission
+time: a pair reaches its slits one fiber delay after it is emitted, so
+:attr:`RunPlan.gate` is the slits' gate moved back by that delay, once
+per plan, and the times a run draws stay as fine as its length allows
+however long the fiber.  The gate, the polarizer outcomes and the
+detector efficiencies are independent marks of the emission stream, so
+the pairs that fire a detector are a Poisson process of rate
+``pair_rate * q`` on the gate's open set (the marking theorem), ``q``
+from :meth:`~bellgate.detection.DetectorConfig.fire_probability`; with
+each arm's darks they add up to one Poisson process (superposition).
 :func:`~bellgate.detection.detection_pattern` marks each entry a pair or
 a dark and picks the detectors it fires.
 
@@ -26,7 +29,7 @@ draws the stream sorted, one time slice at a time,
 :func:`~bellgate.gating.gate_open` being the one test of an open slit.
 Gated ``TravelingInfluence`` pairs are drawn at the larger ``q`` of its
 two models, each taking its pattern from the model its informed flag
-selects: ``gate_open`` of its slit time against
+selects: ``gate_open`` of its emission time against
 :attr:`RunPlan.informed_gate`, derived once per plan.
 
 With the mirror stopped (the dark and gate-off luminosity runs, and every
@@ -74,21 +77,22 @@ from .detection import (
     ALICE,
     BOB,
     DetectorConfig,
-    dark_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.dark_times
     detection_pattern,
     match_coincidences,
     pattern_bounds,
-    thin_times,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.thin_times
 )
 from .gating import GateState, gate_open, sample_open_times
-from .record import Record
+from .record import Record, replace
 from .sources import (
     NO_POLARIZERS,
     CorrelationModel,
     TravelingInfluence,
-    joint_outcomes,  # noqa: F401  unused here; perfbench/trace_child.py wraps runner.joint_outcomes
     joint_probabilities,
 )
+
+# perfbench/trace_child.py wraps these three names on this module and never
+# calls them; the line goes when ROADMAP item E drops those lookups.
+joint_outcomes = thin_times = dark_times = None
 
 DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
 
@@ -111,9 +115,11 @@ class RunPlan(Record):
 
     ``__post_init__`` derives three attributes that are not fields:
     ``geometry``, the gate timing of ``apparatus``, derived once after
-    validating it; ``gate``, the gate of every gated run, checked against
-    ``gate_phase`` once; and ``informed_gate``, the slit times of a
-    ``TravelingInfluence`` model's informed pairs, or None.
+    validating it; ``gate``, the gate of every gated run in emission
+    time: the slits' gate at ``gate_phase``, checked once, moved back by
+    one fiber delay modulo the gate period; and ``informed_gate``, the
+    emission times of a ``TravelingInfluence`` model's informed pairs,
+    or None.
     """
 
     apparatus: ApparatusConfig
@@ -140,7 +146,11 @@ class RunPlan(Record):
         geometry = gate_geometry(validate_config(self.apparatus))
         object.__setattr__(self, "geometry", geometry)
         # Every experiment includes a gated run; check its phase before any run.
-        object.__setattr__(self, "gate", GateState.from_geometry(geometry, self.gate_phase))
+        gate = GateState.from_geometry(geometry, self.gate_phase)
+        # Runs draw in emission time, so a long fiber costs the draws no
+        # float precision: the delay is taken modulo the period here, once.
+        phase = (gate.phase_offset - geometry.fiber_delay) % gate.gate_period
+        object.__setattr__(self, "gate", replace(gate, phase_offset=phase))
         informed_gate = None
         if isinstance(self.model, TravelingInfluence):
             # Refuses a speed too slow for its informed phase to be resolved.
@@ -180,8 +190,9 @@ def _time_slices(duration: float, event_rate: float):
     """Yield (t0, t1) slices of [0, duration) holding about
     ``_CHUNK_EVENTS`` draws each at ``event_rate`` (one slice if it is
     0); edges are made one at a time, so a huge slice count costs no
-    memory."""
-    span = max(_CHUNK_EVENTS / event_rate, 1e-9) if event_rate > 0 else duration
+    memory.  A run that :data:`MAX_RUN_EVENTS` admits has at most about
+    1.5e5 slices, far too few for ``duration * i / n`` to collapse."""
+    span = _CHUNK_EVENTS / event_rate if event_rate > 0 else duration
     n_slices = max(1, math.ceil(duration / span))
     for i in range(n_slices):
         yield duration * i / n_slices, duration * (i + 1) / n_slices
@@ -219,15 +230,14 @@ def run_setting(
     pair_rate = plan.pair_rate if source else 0.0
     if not rotation:
         return _count_homogeneous(det, joints[0], fire, pair_rate, plan.integration_time, rng)
-    gate, delay = plan.gate, plan.geometry.fiber_delay
     darks = det.dark_rate_alice + det.dark_rate_bob
     open_rate = pair_rate * fire + darks
 
     def draw(t0, t1):
-        times = sample_open_times(open_rate, t0 + delay, t1 + delay, gate, rng, darks)
+        times = sample_open_times(open_rate, t0, t1, plan.gate, rng, darks)
         # gate_open is the one test of an open slit; perfbench/trace_child.py
         # counts the gated entries through this call.
-        is_open = gate_open(times, gate)
+        is_open = gate_open(times, plan.gate)
         joint = joints[0]
         if len(joints) > 1:
             informed = gate_open(times, plan.informed_gate)

@@ -24,14 +24,16 @@ The correlation E reported by :func:`correlation_theory` follows the
 agree-minus-disagree convention of the count estimator in
 :mod:`bellgate.analysis`, so Monte Carlo counts fed through that
 estimator converge to these closed forms.
+
+The module holds the models and their closed forms only, and imports no
+numpy.  Nothing samples outcomes pair by pair: the runner marks each
+pair it draws from :func:`joint_probabilities`.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Union
-
-import numpy as np
 
 from .record import Record
 
@@ -131,68 +133,3 @@ def correlation_theory(model: CorrelationModel, alice_angle: float, bob_angle: f
     p_pp, p_pb, p_bp, p_bb = joint_probabilities(model, alice_angle, bob_angle)
     return (p_pp + p_bb) - (p_pb + p_bp)
 
-
-def joint_outcomes(
-    model: CorrelationModel,
-    alice_angle: float,
-    bob_angle: float,
-    n: int,
-    seed,
-    hidden=None,
-):
-    """Sample joint (alice_pass, bob_pass) outcomes for ``n`` pairs.
-
-    ``hidden`` carries per-pair state where the model needs it: hidden
-    angles (radians) for the LHV models, drawn internally when omitted,
-    and the required informed/uninformed boolean flags for
-    :class:`TravelingInfluence`.  Returns two boolean arrays.  The
-    runner does not sample outcomes pair by pair: it draws only pairs
-    that fire a detector, from :func:`joint_probabilities`.
-    """
-    rng = np.random.default_rng(seed)  # a Generator passes through unchanged
-    if isinstance(model, QuantumState):
-        p_pp, p_pb, p_bp, _ = joint_probabilities(model, alice_angle, bob_angle)
-        u = rng.random(n)
-        alice_pass = u < p_pp + p_pb
-        bob_pass = (u < p_pp) | ((u >= p_pp + p_pb) & (u < p_pp + p_pb + p_bp))
-        return alice_pass, bob_pass
-
-    if isinstance(model, (MalusLHV, ThresholdLHV)):
-        if hidden is None:
-            theta = rng.random(n) * math.pi
-        else:
-            theta = np.asarray(hidden, dtype=float)
-            if theta.shape != (n,):
-                raise ValueError("hidden angles must be one per pair")
-        a = theta - math.radians(alice_angle)
-        b = theta - math.radians(bob_angle)
-        if isinstance(model, MalusLHV):
-            alice_pass = rng.random(n) < np.cos(a) ** 2
-            bob_pass = rng.random(n) < np.cos(b) ** 2
-        else:
-            alice_pass = np.cos(2.0 * a) > 0.0
-            bob_pass = np.cos(2.0 * b) > 0.0
-        return alice_pass, bob_pass
-
-    if isinstance(model, TravelingInfluence):
-        if hidden is None:
-            raise ValueError(
-                "TravelingInfluence needs per-pair informed flags as hidden state"
-            )
-        informed = np.asarray(hidden, dtype=bool)
-        if informed.shape != (n,):
-            raise ValueError("informed flags must be one per pair")
-        alice_pass = np.empty(n, dtype=bool)
-        bob_pass = np.empty(n, dtype=bool)
-        n_inf = int(informed.sum())
-        a_inf, b_inf = joint_outcomes(model.base, alice_angle, bob_angle, n_inf, rng)
-        a_unf, b_unf = joint_outcomes(
-            model.uninformed, alice_angle, bob_angle, n - n_inf, rng
-        )
-        alice_pass[informed] = a_inf
-        bob_pass[informed] = b_inf
-        alice_pass[~informed] = a_unf
-        bob_pass[~informed] = b_unf
-        return alice_pass, bob_pass
-
-    raise ValueError(f"unsupported correlation model {model!r}")

@@ -103,6 +103,17 @@ def test_config_file_refuses_a_repeated_key(tmp_path, capsys):
     assert "9.362055e-07" in capsys.readouterr().out
 
 
+def test_override_refuses_a_repeated_key_in_an_object_value(tmp_path, capsys):
+    # json keeps the last of two equal keys: this simulated a malus base, exit 0
+    model = {"name": "traveling", "base": {"name": "quantum"}, "uninformed": {"name": "malus"}}
+    config = write_config(tmp_path, dict(TINY_CONFIG, model=model))
+    out = tmp_path / "o"
+    override = 'model.base={"name": "quantum", "name": "malus"}'
+    assert main(["simulate", "--config", str(config), "--set", override, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config repeats key 'name'\n"
+    assert not out.exists()
+
+
 def test_unknown_config_key_rejected(capsys):
     assert main(["geometry", "--set", "apparatus.slit_count=2"]) == 1
     assert "unknown key" in capsys.readouterr().err
@@ -673,6 +684,26 @@ def test_simulate_leaves_numpy_ma_unloaded(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/trace_child.py rebinds module globals of bellgate.cli and
+    # bellgate.runner by name, so it is installed in a fresh interpreter;
+    # -B keeps that interpreter from writing bytecode beside the script.
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('trace_child', sys.argv[1])\n"
+        "trace_child = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(trace_child)\n"
+        "trace_child.install(trace_child.Tracer())\n"
+    )
+    script, src = str(root / "perfbench" / "trace_child.py"), str(root / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", code, script], env=env, capture_output=True, text=True
+    )
     assert result.returncode == 0, result.stderr
 
 

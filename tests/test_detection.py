@@ -8,10 +8,8 @@ from bellgate.detection import (
     BOB,
     BOTH,
     DetectorConfig,
-    dark_times,
     detection_pattern,
     match_coincidences,
-    thin_times,
 )
 from bellgate.analysis import CountRecord, read_count_records, write_count_records
 from bellgate.apparatus import ApparatusConfig
@@ -24,6 +22,7 @@ from bellgate.sources import (
     joint_probabilities,
 )
 from conftest import _sliced, tag_arms
+from oracle import dark_times, thin_times
 
 
 def greedy_match_reference(alice, bob, window):

@@ -1,10 +1,10 @@
 """The firing-pair sampler against the event-level path it replaced.
 
-``event_level_counts`` is the earlier pair stage of
-``runner.run_setting``, kept here as the oracle: it emits every pair,
-sorts the stream, draws polarizer outcomes for all of them, gates the
-slit arrivals, thins each arm by its efficiency and matches the whole
-run at once.  The runner now draws only the pairs that fire a detector
+``oracle.event_level_counts`` is the earlier pair stage of
+``runner.run_setting``, kept as the oracle: it emits every pair, sorts
+the stream, draws polarizer outcomes for all of them, gates the slit
+arrivals, thins each arm by its efficiency and matches the whole run at
+once.  The runner now draws only the pairs that fire a detector
 and counts them slice by slice, or with the mirror stopped places only
 the entries within a window of a neighbour.  Both must give the same
 distribution of coincidences and singles, which is tested over a seed
@@ -17,65 +17,13 @@ import math
 import numpy as np
 import pytest
 
-from bellgate.apparatus import ApparatusConfig, gate_geometry, validate_config
+from bellgate.apparatus import ApparatusConfig, gate_geometry
 from bellgate.causality import resonant_influence_speeds
-from bellgate.detection import DetectorConfig, dark_times, match_coincidences, thin_times
-from bellgate.gating import GateState, gate_open
+from bellgate.detection import DetectorConfig
 from bellgate.record import replace
 from bellgate.runner import RunPlan, run_setting
-from bellgate.sources import (
-    MalusLHV,
-    QuantumState,
-    ThresholdLHV,
-    TravelingInfluence,
-    joint_outcomes,
-)
-from conftest import tag_arms
-
-
-def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None, polarized=True):
-    """(coincidences, singles_alice, singles_bob) of one run, pair by pair."""
-    geometry = gate_geometry(validate_config(plan.apparatus))
-    det = plan.detector
-    duration = plan.integration_time
-    if rotation is None:
-        rotation = plan.rotation
-    gate = GateState.from_geometry(geometry, plan.gate_phase) if rotation else None
-    influence_gate = None
-    if polarized and isinstance(plan.model, TravelingInfluence) and gate is not None:
-        delay = (
-            0.0
-            if math.isinf(plan.model.influence_speed)
-            else plan.apparatus.fiber_length / plan.model.influence_speed
-        )
-        influence_gate = GateState(
-            gate.gate_period, gate.aperture_time, (gate.phase_offset + delay) % gate.gate_period
-        )
-
-    n = int(rng.poisson(plan.pair_rate * duration))
-    times = np.sort(rng.random(n) * duration)
-    if polarized:
-        hidden = None
-        if isinstance(plan.model, TravelingInfluence):
-            hidden = (
-                gate_open(times, influence_gate)
-                if influence_gate is not None
-                else np.ones(n, dtype=bool)
-            )
-        alice_pass, bob_pass = joint_outcomes(plan.model, alice_angle, bob_angle, n, rng, hidden)
-    else:
-        alice_pass = bob_pass = np.ones(n, dtype=bool)
-    arrivals = times + geometry.fiber_delay
-    if gate is not None:
-        open_mask = gate_open(arrivals, gate)
-        alice_pass = alice_pass & open_mask
-        bob_pass = bob_pass & open_mask
-    alice = thin_times(arrivals[alice_pass], det.efficiency_alice, rng)
-    bob = thin_times(arrivals[bob_pass], det.efficiency_bob, rng)
-    alice = np.concatenate([alice, dark_times(det.dark_rate_alice, duration, rng)])
-    bob = np.concatenate([bob, dark_times(det.dark_rate_bob, duration, rng)])
-    coincidences = match_coincidences(*tag_arms(alice, bob), det.coincidence_window)
-    return coincidences, alice.size, bob.size
+from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, TravelingInfluence
+from oracle import event_level_counts
 
 
 # Duty cycle 0.159, so the gate matters and counts stay cheap.

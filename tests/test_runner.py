@@ -23,7 +23,6 @@ from bellgate.detection import (
     BOB,
     BOTH,
     DetectorConfig,
-    dark_times,
     detection_pattern,
     match_coincidences,
 )
@@ -54,6 +53,7 @@ from bellgate.sources import (
     joint_probabilities,
 )
 from conftest import _sliced, tag_arms
+from oracle import dark_times
 
 PERFECT = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=20e-9)
 
@@ -180,9 +180,20 @@ def test_time_slices_tile_the_run():
 def test_time_slices_are_lazy():
     slices = _time_slices(30.0, 1e25)
     assert isinstance(slices, types.GeneratorType)
-    # 3e10 slices of 1 ns: only the edges asked for are ever made
+    # about 4.6e21 slices: only the edges asked for are ever made
+    n = math.ceil(30.0 / (_CHUNK_EVENTS / 1e25))
+    assert n > 4e21
     first = list(itertools.islice(slices, 2))
-    assert first == [(0.0, 1e-9), (1e-9, 2e-9)]
+    assert first == [(0.0, 30.0 / n), (30.0 / n, 60.0 / n)]
+
+
+def test_time_slices_hold_a_chunk_however_high_the_rate():
+    # Slices were once at least 1 ns wide, 9.9 chunks each at this rate.
+    rate = 6.5e14
+    slices = list(_time_slices(1e-6, rate))
+    assert len(slices) == 9919
+    for t0, t1 in slices:
+        assert (t1 - t0) * rate == pytest.approx(_CHUNK_EVENTS, rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -782,6 +793,19 @@ def test_entries_before_the_end_of_a_long_run(count, room):
 
 # ---------------------------------------------------------------------------
 # Physics through the full pipeline
+
+
+def test_a_long_fiber_keeps_the_gate():
+    # 3e20 m of fiber delays each pair by 1e12 s, where one float step is
+    # 1.2e-4 s, four gate periods.  Drawn in detection time, the gate was
+    # garbled and S read 1.805 +/- 0.084, 6.1 sigma under the closed form.
+    plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
+    apparatus = replace(plan.apparatus, fiber_length=3e20)
+    plan = replace(plan, apparatus=apparatus, integration_time=2.0)
+    assert math.ulp(plan.geometry.fiber_delay) > 4 * plan.geometry.gate_period
+    _, result = run_chsh(plan)
+    expected = 2 * math.sqrt(2) * plan.model.visibility
+    assert abs(result.S - expected) < 4 * result.S_sigma
 
 
 def test_quantum_plan_violates_classical_bound():

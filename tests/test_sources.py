@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +19,11 @@ from bellgate.sources import (
     TravelingInfluence,
     correlation_kernel,
     correlation_theory,
-    joint_outcomes,
     joint_probabilities,
 )
 
 from conftest import ALWAYS_OPEN, sampled_table
+from oracle import joint_outcomes
 
 # Pair rate recovered from the reference bench luminosity run
 # (32594 * 19729 / 388.92 dark-corrected rates).
@@ -268,6 +272,15 @@ def test_traveling_influence_requires_flags():
     model = TravelingInfluence(base=QuantumState(), uninformed=MalusLHV())
     with pytest.raises(ValueError):
         joint_outcomes(model, 0.0, 22.5, 10, seed=0)
+
+
+def test_models_import_without_numpy():
+    # The models and their closed forms are plain math; the runner draws.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, bellgate.sources; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_model_validation():
