@@ -80,12 +80,13 @@ def _influence_transit(fiber_length: float, influence_speed: float) -> float:
 
 
 def check_resolvable(time: float, aperture_time: float, influence_speed: float) -> None:
-    """Raise ``ValueError`` unless float precision resolves an informed
-    window placed at ``time``: to 1e-6 aperture times or better."""
+    """Raise ``ValueError`` unless float precision resolves to 1e-6 aperture
+    times an informed window at ``time``, influence transit plus fiber delay."""
     if not math.isfinite(time) or math.ulp(time) > 1e-6 * aperture_time:
         raise ValueError(
-            f"influence speed {influence_speed!r} m/s is too slow: float "
-            "precision cannot resolve its informed window"
+            f"influence speed {influence_speed!r} m/s: the informed-to-detected offset "
+            "(influence transit plus fiber delay) is too long for float precision to "
+            "resolve its informed window; a slow influence or a long fiber causes this"
         )
 
 

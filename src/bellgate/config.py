@@ -221,9 +221,7 @@ def build_plan(cfg: dict) -> RunPlan:
     for key in ("pair_rate", "integration_time"):
         if key not in run:
             raise ConfigError(f"run.{key} is required to simulate")
-    for key in ("pair_rate", "integration_time", "gate_phase"):
-        if key in run:
-            run[key] = _coerce_number("run", key, run[key])
+        run[key] = _coerce_number("run", key, run[key])
     try:
         return RunPlan(build_apparatus(cfg), build_detector(cfg), build_model(cfg["model"]), **run)
     except ValueError as exc:

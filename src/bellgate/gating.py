@@ -30,13 +30,11 @@ class GateState(Record):
     phase_offset: float = 0.0  # time of the first window opening, s
 
     @classmethod
-    def from_geometry(cls, geometry: GateGeometry, phase_offset: float = 0.0) -> "GateState":
-        """Build a validated gate; direct construction skips the checks."""
-        if not 0.0 <= phase_offset < geometry.gate_period:
-            raise ValidationError("phase offset must lie in [0, gate period)")
+    def from_geometry(cls, geometry: GateGeometry) -> "GateState":
+        """The slits' gate, window 0 opening at 0; direct construction skips the check."""
         if not geometry.aperture_time < geometry.gate_period:
             raise ValidationError("aperture time must be shorter than the gate period")
-        return cls(geometry.gate_period, geometry.aperture_time, phase_offset)
+        return cls(geometry.gate_period, geometry.aperture_time)
 
 
 def gate_open(t, gate: GateState):

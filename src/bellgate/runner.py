@@ -116,10 +116,10 @@ class RunPlan(Record):
     ``__post_init__`` derives three attributes that are not fields:
     ``geometry``, the gate timing of ``apparatus``, derived once after
     validating it; ``gate``, the gate of every gated run in emission
-    time: the slits' gate at ``gate_phase``, checked once, moved back by
-    one fiber delay modulo the gate period; and ``informed_gate``, the
-    emission times of a ``TravelingInfluence`` model's informed pairs,
-    or None.
+    time: the slits' gate, window 0 opening at 0, checked once and moved
+    back by one fiber delay modulo the gate period; and
+    ``informed_gate``, the emission times of a ``TravelingInfluence``
+    model's informed pairs, or None.
     """
 
     apparatus: ApparatusConfig
@@ -129,7 +129,6 @@ class RunPlan(Record):
     integration_time: float  # seconds per setting / per luminosity run
     rotation: bool = True
     seed: int = 0
-    gate_phase: float = 0.0
     accidental_convention: str = "double"
 
     def __post_init__(self):
@@ -145,15 +144,15 @@ class RunPlan(Record):
             raise ValueError(f"unknown accidental convention {self.accidental_convention!r}")
         geometry = gate_geometry(validate_config(self.apparatus))
         object.__setattr__(self, "geometry", geometry)
-        # Every experiment includes a gated run; check its phase before any run.
-        gate = GateState.from_geometry(geometry, self.gate_phase)
+        # Every experiment includes a gated run; check its gate before any run.
+        gate = GateState.from_geometry(geometry)
         # Runs draw in emission time, so a long fiber costs the draws no
         # float precision: the delay is taken modulo the period here, once.
-        phase = (gate.phase_offset - geometry.fiber_delay) % gate.gate_period
+        phase = -geometry.fiber_delay % gate.gate_period
         object.__setattr__(self, "gate", replace(gate, phase_offset=phase))
         informed_gate = None
         if isinstance(self.model, TravelingInfluence):
-            # Refuses a speed too slow for its informed phase to be resolved.
+            # Refuses a transit plus fiber delay too long to resolve its informed phase.
             length, speed = self.apparatus.fiber_length, self.model.influence_speed
             informed_gate = informed_slit_gate(self.gate, length, speed, geometry.fiber_delay)
         object.__setattr__(self, "informed_gate", informed_gate)
@@ -270,7 +269,8 @@ def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecor
 
     Steps are drawn ``_BLOCK_STEPS`` at a time and handed to
     :func:`_count` a piece at a time (the steps that span about
-    ``_CHUNK_EVENTS`` entries, at most a block), their placed entries
+    ``_CHUNK_EVENTS`` entries, at most a block: with a block per piece a
+    sparse run's peak memory grows with its length), their placed entries
     marked by :func:`~bellgate.detection.detection_pattern`.  Every later
     step starts at the entry that ends a piece's last step, so the pieces
     come in time order and the counter holds about a piece however long

@@ -107,14 +107,14 @@ def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None, polariz
     """(coincidences, singles_alice, singles_bob) of one run, pair by pair.
 
     Pairs are gated at their slit arrival, one fiber delay after
-    emission, against the gate that ``plan.gate_phase`` places.
+    emission, against the slits' gate, window 0 opening at 0.
     """
     geometry = gate_geometry(validate_config(plan.apparatus))
     det = plan.detector
     duration = plan.integration_time
     if rotation is None:
         rotation = plan.rotation
-    gate = GateState.from_geometry(geometry, plan.gate_phase) if rotation else None
+    gate = GateState.from_geometry(geometry) if rotation else None
     influence_gate = None
     if polarized and isinstance(plan.model, TravelingInfluence) and gate is not None:
         delay = (

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -347,7 +348,7 @@ def test_simulate_rejects_infinite_integration_time(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("run", "pair_rate", math.inf), ("run", "gate_phase", math.nan),
+    [("run", "pair_rate", math.inf), ("run", "integration_time", math.nan),
      ("model", "visibility", math.nan),
      pytest.param("run", "pair_rate", 10**400, id="run-pair_rate-10**400"),
      pytest.param("apparatus", "fiber_length", 10**400, id="apparatus-fiber_length-10**400")],
@@ -426,7 +427,7 @@ def test_simulate_rejects_window_as_long_as_gate_period(tmp_path, capsys):
 @pytest.mark.parametrize(
     "override, message",
     [("run.accidental_convention=dobule", "unknown accidental convention 'dobule'"),
-     ("run.gate_phase=1.0", "phase offset must lie in [0, gate period)"),
+     ("run.gate_phase=0", "unknown key(s) in section 'run': ['gate_phase']"),
      # about 4e16 events; it once ran silently for what would have been years
      ("run.integration_time=1e12", "run too large: the ungated luminosity run expects 4.4e+16"),
      # past int()'s 4300-digit limit; once exited with Python's advice, naming no key
@@ -592,6 +593,16 @@ def test_readme_lists_every_causality_json_key():
     assert f"{keys} and `{SWEEP_FIELDS[-1].key}`" in " ".join(readme.split())
 
 
+def test_readme_config_example_is_the_reference_bench():
+    # The README's one JSON block documents the config format; it must be
+    # the bundled reference bench and build a plan, so no key lingers there.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    example = json.loads(block)
+    assert example == json.loads(fixture_path("reference_bench.json").read_text())
+    build_plan(example)
+
+
 def test_causality_sweep_finds_first_resonance(capsys):
     assert main(["causality", "--sweep", "--max-windows", "3"]) == 0
     out = capsys.readouterr().out
@@ -633,9 +644,9 @@ def test_causality_resonant_speed_passes(capsys):
 
 @pytest.mark.parametrize("speed, status", [("1e-8", 1), ("1e-320", 1), ("0.05", 0)])
 def test_causality_refuses_speeds_too_slow_to_resolve(capsys, speed, status):
-    # Past about 2**52 aperture times of transit, float spacing swamps
-    # the informed arrival window; on the reference bench that boundary
-    # lies between 0.05 and 0.01 m/s.
+    # Past about 2**52 aperture times of influence transit plus fiber
+    # delay, float spacing swamps the informed arrival window; on the
+    # reference bench that boundary lies between 0.05 and 0.01 m/s.
     assert main(["causality", "--speed", speed]) == status
     captured = capsys.readouterr()
     if status:
@@ -663,12 +674,39 @@ def test_simulate_refuses_influence_speeds_too_slow_to_resolve(tmp_path, capsys,
     captured = capsys.readouterr()
     if status:
         assert captured.err == (
-            f"error: influence speed {speed!r} m/s is too slow: "
-            "float precision cannot resolve its informed window\n"
+            f"error: influence speed {speed!r} m/s: the informed-to-detected"
+            " offset (influence transit plus fiber delay) is too long for float precision"
+            " to resolve its informed window; a slow influence or a long fiber causes this\n"
         )
         assert not out.exists()
     else:
         assert (out / "results.json").is_file()
+
+
+@pytest.mark.parametrize("fiber_length, status", [(2e12, 1), (1e12, 0)])
+def test_an_instant_influence_is_refused_past_a_fiber_too_long_to_resolve(
+    tmp_path, capsys, fiber_length, status
+):
+    # The informed-to-detected offset is the influence transit plus the
+    # fiber delay, so at instant speed the fiber alone can make it too
+    # long; the error once blamed the speed as too slow.
+    fiber = f"apparatus.fiber_length={fiber_length}"
+    assert main(["causality", "--speed", "instant", "--set", fiber]) == status
+    model = {"name": "traveling", "influence_speed": "instant",
+             "base": {"name": "quantum"}, "uninformed": {"name": "malus"}}
+    body = dict(TINY_CONFIG, model=model, run=dict(TINY_CONFIG["run"], rotation=True))
+    config, out = write_config(tmp_path, body), tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--set", fiber, "--out", str(out)]) == status
+    err = capsys.readouterr().err
+    if status:
+        assert err == 2 * (
+            "error: influence speed inf m/s: the informed-to-detected offset (influence transit"
+            " plus fiber delay) is too long for float precision to resolve its informed window;"
+            " a slow influence or a long fiber causes this\n"
+        )
+        assert not out.exists()
+    else:
+        assert err == "" and (out / "results.json").is_file()
 
 
 def test_simulate_leaves_numpy_ma_unloaded(tmp_path):

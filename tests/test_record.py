@@ -34,7 +34,7 @@ SAMPLES = {
     "ThresholdLHV": (),
     "TravelingInfluence": (QuantumState(), MalusLHV(), 3e8),
     "RunPlan": (ApparatusConfig(), DetectorConfig(0.5, 0.25), MalusLHV(), 1000.0, 2.0,
-                False, 7, 1e-6, "single"),
+                False, 7, "single"),
     "Calibration": (1.6e6, 0.02, 0.012),
     "_Field": ("duty_cycle", "duty_cycle", "duty_cycle", str),
 }
@@ -115,7 +115,7 @@ def test_record_specifics():
         " vacuum_light_speed=299800000.0), detector=DetectorConfig(efficiency_alice=0.5,"
         " efficiency_bob=0.25, dark_rate_alice=0.0, dark_rate_bob=0.0,"
         " coincidence_window=2e-08), model=MalusLHV(), pair_rate=1000.0, integration_time=2.0,"
-        " rotation=True, seed=0, gate_phase=0.0, accidental_convention='double')"
+        " rotation=True, seed=0, accidental_convention='double')"
     )
     # RunPlan's derived attributes are not fields.
     plan = RunPlan(ApparatusConfig(), detector, MalusLHV(), 1000.0, 2.0)

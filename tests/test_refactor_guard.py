@@ -23,19 +23,19 @@ from bellgate.cli import main
 from bellgate.fixtures import fixture_path
 
 SIMULATE_DIGESTS = {
-    "results.json": "d6f0a1577798a0b16c3711a0cc816d851326216711184724bc69af68969af220",
+    "results.json": "88776cf4c70b5c2952a20e11081ad96305abeef08f39d0e1759be8c5fbc1a350",
     "chsh_counts.csv": "ac37c6032515e593d85d51562e8a97f9928bfe292d2dbbfbde29aceb67540983",
     "degradation.csv": "ebb355f66eb582b1fa78dfcb6f3cf6dffe46017d157b6fb779abbb533a6912bb",
 }
 
 ROTATION_OFF_DIGESTS = {
-    "results.json": "81f1d07a38964bbed5e1a792ee43b5628195b304abc1c190132fdabcb2280965",
+    "results.json": "a63114fdadaec862a4816be30bac7850e419b19ff29a5ef36ba5c788868820e3",
     "chsh_counts.csv": "010d1d023f3b2e0ae23fa7b8d9677fdd8e362279dc92148bbb135f6ab13af123",
     "degradation.csv": "ebb355f66eb582b1fa78dfcb6f3cf6dffe46017d157b6fb779abbb533a6912bb",
 }
 
 TRAVELING_DIGESTS = {
-    "results.json": "6006b33d7a3f19265ec07d0115a91b36a28065894f9fc53e9241b750d2236845",
+    "results.json": "3c600cd5a89d7f76a5e6e1ef0785606dbb998f230732edb9561c5c20ff5a4eed",
     "chsh_counts.csv": "9f1c91bcc2dd039fac4cc227b947c17635ad55600393a1784b090dfb5a824fea",
     "degradation.csv": "ebb355f66eb582b1fa78dfcb6f3cf6dffe46017d157b6fb779abbb533a6912bb",
 }
