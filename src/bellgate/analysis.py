@@ -36,8 +36,6 @@ BOB_ANGLES = (22.5, 67.5, 112.5, 157.5)
 #: (a, b), (a, b'), (a', b), (a', b') of the CHSH combination, in degrees.
 CHSH_SETTINGS = ((0.0, 22.5), (0.0, 67.5), (45.0, 22.5), (45.0, 67.5))
 
-ACCIDENTAL_CONVENTIONS = ("single", "double")
-
 #: Header of the count-record CSV (:func:`write_count_records`).
 COUNT_RECORD_HEADER = ("label", "singles_alice_per_s", "singles_bob_per_s", "coincidences_per_s")
 
@@ -203,9 +201,9 @@ def accidental_rate(r1: float, r2: float, window: float, convention: str) -> flo
     """
     if r1 < 0 or r2 < 0:
         raise ValueError("singles rates must be non-negative")
-    if convention not in ACCIDENTAL_CONVENTIONS:
+    factor = {"single": 1.0, "double": 2.0}.get(convention)
+    if factor is None:
         raise ValueError(f"unknown accidental convention {convention!r}")
-    factor = 2.0 if convention == "double" else 1.0
     return r1 * r2 * factor * window
 
 

@@ -1,4 +1,5 @@
-"""Bench configuration and closed-form gating geometry.
+"""Bench configuration and closed-form gating geometry: the mirror, the
+slits' gate and the detectors as configured.
 
 A rotating multi-facet mirror sweeps a reflected beam across a slit of
 width A at distance R, so each facet opens a transmission window of
@@ -6,6 +7,11 @@ duration A / (2*pi*R*w).  Every derived timing quantity used elsewhere
 (gate period, duty cycle, fiber transit, light flight distance while the
 gate is open) is computed once in :func:`gate_geometry` so that all
 modules work from identical numbers.
+
+The module is in the plan layer, which imports no numpy: the records
+here are what a plan is built from and checked against, and the run
+layer (:mod:`bellgate.gating`, :mod:`bellgate.detection`) draws and
+counts with them.
 """
 
 from __future__ import annotations
@@ -43,6 +49,37 @@ class ApparatusConfig(Record):
     vacuum_light_speed: float = LIGHT_SPEED_VACUUM
 
 
+class DetectorConfig(Record):
+    """Per-arm APD characteristics plus the shared coincidence window."""
+
+    efficiency_alice: float
+    efficiency_bob: float
+    dark_rate_alice: float = 0.0
+    dark_rate_bob: float = 0.0
+    coincidence_window: float = 20e-9
+
+    def __post_init__(self):
+        if not 0.0 < self.efficiency_alice <= 1.0:
+            raise ValueError("alice efficiency must lie in (0, 1]")
+        if not 0.0 < self.efficiency_bob <= 1.0:
+            raise ValueError("bob efficiency must lie in (0, 1]")
+        if not (0 <= self.dark_rate_alice < math.inf and 0 <= self.dark_rate_bob < math.inf):
+            raise ValueError("dark rates must be finite and non-negative")
+        if not self.coincidence_window > 0:
+            raise ValueError("coincidence window must be positive")
+
+    def fire_probability(self, joint):
+        """Probability that a pair reaching both slits fires at least one detector.
+
+        ``joint`` holds the polarizer probabilities (pass-pass, pass-block,
+        block-pass), scalars or per-pair arrays;
+        :data:`~bellgate.sources.NO_POLARIZERS` when the polarizers are out.
+        """
+        p_pp, p_pb, p_bp = joint
+        keep_both = 1.0 - (1.0 - self.efficiency_alice) * (1.0 - self.efficiency_bob)
+        return p_pp * keep_both + self.efficiency_alice * p_pb + self.efficiency_bob * p_bp
+
+
 class GateGeometry(Record):
     """Derived gate timing; see :func:`gate_geometry`."""
 
@@ -53,6 +90,21 @@ class GateGeometry(Record):
     flight_distance_during_gate: float  # fiber-speed distance covered in one window, m
 
 
+class GateState(Record):
+    """Periodic top-hat transmission window shared by both slits."""
+
+    gate_period: float
+    aperture_time: float
+    phase_offset: float = 0.0  # time of the first window opening, s
+
+    @classmethod
+    def from_geometry(cls, geometry: GateGeometry) -> "GateState":
+        """The slits' gate, window 0 opening at 0; direct construction skips the check."""
+        if not geometry.aperture_time < geometry.gate_period:
+            raise ValidationError("aperture time must be shorter than the gate period")
+        return cls(geometry.gate_period, geometry.aperture_time)
+
+
 def validate_config(cfg: ApparatusConfig) -> ApparatusConfig:
     """Return ``cfg`` unchanged iff every invariant holds.
 
@@ -60,7 +112,11 @@ def validate_config(cfg: ApparatusConfig) -> ApparatusConfig:
     Every field must be finite: an infinite rotation rate, for one, would
     give a zero gate period.  The slit must be narrower than one facet
     sweep (2*pi*R/N), otherwise the "gate" never closes and the duty cycle
-    would reach or exceed 1.
+    would reach or exceed 1.  Finite inputs can still derive a degenerate
+    timing, a product or quotient of extremes overflowing or underflowing
+    (a rotation rate of 1e-320 gives an infinite gate period, one of 1e308
+    a zero one), so the aperture time, gate period and fiber delay that
+    :func:`gate_geometry` derives must be positive and finite too.
     """
     for name, value in vars(cfg).items():
         if not math.isfinite(value):
@@ -81,6 +137,11 @@ def validate_config(cfg: ApparatusConfig) -> ApparatusConfig:
         raise ValidationError("light speed must be positive")
     if not cfg.aperture_width < 2.0 * math.pi * cfg.mirror_radius / cfg.facet_count:
         raise ValidationError("aperture exceeds facet sweep")
+    geometry = gate_geometry(cfg)
+    for name in ("aperture_time", "gate_period", "fiber_delay"):
+        value = getattr(geometry, name)
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
     return cfg
 
 
@@ -90,14 +151,17 @@ def gate_geometry(cfg: ApparatusConfig) -> GateGeometry:
     The gate-open duration is A / (2*pi*R*w) and the open fraction
     A*N / (2*pi*R).  The flight distance uses the in-fiber speed
     c/index, which with the default index of 1.0 reduces to the
-    vacuum-speed convention.  Assumes a validated config.
+    vacuum-speed convention.  Assumes a config whose fields
+    :func:`validate_config` has checked; a speed that underflows to 0
+    gives an infinite time, which it then refuses.
     """
-    t_on = cfg.aperture_width / (2.0 * math.pi * cfg.mirror_radius * cfg.rotation_rate)
+    sweep_speed = 2.0 * math.pi * cfg.mirror_radius * cfg.rotation_rate  # at the slit, m/s
     fiber_speed = cfg.vacuum_light_speed / cfg.fiber_group_index
+    t_on = cfg.aperture_width / sweep_speed if sweep_speed else math.inf
     return GateGeometry(
         aperture_time=t_on,
         duty_cycle=cfg.aperture_width * cfg.facet_count / (2.0 * math.pi * cfg.mirror_radius),
         gate_period=1.0 / (cfg.rotation_rate * cfg.facet_count),
-        fiber_delay=cfg.fiber_length / fiber_speed,
+        fiber_delay=cfg.fiber_length / fiber_speed if fiber_speed else math.inf,
         flight_distance_during_gate=fiber_speed * t_on,
     )

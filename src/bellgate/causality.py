@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .apparatus import GateGeometry
-from .gating import GateState
+from .apparatus import GateGeometry, GateState
 from .record import Record, replace
 
 # The most later windows a resonance sweep may examine: the reference

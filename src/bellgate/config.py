@@ -7,6 +7,13 @@ SI units throughout).  An omitted key takes that record's default, and
 every value gets that record's checks.  Unknown sections or keys are
 rejected so a typo cannot silently fall back to a default.
 Command-line overrides use dotted keys (``apparatus.aperture_width=2e-3``).
+
+:class:`RunPlan` is what a config builds: the records of the four
+sections, checked against each other and with the gates every run uses
+derived once.  The module is in the plan layer, which imports no numpy,
+so reading a config and building its plan (``bellgate geometry``,
+``bellgate causality`` and the checks ``simulate`` makes before its first
+draw) never waits for it; :mod:`bellgate.runner` draws a plan's runs.
 """
 
 from __future__ import annotations
@@ -16,18 +23,101 @@ import json
 import math
 from pathlib import Path
 
-from .apparatus import ApparatusConfig
-from .detection import DetectorConfig
-from .record import fields
-from .runner import RunPlan
+from .apparatus import (
+    ApparatusConfig,
+    DetectorConfig,
+    GateState,
+    gate_geometry,
+    validate_config,
+)
+from .causality import informed_slit_gate
+from .record import Record, fields, replace
 from .sources import (
     INSTANTANEOUS,
+    NO_POLARIZERS,
     CorrelationModel,
     MalusLHV,
     QuantumState,
     ThresholdLHV,
     TravelingInfluence,
 )
+
+#: Accidental-coincidence estimates a plan may ask for; see
+#: :func:`~bellgate.analysis.accidental_rate`.
+ACCIDENTAL_CONVENTIONS = ("single", "double")
+
+# The most events (firing pairs and darks) a plan may expect in its
+# largest sub-run: about 750 times the largest run the README quotes, and
+# minutes of counting for that sub-run alone.  Fixed, not an option.
+MAX_RUN_EVENTS = 1e10
+
+
+class RunPlan(Record):
+    """Everything needed to reproduce one simulated experiment.
+
+    ``__post_init__`` derives three attributes that are not fields:
+    ``geometry``, the gate timing of ``apparatus``, derived once after
+    validating it; ``gate``, the gate of every gated run in emission
+    time: the slits' gate, window 0 opening at 0, checked once and moved
+    back by one fiber delay modulo the gate period; and
+    ``informed_gate``, the emission times of a ``TravelingInfluence``
+    model's informed pairs, or None.
+    """
+
+    apparatus: ApparatusConfig
+    detector: DetectorConfig
+    model: CorrelationModel
+    pair_rate: float
+    integration_time: float  # seconds per setting / per luminosity run
+    rotation: bool = True
+    seed: int = 0
+    accidental_convention: str = "double"
+
+    def __post_init__(self):
+        if not isinstance(self.rotation, bool):
+            raise ValueError("rotation must be true or false")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError("seed must be an integer")
+        if not 0 < self.pair_rate < math.inf:
+            raise ValueError("pair rate must be positive and finite")
+        if not 0 < self.integration_time < math.inf:
+            raise ValueError("integration time must be positive and finite")
+        if self.accidental_convention not in ACCIDENTAL_CONVENTIONS:
+            raise ValueError(f"unknown accidental convention {self.accidental_convention!r}")
+        geometry = gate_geometry(validate_config(self.apparatus))
+        object.__setattr__(self, "geometry", geometry)
+        # Every experiment includes a gated run; check its gate before any run.
+        gate = GateState.from_geometry(geometry)
+        # Runs draw in emission time, so a long fiber costs the draws no
+        # float precision: the delay is taken modulo the period here, once.
+        phase = -geometry.fiber_delay % gate.gate_period
+        object.__setattr__(self, "gate", replace(gate, phase_offset=phase))
+        informed_gate = None
+        if isinstance(self.model, TravelingInfluence):
+            # Refuses a transit plus fiber delay too long to resolve its informed phase.
+            length, speed = self.apparatus.fiber_length, self.model.influence_speed
+            informed_gate = informed_slit_gate(self.gate, length, speed, geometry.fiber_delay)
+        object.__setattr__(self, "informed_gate", informed_gate)
+        # A window as long as the gate period reaches into the next gate
+        # opening and pairs detections that no single opening let through.
+        if not self.detector.coincidence_window < geometry.gate_period:
+            raise ValueError(
+                f"coincidence window {self.detector.coincidence_window:g} s must be "
+                f"shorter than the gate period {geometry.gate_period:g} s"
+            )
+        # The largest sub-run is the ungated luminosity run: no gate and no
+        # polarizer stops a pair, so no other run fires more.
+        det = self.detector
+        events = self.integration_time * (
+            self.pair_rate * det.fire_probability(NO_POLARIZERS)
+            + det.dark_rate_alice
+            + det.dark_rate_bob
+        )
+        if events > MAX_RUN_EVENTS:
+            raise ValueError(
+                f"run too large: the ungated luminosity run expects {events:.3g} events, "
+                f"more than the limit of {MAX_RUN_EVENTS:g}"
+            )
 
 
 class ConfigError(ValueError):

@@ -25,51 +25,22 @@ mirror-stopped run's entries within a window of a neighbour, the
 isolated rest split by :func:`pattern_bounds`.  Dark and accidental
 coincidences are not injected anywhere; they emerge from the matcher
 like they do in hardware.
+
+The module is in the run layer, which draws and counts with numpy; the
+detectors as configured, :class:`~bellgate.apparatus.DetectorConfig`,
+are a plan-layer record.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .record import Record
+from .apparatus import DetectorConfig
 
 #: Arm codes of a tagged stream entry: which detectors it fired.
 ALICE = 1
 BOB = 2
 BOTH = ALICE | BOB
-
-
-class DetectorConfig(Record):
-    """Per-arm APD characteristics plus the shared coincidence window."""
-
-    efficiency_alice: float
-    efficiency_bob: float
-    dark_rate_alice: float = 0.0
-    dark_rate_bob: float = 0.0
-    coincidence_window: float = 20e-9
-
-    def __post_init__(self):
-        if not 0.0 < self.efficiency_alice <= 1.0:
-            raise ValueError("alice efficiency must lie in (0, 1]")
-        if not 0.0 < self.efficiency_bob <= 1.0:
-            raise ValueError("bob efficiency must lie in (0, 1]")
-        if not (0 <= self.dark_rate_alice < math.inf and 0 <= self.dark_rate_bob < math.inf):
-            raise ValueError("dark rates must be finite and non-negative")
-        if not self.coincidence_window > 0:
-            raise ValueError("coincidence window must be positive")
-
-    def fire_probability(self, joint):
-        """Probability that a pair reaching both slits fires at least one detector.
-
-        ``joint`` holds the polarizer probabilities (pass-pass, pass-block,
-        block-pass), scalars or per-pair arrays;
-        :data:`~bellgate.sources.NO_POLARIZERS` when the polarizers are out.
-        """
-        p_pp, p_pb, p_bp = joint
-        keep_both = 1.0 - (1.0 - self.efficiency_alice) * (1.0 - self.efficiency_bob)
-        return p_pp * keep_both + self.efficiency_alice * p_pb + self.efficiency_bob * p_bp
 
 
 def detection_pattern(
@@ -86,8 +57,8 @@ def detection_pattern(
     Bob's darks, then pairs that fire nothing; a closed-set entry is a
     dark.  A pair passes the polarizers with the probabilities in
     ``joint`` (scalars or per-pair arrays, see
-    :meth:`DetectorConfig.fire_probability`) and each arm keeps its
-    photon independently, so alice only, both and bob only have
+    :meth:`~bellgate.apparatus.DetectorConfig.fire_probability`) and each
+    arm keeps its photon independently, so alice only, both and bob only have
     probabilities e_a(p_pb + p_pp(1-e_b)), e_a*e_b*p_pp and
     e_b(p_bp + p_pp(1-e_a)), which sum to the pair's own firing
     probability q; pairs drawn at a larger ``drawn_at`` (several models

@@ -10,6 +10,9 @@ lower one on the closed set (pairs and darks, or darks alone) and
 returns them in time order, the order in which the runner counts them.
 Only gated runs draw through it: with the mirror stopped the stream's
 intensity is constant, and the runner counts it by its close pairs.
+
+The module is in the run layer, which draws with numpy; the gate itself,
+:class:`~bellgate.apparatus.GateState`, is a plan-layer record.
 """
 
 from __future__ import annotations
@@ -18,23 +21,7 @@ import math
 
 import numpy as np
 
-from .apparatus import GateGeometry, ValidationError
-from .record import Record
-
-
-class GateState(Record):
-    """Periodic top-hat transmission window shared by both slits."""
-
-    gate_period: float
-    aperture_time: float
-    phase_offset: float = 0.0  # time of the first window opening, s
-
-    @classmethod
-    def from_geometry(cls, geometry: GateGeometry) -> "GateState":
-        """The slits' gate, window 0 opening at 0; direct construction skips the check."""
-        if not geometry.aperture_time < geometry.gate_period:
-            raise ValidationError("aperture time must be shorter than the gate period")
-        return cls(geometry.gate_period, geometry.aperture_time)
+from .apparatus import GateState
 
 
 def gate_open(t, gate: GateState):

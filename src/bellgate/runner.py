@@ -1,6 +1,11 @@
 """End-to-end simulated runs: emission -> polarizers -> fibers -> gate ->
-detectors -> coincidence counting -> analysis.  It owns the run plan, the
-sub-runs and the counter; the counts belong to :mod:`bellgate.analysis`.
+detectors -> coincidence counting -> analysis.  It owns the sub-runs and
+the counter; the plan they follow is :class:`~bellgate.config.RunPlan`,
+and the counts belong to :mod:`bellgate.analysis`.
+
+The module is in the run layer, which draws and counts with numpy: a
+process that only reads configs, builds plans or reports gate timing
+(the plan layer) never imports it.
 
 A simulated experiment is two measurements, both always made:
 
@@ -13,13 +18,13 @@ A simulated experiment is two measurements, both always made:
 
 A counting run draws one Poisson stream of pairs and darks, in emission
 time: a pair reaches its slits one fiber delay after it is emitted, so
-:attr:`RunPlan.gate` is the slits' gate moved back by that delay, once
-per plan, and the times a run draws stay as fine as its length allows
-however long the fiber.  The gate, the polarizer outcomes and the
-detector efficiencies are independent marks of the emission stream, so
-the pairs that fire a detector are a Poisson process of rate
+:attr:`~bellgate.config.RunPlan.gate` is the slits' gate moved back by
+that delay, once per plan, and the times a run draws stay as fine as its
+length allows however long the fiber.  The gate, the polarizer outcomes
+and the detector efficiencies are independent marks of the emission
+stream, so the pairs that fire a detector are a Poisson process of rate
 ``pair_rate * q`` on the gate's open set (the marking theorem), ``q``
-from :meth:`~bellgate.detection.DetectorConfig.fire_probability`; with
+from :meth:`~bellgate.apparatus.DetectorConfig.fire_probability`; with
 each arm's darks they add up to one Poisson process (superposition).
 :func:`~bellgate.detection.detection_pattern` marks each entry a pair or
 a dark and picks the detectors it fires.
@@ -30,7 +35,7 @@ draws the stream sorted, one time slice at a time,
 Gated ``TravelingInfluence`` pairs are drawn at the larger ``q`` of its
 two models, each taking its pattern from the model its informed flag
 selects: ``gate_open`` of its emission time against
-:attr:`RunPlan.informed_gate`, derived once per plan.
+:attr:`~bellgate.config.RunPlan.informed_gate`, derived once per plan.
 
 With the mirror stopped (the dark and gate-off luminosity runs, and every
 run of a scan with ``rotation`` false) the stream's intensity is
@@ -60,7 +65,6 @@ import math
 import numpy as np
 
 from .analysis import (
-    ACCIDENTAL_CONVENTIONS,
     ALICE_ANGLES,
     BOB_ANGLES,
     ChshResult,
@@ -71,28 +75,14 @@ from .analysis import (
     chsh_S,
     degradation_ratio,
 )
-from .apparatus import ApparatusConfig, gate_geometry, validate_config
-from .causality import informed_slit_gate
-from .detection import (
-    ALICE,
-    BOB,
-    DetectorConfig,
-    detection_pattern,
-    match_coincidences,
-    pattern_bounds,
-)
-from .gating import GateState, gate_open, sample_open_times
-from .record import Record, replace
-from .sources import (
-    NO_POLARIZERS,
-    CorrelationModel,
-    TravelingInfluence,
-    joint_probabilities,
-)
+from .config import RunPlan
+from .detection import ALICE, BOB, detection_pattern, match_coincidences, pattern_bounds
+from .gating import gate_open, sample_open_times
+from .sources import NO_POLARIZERS, TravelingInfluence, joint_probabilities
 
-# perfbench/trace_child.py wraps these three names on this module and never
+# perfbench/trace_child.py wraps these five names on this module and never
 # calls them; the line goes when ROADMAP item E drops those lookups.
-joint_outcomes = thin_times = dark_times = None
+joint_outcomes = thin_times = dark_times = gate_geometry = validate_config = None
 
 DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
 
@@ -104,78 +94,6 @@ _CHUNK_EVENTS = 1 << 16
 # Steps (see _count_homogeneous) that a mirror-stopped run draws per
 # block.  Fixed, like the slice size.
 _BLOCK_STEPS = 1 << 11
-# The most events (firing pairs and darks) a plan may expect in its
-# largest sub-run: about 750 times the largest run the README quotes, and
-# minutes of counting for that sub-run alone.  Fixed, like the slice size.
-MAX_RUN_EVENTS = 1e10
-
-
-class RunPlan(Record):
-    """Everything needed to reproduce one simulated experiment.
-
-    ``__post_init__`` derives three attributes that are not fields:
-    ``geometry``, the gate timing of ``apparatus``, derived once after
-    validating it; ``gate``, the gate of every gated run in emission
-    time: the slits' gate, window 0 opening at 0, checked once and moved
-    back by one fiber delay modulo the gate period; and
-    ``informed_gate``, the emission times of a ``TravelingInfluence``
-    model's informed pairs, or None.
-    """
-
-    apparatus: ApparatusConfig
-    detector: DetectorConfig
-    model: CorrelationModel
-    pair_rate: float
-    integration_time: float  # seconds per setting / per luminosity run
-    rotation: bool = True
-    seed: int = 0
-    accidental_convention: str = "double"
-
-    def __post_init__(self):
-        if not isinstance(self.rotation, bool):
-            raise ValueError("rotation must be true or false")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError("seed must be an integer")
-        if not 0 < self.pair_rate < math.inf:
-            raise ValueError("pair rate must be positive and finite")
-        if not 0 < self.integration_time < math.inf:
-            raise ValueError("integration time must be positive and finite")
-        if self.accidental_convention not in ACCIDENTAL_CONVENTIONS:
-            raise ValueError(f"unknown accidental convention {self.accidental_convention!r}")
-        geometry = gate_geometry(validate_config(self.apparatus))
-        object.__setattr__(self, "geometry", geometry)
-        # Every experiment includes a gated run; check its gate before any run.
-        gate = GateState.from_geometry(geometry)
-        # Runs draw in emission time, so a long fiber costs the draws no
-        # float precision: the delay is taken modulo the period here, once.
-        phase = -geometry.fiber_delay % gate.gate_period
-        object.__setattr__(self, "gate", replace(gate, phase_offset=phase))
-        informed_gate = None
-        if isinstance(self.model, TravelingInfluence):
-            # Refuses a transit plus fiber delay too long to resolve its informed phase.
-            length, speed = self.apparatus.fiber_length, self.model.influence_speed
-            informed_gate = informed_slit_gate(self.gate, length, speed, geometry.fiber_delay)
-        object.__setattr__(self, "informed_gate", informed_gate)
-        # A window as long as the gate period reaches into the next gate
-        # opening and pairs detections that no single opening let through.
-        if not self.detector.coincidence_window < geometry.gate_period:
-            raise ValueError(
-                f"coincidence window {self.detector.coincidence_window:g} s must be "
-                f"shorter than the gate period {geometry.gate_period:g} s"
-            )
-        # The largest sub-run is the ungated luminosity run: no gate and no
-        # polarizer stops a pair, so no other run fires more.
-        det = self.detector
-        events = self.integration_time * (
-            self.pair_rate * det.fire_probability(NO_POLARIZERS)
-            + det.dark_rate_alice
-            + det.dark_rate_bob
-        )
-        if events > MAX_RUN_EVENTS:
-            raise ValueError(
-                f"run too large: the ungated luminosity run expects {events:.3g} events, "
-                f"more than the limit of {MAX_RUN_EVENTS:g}"
-            )
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -189,7 +107,7 @@ def _time_slices(duration: float, event_rate: float):
     """Yield (t0, t1) slices of [0, duration) holding about
     ``_CHUNK_EVENTS`` draws each at ``event_rate`` (one slice if it is
     0); edges are made one at a time, so a huge slice count costs no
-    memory.  A run that :data:`MAX_RUN_EVENTS` admits has at most about
+    memory.  A run that :data:`~bellgate.config.MAX_RUN_EVENTS` admits has at most about
     1.5e5 slices, far too few for ``duration * i / n`` to collapse."""
     span = _CHUNK_EVENTS / event_rate if event_rate > 0 else duration
     n_slices = max(1, math.ceil(duration / span))

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, CountTable16
-from bellgate.apparatus import ApparatusConfig, gate_geometry, validate_config
+from bellgate.apparatus import ApparatusConfig, GateState, gate_geometry, validate_config
 from bellgate.detection import ALICE, BOB
-from bellgate.gating import GateState
 from bellgate.runner import _time_slices
 from bellgate.sources import joint_probabilities
 

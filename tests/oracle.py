@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from bellgate.apparatus import gate_geometry, validate_config
+from bellgate.apparatus import GateState, gate_geometry, validate_config
 from bellgate.detection import match_coincidences
-from bellgate.gating import GateState, gate_open
+from bellgate.gating import gate_open
 from bellgate.sources import (
     MalusLHV,
     QuantumState,

@@ -12,15 +12,16 @@ import numpy as np
 from bellgate.analysis import degradation_ratio, read_count_records
 from bellgate.apparatus import (
     ApparatusConfig,
+    DetectorConfig,
     LIGHT_SPEED_VACUUM,
     gate_geometry,
     validate_config,
 )
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.cli import main
-from bellgate.detection import DetectorConfig
+from bellgate.config import RunPlan
 from bellgate.fixtures import fixture_path
-from bellgate.runner import RunPlan, run_chsh, run_degradation
+from bellgate.runner import run_chsh, run_degradation
 from bellgate.sources import INSTANTANEOUS, MalusLHV, QuantumState
 
 FIBER_LENGTH = 200.0

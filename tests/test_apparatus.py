@@ -47,6 +47,11 @@ def test_oversized_aperture_rejected():
         ({"vacuum_light_speed": 0.0}, "light speed must be positive"),
         ({"rotation_rate": math.inf}, "rotation_rate must be finite"),
         ({"aperture_width": math.nan}, "aperture_width must be finite"),
+        # a speed that underflows to 0 once raised ZeroDivisionError, exit 3
+        ({"aperture_width": 1e-250, "mirror_radius": 1e-200, "rotation_rate": 1e-200},
+         "aperture_time must be positive and finite, got inf"),
+        ({"vacuum_light_speed": 5e-324, "fiber_group_index": 3.0},
+         "fiber_delay must be positive and finite, got inf"),
     ],
 )
 def test_each_invariant_is_named(kwargs, message):

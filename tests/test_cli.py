@@ -17,14 +17,12 @@ from bellgate.analysis import (
     read_table_csv,
     write_table_csv,
 )
-from bellgate.apparatus import ApparatusConfig
+from bellgate.apparatus import ApparatusConfig, DetectorConfig
 from bellgate.causality import MAX_SWEEP_WINDOWS
 from bellgate.cli import CAUSALITY_FIELDS, SWEEP_FIELDS, main
-from bellgate.config import ConfigError, build_plan, validate_schema
-from bellgate.detection import DetectorConfig
+from bellgate.config import ConfigError, RunPlan, build_plan, validate_schema
 from bellgate.fixtures import fixture_path
 from bellgate.record import fields
-from bellgate.runner import RunPlan
 from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, TravelingInfluence
 
 TINY_CONFIG = {
@@ -433,7 +431,14 @@ def test_simulate_rejects_window_as_long_as_gate_period(tmp_path, capsys):
      # past int()'s 4300-digit limit; once exited with Python's advice, naming no key
      pytest.param("run.pair_rate=1" + "0" * 5000, "run.pair_rate must be finite, got inf",
                   id="run.pair_rate=1e5000"),
-     pytest.param("run.seed=1" + "0" * 5000, "seed must be an integer", id="run.seed=1e5000")],
+     pytest.param("run.seed=1" + "0" * 5000, "seed must be an integer", id="run.seed=1e5000"),
+     # finite inputs whose derived timing is not: the first two once passed
+     # geometry with exit 0, the third exited 3 and the last two failed on a NaN
+     ("apparatus.rotation_rate=1e-320", "aperture_time must be positive and finite, got inf"),
+     ("apparatus.rotation_rate=1e308", "aperture_time must be positive and finite, got 0.0"),
+     ("apparatus.mirror_radius=1e308", "aperture_time must be positive and finite, got 0.0"),
+     ("apparatus.rotation_rate=1e-310", "gate_period must be positive and finite, got inf"),
+     ("apparatus.vacuum_light_speed=1e-310", "fiber_delay must be positive and finite, got inf")],
 )
 def test_simulate_rejects_bad_plan_before_any_run(tmp_path, capsys, override, message):
     # the first two once failed only after the luminosity runs, one after
@@ -501,7 +506,7 @@ def test_simulate_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatc
     def exhausted(plan):
         raise exc
 
-    monkeypatch.setattr("bellgate.cli.run_degradation", exhausted)
+    monkeypatch.setattr("bellgate.runner.run_degradation", exhausted)
     config = write_config(tmp_path)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: out of memory: {detail}\n"

@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bellgate.detection import (
-    ALICE,
-    BOB,
-    BOTH,
-    DetectorConfig,
-    detection_pattern,
-    match_coincidences,
-)
+from bellgate.detection import ALICE, BOB, BOTH, detection_pattern, match_coincidences
 from bellgate.analysis import CountRecord, read_count_records, write_count_records
-from bellgate.apparatus import ApparatusConfig
-from bellgate.runner import RunPlan, _count, run_setting
+from bellgate.apparatus import ApparatusConfig, DetectorConfig
+from bellgate.config import RunPlan
+from bellgate.runner import _count, run_setting
 from bellgate.sources import (
     NO_POLARIZERS,
     MalusLHV,

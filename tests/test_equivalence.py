@@ -17,11 +17,11 @@ import math
 import numpy as np
 import pytest
 
-from bellgate.apparatus import ApparatusConfig, gate_geometry
+from bellgate.apparatus import ApparatusConfig, DetectorConfig, gate_geometry
 from bellgate.causality import resonant_influence_speeds
-from bellgate.detection import DetectorConfig
+from bellgate.config import RunPlan
 from bellgate.record import replace
-from bellgate.runner import RunPlan, run_setting
+from bellgate.runner import run_setting
 from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, TravelingInfluence
 from oracle import event_level_counts
 

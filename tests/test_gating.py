@@ -5,10 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellgate.apparatus import ApparatusConfig, GateGeometry, ValidationError
-from bellgate.detection import ALICE, BOB, BOTH, DetectorConfig, detection_pattern
-from bellgate.gating import GateState, gate_open, sample_open_times
-from bellgate.runner import RunPlan, run_setting
+from bellgate.apparatus import (
+    ApparatusConfig,
+    DetectorConfig,
+    GateGeometry,
+    GateState,
+    ValidationError,
+)
+from bellgate.config import RunPlan
+from bellgate.detection import ALICE, BOB, BOTH, detection_pattern
+from bellgate.gating import gate_open, sample_open_times
+from bellgate.runner import run_setting
 from bellgate.sources import NO_POLARIZERS, QuantumState
 from conftest import ALWAYS_OPEN
 

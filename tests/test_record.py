@@ -9,12 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import bellgate.cli  # noqa: F401  (imports every module that defines a record)
-from bellgate.apparatus import ApparatusConfig
-from bellgate.detection import DetectorConfig
-from bellgate.gating import GateState
+import bellgate.analysis  # noqa: F401  (with the cli, every module that defines a record)
+import bellgate.cli  # noqa: F401
+from bellgate.apparatus import ApparatusConfig, DetectorConfig, GateState
+from bellgate.config import RunPlan
 from bellgate.record import FrozenInstanceError, Record, fields, replace
-from bellgate.runner import RunPlan
 from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, TravelingInfluence
 
 # Every field given, positionally, for each record class.
@@ -139,7 +138,7 @@ def test_importing_the_cli_compiles_no_source():
         "compiles = []\n"
         "sys.addaudithook(lambda event, args: compiles.append(args[1])"
         " if event == 'compile' and args[1] == '<string>' else None)\n"
-        "import bellgate.cli\n"
+        "import bellgate.cli, bellgate.runner\n"  # what simulate imports
         "print(len(compiles))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -147,3 +146,18 @@ def test_importing_the_cli_compiles_no_source():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "0\n"
+
+
+def test_importing_the_cli_leaves_inspect_unloaded():
+    # inspect.get_annotations read each record's fields; importing inspect
+    # (with dis, ast and tokenize) once cost every process about 8 ms.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bellgate.cli\n"
+        "sys.exit('inspect' in set(sys.modules) - before)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

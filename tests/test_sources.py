@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, chsh_S
-from bellgate.apparatus import ApparatusConfig
-from bellgate.detection import DetectorConfig
+from bellgate.apparatus import ApparatusConfig, DetectorConfig
+from bellgate.config import RunPlan
 from bellgate.gating import sample_open_times
-from bellgate.runner import RunPlan
 from bellgate.sources import (
     MalusLHV,
     QuantumState,
@@ -274,12 +273,45 @@ def test_traveling_influence_requires_flags():
         joint_outcomes(model, 0.0, 22.5, 10, seed=0)
 
 
-def test_models_import_without_numpy():
-    # The models and their closed forms are plain math; the runner draws.
+# The plan layer and what each module must still do with numpy blocked.
+PLAN_LAYER = {
+    "record": "",
+    "sources": "",
+    "causality": "",
+    "fixtures": "",
+    "apparatus": "",
+    "config": (
+        "from bellgate.fixtures import fixture_path\n"
+        "traveling = {'name': 'traveling', 'base': {'name': 'quantum'},"
+        " 'uninformed': {'name': 'malus'}}\n"
+        "for name in ('demo.json', 'reference_bench.json'):\n"
+        "    cfg = m.load_config(fixture_path(name))\n"
+        "    m.build_plan(cfg)\n"
+        "    m.build_plan(dict(cfg, model=traveling))\n"
+    ),
+    "cli": (
+        "assert m.main(['geometry']) == 0\n"
+        "assert m.main(['causality', '--speed', 'instant']) == 0\n"
+        "assert m.main(['causality', '--sweep']) == 0\n"
+        "assert m.main(['simulate', '--set', 'run.no_such_key=1']) == 1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("module", PLAN_LAYER)
+def test_models_import_without_numpy(module, tmp_path):
+    # The models, configs, plans and gate timing are plain math; only the
+    # runner draws.  An import of numpy raises once sys.modules holds None.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, bellgate.sources; sys.exit('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        f"import bellgate.{module} as m\n" + PLAN_LAYER[module]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True
+    )
     assert result.returncode == 0, result.stderr
 
 
