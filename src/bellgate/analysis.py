@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .record import Record
+from .record import ACCIDENTAL_FACTORS, Record
 
 ALICE_ANGLES = (0.0, 45.0, 90.0, 135.0)
 BOB_ANGLES = (22.5, 67.5, 112.5, 157.5)
@@ -201,7 +201,7 @@ def accidental_rate(r1: float, r2: float, window: float, convention: str) -> flo
     """
     if r1 < 0 or r2 < 0:
         raise ValueError("singles rates must be non-negative")
-    factor = {"single": 1.0, "double": 2.0}.get(convention)
+    factor = ACCIDENTAL_FACTORS.get(convention)
     if factor is None:
         raise ValueError(f"unknown accidental convention {convention!r}")
     return r1 * r2 * factor * window

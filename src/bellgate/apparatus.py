@@ -113,10 +113,7 @@ def validate_config(cfg: ApparatusConfig) -> ApparatusConfig:
     give a zero gate period.  The slit must be narrower than one facet
     sweep (2*pi*R/N), otherwise the "gate" never closes and the duty cycle
     would reach or exceed 1.  Finite inputs can still derive a degenerate
-    timing, a product or quotient of extremes overflowing or underflowing
-    (a rotation rate of 1e-320 gives an infinite gate period, one of 1e308
-    a zero one), so the aperture time, gate period and fiber delay that
-    :func:`gate_geometry` derives must be positive and finite too.
+    timing; :func:`gate_geometry` refuses that.
     """
     for name, value in vars(cfg).items():
         if not math.isfinite(value):
@@ -137,11 +134,6 @@ def validate_config(cfg: ApparatusConfig) -> ApparatusConfig:
         raise ValidationError("light speed must be positive")
     if not cfg.aperture_width < 2.0 * math.pi * cfg.mirror_radius / cfg.facet_count:
         raise ValidationError("aperture exceeds facet sweep")
-    geometry = gate_geometry(cfg)
-    for name in ("aperture_time", "gate_period", "fiber_delay"):
-        value = getattr(geometry, name)
-        if not 0 < value < math.inf:
-            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
     return cfg
 
 
@@ -152,16 +144,23 @@ def gate_geometry(cfg: ApparatusConfig) -> GateGeometry:
     A*N / (2*pi*R).  The flight distance uses the in-fiber speed
     c/index, which with the default index of 1.0 reduces to the
     vacuum-speed convention.  Assumes a config whose fields
-    :func:`validate_config` has checked; a speed that underflows to 0
-    gives an infinite time, which it then refuses.
+    :func:`validate_config` has checked.  Such finite inputs can still
+    overflow or underflow (a rotation rate of 1e-320 gives an infinite
+    gate period, one of 1e308 a zero one), so a zero or infinite aperture
+    time, gate period or fiber delay raises :class:`ValidationError`.
     """
     sweep_speed = 2.0 * math.pi * cfg.mirror_radius * cfg.rotation_rate  # at the slit, m/s
     fiber_speed = cfg.vacuum_light_speed / cfg.fiber_group_index
     t_on = cfg.aperture_width / sweep_speed if sweep_speed else math.inf
-    return GateGeometry(
+    geometry = GateGeometry(
         aperture_time=t_on,
         duty_cycle=cfg.aperture_width * cfg.facet_count / (2.0 * math.pi * cfg.mirror_radius),
         gate_period=1.0 / (cfg.rotation_rate * cfg.facet_count),
         fiber_delay=cfg.fiber_length / fiber_speed if fiber_speed else math.inf,
         flight_distance_during_gate=fiber_speed * t_on,
     )
+    for name in ("aperture_time", "gate_period", "fiber_delay"):
+        value = getattr(geometry, name)
+        if not 0 < value < math.inf:
+            raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return geometry

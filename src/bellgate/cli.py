@@ -45,10 +45,6 @@ from .config import (
 from .fixtures import fixture_path
 from .record import Record
 
-# perfbench/trace_child.py wraps these two names on this module and never
-# calls them; the line goes when ROADMAP item E drops those lookups.
-run_degradation = run_chsh = None
-
 DEFAULT_CONFIG = "reference_bench.json"
 
 
@@ -161,6 +157,17 @@ def _record_json(record) -> dict:
     return dict(zip(COUNT_RECORD_HEADER[1:], record.rates), duration_s=record.duration)
 
 
+def __getattr__(name: str):
+    # simulate calls run_degradation and run_chsh as this module's
+    # attributes, which perfbench/trace_child.py wraps; they import the
+    # run layer on first lookup, so importing cli imports no numpy.
+    if name in ("run_degradation", "run_chsh"):
+        from . import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     plan = build_plan(cfg)
@@ -172,12 +179,13 @@ def cmd_simulate(args) -> int:
         write_count_records,
         write_table_csv,
     )
-    from .runner import DEGRADATION_LABELS, run_chsh, run_degradation
+    from .runner import DEGRADATION_LABELS
 
     # Both measurements run before --out is touched, so a failed run
     # leaves no report from it beside those of an earlier run.
-    records, ratios = run_degradation(plan)
-    table, result = run_chsh(plan)
+    cli = sys.modules[__name__]
+    records, ratios = cli.run_degradation(plan)
+    table, result = cli.run_chsh(plan)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

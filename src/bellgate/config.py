@@ -23,15 +23,9 @@ import json
 import math
 from pathlib import Path
 
-from .apparatus import (
-    ApparatusConfig,
-    DetectorConfig,
-    GateState,
-    gate_geometry,
-    validate_config,
-)
+from .apparatus import ApparatusConfig, DetectorConfig, GateState, gate_geometry, validate_config
 from .causality import informed_slit_gate
-from .record import Record, fields, replace
+from .record import ACCIDENTAL_FACTORS, Record, fields, replace
 from .sources import (
     INSTANTANEOUS,
     NO_POLARIZERS,
@@ -41,10 +35,6 @@ from .sources import (
     ThresholdLHV,
     TravelingInfluence,
 )
-
-#: Accidental-coincidence estimates a plan may ask for; see
-#: :func:`~bellgate.analysis.accidental_rate`.
-ACCIDENTAL_CONVENTIONS = ("single", "double")
 
 # The most events (firing pairs and darks) a plan may expect in its
 # largest sub-run: about 750 times the largest run the README quotes, and
@@ -82,7 +72,7 @@ class RunPlan(Record):
             raise ValueError("pair rate must be positive and finite")
         if not 0 < self.integration_time < math.inf:
             raise ValueError("integration time must be positive and finite")
-        if self.accidental_convention not in ACCIDENTAL_CONVENTIONS:
+        if self.accidental_convention not in ACCIDENTAL_FACTORS:
             raise ValueError(f"unknown accidental convention {self.accidental_convention!r}")
         geometry = gate_geometry(validate_config(self.apparatus))
         object.__setattr__(self, "geometry", geometry)

@@ -47,6 +47,16 @@ def test_oversized_aperture_rejected():
         ({"vacuum_light_speed": 0.0}, "light speed must be positive"),
         ({"rotation_rate": math.inf}, "rotation_rate must be finite"),
         ({"aperture_width": math.nan}, "aperture_width must be finite"),
+    ],
+)
+def test_each_invariant_is_named(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        validate_config(ApparatusConfig(**kwargs))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
         # a speed that underflows to 0 once raised ZeroDivisionError, exit 3
         ({"aperture_width": 1e-250, "mirror_radius": 1e-200, "rotation_rate": 1e-200},
          "aperture_time must be positive and finite, got inf"),
@@ -54,9 +64,11 @@ def test_oversized_aperture_rejected():
          "fiber_delay must be positive and finite, got inf"),
     ],
 )
-def test_each_invariant_is_named(kwargs, message):
+def test_gate_geometry_refuses_degenerate_timing(kwargs, message):
+    # finite fields that validate_config accepts, whose derived timing is not
+    cfg = validate_config(ApparatusConfig(**kwargs))
     with pytest.raises(ValidationError, match=message):
-        validate_config(ApparatusConfig(**kwargs))
+        gate_geometry(cfg)
 
 
 def test_aperture_time_reference_bench(bench):

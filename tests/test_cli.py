@@ -750,6 +750,28 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert result.returncode == 0, result.stderr
 
 
+def test_simulate_runs_what_the_cli_names_hold(tmp_path, capsys, monkeypatch):
+    # The tracer rebinds cli.run_degradation and cli.run_chsh; until
+    # rebound, each resolves to the runner's function of that name.
+    import bellgate.cli as cli
+    import bellgate.runner as runner
+
+    assert (cli.run_degradation, cli.run_chsh) == (runner.run_degradation, runner.run_chsh)
+    with pytest.raises(AttributeError, match="no attribute 'run_setting'"):
+        cli.run_setting
+    calls = []
+    for name in ("run_degradation", "run_chsh"):
+        def wrapped(plan, func=getattr(runner, name), name=name):
+            calls.append(name)
+            return func(plan)
+
+        # setitem, so that undoing it leaves the name unbound again
+        monkeypatch.setitem(vars(cli), name, wrapped)
+    config = write_config(tmp_path)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert calls == ["run_degradation", "run_chsh"]
+
+
 def test_entry_point_freezes_the_import_heap_and_keeps_main_s_exit_codes(tmp_path, capsys):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))

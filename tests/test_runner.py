@@ -12,13 +12,12 @@ import pytest
 from bellgate.analysis import (
     CountRecord,
     NumericalError,
-    accidental_rate,
     calibrate_from_counts,
     correlation_E,
 )
 from bellgate.apparatus import ApparatusConfig, DetectorConfig, LIGHT_SPEED_VACUUM, gate_geometry
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
-from bellgate.config import ACCIDENTAL_CONVENTIONS, MAX_RUN_EVENTS, RunPlan, build_plan
+from bellgate.config import MAX_RUN_EVENTS, RunPlan, build_plan
 from bellgate.detection import ALICE, BOB, BOTH, detection_pattern, match_coincidences
 from bellgate.fixtures import fixture_path
 from bellgate import runner
@@ -130,9 +129,6 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="unknown accidental convention 'dobule'"):
         quick_plan(MalusLHV(), accidental_convention="dobule")
     quick_plan(MalusLHV(), accidental_convention="single")
-    # The plan layer names the conventions; analysis holds their factors.
-    for convention in ACCIDENTAL_CONVENTIONS:
-        assert accidental_rate(1.0, 1.0, 1.0, convention) > 0
     # derive_seed would run seed 1.5 as seed 1, and a truthy string would run gated
     for seed in (1.5, True):
         with pytest.raises(ValueError, match="seed must be an integer"):
