@@ -72,7 +72,7 @@ class DetectorConfig(Record):
         """Probability that a pair reaching both slits fires at least one detector.
 
         ``joint`` holds the polarizer probabilities (pass-pass, pass-block,
-        block-pass), scalars or per-pair arrays;
+        block-pass) of one model at one setting;
         :data:`~bellgate.sources.NO_POLARIZERS` when the polarizers are out.
         """
         p_pp, p_pb, p_bp = joint

@@ -5,8 +5,8 @@ travels back down the fiber at speed v (possibly instantaneous), and
 makes the source emit "informed" pairs for as long as the line of sight
 stays open.  Those pairs still have to cover the fiber to reach the
 slit.  :func:`informed_slit_gate` gives the periodic pattern of informed
-pairs on the time axis of the gate it is given, the one the runner
-flags simulated pairs with.
+pairs on the time axis of the gate it is given, the one at whose edges
+a plan cuts its gate's open window.
 :func:`influence_window_analysis` computes the informed photons'
 arrival interval and how much of it overlaps *any* periodic gate
 window; a pass fraction of zero means no photon carrying information
@@ -100,7 +100,8 @@ def informed_slit_gate(
     informed iff the slit was in view one influence transit before its
     emission, so one transit plus one ``fiber_delay`` before the time
     ``gate`` tests: the informed pattern is ``gate`` delayed by both,
-    its phase taken modulo the gate period once it is resolved.
+    its phase taken modulo the gate period once it is resolved; a plan cuts
+    its open window at the result's edges (``RunPlan.pieces``).
     """
     delayed = gate.phase_offset + _influence_transit(fiber_length, influence_speed) + fiber_delay
     check_resolvable(delayed, gate.aperture_time, influence_speed)

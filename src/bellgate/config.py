@@ -49,9 +49,12 @@ class RunPlan(Record):
     ``geometry``, the gate timing of ``apparatus``, derived once after
     validating it; ``gate``, the gate of every gated run in emission
     time: the slits' gate, window 0 opening at 0, checked once and moved
-    back by one fiber delay modulo the gate period; and
-    ``informed_gate``, the emission times of a ``TravelingInfluence``
-    model's informed pairs, or None.
+    back by one fiber delay modulo the gate period; and ``pieces``,
+    ``(GateState, model)`` pairs whose windows tile the gate period and on
+    each of which a gated run's intensity and marks are constant: the
+    open window with the plan's model, cut for a ``TravelingInfluence``
+    where its informed window starts or ends into ``base`` and
+    ``uninformed`` parts, then the closed stretch with None (darks alone).
     """
 
     apparatus: ApparatusConfig
@@ -82,12 +85,26 @@ class RunPlan(Record):
         # float precision: the delay is taken modulo the period here, once.
         phase = -geometry.fiber_delay % gate.gate_period
         object.__setattr__(self, "gate", replace(gate, phase_offset=phase))
-        informed_gate = None
+        period, width = gate.gate_period, gate.aperture_time
+        opened = [(0.0, width, self.model)]  # (start, end, model) from the window's opening
         if isinstance(self.model, TravelingInfluence):
             # Refuses a transit plus fiber delay too long to resolve its informed phase.
             length, speed = self.apparatus.fiber_length, self.model.influence_speed
-            informed_gate = informed_slit_gate(self.gate, length, speed, geometry.fiber_delay)
-        object.__setattr__(self, "informed_gate", informed_gate)
+            informed = informed_slit_gate(self.gate, length, speed, geometry.fiber_delay)
+            # In the open window an informed window opens at start or, opened
+            # a period earlier, closes at end (both if open over half the time).
+            start = (informed.phase_offset - phase) % period
+            end = start + width - period
+            cuts = sorted({0.0, width, *(x for x in (start, end) if 0.0 < x < width)})
+            opened = [
+                (lo, hi, self.model.base if lo < end or lo >= start else self.model.uninformed)
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+        pieces = tuple(
+            (replace(self.gate, aperture_time=hi - lo, phase_offset=phase + lo), model)
+            for lo, hi, model in [*opened, (width, period, None)]
+        )
+        object.__setattr__(self, "pieces", pieces)
         # A window as long as the gate period reaches into the next gate
         # opening and pairs detections that no single opening let through.
         if not self.detector.coincidence_window < geometry.gate_period:

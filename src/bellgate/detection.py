@@ -5,14 +5,15 @@ count (:class:`~bellgate.analysis.CountRecord`).
 Each arm's detector keeps a photon with its quantum-efficiency
 probability and adds an independent Poisson dark-count background.
 Neither is drawn on its own: the runner draws the darks and the pairs
-that fire a detector as one stream; :func:`detection_pattern` marks each
-entry a pair or a dark and gives it its arm code (:data:`ALICE`,
-:data:`BOTH` or :data:`BOB`) from the dark rates, the efficiencies and
-the polarizer pass probabilities (:data:`~bellgate.sources.NO_POLARIZERS`
-in luminosity runs).  Both photons of a pair share one arrival time, so
-a run is one time-ordered *tagged stream*, as a time tagger records it:
-entry times plus an ``int8`` arm code per entry, bit 1 for Alice and bit
-2 for Bob.  A dark count is an entry of one arm.  The coincidence matcher reproduces a
+that fire a detector as streams of constant intensity and marks, and
+:func:`detection_pattern` marks each entry a pair or a dark and gives it
+its arm code (:data:`ALICE`, :data:`BOTH` or :data:`BOB`) from the dark
+rates, the efficiencies and the polarizer pass probabilities
+(:data:`~bellgate.sources.NO_POLARIZERS` in luminosity runs).  Both
+photons of a pair share one arrival time, so a run is one time-ordered
+*tagged stream*, as a time tagger records it: entry times plus an
+``int8`` arm code per entry, bit 1 for Alice and bit 2 for Bob.  A dark
+count is an entry of one arm.  The coincidence matcher reproduces a
 counting card on that stream: two detections closer than the window form
 one coincidence, each detection used at most once, matched greedily in
 time order.  It counts in numpy: it cuts the stream at every gap of a
@@ -43,59 +44,44 @@ BOB = 2
 BOTH = ALICE | BOB
 
 
-def detection_pattern(
-    n: int, det: DetectorConfig, rng, joint, drawn_at: float, pair_rate: float, is_open
-):
+def detection_pattern(n: int, det: DetectorConfig, rng, joint, pair_rate: float):
     """Arm codes of ``n`` entries of one stream of pairs and darks.
 
-    The stream's intensity is the sum of its parts': pairs at
-    ``pair_rate * drawn_at`` (in the dark rates' unit; with no darks the
-    scale cancels) where ``is_open``, a scalar or a per-entry mask, holds,
-    and each arm's darks.  By the marking theorem one uniform on
-    [0, intensity) per entry picks its part from intervals laid end to
-    end: Alice's darks, pairs that fire Alice only, both or Bob only,
-    Bob's darks, then pairs that fire nothing; a closed-set entry is a
-    dark.  A pair passes the polarizers with the probabilities in
-    ``joint`` (scalars or per-pair arrays, see
+    The stream's intensity is the sum of its parts': the pairs that fire
+    a detector, ``pair_rate`` times their firing probability q (in the
+    dark rates' unit; with no darks the scale cancels), and each arm's
+    darks.  By the marking theorem one uniform on [0, intensity) per
+    entry picks its part from intervals laid end to end: Alice's darks,
+    pairs that fire Alice only, both or Bob only, then Bob's darks.  A
+    pair passes the polarizers with the probabilities in ``joint`` (see
     :meth:`~bellgate.apparatus.DetectorConfig.fire_probability`) and each
-    arm keeps its photon independently, so alice only, both and bob only have
-    probabilities e_a(p_pb + p_pp(1-e_b)), e_a*e_b*p_pp and
-    e_b(p_bp + p_pp(1-e_a)), which sum to the pair's own firing
-    probability q; pairs drawn at a larger ``drawn_at`` (several models
-    drawn at the largest q) fire nothing past q.  With ``drawn_at`` equal
-    to q every entry fires: ``random() <= 1 - 2**-53`` keeps the rounded
-    product below the intensity.  Returns an ``int8`` array of
-    :data:`ALICE`, :data:`BOTH`, :data:`BOB`, or 0 for an entry that
-    fires nothing, which the counts skip.
+    arm keeps its photon independently, so alice only, both and bob only
+    have probabilities e_a(p_pb + p_pp(1-e_b)), e_a*e_b*p_pp and
+    e_b(p_bp + p_pp(1-e_a)), which sum to q.  Returns an ``int8`` array of
+    :data:`ALICE`, :data:`BOTH` or :data:`BOB`.
     """
-    rate = np.where(is_open, pair_rate, 0.0)  # the pairs' scale per entry
-    bounds = pattern_bounds(det, joint, rate, drawn_at)
-    u = rng.random(n) * next(bounds)
-    bob = u >= next(bounds)
-    alice = u < next(bounds)
-    bob &= u < next(bounds)
+    rate, alice_only, both = pattern_bounds(det, joint, pair_rate)
+    u = rng.random(n) * rate
+    bob = u >= alice_only
+    alice = u < both
     arms = bob.view(np.int8) * np.int8(BOB)
     arms |= alice.view(np.int8)
     return arms
 
 
-def pattern_bounds(det: DetectorConfig, joint, pair_rate, drawn_at):
+def pattern_bounds(det: DetectorConfig, joint, pair_rate: float):
     """The intensity of a stream of pairs and darks, then the upper ends of
-    its parts that fire Alice only, both and Bob only, laid end to end as
-    :func:`detection_pattern` lays them; the rest fires nothing.
-
-    Alice only holds her darks and the pairs that fire her alone, Bob
-    only the pairs that fire him alone and his darks.  Yielded one at a
-    time, so per-entry bounds are made only when used: fresh arrays cost
-    page faults.
-    """
-    e_a, e_b = det.efficiency_alice, det.efficiency_bob
-    d_a, d_b = det.dark_rate_alice, det.dark_rate_bob
+    its parts that fire Alice only (her darks and the pairs that fire her
+    alone) and both, laid end to end as :func:`detection_pattern` lays
+    them; Bob only (the pairs that fire him alone, and his darks) is the
+    rest."""
+    e_a, e_b, d_a = det.efficiency_alice, det.efficiency_bob, det.dark_rate_alice
     p_pp, p_pb, _ = joint
-    yield d_a + pair_rate * drawn_at + d_b
-    yield d_a + pair_rate * (e_a * (p_pb + p_pp * (1.0 - e_b)))
-    yield d_a + pair_rate * (e_a * (p_pp + p_pb))
-    yield d_a + pair_rate * det.fire_probability(joint) + d_b
+    return (
+        d_a + pair_rate * det.fire_probability(joint) + det.dark_rate_bob,
+        d_a + pair_rate * (e_a * (p_pb + p_pp * (1.0 - e_b))),
+        d_a + pair_rate * (e_a * (p_pp + p_pb)),
+    )
 
 
 def _greedy_sweep(a_list, b_list, window: float) -> int:

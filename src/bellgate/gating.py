@@ -4,12 +4,12 @@ Both arms run through equal-length fibers and bounce off the same
 mirror, so the two photons of a pair reach their slits simultaneously,
 one fiber delay after emission, and are transmitted or blocked as a
 unit.  The gate is a top-hat in time: open for ``aperture_time`` at the
-start of every ``gate_period``.  :func:`sample_open_times` draws the
-times of a Poisson process with one intensity on the open set and a
-lower one on the closed set (pairs and darks, or darks alone) and
-returns them in time order, the order in which the runner counts them.
-Only gated runs draw through it: with the mirror stopped the stream's
-intensity is constant, and the runner counts it by its close pairs.
+start of every ``gate_period``.  :func:`sample_open_times` draws a
+Poisson process of constant intensity on one such gate's windows, in
+time order; a gated run draws each piece of its gate period
+(:attr:`~bellgate.config.RunPlan.pieces`), a gate of its own, through
+it.  With the mirror stopped the stream's intensity is constant, and the
+runner counts it by its close pairs.
 
 The module is in the run layer, which draws with numpy; the gate itself,
 :class:`~bellgate.apparatus.GateState`, is a plan-layer record.
@@ -39,42 +39,29 @@ def gate_open(t, gate: GateState):
     return is_open
 
 
-def sample_open_times(
-    rate: float, t0: float, t1: float, gate: GateState, rng, closed_rate: float = 0.0
-):
+def sample_open_times(rate: float, t0: float, t1: float, gate: GateState, rng):
     """Sorted times on [t0, t1) of a Poisson process of intensity ``rate``
-    while the gate is open and ``closed_rate`` (at most ``rate``) while
-    it is closed.
+    while the gate is open.
 
-    The cumulative intensity over ``rate`` is a coordinate s that grows
-    by each window's aperture time, then by its closed time times
-    ``closed_rate / rate``.  One Poisson count over the measure of s on
-    the interval and uniforms on it, mapped back to time, give every time,
-    sorted in place and clipped to [t0, t1) against rounding; memory grows
-    with the number drawn, never with the number of windows.
+    Open time is a coordinate s that grows by each window's aperture
+    time.  One Poisson count over the measure of s on the interval and
+    uniforms on it, mapped back to time, give every time, sorted in place
+    and clipped to [t0, t1) against rounding; memory grows with the
+    number drawn, never with the number of windows.  A gate of zero
+    aperture draws nothing.
     """
     period, width = gate.gate_period, gate.aperture_time
-    shrink = closed_rate / rate if closed_rate > 0 else 0.0
-    span = width + shrink * (period - width)  # s per period
     # Window k opens at phase_offset + k*period; s counts from the
     # opening of window ``first``, and [t0, t1) covers s in [s0, s1).
     first = math.floor((t0 - gate.phase_offset) / period)
     last = math.ceil((t1 - gate.phase_offset) / period) - 1
     start, last_start = (gate.phase_offset + k * period for k in (first, last))
-    s0, s1 = (
-        min(max(x, 0.0), width) + shrink * max(x - width, 0.0)
-        for x in (t0 - start, t1 - last_start)
-    )
-    measure = max((last - first) * span + s1 - s0, 0.0)
+    s0, s1 = (min(max(x, 0.0), width) for x in (t0 - start, t1 - last_start))
+    measure = max((last - first) * width + s1 - s0, 0.0)
     s = s0 + rng.random(int(rng.poisson(rate * measure))) * measure
-    window = s / span
+    window = s / width
     np.floor(window, out=window)  # in place: fresh arrays cost page faults
-    s -= window * span  # s within its window
-    if shrink:  # closed time, stretched back
-        excess = s - width
-        np.maximum(excess, 0.0, out=excess)
-        excess *= 1.0 / shrink - 1.0
-        s += excess
+    s -= window * width  # s within its window
     times = start + window * period + s
     times.sort()
     if times.size and not t0 <= times[0] <= times[-1] < t1:

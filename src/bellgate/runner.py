@@ -29,13 +29,11 @@ each arm's darks they add up to one Poisson process (superposition).
 :func:`~bellgate.detection.detection_pattern` marks each entry a pair or
 a dark and picks the detectors it fires.
 
-With the mirror rotating, :func:`~bellgate.gating.sample_open_times`
-draws the stream sorted, one time slice at a time,
-:func:`~bellgate.gating.gate_open` being the one test of an open slit.
-Gated ``TravelingInfluence`` pairs are drawn at the larger ``q`` of its
-two models, each taking its pattern from the model its informed flag
-selects: ``gate_open`` of its emission time against
-:attr:`~bellgate.config.RunPlan.informed_gate`, derived once per plan.
+With the mirror rotating, the stream's intensity and marks are constant
+on each piece of the gate period (:attr:`~bellgate.config.RunPlan.pieces`),
+so :func:`_draw_pieces` draws each piece as a stream of its own, one time
+slice at a time, and merges them in time order (restriction and
+superposition; Kingman, *Poisson Processes*, 1993, ch. 2).
 
 With the mirror stopped (the dark and gate-off luminosity runs, and every
 run of a scan with ``rotation`` false) the stream's intensity is
@@ -81,7 +79,9 @@ from .gating import gate_open, sample_open_times
 from .sources import NO_POLARIZERS, TravelingInfluence, joint_probabilities
 
 # perfbench/trace_child.py wraps these five names on this module and never
-# calls them; the line goes when ROADMAP item E drops those lookups.
+# calls them; the line goes when ROADMAP item E drops those lookups.  Only
+# that tracer reads the one gate_open pass of each gated slice, and it
+# counts the Poisson draws made inside run_setting: ROADMAP E removes both.
 joint_outcomes = thin_times = dark_times = gate_geometry = validate_config = None
 
 DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
@@ -133,41 +133,48 @@ def run_setting(
     det = plan.detector
     if rotation is None:
         rotation = plan.rotation
-
-    # One polarizer group per model a drawn pair may follow.  With the
-    # mirror stopped the line of sight is permanent: every emission is
-    # informed and a traveling model is its base model.
-    joints = [NO_POLARIZERS]
-    if polarized:
-        models = [plan.model]
-        if isinstance(plan.model, TravelingInfluence):
-            models = [plan.model.base] + ([plan.model.uninformed] if rotation else [])
-        joints = [joint_probabilities(model, alice_angle, bob_angle)[:3] for model in models]
-    fire = max(det.fire_probability(joint) for joint in joints)
     pair_rate = plan.pair_rate if source else 0.0
+
+    def joint(model):  # None: the closed stretch, which holds darks alone
+        if model is None or not polarized:
+            return NO_POLARIZERS
+        return joint_probabilities(model, alice_angle, bob_angle)[:3]
+
     if not rotation:
-        return _count_homogeneous(det, joints[0], fire, pair_rate, plan.integration_time, rng)
-    darks = det.dark_rate_alice + det.dark_rate_bob
-    open_rate = pair_rate * fire + darks
+        # The line of sight is permanent: every emission is informed.
+        model = plan.model.base if isinstance(plan.model, TravelingInfluence) else plan.model
+        return _count_homogeneous(det, joint(model), pair_rate, plan.integration_time, rng)
+    pieces = [(gate, joint(m), 0.0 if m is None else pair_rate) for gate, m in plan.pieces]
 
     def draw(t0, t1):
-        times = sample_open_times(open_rate, t0, t1, plan.gate, rng, darks)
-        # gate_open is the one test of an open slit; perfbench/trace_child.py
-        # counts the gated entries through this call.
-        is_open = gate_open(times, plan.gate)
-        joint = joints[0]
-        if len(joints) > 1:
-            informed = gate_open(times, plan.informed_gate)
-            joint = [np.where(informed, p, r) for p, r in zip(*joints)]
-        return times, detection_pattern(times.size, det, rng, joint, fire, pair_rate, is_open)
+        times, arms = _draw_pieces(pieces, det, t0, t1, rng)
+        gate_open(times, plan.gate)  # read only by the tracer, see above
+        return times, arms
 
-    event_rate = pair_rate * fire * plan.geometry.duty_cycle + darks
-    slices = _time_slices(plan.integration_time, event_rate)
-    pieces = (draw(t0, t1) for t0, t1 in slices)
-    return _count(pieces, det.coincidence_window, plan.integration_time)
+    per_period = sum(pattern_bounds(det, j, r)[0] * g.aperture_time for g, j, r in pieces)
+    slices = _time_slices(plan.integration_time, per_period / plan.gate.gate_period)
+    streams = (draw(t0, t1) for t0, t1 in slices)
+    return _count(streams, det.coincidence_window, plan.integration_time)
 
 
-def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecord:
+def _draw_pieces(pieces, det, t0, t1, rng):
+    """The tagged stream ``(times, arms)`` of a gated run on [t0, t1).
+
+    Each ``(gate, joint, pair_rate)`` of ``pieces`` is a homogeneous stream
+    of pairs and darks on its gate's windows, drawn sorted and marked.  The
+    pieces tile the period, and one stable argsort merges them: timsort
+    merges sorted runs in linear time.
+    """
+    times, arms = [], []
+    for gate, joint, pair_rate in pieces:
+        times.append(sample_open_times(pattern_bounds(det, joint, pair_rate)[0], t0, t1, gate, rng))
+        arms.append(detection_pattern(times[-1].size, det, rng, joint, pair_rate))
+    times, arms = np.concatenate(times), np.concatenate(arms)
+    order = times.argsort(kind="stable")
+    return times[order], arms[order]
+
+
+def _count_homogeneous(det, joint, pair_rate, duration, rng) -> CountRecord:
     """Count a mirror-stopped run of ``duration`` seconds by its close pairs.
 
     With the mirror stopped, pairs and darks are one Poisson stream of
@@ -178,10 +185,10 @@ def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecor
     gaps on both sides are a window or longer never changes the greedy
     count (see :func:`~bellgate.detection.match_coincidences`), so only
     the entries next to a short gap are placed.  The run is drawn as
-    steps from an entry that fires nothing at 0, each m long gaps and
-    then one short gap: m is geometric, the floor of Exp(1)/(rate*window);
-    the long gaps, each a window plus Exp(rate) by memorylessness, add up
-    to m*window + Gamma(m)/rate; the short gap is Exp(rate) truncated to
+    steps from time 0, each m long gaps and then one short gap: m is
+    geometric, the floor of Exp(1)/(rate*window); the long gaps, each a
+    window plus Exp(rate) by memorylessness, add up to
+    m*window + Gamma(m)/rate; the short gap is Exp(rate) truncated to
     [0, window).  A step places the entry that ends its short gap and,
     if m > 0, the one that starts it, after m - 1 isolated entries.
 
@@ -196,7 +203,7 @@ def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecor
     multinomial over the same parts.
     """
     window = det.coincidence_window
-    rate, *ends = pattern_bounds(det, joint, pair_rate, fire)
+    rate, *ends = pattern_bounds(det, joint, pair_rate)
     if rate == 0:
         return CountRecord(0, 0, 0, duration)
     short_p = -math.expm1(-rate * window)
@@ -241,10 +248,10 @@ def _count_homogeneous(det, joint, fire, pair_rate, duration, rng) -> CountRecor
             for lo in range(0, used, piece):
                 hi = min(lo + piece, used)
                 times = points[lo:hi][keep[lo:hi]]
-                yield times, detection_pattern(times.size, det, rng, joint, fire, pair_rate, True)
+                yield times, detection_pattern(times.size, det, rng, joint, pair_rate)
 
     record = _count(placed(), window, duration)
-    part_alice, part_both, part_bob, _ = rng.multinomial(isolated, np.diff([0, *ends, rate]) / rate)
+    part_alice, part_both, part_bob = rng.multinomial(isolated, np.diff([0, *ends, rate]) / rate)
     return CountRecord(
         record.singles_alice + int(part_alice + part_both),
         record.singles_bob + int(part_both + part_bob),

@@ -16,9 +16,9 @@ pass/block statistics:
   cos^2(theta - setting).
 * :class:`ThresholdLHV` -- same hidden angle, deterministic outcome
   sign(cos 2(theta - setting)).
-* :class:`TravelingInfluence` -- a time-gated mixture: emissions
-  flagged "informed" (the flag is computed upstream from gate timing)
-  use the ``base`` model, all others the ``uninformed`` model.
+* :class:`TravelingInfluence` -- a time-gated mixture: "informed"
+  emissions (a plan derives their times from the gate's) use the
+  ``base`` model, all others the ``uninformed`` model.
 
 The correlation E reported by :func:`correlation_theory` follows the
 agree-minus-disagree convention of the count estimator in

@@ -3,6 +3,7 @@ import pytest
 
 from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, CountTable16
 from bellgate.apparatus import ApparatusConfig, GateState, gate_geometry, validate_config
+from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.detection import ALICE, BOB
 from bellgate.runner import _time_slices
 from bellgate.sources import joint_probabilities
@@ -20,6 +21,27 @@ def bench():
 @pytest.fixture
 def bench_geometry(bench):
     return gate_geometry(validate_config(bench))
+
+
+def speed_at_pass_fraction(apparatus, share, early):
+    """The influence speed at which ``share`` of the informed arrivals pass
+    the first later window: arriving late (between the first resonance's
+    low and centre speeds, where the pass fraction rises with the speed)
+    or early (between its centre and high speeds, where it falls), found
+    by bisection."""
+    geometry = gate_geometry(apparatus)
+    fiber = apparatus.fiber_length
+    photon_speed = apparatus.vacuum_light_speed / apparatus.fiber_group_index
+    first = resonant_influence_speeds(geometry, fiber, photon_speed, 1)[0]
+    lo, hi = (first.center, first.high) if early else (first.low, first.center)
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        report = influence_window_analysis(geometry, fiber, mid, photon_speed)
+        if (report.pass_fraction < share) != early:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def sampled_table(model, pairs_per_setting, seed):

@@ -1,11 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bellgate.apparatus import GateGeometry, LIGHT_SPEED_VACUUM
-from bellgate.causality import influence_window_analysis, resonant_influence_speeds
-from bellgate.sources import INSTANTANEOUS
+from bellgate.causality import (
+    influence_window_analysis,
+    informed_slit_gate,
+    resonant_influence_speeds,
+)
+from bellgate.config import build_plan
+from bellgate.fixtures import fixture_path
+from bellgate.gating import gate_open
+from bellgate.record import replace
+from bellgate.sources import INSTANTANEOUS, MalusLHV, QuantumState, TravelingInfluence
+from conftest import speed_at_pass_fraction
 
 FIBER_LENGTH = 200.0
 T_ON = 4.681027737996921e-07
@@ -193,3 +203,60 @@ def test_isolation_margin_monotonic_in_fiber_length(bench_geometry):
             for length in (0.0, 50.0, 200.0, 1000.0)
         ]
         assert all(a < b for a, b in zip(margins, margins[1:]))
+
+
+# The first resonance's speeds, an instant influence, and the late and
+# early speeds at which a quarter and three quarters of the informed
+# arrivals pass: the informed window covers the open window's end, its
+# start, all of it or none.  With the gate open 80% of the time, an
+# informed window half a period late covers both ends.
+PIECE_SPEEDS = ("low", "center", "high", "instant", "late_0.25", "early_0.75", "both_ends")
+
+
+@pytest.mark.parametrize("speed", PIECE_SPEEDS)
+def test_plan_pieces_agree_with_the_causality_report(speed):
+    cfg = json.loads(fixture_path("demo.json").read_text())
+    if speed == "both_ends":
+        cfg["apparatus"]["aperture_width"] = 0.05
+    plan = build_plan(cfg)
+    apparatus, gate = plan.apparatus, plan.gate
+    photon_speed = apparatus.vacuum_light_speed / apparatus.fiber_group_index
+    first = resonant_influence_speeds(plan.geometry, apparatus.fiber_length, photon_speed, 1)[0]
+    if speed == "late_0.25":
+        value = speed_at_pass_fraction(apparatus, 0.25, early=False)
+    elif speed == "early_0.75":
+        value = speed_at_pass_fraction(apparatus, 0.75, early=True)
+    elif speed == "both_ends":
+        value = apparatus.fiber_length / (gate.gate_period / 2 - plan.geometry.fiber_delay)
+    else:
+        value = {"low": first.low, "center": first.center, "high": first.high}.get(
+            speed, INSTANTANEOUS
+        )
+    model = TravelingInfluence(QuantumState(), MalusLHV(), value)
+    plan = replace(plan, model=model)
+    report = influence_window_analysis(plan.geometry, apparatus.fiber_length, value, photon_speed)
+    period, width = gate.gate_period, gate.aperture_time
+    assert all(piece.gate_period == period for piece, _ in plan.pieces)
+    assert sum(piece.aperture_time for piece, _ in plan.pieces) == pytest.approx(period, rel=1e-12)
+    informed_width = sum(piece.aperture_time for piece, m in plan.pieces if m is model.base)
+    assert abs(informed_width / width - report.pass_fraction) <= 1e-9
+    # Three periods on a grid, less every time within 1e-6 apertures of a
+    # piece's edge, where rounding may put a time on either side.
+    t = np.linspace(0.0, 3 * period, 30_001)
+    for piece, _ in plan.pieces:
+        offset = (t - piece.phase_offset) % period
+        t = t[np.minimum(offset, period - offset) > 1e-6 * width]
+    opens = np.array([gate_open(t, piece) for piece, _ in plan.pieces])
+    assert np.all(opens.sum(axis=0) == 1)  # exactly one piece holds each time
+    held = opens.argmax(axis=0)
+    informed = gate_open(
+        t, informed_slit_gate(gate, apparatus.fiber_length, value, plan.geometry.fiber_delay)
+    )
+    inside = gate_open(t, gate)
+    for target, expected in (
+        (model.base, inside & informed),
+        (model.uninformed, inside & ~informed),
+        (None, ~inside),
+    ):
+        pieces = [k for k, (_, m) in enumerate(plan.pieces) if m is target]
+        assert np.array_equal(np.isin(held, pieces), expected), target

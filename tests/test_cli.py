@@ -238,13 +238,17 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
 
 def test_failed_simulate_leaves_out_as_it_was(tmp_path, capsys):
     # A 1 ms demo scan has an empty cell: its degradation runs succeed, and
-    # their report must not land beside an earlier run's files.
+    # their report must not land beside an earlier run's files.  Each
+    # correlation quadruple expects 1e5 * 0.0159 * 0.25**2, about 100
+    # coincidences a second: at 1 ms all four hold one with probability
+    # about 8e-5; at 0.2 s each expects 20, and one is empty with
+    # probability about 8e-9.
     def simulate(out, seconds):
         return main(["simulate", "--config", str(fixture_path("demo.json")), "--out", str(out),
                      "--set", f"run.integration_time={seconds}"])
 
     out = tmp_path / "d"
-    assert simulate(out, 0.01) == 0
+    assert simulate(out, 0.2) == 0
     names = ("results.json", "chsh_counts.csv", "degradation.csv")
     first = {name: (out / name).read_bytes() for name in names}
     capsys.readouterr()

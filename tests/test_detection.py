@@ -85,7 +85,7 @@ def test_detection_pattern_is_conditioned_on_a_detection():
     k = det.fire_probability(NO_POLARIZERS)
     assert k == pytest.approx(0.7)
     n = 200_000
-    arms = detection_pattern(n, det, np.random.default_rng(8), NO_POLARIZERS, k, 1.0, True)
+    arms = detection_pattern(n, det, np.random.default_rng(8), NO_POLARIZERS, 1.0)
     assert arms.dtype == np.int8
     *observed, none = pattern_counts(arms)
     assert none == 0
@@ -128,36 +128,16 @@ def test_firing_pattern_frequencies_match_closed_form(name):
     fire = PATTERN_DETECTOR.fire_probability(joint)
     assert fire == pytest.approx(expected.sum(), rel=1e-12)
     n = 400_000
-    arms = detection_pattern(
-        n, PATTERN_DETECTOR, np.random.default_rng(21), joint, fire, 1.0, True
-    )
+    arms = detection_pattern(n, PATTERN_DETECTOR, np.random.default_rng(21), joint, 1.0)
     *observed, none = pattern_counts(arms)
     assert none == 0
     _assert_binomial_within_4_sigma(observed, n, expected / expected.sum())
 
 
-@pytest.mark.parametrize("informed", [True, False])
-def test_traveling_firing_pattern_frequencies_per_flag(informed):
-    # Quantum when informed, Malus otherwise; both groups are drawn at the
-    # larger firing probability, and the rest of a group's draws fire nothing.
-    models = {True: QuantumState("mirrored", 1.0), False: MalusLHV()}
-    joints = {flag: joint_probabilities(m, 0.0, 22.5)[:3] for flag, m in models.items()}
-    drawn_at = max(PATTERN_DETECTOR.fire_probability(j) for j in joints.values())
-    n = 600_000
-    flags = np.arange(n) % 3 == 0
-    per_pair = [np.where(flags, p, r) for p, r in zip(joints[True], joints[False])]
-    rng = np.random.default_rng(22)
-    arms = detection_pattern(n, PATTERN_DETECTOR, rng, per_pair, drawn_at, 1.0, True)
-    group = flags == informed
-    expected = _pattern_probabilities(COS45 if informed else 0.5 * COS45) / drawn_at
-    observed = pattern_counts(arms[group])
-    _assert_binomial_within_4_sigma(observed, group.sum(), [*expected, 1 - expected.sum()])
-
-
 def test_perfect_detector_is_identity():
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
     rng = np.random.default_rng(4)
-    assert np.all(detection_pattern(1000, det, rng, NO_POLARIZERS, 1.0, 1.0, True) == BOTH)
+    assert np.all(detection_pattern(1000, det, rng, NO_POLARIZERS, 1.0) == BOTH)
     times = np.sort(np.random.default_rng(2).random(1000))
     assert np.array_equal(thin_times(times, 1.0, rng), times)
 

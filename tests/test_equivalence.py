@@ -23,6 +23,7 @@ from bellgate.config import RunPlan
 from bellgate.record import replace
 from bellgate.runner import run_setting
 from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, TravelingInfluence
+from conftest import speed_at_pass_fraction
 from oracle import event_level_counts
 
 
@@ -38,6 +39,11 @@ DETECTOR = DetectorConfig(
 RESONANT_SPEED = resonant_influence_speeds(
     gate_geometry(APPARATUS), APPARATUS.fiber_length, APPARATUS.vacuum_light_speed, 1
 )[0].center
+# A quarter of the informed arrivals pass late, covering the open window's
+# end, or three quarters early, covering its start and wrapping round
+# the period: each cuts the open window in two.
+LATE_SPEED = speed_at_pass_fraction(APPARATUS, 0.25, early=False)
+EARLY_SPEED = speed_at_pass_fraction(APPARATUS, 0.75, early=True)
 
 # name -> (model, rotation, polarized)
 CASES = {
@@ -47,6 +53,16 @@ CASES = {
     "gated_threshold": (ThresholdLHV(), True, True),
     "traveling_resonant": (
         TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), RESONANT_SPEED),
+        True,
+        True,
+    ),
+    "traveling_late": (
+        TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), LATE_SPEED),
+        True,
+        True,
+    ),
+    "traveling_early": (
+        TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), EARLY_SPEED),
         True,
         True,
     ),

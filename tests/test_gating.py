@@ -13,9 +13,9 @@ from bellgate.apparatus import (
     ValidationError,
 )
 from bellgate.config import RunPlan
-from bellgate.detection import ALICE, BOB, BOTH, detection_pattern
+from bellgate.detection import ALICE, BOB, BOTH
 from bellgate.gating import gate_open, sample_open_times
-from bellgate.runner import run_setting
+from bellgate.runner import _draw_pieces, run_setting
 from bellgate.sources import NO_POLARIZERS, QuantumState
 from conftest import ALWAYS_OPEN
 
@@ -245,7 +245,7 @@ def test_always_open_gate_samples_the_whole_interval():
 
 
 # ---------------------------------------------------------------------------
-# Pairs and darks drawn as one marked stream
+# Pairs and darks drawn as one marked stream, piece by piece
 
 LOSSLESS_DARK = DetectorConfig(
     efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=3e4, dark_rate_bob=1e4
@@ -253,13 +253,14 @@ LOSSLESS_DARK = DetectorConfig(
 
 
 def _marked_stream(pair_rate, t0, t1, gate, rng, det=LOSSLESS_DARK, joint=NO_POLARIZERS):
-    """The runner's draw: one sampler call and one mark per entry."""
-    darks = det.dark_rate_alice + det.dark_rate_bob
-    fire = det.fire_probability(joint)
-    times = sample_open_times(pair_rate * fire + darks, t0, t1, gate, rng, darks)
-    is_open = gate_open(times, gate)
-    arms = detection_pattern(times.size, det, rng, joint, fire, pair_rate, is_open)
-    return times, is_open, arms
+    """The runner's draw of a slice: the open window's pairs and darks and
+    the closed stretch's darks, each piece drawn on its own and merged."""
+    period, width = gate.gate_period, gate.aperture_time
+    closed = GateState(period, period - width, gate.phase_offset + width)
+    times, arms = _draw_pieces(
+        [(gate, joint, pair_rate), (closed, NO_POLARIZERS, 0.0)], det, t0, t1, rng
+    )
+    return times, gate_open(times, gate), arms
 
 
 @pytest.mark.parametrize("t0, t1", RANGES)
@@ -300,16 +301,19 @@ def test_marked_stream_is_sorted_and_inside_the_slice(t0, t1):
         assert np.all(is_open[arms == BOTH])  # every pair passes the gate
 
 
-def test_closed_rate_alone_is_uniform_across_the_gate():
-    # q = 0 with darks: the open and closed sets draw at one rate.
+def test_darks_alone_are_uniform_across_the_gate():
+    # Darks alone: the open window and the closed stretch draw at one rate.
     t0, t1 = RANGES[0]
     gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    det = DetectorConfig(
+        efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=1.5e7, dark_rate_bob=5e6
+    )
     total = 0
     open_count = 0
     for seed in range(20):
-        times = sample_open_times(2e7, t0, t1, gate, np.random.default_rng(seed), 2e7)
+        times, is_open, _ = _marked_stream(0.0, t0, t1, gate, np.random.default_rng(seed), det)
         total += times.size
-        open_count += np.count_nonzero(gate_open(times, gate))
+        open_count += np.count_nonzero(is_open)
     expected = 20 * 2e7 * (t1 - t0)
     assert abs(total - expected) <= 4 * math.sqrt(expected)
     share = _open_measure(t0, t1, gate) / (t1 - t0)
@@ -325,16 +329,22 @@ def test_closed_rate_alone_is_uniform_across_the_gate():
         (0.0, NO_POLARIZERS, 0.0),  # nothing at all
     ],
 )
-@pytest.mark.parametrize("gated", [True, False])
+# The bench gate; one never closed, whose closed stretch has zero aperture;
+# and one never open, whose open window has.
+@pytest.mark.parametrize("gated", [True, False, "shut"])
 def test_zero_rate_edges_raise_no_warning(pair_rate, joint, darks, gated):
-    gate = GateState(GATE_PERIOD, T_ON, PHASE) if gated else ALWAYS_OPEN
+    gate, duty = {
+        True: (GateState(GATE_PERIOD, T_ON, PHASE), DUTY),
+        False: (ALWAYS_OPEN, 1.0),
+        "shut": (GateState(GATE_PERIOD, 0.0, PHASE), 0.0),
+    }[gated]
     det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=darks)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         rng = np.random.default_rng(3)
         times, _, arms = _marked_stream(pair_rate, 0.0, 0.01, gate, rng, det, joint)
     assert np.all(arms != 0)  # no part is drawn past its own firing probability
-    expected = 0.01 * (darks + pair_rate * det.fire_probability(joint) * (DUTY if gated else 1.0))
+    expected = 0.01 * (darks + pair_rate * det.fire_probability(joint) * duty)
     assert abs(times.size - expected) <= 4 * math.sqrt(max(expected, 1.0))
 
 

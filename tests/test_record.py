@@ -118,8 +118,9 @@ def test_record_specifics():
     )
     # RunPlan's derived attributes are not fields.
     plan = RunPlan(ApparatusConfig(), detector, MalusLHV(), 1000.0, 2.0)
-    assert not {"geometry", "gate", "informed_gate"} & set(fields(plan))
-    assert plan.informed_gate is None and plan.gate.aperture_time == plan.geometry.aperture_time
+    assert not {"geometry", "gate", "pieces"} & set(fields(plan))
+    assert [model for _, model in plan.pieces] == [plan.model, None]
+    assert plan.gate.aperture_time == plan.geometry.aperture_time
 
 
 def test_record_subclass_rejects_required_field_after_default():

@@ -23,21 +23,21 @@ from bellgate.cli import main
 from bellgate.fixtures import fixture_path
 
 SIMULATE_DIGESTS = {
-    "results.json": "88776cf4c70b5c2952a20e11081ad96305abeef08f39d0e1759be8c5fbc1a350",
-    "chsh_counts.csv": "ac37c6032515e593d85d51562e8a97f9928bfe292d2dbbfbde29aceb67540983",
-    "degradation.csv": "ebb355f66eb582b1fa78dfcb6f3cf6dffe46017d157b6fb779abbb533a6912bb",
+    "results.json": "7cb8d992bbdcbc71307c7a4169a85f29070bfc0f16f1d45dfd0d86d99c5e2780",
+    "chsh_counts.csv": "07dc7b8f4cf3bd84a6e2b07e073f6f69aee448bc5cf1a51390ccbc03f8399fac",
+    "degradation.csv": "0aefa0970afb7152fa27accee6102b16a377201fdfa7433fa0489d70e7d998fd",
 }
 
 ROTATION_OFF_DIGESTS = {
-    "results.json": "a63114fdadaec862a4816be30bac7850e419b19ff29a5ef36ba5c788868820e3",
+    "results.json": "cc3f367956abf8b25610b18d35e7f7831ec949a4f0c56a437e8bfa425f8baafa",
     "chsh_counts.csv": "010d1d023f3b2e0ae23fa7b8d9677fdd8e362279dc92148bbb135f6ab13af123",
-    "degradation.csv": "ebb355f66eb582b1fa78dfcb6f3cf6dffe46017d157b6fb779abbb533a6912bb",
+    "degradation.csv": "0aefa0970afb7152fa27accee6102b16a377201fdfa7433fa0489d70e7d998fd",
 }
 
 TRAVELING_DIGESTS = {
-    "results.json": "3c600cd5a89d7f76a5e6e1ef0785606dbb998f230732edb9561c5c20ff5a4eed",
-    "chsh_counts.csv": "9f1c91bcc2dd039fac4cc227b947c17635ad55600393a1784b090dfb5a824fea",
-    "degradation.csv": "ebb355f66eb582b1fa78dfcb6f3cf6dffe46017d157b6fb779abbb533a6912bb",
+    "results.json": "e1ec64ec2ff1c3f32007ce105f921bfe872a99aa1b27b1de5f4c44f93374d926",
+    "chsh_counts.csv": "13db948c3abe0a75e94a16df2a79588ccd38ab0e10e8823611b18a3434fd36b7",
+    "degradation.csv": "f7f5036bb297076d43b4d2eb80b8ff7f480772cfec13355ec0a689bcef647e4a",
 }
 
 ANALYZE_DIGESTS = {

@@ -500,7 +500,8 @@ STOPPED_WINDOW = 1e-3
 
 def _stopped_detector(rate):
     """Detectors whose darks are half of a stream of ``rate`` entries per
-    second, Alice's twice Bob's, with the pairs at (pair rate, q)."""
+    second, Alice's twice Bob's, and the pair rate whose firing pairs are
+    the other half."""
     det = DetectorConfig(
         efficiency_alice=0.9,
         efficiency_bob=0.8,
@@ -508,16 +509,16 @@ def _stopped_detector(rate):
         dark_rate_bob=rate / 6,
         coincidence_window=STOPPED_WINDOW,
     )
-    fire = det.fire_probability(STOPPED_JOINT)
-    return det, rate / 2 / fire, fire
+    return det, rate / 2 / det.fire_probability(STOPPED_JOINT)
 
 
-def _placed_counts(det, pair_rate, fire, duration, rng):
+def _placed_counts(det, pair_rate, duration, rng):
     """(singles_alice, singles_bob, coincidences) of the same run with every
     entry placed: a Poisson count of sorted uniforms, marked and matched whole."""
-    rate = pair_rate * fire + det.dark_rate_alice + det.dark_rate_bob
+    darks = det.dark_rate_alice + det.dark_rate_bob
+    rate = pair_rate * det.fire_probability(STOPPED_JOINT) + darks
     times = np.sort(rng.random(rng.poisson(rate * duration)) * duration)
-    arms = detection_pattern(times.size, det, rng, STOPPED_JOINT, fire, pair_rate, True)
+    arms = detection_pattern(times.size, det, rng, STOPPED_JOINT, pair_rate)
     singles = [np.count_nonzero(arms & arm) for arm in (ALICE, BOB)]
     return *singles, match_coincidences(times, arms, det.coincidence_window)
 
@@ -553,14 +554,14 @@ def _same_distribution(x, y, alpha):
 @pytest.mark.parametrize("regime", sorted(STOPPED_REGIMES))
 def test_mirror_stopped_count_matches_the_fully_placed_stream(regime):
     per_window, entries = STOPPED_REGIMES[regime]
-    det, pair_rate, fire = _stopped_detector(per_window / STOPPED_WINDOW)
+    det, pair_rate = _stopped_detector(per_window / STOPPED_WINDOW)
     duration = entries * STOPPED_WINDOW / per_window
     placed, counted = [], []
     for seed in STOPPED_SEEDS:
         rng = np.random.default_rng([seed, 0])
-        placed.append(_placed_counts(det, pair_rate, fire, duration, rng))
+        placed.append(_placed_counts(det, pair_rate, duration, rng))
         rng = np.random.default_rng([seed, 1])
-        record = _count_homogeneous(det, STOPPED_JOINT, fire, pair_rate, duration, rng)
+        record = _count_homogeneous(det, STOPPED_JOINT, pair_rate, duration, rng)
         counted.append(_counts(record))
     for column in range(3):
         _same_distribution(np.array(placed)[:, column], np.array(counted)[:, column], STOPPED_ALPHA)
@@ -569,10 +570,10 @@ def test_mirror_stopped_count_matches_the_fully_placed_stream(regime):
 def test_mirror_stopped_run_ending_before_its_first_entry():
     # 0.3 entries per run: three runs in four end before their first
     # entry, in the first step's long run or in its short gap.
-    det, pair_rate, fire = _stopped_detector(6.0)
+    det, pair_rate = _stopped_detector(6.0)
     duration, seeds = 0.05, 1000
     records = [
-        _count_homogeneous(det, STOPPED_JOINT, fire, pair_rate, duration, np.random.default_rng(s))
+        _count_homogeneous(det, STOPPED_JOINT, pair_rate, duration, np.random.default_rng(s))
         for s in range(seeds)
     ]
     # Every entry fires a detector, so a run with no singles has no entries.
@@ -594,7 +595,7 @@ def test_mirror_stopped_count_of_nothing_draws_nothing():
     det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, coincidence_window=20e-9)
     for pair_rate, joint in ((0.0, STOPPED_JOINT), (1e5, (0.0, 0.0, 0.0))):
         rng = np.random.default_rng(5)
-        record = _count_homogeneous(det, joint, det.fire_probability(joint), pair_rate, 3.0, rng)
+        record = _count_homogeneous(det, joint, pair_rate, 3.0, rng)
         assert record == CountRecord(0, 0, 0, 3.0)
         assert rng.random() == np.random.default_rng(5).random()
 
@@ -636,7 +637,7 @@ def test_mirror_stopped_run_below_one_entry_in_1e100_windows():
         warnings.simplefilter("error")
         singles = [
             _count_homogeneous(
-                det, NO_POLARIZERS, 0.75, 0.0, 3e300, np.random.default_rng(seed)
+                det, NO_POLARIZERS, 0.0, 3e300, np.random.default_rng(seed)
             ).singles_alice
             for seed in range(400)
         ]
@@ -684,7 +685,7 @@ def test_mirror_stopped_run_counts_the_entries_before_its_end(end):
     det = DetectorConfig(
         efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=1.0, coincidence_window=0.5
     )
-    record = _count_homogeneous(det, NO_POLARIZERS, 0.75, 0.0, duration, _ScriptedSteps(steps))
+    record = _count_homogeneous(det, NO_POLARIZERS, 0.0, duration, _ScriptedSteps(steps))
     assert record == CountRecord(entries, 0, 0, duration)
 
 
@@ -692,7 +693,7 @@ def test_mirror_stopped_count_in_pieces_equals_one_match(monkeypatch):
     # About one entry per window over several blocks: the open cluster is
     # carried from piece to piece, so the pieces' counts must add up to
     # one match over the whole placed stream.
-    det, pair_rate, fire = _stopped_detector(1.0 / STOPPED_WINDOW)
+    det, pair_rate = _stopped_detector(1.0 / STOPPED_WINDOW)
     pieces = []
 
     def match(times, arms, window):
@@ -701,7 +702,7 @@ def test_mirror_stopped_count_in_pieces_equals_one_match(monkeypatch):
         return count
 
     monkeypatch.setattr(runner, "match_coincidences", match)
-    _count_homogeneous(det, STOPPED_JOINT, fire, pair_rate, 30.0, np.random.default_rng(11))
+    _count_homogeneous(det, STOPPED_JOINT, pair_rate, 30.0, np.random.default_rng(11))
     assert len(pieces) > 30_000 * -math.expm1(-1.0) / _BLOCK_STEPS  # one per block
     times = np.concatenate([times for times, _, _ in pieces])
     arms = np.concatenate([arms for _, arms, _ in pieces])
@@ -713,7 +714,7 @@ def test_mirror_stopped_pieces_come_in_time_order(monkeypatch):
     # At 1/64 entries per window a block splits into three pieces.  No
     # entry of a piece is earlier than an entry of an earlier piece, in the
     # same block or the one before.
-    det, pair_rate, fire = _stopped_detector(1 / 64 / STOPPED_WINDOW)
+    det, pair_rate = _stopped_detector(1 / 64 / STOPPED_WINDOW)
     seen = []
 
     def count(pieces, window, duration):
@@ -722,7 +723,7 @@ def test_mirror_stopped_pieces_come_in_time_order(monkeypatch):
 
     monkeypatch.setattr(runner, "_count", count)
     duration = 2.5 * _BLOCK_STEPS * 64 * 64 * STOPPED_WINDOW  # 64 entries a step
-    _count_homogeneous(det, STOPPED_JOINT, fire, pair_rate, duration, np.random.default_rng(3))
+    _count_homogeneous(det, STOPPED_JOINT, pair_rate, duration, np.random.default_rng(3))
     assert len(seen) >= 7
     times = np.concatenate([times for times, _ in seen])
     assert times.size > 0 and np.all(np.diff(times) >= 0)
@@ -736,7 +737,6 @@ def test_mirror_stopped_record_does_not_depend_on_piece_size(monkeypatch):
     plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
     det = plan.detector
     joint = joint_probabilities(plan.model, 0.0, 22.5)[:3]
-    fire = det.fire_probability(joint)
     pieces = []
 
     def count(stream, window, duration):
@@ -749,7 +749,7 @@ def test_mirror_stopped_record_does_not_depend_on_piece_size(monkeypatch):
     for chunk in (1 << 16, 1 << 13, 1 << 10):
         monkeypatch.setattr(runner, "_CHUNK_EVENTS", chunk)
         rng = np.random.default_rng(5)
-        records.append(_count_homogeneous(det, joint, fire, plan.pair_rate, 30.0, rng))
+        records.append(_count_homogeneous(det, joint, plan.pair_rate, 30.0, rng))
     assert pieces[0] < pieces[1] < pieces[2]
     assert records[0].coincidences > 0
     assert records[1] == records[0] and records[2] == records[0]
