@@ -4,14 +4,13 @@ Suppose something leaves the slit the moment a gate window opens,
 travels back down the fiber at speed v (possibly instantaneous), and
 makes the source emit "informed" pairs for as long as the line of sight
 stays open.  Those pairs still have to cover the fiber to reach the
-slit.  :func:`informed_slit_gate` gives the periodic pattern of informed
-pairs on the time axis of the gate it is given, the one at whose edges
-a plan cuts its gate's open window.
+slit.  :func:`informed_arrival_offset` says when they arrive, on the
+slits' clock; a plan's pieces and the report both place the informed
+window by it.
 :func:`influence_window_analysis` computes the informed photons'
 arrival interval and how much of it overlaps *any* periodic gate
 window; a pass fraction of zero means no photon carrying information
-about the open gate can ever be detected through it.  Both take the
-influence transit from one place.
+about the open gate can ever be detected through it.
 
 With the reference bench the fiber transit alone (667 ns) outlasts the
 467 ns window, so every speed from c upward -- including instantaneous
@@ -25,8 +24,8 @@ from __future__ import annotations
 
 import math
 
-from .apparatus import GateGeometry, GateState
-from .record import Record, replace
+from .apparatus import GateGeometry
+from .record import Record
 
 # The most later windows a resonance sweep may examine: the reference
 # bench's 10 000th window is 0.29 s out, where a resonant influence
@@ -56,56 +55,31 @@ class SpeedInterval(Record):
     center: float
 
 
-def _windowed_overlap(start: float, end: float, period: float, open_time: float):
-    """Overlap of [start, end] with the union of [k*period, k*period+open_time),
-    k >= 0.  Returns (total overlap, earliest overlapping k or None)."""
-    total = 0.0
-    earliest = None
-    k_lo = max(0, int(math.floor(start / period)) - 1)
-    k_hi = int(math.floor(end / period)) + 1
-    for k in range(k_lo, k_hi + 1):
-        lo = k * period
-        overlap = min(end, lo + open_time) - max(start, lo)
-        if overlap > 0:
-            total += overlap
-            if earliest is None:
-                earliest = k
-    return total, earliest
-
-
 def _influence_transit(fiber_length: float, influence_speed: float) -> float:
     """Time the influence takes from the slit back to the source."""
     return 0.0 if math.isinf(influence_speed) else fiber_length / influence_speed
 
 
-def check_resolvable(time: float, aperture_time: float, influence_speed: float) -> None:
-    """Raise ``ValueError`` unless float precision resolves to 1e-6 aperture
-    times an informed window at ``time``, influence transit plus fiber delay."""
-    if not math.isfinite(time) or math.ulp(time) > 1e-6 * aperture_time:
+def informed_arrival_offset(
+    aperture_time: float, fiber_length: float, influence_speed: float, fiber_delay: float
+) -> float:
+    """When the pairs informed by a gate window reach the slits, s after it opens.
+
+    The influence reaches the source one transit after the window opens,
+    and the pairs it informs, emitted for one ``aperture_time``, reach the
+    slits one ``fiber_delay`` later.  Raises ``ValueError`` unless float
+    precision resolves that informed window to 1e-6 aperture times at its
+    end; a slow influence or a long fiber makes the offset too long.
+    """
+    offset = _influence_transit(fiber_length, influence_speed) + fiber_delay
+    end = offset + aperture_time
+    if not math.isfinite(end) or math.ulp(end) > 1e-6 * aperture_time:
         raise ValueError(
             f"influence speed {influence_speed!r} m/s: the informed-to-detected offset "
             "(influence transit plus fiber delay) is too long for float precision to "
             "resolve its informed window; a slow influence or a long fiber causes this"
         )
-
-
-def informed_slit_gate(
-    gate: GateState, fiber_length: float, influence_speed: float, fiber_delay: float
-) -> GateState:
-    """The informed pairs on ``gate``'s own time axis: ``gate_open(t, result)``.
-
-    ``gate`` passes a pair labelled ``t`` iff the slit is open one
-    ``fiber_delay`` after its emission, whatever origin the labels have
-    (the runner labels a pair by its emission time).  The pair is
-    informed iff the slit was in view one influence transit before its
-    emission, so one transit plus one ``fiber_delay`` before the time
-    ``gate`` tests: the informed pattern is ``gate`` delayed by both,
-    its phase taken modulo the gate period once it is resolved; a plan cuts
-    its open window at the result's edges (``RunPlan.pieces``).
-    """
-    delayed = gate.phase_offset + _influence_transit(fiber_length, influence_speed) + fiber_delay
-    check_resolvable(delayed, gate.aperture_time, influence_speed)
-    return replace(gate, phase_offset=delayed % gate.gate_period)
+    return offset
 
 
 def influence_window_analysis(
@@ -119,13 +93,13 @@ def influence_window_analysis(
     The influence departs the slit when window 0 opens (t = 0), reaches
     the source after fiber_length/influence_speed, and informs emissions
     only while the slit stays in view (one aperture time).  Informed
-    photons then need fiber_length/photon_speed to come back.  The pass
-    fraction is the part of their arrival interval that lands inside any
-    open window.  The arrival at the source is the transit of
-    :func:`informed_slit_gate`, not reduced modulo the gate period,
-    because the window index and the margin depend on it.  A speed too
-    slow for the arrival window to be resolved is refused
-    (:func:`check_resolvable`).
+    photons then need fiber_length/photon_speed to come back, so they
+    arrive for one aperture time from :func:`informed_arrival_offset`,
+    which refuses a speed too slow for that window to be resolved.  The
+    offset is not reduced modulo the gate period, because the window
+    index and the margin depend on it.  An arrival window one aperture
+    long can overlap only the window k that opens last before it starts
+    and window k + 1; the pass fraction is the part of it that does.
     """
     if not influence_speed > 0:
         raise ValueError("influence speed must be positive or instantaneous")
@@ -133,23 +107,22 @@ def influence_window_analysis(
         raise ValueError("photon speed must be positive")
     if fiber_length < 0:
         raise ValueError("fiber length must be non-negative")
-    t_on = geometry.aperture_time
+    t_on, period = geometry.aperture_time, geometry.gate_period
     influence_arrival = _influence_transit(fiber_length, influence_speed)
-    emission = (influence_arrival, influence_arrival + t_on)
-    photon_transit = fiber_length / photon_speed
-    arrival = (emission[0] + photon_transit, emission[1] + photon_transit)
-    check_resolvable(arrival[1], t_on, influence_speed)
-    overlap, earliest = _windowed_overlap(
-        arrival[0], arrival[1], geometry.gate_period, t_on
+    offset = informed_arrival_offset(
+        t_on, fiber_length, influence_speed, fiber_length / photon_speed
     )
+    k, phase = divmod(offset, period)
+    in_k, in_next = t_on - phase, phase + t_on - period  # overlaps with windows k, k + 1
+    earliest = int(k) if in_k > 0 else int(k) + 1 if in_next > 0 else None
     return CausalityReport(
         influence_speed=influence_speed,
         influence_arrival_at_source=influence_arrival,
-        informed_emission_window=emission,
-        informed_arrival_window_at_slit=arrival,
+        informed_emission_window=(influence_arrival, influence_arrival + t_on),
+        informed_arrival_window_at_slit=(offset, offset + t_on),
         earliest_open_overlap=earliest,
-        pass_fraction=overlap / (arrival[1] - arrival[0]),
-        isolation_margin=arrival[0] - t_on,
+        pass_fraction=(max(in_k, 0.0) + max(in_next, 0.0)) / t_on,
+        isolation_margin=offset - t_on,
     )
 
 

@@ -24,8 +24,8 @@ import math
 from pathlib import Path
 
 from .apparatus import ApparatusConfig, DetectorConfig, GateState, gate_geometry, validate_config
-from .causality import informed_slit_gate
-from .record import ACCIDENTAL_FACTORS, Record, fields, replace
+from .causality import informed_arrival_offset
+from .record import ACCIDENTAL_FACTORS, Record, fields
 from .sources import (
     INSTANTANEOUS,
     NO_POLARIZERS,
@@ -47,14 +47,16 @@ class RunPlan(Record):
 
     ``__post_init__`` derives three attributes that are not fields:
     ``geometry``, the gate timing of ``apparatus``, derived once after
-    validating it; ``gate``, the gate of every gated run in emission
-    time: the slits' gate, window 0 opening at 0, checked once and moved
-    back by one fiber delay modulo the gate period; and ``pieces``,
+    validating it; ``gate``, the gate of every gated run: the slits'
+    gate, window 0 opening at 0, checked once; and ``pieces``,
     ``(GateState, model)`` pairs whose windows tile the gate period and on
     each of which a gated run's intensity and marks are constant: the
     open window with the plan's model, cut for a ``TravelingInfluence``
     where its informed window starts or ends into ``base`` and
     ``uninformed`` parts, then the closed stretch with None (darks alone).
+    Runs are timed on the slits' clock, the counting card's, so the fiber
+    delay only places the informed window
+    (:func:`~bellgate.causality.informed_arrival_offset`).
     """
 
     apparatus: ApparatusConfig
@@ -81,19 +83,15 @@ class RunPlan(Record):
         object.__setattr__(self, "geometry", geometry)
         # Every experiment includes a gated run; check its gate before any run.
         gate = GateState.from_geometry(geometry)
-        # Runs draw in emission time, so a long fiber costs the draws no
-        # float precision: the delay is taken modulo the period here, once.
-        phase = -geometry.fiber_delay % gate.gate_period
-        object.__setattr__(self, "gate", replace(gate, phase_offset=phase))
+        object.__setattr__(self, "gate", gate)
         period, width = gate.gate_period, gate.aperture_time
         opened = [(0.0, width, self.model)]  # (start, end, model) from the window's opening
         if isinstance(self.model, TravelingInfluence):
-            # Refuses a transit plus fiber delay too long to resolve its informed phase.
+            # Refuses an informed window too late for float precision to resolve.
             length, speed = self.apparatus.fiber_length, self.model.influence_speed
-            informed = informed_slit_gate(self.gate, length, speed, geometry.fiber_delay)
+            start = informed_arrival_offset(width, length, speed, geometry.fiber_delay) % period
             # In the open window an informed window opens at start or, opened
             # a period earlier, closes at end (both if open over half the time).
-            start = (informed.phase_offset - phase) % period
             end = start + width - period
             cuts = sorted({0.0, width, *(x for x in (start, end) if 0.0 < x < width)})
             opened = [
@@ -101,7 +99,7 @@ class RunPlan(Record):
                 for lo, hi in zip(cuts, cuts[1:])
             ]
         pieces = tuple(
-            (replace(self.gate, aperture_time=hi - lo, phase_offset=phase + lo), model)
+            (GateState(period, hi - lo, lo), model)
             for lo, hi, model in [*opened, (width, period, None)]
         )
         object.__setattr__(self, "pieces", pieces)

@@ -3,8 +3,10 @@
 Both arms run through equal-length fibers and bounce off the same
 mirror, so the two photons of a pair reach their slits simultaneously,
 one fiber delay after emission, and are transmitted or blocked as a
-unit.  The gate is a top-hat in time: open for ``aperture_time`` at the
-start of every ``gate_period``.  :func:`sample_open_times` draws a
+unit.  Runs are timed on the slits' clock, the counting card's: a time is
+when a pair reaches its slits, so the fiber delay only places a
+``traveling`` model's informed window.  The gate is a top-hat in time:
+open for ``aperture_time`` at the start of every ``gate_period``.  :func:`sample_open_times` draws a
 Poisson process of constant intensity on one such gate's windows, in
 time order; a gated run draws each piece of its gate period
 (:attr:`~bellgate.config.RunPlan.pieces`), a gate of its own, through

@@ -16,11 +16,13 @@ A simulated experiment is two measurements, both always made:
 * :func:`run_degradation` -- polarizer-free luminosity runs (dark only,
   gate off, gate on) and the per-column with/without rotation ratios.
 
-A counting run draws one Poisson stream of pairs and darks, in emission
-time: a pair reaches its slits one fiber delay after it is emitted, so
-:attr:`~bellgate.config.RunPlan.gate` is the slits' gate moved back by
-that delay, once per plan, and the times a run draws stay as fine as its
-length allows however long the fiber.  The gate, the polarizer outcomes
+A counting run draws one Poisson stream of pairs and darks on the slits'
+clock, the counting card's: a pair's time is when it reaches its slits,
+and :attr:`~bellgate.config.RunPlan.gate` is the slits' gate, window 0
+opening at 0.  The fiber delay only places a ``traveling`` model's
+informed window (:func:`~bellgate.causality.informed_arrival_offset`),
+so the times a run draws stay as fine as its length allows however long
+the fiber.  The gate, the polarizer outcomes
 and the detector efficiencies are independent marks of the emission
 stream, so the pairs that fire a detector are a Poisson process of rate
 ``pair_rate * q`` on the gate's open set (the marking theorem), ``q``
@@ -33,7 +35,9 @@ With the mirror rotating, the stream's intensity and marks are constant
 on each piece of the gate period (:attr:`~bellgate.config.RunPlan.pieces`),
 so :func:`_draw_pieces` draws each piece as a stream of its own, one time
 slice at a time, and merges them in time order (restriction and
-superposition; Kingman, *Poisson Processes*, 1993, ch. 2).
+superposition; Kingman, *Poisson Processes*, 1993, ch. 2).  Neighbouring
+pieces with equal marks are drawn as one, so a ``traveling`` model's
+polarizer-free run draws the plan's open window whole, as any model's does.
 
 With the mirror stopped (the dark and gate-off luminosity runs, and every
 run of a scan with ``rotation`` false) the stream's intensity is
@@ -73,6 +77,7 @@ from .analysis import (
     chsh_S,
     degradation_ratio,
 )
+from .apparatus import GateState
 from .config import RunPlan
 from .detection import ALICE, BOB, detection_pattern, match_coincidences, pattern_bounds
 from .gating import gate_open, sample_open_times
@@ -144,7 +149,19 @@ def run_setting(
         # The line of sight is permanent: every emission is informed.
         model = plan.model.base if isinstance(plan.model, TravelingInfluence) else plan.model
         return _count_homogeneous(det, joint(model), pair_rate, plan.integration_time, rng)
-    pieces = [(gate, joint(m), 0.0 if m is None else pair_rate) for gate, m in plan.pieces]
+    # Neighbouring pieces with equal marks merge; a merged piece ends where
+    # the next begins, at the plan's cut, so merged open pieces are plan.gate.
+    period = plan.gate.gate_period
+    starts, marks = [], []
+    for gate, m in plan.pieces:
+        mark = (joint(m), 0.0 if m is None else pair_rate)
+        if not marks or mark != marks[-1]:
+            starts.append(gate.phase_offset)
+            marks.append(mark)
+    pieces = [
+        (GateState(period, hi - lo, lo), *mark)
+        for lo, hi, mark in zip(starts, [*starts[1:], period], marks)
+    ]
 
     def draw(t0, t1):
         times, arms = _draw_pieces(pieces, det, t0, t1, rng)
@@ -152,7 +169,7 @@ def run_setting(
         return times, arms
 
     per_period = sum(pattern_bounds(det, j, r)[0] * g.aperture_time for g, j, r in pieces)
-    slices = _time_slices(plan.integration_time, per_period / plan.gate.gate_period)
+    slices = _time_slices(plan.integration_time, per_period / period)
     streams = (draw(t0, t1) for t0, t1 in slices)
     return _count(streams, det.coincidence_window, plan.integration_time)
 

@@ -4,12 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from bellgate.apparatus import GateGeometry, LIGHT_SPEED_VACUUM
-from bellgate.causality import (
-    influence_window_analysis,
-    informed_slit_gate,
-    resonant_influence_speeds,
-)
+from bellgate.apparatus import GateGeometry, GateState, LIGHT_SPEED_VACUUM
+from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.config import build_plan
 from bellgate.fixtures import fixture_path
 from bellgate.gating import gate_open
@@ -209,33 +205,52 @@ def test_isolation_margin_monotonic_in_fiber_length(bench_geometry):
 # early speeds at which a quarter and three quarters of the informed
 # arrivals pass: the informed window covers the open window's end, its
 # start, all of it or none.  With the gate open 80% of the time, an
-# informed window half a period late covers both ends.
-PIECE_SPEEDS = ("low", "center", "high", "instant", "late_0.25", "early_0.75", "both_ends")
+# informed window half a period late covers both ends, straddling
+# windows 0 and 1, or windows 1 and 2 a period later.
+PIECE_SPEEDS = (
+    "low", "center", "high", "instant", "late_0.25", "early_0.75", "both_ends", "both_ends_k1"
+)
 
 
 @pytest.mark.parametrize("speed", PIECE_SPEEDS)
 def test_plan_pieces_agree_with_the_causality_report(speed):
     cfg = json.loads(fixture_path("demo.json").read_text())
-    if speed == "both_ends":
+    if speed.startswith("both_ends"):
         cfg["apparatus"]["aperture_width"] = 0.05
     plan = build_plan(cfg)
-    apparatus, gate = plan.apparatus, plan.gate
+    apparatus, gate, delay = plan.apparatus, plan.gate, plan.geometry.fiber_delay
     photon_speed = apparatus.vacuum_light_speed / apparatus.fiber_group_index
     first = resonant_influence_speeds(plan.geometry, apparatus.fiber_length, photon_speed, 1)[0]
     if speed == "late_0.25":
         value = speed_at_pass_fraction(apparatus, 0.25, early=False)
     elif speed == "early_0.75":
         value = speed_at_pass_fraction(apparatus, 0.75, early=True)
-    elif speed == "both_ends":
-        value = apparatus.fiber_length / (gate.gate_period / 2 - plan.geometry.fiber_delay)
+    elif speed.startswith("both_ends"):
+        late = 1.5 if speed == "both_ends_k1" else 0.5
+        value = apparatus.fiber_length / (late * gate.gate_period - delay)
     else:
         value = {"low": first.low, "center": first.center, "high": first.high}.get(
             speed, INSTANTANEOUS
         )
     model = TravelingInfluence(QuantumState(), MalusLHV(), value)
     plan = replace(plan, model=model)
+    assert plan.gate == GateState.from_geometry(plan.geometry)
     report = influence_window_analysis(plan.geometry, apparatus.fiber_length, value, photon_speed)
     period, width = gate.gate_period, gate.aperture_time
+    # Informed pairs reach the slits one influence transit plus one fiber
+    # delay after a window opens, for one aperture time.
+    transit = 0.0 if value == INSTANTANEOUS else apparatus.fiber_length / value
+    arrival = transit + delay
+    assert report.informed_arrival_window_at_slit == (arrival, arrival + width)
+    # The share of a midpoint grid on the arrival window that the slits'
+    # gate passes, and the window its first open point lies in.
+    grid = arrival + (np.arange(10_000) + 0.5) / 10_000 * width
+    passed = gate_open(grid, gate)
+    assert abs(passed.mean() - report.pass_fraction) <= 1e-4
+    if passed.any():
+        assert report.earliest_open_overlap == int(grid[passed][0] // period)
+    else:
+        assert report.pass_fraction < 1e-4
     assert all(piece.gate_period == period for piece, _ in plan.pieces)
     assert sum(piece.aperture_time for piece, _ in plan.pieces) == pytest.approx(period, rel=1e-12)
     informed_width = sum(piece.aperture_time for piece, m in plan.pieces if m is model.base)
@@ -249,9 +264,7 @@ def test_plan_pieces_agree_with_the_causality_report(speed):
     opens = np.array([gate_open(t, piece) for piece, _ in plan.pieces])
     assert np.all(opens.sum(axis=0) == 1)  # exactly one piece holds each time
     held = opens.argmax(axis=0)
-    informed = gate_open(
-        t, informed_slit_gate(gate, apparatus.fiber_length, value, plan.geometry.fiber_delay)
-    )
+    informed = gate_open(t, GateState(period, width, arrival % period))
     inside = gate_open(t, gate)
     for target, expected in (
         (model.base, inside & informed),
@@ -260,3 +273,33 @@ def test_plan_pieces_agree_with_the_causality_report(speed):
     ):
         pieces = [k for k, (_, m) in enumerate(plan.pieces) if m is target]
         assert np.array_equal(np.isin(held, pieces), expected), target
+
+
+def _refused(call, *args) -> bool:
+    try:
+        call(*args)
+    except ValueError:
+        return True
+    return False
+
+
+def test_simulate_and_causality_refuse_the_same_speeds():
+    # Informed arrivals 0.1 us apart just short of 4096 s, where a float
+    # step grows past 1e-6 reference apertures: the plan and the report
+    # refuse the same speeds, some but not all of these.
+    cfg = json.loads(fixture_path("demo.json").read_text())
+    plan = build_plan(cfg)
+    apparatus, geometry = plan.apparatus, plan.geometry
+    photon_speed = apparatus.vacuum_light_speed / apparatus.fiber_group_index
+    refused = []
+    for k in range(1, 400):
+        speed = apparatus.fiber_length / (4096.0 - geometry.fiber_delay - k * 1e-7)
+        cfg["model"] = {"name": "traveling", "base": {"name": "quantum"},
+                        "uninformed": {"name": "malus"}, "influence_speed": speed}
+        planned = _refused(build_plan, cfg)  # a ConfigError is a ValueError
+        reported = _refused(
+            influence_window_analysis, geometry, apparatus.fiber_length, speed, photon_speed
+        )
+        assert planned == reported, k
+        refused.append(planned)
+    assert 0 < sum(refused) < len(refused)

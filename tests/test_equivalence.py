@@ -108,9 +108,11 @@ def test_candidate_path_matches_event_level_oracle(case):
         integration_time=duration,
         rotation=rotation,
     )
-    # The 200 m fiber puts the emission-time gate a fiber delay before
-    # phase 0, well clear of it, so the runner's phase handling is tested.
-    phase, period = plan.gate.phase_offset, plan.gate.gate_period
+    # The runner draws on the slits' clock and the oracle gates emissions
+    # one fiber delay later; the 200 m fiber's delay is well clear of a
+    # gate period's multiple, so an informed window the runner placed
+    # without it would show in the traveling rows.
+    phase, period = plan.geometry.fiber_delay % plan.gate.gate_period, plan.gate.gate_period
     assert min(phase, period - phase) > 0.1 * plan.gate.aperture_time
     # (0, 22.5) has correlation kernel cos 45 deg, so the polarizers matter.
     oracle = np.array(

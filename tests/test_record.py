@@ -120,7 +120,7 @@ def test_record_specifics():
     plan = RunPlan(ApparatusConfig(), detector, MalusLHV(), 1000.0, 2.0)
     assert not {"geometry", "gate", "pieces"} & set(fields(plan))
     assert [model for _, model in plan.pieces] == [plan.model, None]
-    assert plan.gate.aperture_time == plan.geometry.aperture_time
+    assert plan.gate == GateState.from_geometry(plan.geometry)
 
 
 def test_record_subclass_rejects_required_field_after_default():

@@ -977,3 +977,18 @@ def test_traveling_influence_without_rotation_all_informed():
     plan = quick_plan(model, pair_rate=30000.0, seed=98)
     _, result = run_chsh(plan)
     assert result.S == pytest.approx(2 * math.sqrt(2), abs=5 * result.S_sigma)
+
+
+def test_partially_informed_luminosity_runs_are_the_base_models():
+    # Without polarizers a pair's model changes nothing, so a traveling
+    # plan's informed and uninformed open pieces merge into the plan's
+    # gate, and its luminosity runs draw exactly as its base model's do.
+    plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
+    plan = replace(plan, integration_time=1.0)
+    fiber = plan.apparatus.fiber_length
+    first = resonant_influence_speeds(plan.geometry, fiber, LIGHT_SPEED_VACUUM, 1)[0]
+    traveling = replace(
+        plan, model=TravelingInfluence(plan.model, MalusLHV(), (first.low + first.center) / 2)
+    )
+    assert [model for _, model in traveling.pieces] == [MalusLHV(), plan.model, None]
+    assert run_degradation(traveling)[0] == run_degradation(plan)[0]
