@@ -79,6 +79,22 @@ class DetectorConfig(Record):
         keep_both = 1.0 - (1.0 - self.efficiency_alice) * (1.0 - self.efficiency_bob)
         return p_pp * keep_both + self.efficiency_alice * p_pb + self.efficiency_bob * p_bp
 
+    def stream_law(self, joint, pair_rate):
+        """A stream of pairs and darks: its intensity, pairs at ``pair_rate``
+        times their :meth:`fire_probability` plus both arms' darks, then
+        the upper ends of its parts that fire Alice only and both, laid end
+        to end: Alice's darks, pairs that fire Alice only (probability
+        e_a(p_pb + p_pp(1-e_b))), both (e_a*e_b*p_pp) or Bob only, then
+        Bob's darks.
+        """
+        e_a, e_b, d_a = self.efficiency_alice, self.efficiency_bob, self.dark_rate_alice
+        p_pp, p_pb, _ = joint
+        return (
+            d_a + pair_rate * self.fire_probability(joint) + self.dark_rate_bob,
+            d_a + pair_rate * (e_a * (p_pb + p_pp * (1.0 - e_b))),
+            d_a + pair_rate * (e_a * (p_pp + p_pb)),
+        )
+
 
 class GateGeometry(Record):
     """Derived gate timing; see :func:`gate_geometry`."""

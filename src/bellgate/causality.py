@@ -99,7 +99,9 @@ def influence_window_analysis(
     offset is not reduced modulo the gate period, because the window
     index and the margin depend on it.  An arrival window one aperture
     long can overlap only the window k that opens last before it starts
-    and window k + 1; the pass fraction is the part of it that does.
+    and window k + 1; the pass fraction is the part of it that does.  An
+    overlap no longer than the offset's float resolution, as at a
+    resonance interval's edge, is rounding and counts as none.
     """
     if not influence_speed > 0:
         raise ValueError("influence speed must be positive or instantaneous")
@@ -113,15 +115,18 @@ def influence_window_analysis(
         t_on, fiber_length, influence_speed, fiber_length / photon_speed
     )
     k, phase = divmod(offset, period)
-    in_k, in_next = t_on - phase, phase + t_on - period  # overlaps with windows k, k + 1
-    earliest = int(k) if in_k > 0 else int(k) + 1 if in_next > 0 else None
+    resolution = math.ulp(offset + t_on)
+    in_k, in_next = (  # overlaps with windows k, k + 1
+        x if x > resolution else 0.0 for x in (t_on - phase, phase + t_on - period)
+    )
+    earliest = int(k) if in_k else int(k) + 1 if in_next else None
     return CausalityReport(
         influence_speed=influence_speed,
         influence_arrival_at_source=influence_arrival,
         informed_emission_window=(influence_arrival, influence_arrival + t_on),
         informed_arrival_window_at_slit=(offset, offset + t_on),
         earliest_open_overlap=earliest,
-        pass_fraction=(max(in_k, 0.0) + max(in_next, 0.0)) / t_on,
+        pass_fraction=(in_k + in_next) / t_on,
         isolation_margin=offset - t_on,
     )
 

@@ -13,7 +13,9 @@ sections, checked against each other and with the gates every run uses
 derived once.  The module is in the plan layer, which imports no numpy,
 so reading a config and building its plan (``bellgate geometry``,
 ``bellgate causality`` and the checks ``simulate`` makes before its first
-draw) never waits for it; :mod:`bellgate.runner` draws a plan's runs.
+draw) never waits for it.  A plan says what each of its runs draws
+(:meth:`RunPlan.stream`): the pieces of the gate period and each piece's
+stream law; :mod:`bellgate.runner` only draws and counts them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .sources import (
     QuantumState,
     ThresholdLHV,
     TravelingInfluence,
+    joint_probabilities,
 )
 
 # The most events (firing pairs and darks) a plan may expect in its
@@ -112,17 +115,46 @@ class RunPlan(Record):
             )
         # The largest sub-run is the ungated luminosity run: no gate and no
         # polarizer stops a pair, so no other run fires more.
-        det = self.detector
-        events = self.integration_time * (
-            self.pair_rate * det.fire_probability(NO_POLARIZERS)
-            + det.dark_rate_alice
-            + det.dark_rate_bob
-        )
+        [(_, law)] = self.stream(rotation=False, polarized=False)
+        events = self.integration_time * law[0]
         if events > MAX_RUN_EVENTS:
             raise ValueError(
                 f"run too large: the ungated luminosity run expects {events:.3g} events, "
                 f"more than the limit of {MAX_RUN_EVENTS:g}"
             )
+
+    def stream(self, alice_angle=0.0, bob_angle=0.0, rotation=None, polarized=True, source=True):
+        """What one sub-run draws: ``(GateState, law)`` pieces tiling the
+        gate period, each law (:meth:`DetectorConfig.stream_law`) constant
+        on its piece.  With the mirror rotating they are :attr:`pieces`,
+        neighbours with equal laws merged at the plan's cut (so merged open
+        pieces are :attr:`gate`); with it stopped the line of sight is
+        permanent and one piece spans the period, every emission informed.
+        The arguments are :func:`~bellgate.runner.run_setting`'s.
+        """
+        det, period = self.detector, self.gate.gate_period
+        pair_rate = self.pair_rate if source else 0.0
+
+        def law(model):  # None: the closed stretch, which holds darks alone
+            if model is None:
+                return det.stream_law(NO_POLARIZERS, 0.0)
+            if not polarized:
+                return det.stream_law(NO_POLARIZERS, pair_rate)
+            return det.stream_law(joint_probabilities(model, alice_angle, bob_angle)[:3], pair_rate)
+
+        if not (self.rotation if rotation is None else rotation):
+            model = self.model.base if isinstance(self.model, TravelingInfluence) else self.model
+            return ((GateState(period, period), law(model)),)
+        starts, laws = [], []
+        for gate, model in self.pieces:
+            piece_law = law(model)
+            if piece_law not in laws[-1:]:
+                starts.append(gate.phase_offset)
+                laws.append(piece_law)
+        return tuple(
+            (GateState(period, hi - lo, lo), piece_law)
+            for lo, hi, piece_law in zip(starts, [*starts[1:], period], laws)
+        )
 
 
 class ConfigError(ValueError):

@@ -4,12 +4,11 @@ count (:class:`~bellgate.analysis.CountRecord`).
 
 Each arm's detector keeps a photon with its quantum-efficiency
 probability and adds an independent Poisson dark-count background.
-Neither is drawn on its own: the runner draws the darks and the pairs
-that fire a detector as streams of constant intensity and marks, and
-:func:`detection_pattern` marks each entry a pair or a dark and gives it
-its arm code (:data:`ALICE`, :data:`BOTH` or :data:`BOB`) from the dark
-rates, the efficiencies and the polarizer pass probabilities
-(:data:`~bellgate.sources.NO_POLARIZERS` in luminosity runs).  Both
+Neither is drawn on its own: the plan gives each piece of a run its
+stream law (:meth:`~bellgate.config.RunPlan.stream`), the run layer
+draws each piece as a stream of constant intensity, and
+:func:`detection_pattern` gives each entry its arm code
+(:data:`ALICE`, :data:`BOTH` or :data:`BOB`) from that law.  Both
 photons of a pair share one arrival time, so a run is one time-ordered
 *tagged stream*, as a time tagger records it: entry times plus an
 ``int8`` arm code per entry, bit 1 for Alice and bit 2 for Bob.  A dark
@@ -23,20 +22,18 @@ or more entries (see :func:`match_coincidences` for why that is exact).
 The same cut lets the runner's one counter take a run in pieces that
 need only come in time order: a gated run's time slices, or a
 mirror-stopped run's entries within a window of a neighbour, the
-isolated rest split by :func:`pattern_bounds`.  Dark and accidental
+isolated rest split by the same law.  Dark and accidental
 coincidences are not injected anywhere; they emerge from the matcher
 like they do in hardware.
 
 The module is in the run layer, which draws and counts with numpy; the
 detectors as configured, :class:`~bellgate.apparatus.DetectorConfig`,
-are a plan-layer record.
+and their stream laws are in the plan layer.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .apparatus import DetectorConfig
 
 #: Arm codes of a tagged stream entry: which detectors it fired.
 ALICE = 1
@@ -44,44 +41,20 @@ BOB = 2
 BOTH = ALICE | BOB
 
 
-def detection_pattern(n: int, det: DetectorConfig, rng, joint, pair_rate: float):
+def detection_pattern(n: int, law, rng):
     """Arm codes of ``n`` entries of one stream of pairs and darks.
 
-    The stream's intensity is the sum of its parts': the pairs that fire
-    a detector, ``pair_rate`` times their firing probability q (in the
-    dark rates' unit; with no darks the scale cancels), and each arm's
-    darks.  By the marking theorem one uniform on [0, intensity) per
-    entry picks its part from intervals laid end to end: Alice's darks,
-    pairs that fire Alice only, both or Bob only, then Bob's darks.  A
-    pair passes the polarizers with the probabilities in ``joint`` (see
-    :meth:`~bellgate.apparatus.DetectorConfig.fire_probability`) and each
-    arm keeps its photon independently, so alice only, both and bob only
-    have probabilities e_a(p_pb + p_pp(1-e_b)), e_a*e_b*p_pp and
-    e_b(p_bp + p_pp(1-e_a)), which sum to q.  Returns an ``int8`` array of
-    :data:`ALICE`, :data:`BOTH` or :data:`BOB`.
+    By the marking theorem one uniform on [0, intensity) per entry picks
+    its part of ``law`` (:meth:`~bellgate.apparatus.DetectorConfig.stream_law`).
+    Returns an ``int8`` array of :data:`ALICE`, :data:`BOTH` or :data:`BOB`.
     """
-    rate, alice_only, both = pattern_bounds(det, joint, pair_rate)
+    rate, alice_only, both = law
     u = rng.random(n) * rate
     bob = u >= alice_only
     alice = u < both
     arms = bob.view(np.int8) * np.int8(BOB)
     arms |= alice.view(np.int8)
     return arms
-
-
-def pattern_bounds(det: DetectorConfig, joint, pair_rate: float):
-    """The intensity of a stream of pairs and darks, then the upper ends of
-    its parts that fire Alice only (her darks and the pairs that fire her
-    alone) and both, laid end to end as :func:`detection_pattern` lays
-    them; Bob only (the pairs that fire him alone, and his darks) is the
-    rest."""
-    e_a, e_b, d_a = det.efficiency_alice, det.efficiency_bob, det.dark_rate_alice
-    p_pp, p_pb, _ = joint
-    return (
-        d_a + pair_rate * det.fire_probability(joint) + det.dark_rate_bob,
-        d_a + pair_rate * (e_a * (p_pb + p_pp * (1.0 - e_b))),
-        d_a + pair_rate * (e_a * (p_pp + p_pb)),
-    )
 
 
 def _greedy_sweep(a_list, b_list, window: float) -> int:

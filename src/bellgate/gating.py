@@ -8,10 +8,11 @@ when a pair reaches its slits, so the fiber delay only places a
 ``traveling`` model's informed window.  The gate is a top-hat in time:
 open for ``aperture_time`` at the start of every ``gate_period``.  :func:`sample_open_times` draws a
 Poisson process of constant intensity on one such gate's windows, in
-time order; a gated run draws each piece of its gate period
-(:attr:`~bellgate.config.RunPlan.pieces`), a gate of its own, through
-it.  With the mirror stopped the stream's intensity is constant, and the
-runner counts it by its close pairs.
+time order.  The plan gives each piece of a run's gate period and its
+stream law (:meth:`~bellgate.config.RunPlan.stream`), and the run layer
+only draws and counts: a gated run draws each piece, a gate of its own,
+through it.  With the mirror stopped the one piece spans the period, and
+the runner counts it by its close pairs.
 
 The module is in the run layer, which draws with numpy; the gate itself,
 :class:`~bellgate.apparatus.GateState`, is a plan-layer record.

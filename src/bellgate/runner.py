@@ -24,27 +24,22 @@ informed window (:func:`~bellgate.causality.informed_arrival_offset`),
 so the times a run draws stay as fine as its length allows however long
 the fiber.  The gate, the polarizer outcomes
 and the detector efficiencies are independent marks of the emission
-stream, so the pairs that fire a detector are a Poisson process of rate
-``pair_rate * q`` on the gate's open set (the marking theorem), ``q``
-from :meth:`~bellgate.apparatus.DetectorConfig.fire_probability`; with
-each arm's darks they add up to one Poisson process (superposition).
-:func:`~bellgate.detection.detection_pattern` marks each entry a pair or
-a dark and picks the detectors it fires.
+stream, so the pairs that fire a detector are a Poisson process on the
+gate's open set (the marking theorem), and with each arm's darks they
+add up to one Poisson process (superposition; Kingman, *Poisson
+Processes*, 1993, ch. 2).  The plan gives each piece of a run's gate
+period and the stream law constant on it
+(:meth:`~bellgate.config.RunPlan.stream`); this module only draws and
+counts, and the number of pieces picks the sampler.
 
-With the mirror rotating, the stream's intensity and marks are constant
-on each piece of the gate period (:attr:`~bellgate.config.RunPlan.pieces`),
-so :func:`_draw_pieces` draws each piece as a stream of its own, one time
-slice at a time, and merges them in time order (restriction and
-superposition; Kingman, *Poisson Processes*, 1993, ch. 2).  Neighbouring
-pieces with equal marks are drawn as one, so a ``traveling`` model's
-polarizer-free run draws the plan's open window whole, as any model's does.
-
-With the mirror stopped (the dark and gate-off luminosity runs, and every
-run of a scan with ``rotation`` false) the stream's intensity is
-constant, and :func:`_count_homogeneous` places only the entries within a
-window of a neighbour, which are all that the matcher can pair, and
-counts the isolated rest by one multinomial over the same marks.  The
-dark-only run is the same count with the source off.
+Several pieces (the mirror rotating) are drawn by :func:`_draw_pieces`,
+each as a stream of its own, one time slice at a time, and merged in
+time order.  One piece spanning the period (the mirror stopped: the
+dark and gate-off luminosity runs, and every run of a scan with
+``rotation`` false) is a stream of constant intensity, and
+:func:`_count_homogeneous` places only the entries within a window of a
+neighbour, which are all that the matcher can pair, and counts the
+isolated rest by one multinomial over the same law.
 
 Either way one counter, :func:`_count`, counts the tagged stream piece by
 piece, in time order, as a time tagger records it: a gated run hands it
@@ -77,11 +72,9 @@ from .analysis import (
     chsh_S,
     degradation_ratio,
 )
-from .apparatus import GateState
 from .config import RunPlan
-from .detection import ALICE, BOB, detection_pattern, match_coincidences, pattern_bounds
+from .detection import ALICE, BOB, detection_pattern, match_coincidences
 from .gating import gate_open, sample_open_times
-from .sources import NO_POLARIZERS, TravelingInfluence, joint_probabilities
 
 # perfbench/trace_child.py wraps these five names on this module and never
 # calls them; the line goes when ROADMAP item E drops those lookups.  Only
@@ -133,72 +126,50 @@ def run_setting(
 
     ``polarized=False`` removes the polarizers from the path (luminosity
     and calibration runs): every photon pair continues to the gate.
-    ``source=False`` turns the source off, leaving the darks alone.
+    ``source=False`` turns the source off, leaving the darks alone.  One
+    piece of :meth:`~bellgate.config.RunPlan.stream` is counted by its
+    close pairs, several are drawn slice by slice.
     """
-    det = plan.detector
-    if rotation is None:
-        rotation = plan.rotation
-    pair_rate = plan.pair_rate if source else 0.0
-
-    def joint(model):  # None: the closed stretch, which holds darks alone
-        if model is None or not polarized:
-            return NO_POLARIZERS
-        return joint_probabilities(model, alice_angle, bob_angle)[:3]
-
-    if not rotation:
-        # The line of sight is permanent: every emission is informed.
-        model = plan.model.base if isinstance(plan.model, TravelingInfluence) else plan.model
-        return _count_homogeneous(det, joint(model), pair_rate, plan.integration_time, rng)
-    # Neighbouring pieces with equal marks merge; a merged piece ends where
-    # the next begins, at the plan's cut, so merged open pieces are plan.gate.
-    period = plan.gate.gate_period
-    starts, marks = [], []
-    for gate, m in plan.pieces:
-        mark = (joint(m), 0.0 if m is None else pair_rate)
-        if not marks or mark != marks[-1]:
-            starts.append(gate.phase_offset)
-            marks.append(mark)
-    pieces = [
-        (GateState(period, hi - lo, lo), *mark)
-        for lo, hi, mark in zip(starts, [*starts[1:], period], marks)
-    ]
+    pieces = plan.stream(alice_angle, bob_angle, rotation, polarized, source)
+    window, duration = plan.detector.coincidence_window, plan.integration_time
+    if len(pieces) == 1:
+        return _count_homogeneous(pieces[0][1], window, duration, rng)
 
     def draw(t0, t1):
-        times, arms = _draw_pieces(pieces, det, t0, t1, rng)
+        times, arms = _draw_pieces(pieces, t0, t1, rng)
         gate_open(times, plan.gate)  # read only by the tracer, see above
         return times, arms
 
-    per_period = sum(pattern_bounds(det, j, r)[0] * g.aperture_time for g, j, r in pieces)
-    slices = _time_slices(plan.integration_time, per_period / period)
-    streams = (draw(t0, t1) for t0, t1 in slices)
-    return _count(streams, det.coincidence_window, plan.integration_time)
+    per_period = sum(law[0] * gate.aperture_time for gate, law in pieces)
+    slices = _time_slices(duration, per_period / plan.gate.gate_period)
+    return _count((draw(t0, t1) for t0, t1 in slices), window, duration)
 
 
-def _draw_pieces(pieces, det, t0, t1, rng):
+def _draw_pieces(pieces, t0, t1, rng):
     """The tagged stream ``(times, arms)`` of a gated run on [t0, t1).
 
-    Each ``(gate, joint, pair_rate)`` of ``pieces`` is a homogeneous stream
-    of pairs and darks on its gate's windows, drawn sorted and marked.  The
-    pieces tile the period, and one stable argsort merges them: timsort
-    merges sorted runs in linear time.
+    Each ``(gate, law)`` of ``pieces`` is a homogeneous stream of pairs
+    and darks on its gate's windows, drawn sorted and marked.  The pieces
+    tile the period, and one stable argsort merges them: timsort merges
+    sorted runs in linear time.
     """
     times, arms = [], []
-    for gate, joint, pair_rate in pieces:
-        times.append(sample_open_times(pattern_bounds(det, joint, pair_rate)[0], t0, t1, gate, rng))
-        arms.append(detection_pattern(times[-1].size, det, rng, joint, pair_rate))
+    for gate, law in pieces:
+        times.append(sample_open_times(law[0], t0, t1, gate, rng))
+        arms.append(detection_pattern(times[-1].size, law, rng))
     times, arms = np.concatenate(times), np.concatenate(arms)
     order = times.argsort(kind="stable")
     return times[order], arms[order]
 
 
-def _count_homogeneous(det, joint, pair_rate, duration, rng) -> CountRecord:
+def _count_homogeneous(law, window, duration, rng) -> CountRecord:
     """Count a mirror-stopped run of ``duration`` seconds by its close pairs.
 
     With the mirror stopped, pairs and darks are one Poisson stream of
-    constant intensity, the first of :func:`~bellgate.detection.pattern_bounds`,
-    and each entry's arm code is an independent mark (the marking
-    theorem).  Its gaps are independent Exp(rate), each shorter than the
-    window with probability p = 1 - exp(-rate*window).  An entry whose
+    constant intensity, the first of ``law``, and each entry's arm code is
+    an independent mark (the marking theorem).  Its gaps are independent
+    Exp(rate), each shorter than the window with probability
+    p = 1 - exp(-rate*window).  An entry whose
     gaps on both sides are a window or longer never changes the greedy
     count (see :func:`~bellgate.detection.match_coincidences`), so only
     the entries next to a short gap are placed.  The run is drawn as
@@ -219,8 +190,7 @@ def _count_homogeneous(det, joint, pair_rate, duration, rng) -> CountRecord:
     the run.  The isolated entries are counted afterwards by one
     multinomial over the same parts.
     """
-    window = det.coincidence_window
-    rate, *ends = pattern_bounds(det, joint, pair_rate)
+    rate, *ends = law
     if rate == 0:
         return CountRecord(0, 0, 0, duration)
     short_p = -math.expm1(-rate * window)
@@ -265,7 +235,7 @@ def _count_homogeneous(det, joint, pair_rate, duration, rng) -> CountRecord:
             for lo in range(0, used, piece):
                 hi = min(lo + piece, used)
                 times = points[lo:hi][keep[lo:hi]]
-                yield times, detection_pattern(times.size, det, rng, joint, pair_rate)
+                yield times, detection_pattern(times.size, law, rng)
 
     record = _count(placed(), window, duration)
     part_alice, part_both, part_bob = rng.multinomial(isolated, np.diff([0, *ends, rate]) / rate)

@@ -10,7 +10,14 @@ from bellgate.config import build_plan
 from bellgate.fixtures import fixture_path
 from bellgate.gating import gate_open
 from bellgate.record import replace
-from bellgate.sources import INSTANTANEOUS, MalusLHV, QuantumState, TravelingInfluence
+from bellgate.sources import (
+    INSTANTANEOUS,
+    NO_POLARIZERS,
+    MalusLHV,
+    QuantumState,
+    TravelingInfluence,
+    joint_probabilities,
+)
 from conftest import speed_at_pass_fraction
 
 FIBER_LENGTH = 200.0
@@ -108,6 +115,26 @@ def test_gaps_between_resonances_stay_isolated(bench_geometry):
             bench_geometry, FIBER_LENGTH, gap_speed, LIGHT_SPEED_VACUUM
         )
         assert report.pass_fraction == 0.0
+
+
+def test_resonance_edges_only_touch_their_window(bench_geometry):
+    # At an interval's low and high speeds the informed arrivals touch
+    # window k at one instant, where rounding can leave an overlap of a few
+    # 1e-14 apertures; 1e-9 inside either edge the overlap is real.
+    intervals = resonant_influence_speeds(
+        bench_geometry, FIBER_LENGTH, LIGHT_SPEED_VACUUM, max_windows=8
+    )
+    for interval in intervals:
+        for edge, inward in ((interval.low, 1 + 1e-9), (interval.high, 1 - 1e-9)):
+            for speed, window in ((edge, None), (edge * inward, interval.window_index)):
+                report = influence_window_analysis(
+                    bench_geometry, FIBER_LENGTH, speed, LIGHT_SPEED_VACUUM
+                )
+                assert report.earliest_open_overlap == window, speed
+                if window is None:
+                    assert report.pass_fraction == 0.0, speed
+                else:
+                    assert report.pass_fraction > 0.0, speed
 
 
 def test_unreachable_windows_give_no_resonances(bench_geometry):
@@ -233,7 +260,7 @@ def test_plan_pieces_agree_with_the_causality_report(speed):
             speed, INSTANTANEOUS
         )
     model = TravelingInfluence(QuantumState(), MalusLHV(), value)
-    plan = replace(plan, model=model)
+    quantum, plan = replace(plan, model=QuantumState()), replace(plan, model=model)
     assert plan.gate == GateState.from_geometry(plan.geometry)
     report = influence_window_analysis(plan.geometry, apparatus.fiber_length, value, photon_speed)
     period, width = gate.gate_period, gate.aperture_time
@@ -273,6 +300,33 @@ def test_plan_pieces_agree_with_the_causality_report(speed):
     ):
         pieces = [k for k, (_, m) in enumerate(plan.pieces) if m is target]
         assert np.array_equal(np.isin(held, pieces), expected), target
+    # What each sub-run draws: pieces tiling the period, each with its law.
+    det, rate = plan.detector, plan.pair_rate
+    dark = det.stream_law(NO_POLARIZERS, 0.0)
+
+    def law(m):
+        return dark if m is None else det.stream_law(joint_probabilities(m, 0.0, 22.5)[:3], rate)
+
+    stream = plan.stream(0.0, 22.5)
+    assert all(piece.gate_period == period for piece, _ in stream)
+    ends = [piece.phase_offset + piece.aperture_time for piece, _ in stream]
+    assert [piece.phase_offset for piece, _ in stream] == pytest.approx([0.0, *ends[:-1]])
+    assert ends[-1] == pytest.approx(period)
+    laws = [law(m) for _, m in plan.pieces]
+    assert [piece_law for _, piece_law in stream] == [
+        x for k, x in enumerate(laws) if k == 0 or x != laws[k - 1]
+    ]
+    # With the mirror stopped every emission is informed: one piece.
+    whole = GateState(period, period)
+    assert plan.stream(0.0, 22.5, rotation=False) == ((whole, law(model.base)),)
+    # Without polarizers the model does not matter: the open pieces merge.
+    open_law = det.stream_law(NO_POLARIZERS, rate)
+    assert plan.stream(polarized=False) == quantum.stream(polarized=False) == (
+        (gate, open_law),
+        (GateState(period, period - width, width), dark),
+    )
+    # With the source off only the darks are left, the same on every piece.
+    assert plan.stream(0.0, 22.5, source=False) == ((whole, dark),)
 
 
 def _refused(call, *args) -> bool:

@@ -85,7 +85,7 @@ def test_detection_pattern_is_conditioned_on_a_detection():
     k = det.fire_probability(NO_POLARIZERS)
     assert k == pytest.approx(0.7)
     n = 200_000
-    arms = detection_pattern(n, det, np.random.default_rng(8), NO_POLARIZERS, 1.0)
+    arms = detection_pattern(n, det.stream_law(NO_POLARIZERS, 1.0), np.random.default_rng(8))
     assert arms.dtype == np.int8
     *observed, none = pattern_counts(arms)
     assert none == 0
@@ -128,7 +128,7 @@ def test_firing_pattern_frequencies_match_closed_form(name):
     fire = PATTERN_DETECTOR.fire_probability(joint)
     assert fire == pytest.approx(expected.sum(), rel=1e-12)
     n = 400_000
-    arms = detection_pattern(n, PATTERN_DETECTOR, np.random.default_rng(21), joint, 1.0)
+    arms = detection_pattern(n, PATTERN_DETECTOR.stream_law(joint, 1.0), np.random.default_rng(21))
     *observed, none = pattern_counts(arms)
     assert none == 0
     _assert_binomial_within_4_sigma(observed, n, expected / expected.sum())
@@ -137,7 +137,7 @@ def test_firing_pattern_frequencies_match_closed_form(name):
 def test_perfect_detector_is_identity():
     det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0)
     rng = np.random.default_rng(4)
-    assert np.all(detection_pattern(1000, det, rng, NO_POLARIZERS, 1.0) == BOTH)
+    assert np.all(detection_pattern(1000, det.stream_law(NO_POLARIZERS, 1.0), rng) == BOTH)
     times = np.sort(np.random.default_rng(2).random(1000))
     assert np.array_equal(thin_times(times, 1.0, rng), times)
 

@@ -257,9 +257,9 @@ def _marked_stream(pair_rate, t0, t1, gate, rng, det=LOSSLESS_DARK, joint=NO_POL
     the closed stretch's darks, each piece drawn on its own and merged."""
     period, width = gate.gate_period, gate.aperture_time
     closed = GateState(period, period - width, gate.phase_offset + width)
-    times, arms = _draw_pieces(
-        [(gate, joint, pair_rate), (closed, NO_POLARIZERS, 0.0)], det, t0, t1, rng
-    )
+    laws = det.stream_law(joint, pair_rate), det.stream_law(NO_POLARIZERS, 0.0)
+    pieces = [(gate, laws[0]), (closed, laws[1])]
+    times, arms = _draw_pieces(pieces, t0, t1, rng)
     return times, gate_open(times, gate), arms
 
 

@@ -15,7 +15,13 @@ from bellgate.analysis import (
     calibrate_from_counts,
     correlation_E,
 )
-from bellgate.apparatus import ApparatusConfig, DetectorConfig, LIGHT_SPEED_VACUUM, gate_geometry
+from bellgate.apparatus import (
+    ApparatusConfig,
+    DetectorConfig,
+    GateState,
+    LIGHT_SPEED_VACUUM,
+    gate_geometry,
+)
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.config import MAX_RUN_EVENTS, RunPlan, build_plan
 from bellgate.detection import ALICE, BOB, BOTH, detection_pattern, match_coincidences
@@ -149,6 +155,26 @@ def test_plan_validation():
     dark_plan = quick_plan(MalusLHV(), pair_rate=1.0, integration_time=1e9)
     with pytest.raises(ValueError, match="run too large"):
         replace(dark_plan, detector=replace(PERFECT, dark_rate_alice=10.0, dark_rate_bob=10.0))
+
+
+@pytest.mark.parametrize(
+    "model", [MalusLHV(), TravelingInfluence(QuantumState(), MalusLHV())], ids=["malus", "traveling"]
+)
+def test_run_size_refusal_reads_the_luminosity_stream(model):
+    # The refusal compares the ungated luminosity run's events, its
+    # stream's intensity times the integration time, with MAX_RUN_EVENTS.
+    detector = replace(PERFECT, efficiency_bob=0.3, dark_rate_alice=7.0, dark_rate_bob=3.0)
+    plan = replace(quick_plan(model, pair_rate=1e6), detector=detector)
+    [(gate, law)] = plan.stream(rotation=False, polarized=False)
+    assert gate == GateState(plan.gate.gate_period, plan.gate.gate_period)
+    assert law[0] == 7.0 + 1e6 * detector.fire_probability(NO_POLARIZERS) + 3.0
+    limit = MAX_RUN_EVENTS / law[0]
+    for duration in (0.99 * limit, limit, math.nextafter(limit, math.inf), 1.01 * limit):
+        if duration * law[0] > MAX_RUN_EVENTS:
+            with pytest.raises(ValueError, match="run too large"):
+                replace(plan, integration_time=duration)
+        else:
+            replace(plan, integration_time=duration)
 
 
 def test_plan_rejects_non_finite_rate_and_time():
@@ -512,13 +538,19 @@ def _stopped_detector(rate):
     return det, rate / 2 / det.fire_probability(STOPPED_JOINT)
 
 
+def _count_stopped(det, joint, pair_rate, duration, rng):
+    """Count a mirror-stopped run of ``det``'s stream law at ``joint`` and ``pair_rate``."""
+    law = det.stream_law(joint, pair_rate)
+    return _count_homogeneous(law, det.coincidence_window, duration, rng)
+
+
 def _placed_counts(det, pair_rate, duration, rng):
     """(singles_alice, singles_bob, coincidences) of the same run with every
     entry placed: a Poisson count of sorted uniforms, marked and matched whole."""
     darks = det.dark_rate_alice + det.dark_rate_bob
     rate = pair_rate * det.fire_probability(STOPPED_JOINT) + darks
     times = np.sort(rng.random(rng.poisson(rate * duration)) * duration)
-    arms = detection_pattern(times.size, det, rng, STOPPED_JOINT, pair_rate)
+    arms = detection_pattern(times.size, det.stream_law(STOPPED_JOINT, pair_rate), rng)
     singles = [np.count_nonzero(arms & arm) for arm in (ALICE, BOB)]
     return *singles, match_coincidences(times, arms, det.coincidence_window)
 
@@ -561,7 +593,7 @@ def test_mirror_stopped_count_matches_the_fully_placed_stream(regime):
         rng = np.random.default_rng([seed, 0])
         placed.append(_placed_counts(det, pair_rate, duration, rng))
         rng = np.random.default_rng([seed, 1])
-        record = _count_homogeneous(det, STOPPED_JOINT, pair_rate, duration, rng)
+        record = _count_stopped(det, STOPPED_JOINT, pair_rate, duration, rng)
         counted.append(_counts(record))
     for column in range(3):
         _same_distribution(np.array(placed)[:, column], np.array(counted)[:, column], STOPPED_ALPHA)
@@ -573,7 +605,7 @@ def test_mirror_stopped_run_ending_before_its_first_entry():
     det, pair_rate = _stopped_detector(6.0)
     duration, seeds = 0.05, 1000
     records = [
-        _count_homogeneous(det, STOPPED_JOINT, pair_rate, duration, np.random.default_rng(s))
+        _count_stopped(det, STOPPED_JOINT, pair_rate, duration, np.random.default_rng(s))
         for s in range(seeds)
     ]
     # Every entry fires a detector, so a run with no singles has no entries.
@@ -595,7 +627,7 @@ def test_mirror_stopped_count_of_nothing_draws_nothing():
     det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, coincidence_window=20e-9)
     for pair_rate, joint in ((0.0, STOPPED_JOINT), (1e5, (0.0, 0.0, 0.0))):
         rng = np.random.default_rng(5)
-        record = _count_homogeneous(det, joint, pair_rate, 3.0, rng)
+        record = _count_stopped(det, joint, pair_rate, 3.0, rng)
         assert record == CountRecord(0, 0, 0, 3.0)
         assert rng.random() == np.random.default_rng(5).random()
 
@@ -636,7 +668,7 @@ def test_mirror_stopped_run_below_one_entry_in_1e100_windows():
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         singles = [
-            _count_homogeneous(
+            _count_stopped(
                 det, NO_POLARIZERS, 0.0, 3e300, np.random.default_rng(seed)
             ).singles_alice
             for seed in range(400)
@@ -685,7 +717,7 @@ def test_mirror_stopped_run_counts_the_entries_before_its_end(end):
     det = DetectorConfig(
         efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=1.0, coincidence_window=0.5
     )
-    record = _count_homogeneous(det, NO_POLARIZERS, 0.0, duration, _ScriptedSteps(steps))
+    record = _count_stopped(det, NO_POLARIZERS, 0.0, duration, _ScriptedSteps(steps))
     assert record == CountRecord(entries, 0, 0, duration)
 
 
@@ -702,7 +734,7 @@ def test_mirror_stopped_count_in_pieces_equals_one_match(monkeypatch):
         return count
 
     monkeypatch.setattr(runner, "match_coincidences", match)
-    _count_homogeneous(det, STOPPED_JOINT, pair_rate, 30.0, np.random.default_rng(11))
+    _count_stopped(det, STOPPED_JOINT, pair_rate, 30.0, np.random.default_rng(11))
     assert len(pieces) > 30_000 * -math.expm1(-1.0) / _BLOCK_STEPS  # one per block
     times = np.concatenate([times for times, _, _ in pieces])
     arms = np.concatenate([arms for _, arms, _ in pieces])
@@ -723,7 +755,7 @@ def test_mirror_stopped_pieces_come_in_time_order(monkeypatch):
 
     monkeypatch.setattr(runner, "_count", count)
     duration = 2.5 * _BLOCK_STEPS * 64 * 64 * STOPPED_WINDOW  # 64 entries a step
-    _count_homogeneous(det, STOPPED_JOINT, pair_rate, duration, np.random.default_rng(3))
+    _count_stopped(det, STOPPED_JOINT, pair_rate, duration, np.random.default_rng(3))
     assert len(seen) >= 7
     times = np.concatenate([times for times, _ in seen])
     assert times.size > 0 and np.all(np.diff(times) >= 0)
@@ -749,7 +781,7 @@ def test_mirror_stopped_record_does_not_depend_on_piece_size(monkeypatch):
     for chunk in (1 << 16, 1 << 13, 1 << 10):
         monkeypatch.setattr(runner, "_CHUNK_EVENTS", chunk)
         rng = np.random.default_rng(5)
-        records.append(_count_homogeneous(det, joint, plan.pair_rate, 30.0, rng))
+        records.append(_count_stopped(det, joint, plan.pair_rate, 30.0, rng))
     assert pieces[0] < pieces[1] < pieces[2]
     assert records[0].coincidences > 0
     assert records[1] == records[0] and records[2] == records[0]
