@@ -240,26 +240,29 @@ def chsh_S(table: CountTable16) -> ChshResult:
     four correlations at :data:`CHSH_SETTINGS` is estimated by
     :func:`correlation_E` from its quadruple of cells using the +90
     degree partner settings, and the four Poisson sigmas combine in
-    quadrature.
+    quadrature.  A quadruple whose counts the accidental estimate removes
+    entirely is refused with its raw and corrected totals.
     """
     corrected = table.corrected()
 
-    def cell(alice: float, bob: float) -> float:
+    def quadruple(counts, alice: float, bob: float) -> list[float]:
         # The +90 partners of CHSH_SETTINGS are exact floats on the grid.
-        return float(corrected[ALICE_ANGLES.index(alice % 180.0), BOB_ANGLES.index(bob % 180.0)])
+        pairs = ((alice, bob), (alice + 90.0, bob + 90.0), (alice, bob + 90.0), (alice + 90.0, bob))
+        return [float(counts[ALICE_ANGLES.index(a % 180.0), BOB_ANGLES.index(b % 180.0)])
+                for a, b in pairs]
 
     e_values = []
     e_sigmas = []
     for alice, bob in CHSH_SETTINGS:
+        cells = quadruple(corrected, alice, bob)
         try:
-            e, sigma = correlation_E(
-                cell(alice, bob),
-                cell(alice + 90.0, bob + 90.0),
-                cell(alice, bob + 90.0),
-                cell(alice + 90.0, bob),
-            )
+            e, sigma = correlation_E(*cells)
         except NumericalError as exc:
-            raise NumericalError(f"{exc} at ({alice}, {bob})") from exc
+            raw, why = sum(quadruple(table.counts, alice, bob)), ""
+            if raw > 0:
+                why = (f": raw total {format_number(raw)}, corrected total "
+                       f"{format_number(sum(cells))}; the accidental estimate removed them")
+            raise NumericalError(f"{exc} at ({alice}, {bob}){why}") from exc
         e_values.append(e)
         e_sigmas.append(sigma)
     s = abs(e_values[0] - e_values[1]) + abs(e_values[2] + e_values[3])

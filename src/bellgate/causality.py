@@ -4,13 +4,12 @@ Suppose something leaves the slit the moment a gate window opens,
 travels back down the fiber at speed v (possibly instantaneous), and
 makes the source emit "informed" pairs for as long as the line of sight
 stays open.  Those pairs still have to cover the fiber to reach the
-slit.  :func:`informed_arrival_offset` says when they arrive, on the
-slits' clock; a plan's pieces and the report both place the informed
-window by it.
-:func:`influence_window_analysis` computes the informed photons'
-arrival interval and how much of it overlaps *any* periodic gate
-window; a pass fraction of zero means no photon carrying information
-about the open gate can ever be detected through it.
+slit.  :func:`influence_window_analysis` computes the informed photons'
+arrival interval on the slits' clock, where it falls within every gate
+window, and how much of it overlaps *any* periodic gate window; a pass
+fraction of zero means no photon carrying information about the open
+gate can ever be detected through it.  It is the one home of that
+window: a plan cuts its pieces where the report places it.
 
 With the reference bench the fiber transit alone (667 ns) outlasts the
 467 ns window, so every speed from c upward -- including instantaneous
@@ -41,6 +40,9 @@ class CausalityReport(Record):
     influence_arrival_at_source: float             # s after the gate opens
     informed_emission_window: tuple[float, float]  # s
     informed_arrival_window_at_slit: tuple[float, float]  # s
+    # (start, end): informed arrivals fill [start, aperture) and [0, end)
+    # of every gate window, s after it opens; (aperture, 0) for none.
+    informed_cut: tuple[float, float]
     earliest_open_overlap: int | None              # gate-window index, or None
     pass_fraction: float                           # fraction of informed arrivals gated through
     isolation_margin: float                        # arrival start minus window-0 close, s
@@ -55,33 +57,6 @@ class SpeedInterval(Record):
     center: float
 
 
-def _influence_transit(fiber_length: float, influence_speed: float) -> float:
-    """Time the influence takes from the slit back to the source."""
-    return 0.0 if math.isinf(influence_speed) else fiber_length / influence_speed
-
-
-def informed_arrival_offset(
-    aperture_time: float, fiber_length: float, influence_speed: float, fiber_delay: float
-) -> float:
-    """When the pairs informed by a gate window reach the slits, s after it opens.
-
-    The influence reaches the source one transit after the window opens,
-    and the pairs it informs, emitted for one ``aperture_time``, reach the
-    slits one ``fiber_delay`` later.  Raises ``ValueError`` unless float
-    precision resolves that informed window to 1e-6 aperture times at its
-    end; a slow influence or a long fiber makes the offset too long.
-    """
-    offset = _influence_transit(fiber_length, influence_speed) + fiber_delay
-    end = offset + aperture_time
-    if not math.isfinite(end) or math.ulp(end) > 1e-6 * aperture_time:
-        raise ValueError(
-            f"influence speed {influence_speed!r} m/s: the informed-to-detected offset "
-            "(influence transit plus fiber delay) is too long for float precision to "
-            "resolve its informed window; a slow influence or a long fiber causes this"
-        )
-    return offset
-
-
 def influence_window_analysis(
     geometry: GateGeometry,
     fiber_length: float,
@@ -94,12 +69,14 @@ def influence_window_analysis(
     the source after fiber_length/influence_speed, and informs emissions
     only while the slit stays in view (one aperture time).  Informed
     photons then need fiber_length/photon_speed to come back, so they
-    arrive for one aperture time from :func:`informed_arrival_offset`,
-    which refuses a speed too slow for that window to be resolved.  The
-    offset is not reduced modulo the gate period, because the window
-    index and the margin depend on it.  An arrival window one aperture
-    long can overlap only the window k that opens last before it starts
-    and window k + 1; the pass fraction is the part of it that does.  An
+    arrive for one aperture time from that offset.  Raises ``ValueError``
+    unless float precision resolves that informed window to 1e-6 aperture
+    times at its end; a slow influence or a long fiber makes the offset
+    too long.  The offset is not reduced modulo the gate period, because
+    the window index and the margin depend on it.  An arrival window one
+    aperture long can overlap only the window k that opens last before it
+    starts, from its start on, and window k + 1, up to its end; the cut
+    says where, and the pass fraction is the part of it that does.  An
     overlap no longer than the offset's float resolution, as at a
     resonance interval's edge, is rounding and counts as none.
     """
@@ -110,22 +87,26 @@ def influence_window_analysis(
     if fiber_length < 0:
         raise ValueError("fiber length must be non-negative")
     t_on, period = geometry.aperture_time, geometry.gate_period
-    influence_arrival = _influence_transit(fiber_length, influence_speed)
-    offset = informed_arrival_offset(
-        t_on, fiber_length, influence_speed, fiber_length / photon_speed
-    )
+    influence_arrival = 0.0 if math.isinf(influence_speed) else fiber_length / influence_speed
+    offset = influence_arrival + fiber_length / photon_speed
+    resolution = math.ulp(offset + t_on)  # infinite for an infinite offset
+    if not resolution <= 1e-6 * t_on:
+        raise ValueError(
+            f"influence speed {influence_speed!r} m/s: the informed-to-detected offset "
+            "(influence transit plus fiber delay) is too long for float precision to "
+            "resolve its informed window; a slow influence or a long fiber causes this"
+        )
     k, phase = divmod(offset, period)
-    resolution = math.ulp(offset + t_on)
     in_k, in_next = (  # overlaps with windows k, k + 1
         x if x > resolution else 0.0 for x in (t_on - phase, phase + t_on - period)
     )
-    earliest = int(k) if in_k else int(k) + 1 if in_next else None
     return CausalityReport(
         influence_speed=influence_speed,
         influence_arrival_at_source=influence_arrival,
         informed_emission_window=(influence_arrival, influence_arrival + t_on),
         informed_arrival_window_at_slit=(offset, offset + t_on),
-        earliest_open_overlap=earliest,
+        informed_cut=(phase if in_k else t_on, in_next),
+        earliest_open_overlap=int(k) if in_k else int(k) + 1 if in_next else None,
         pass_fraction=(in_k + in_next) / t_on,
         isolation_margin=offset - t_on,
     )

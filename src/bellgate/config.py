@@ -26,7 +26,7 @@ import math
 from pathlib import Path
 
 from .apparatus import ApparatusConfig, DetectorConfig, GateState, gate_geometry, validate_config
-from .causality import informed_arrival_offset
+from .causality import influence_window_analysis
 from .record import ACCIDENTAL_FACTORS, Record, fields
 from .sources import (
     INSTANTANEOUS,
@@ -58,8 +58,8 @@ class RunPlan(Record):
     where its informed window starts or ends into ``base`` and
     ``uninformed`` parts, then the closed stretch with None (darks alone).
     Runs are timed on the slits' clock, the counting card's, so the fiber
-    delay only places the informed window
-    (:func:`~bellgate.causality.informed_arrival_offset`).
+    delay only places the informed window, and the causality report
+    (:func:`~bellgate.causality.influence_window_analysis`) says where.
     """
 
     apparatus: ApparatusConfig
@@ -90,13 +90,16 @@ class RunPlan(Record):
         period, width = gate.gate_period, gate.aperture_time
         opened = [(0.0, width, self.model)]  # (start, end, model) from the window's opening
         if isinstance(self.model, TravelingInfluence):
-            # Refuses an informed window too late for float precision to resolve.
-            length, speed = self.apparatus.fiber_length, self.model.influence_speed
-            start = informed_arrival_offset(width, length, speed, geometry.fiber_delay) % period
-            # In the open window an informed window opens at start or, opened
-            # a period earlier, closes at end (both if open over half the time).
-            end = start + width - period
-            cuts = sorted({0.0, width, *(x for x in (start, end) if 0.0 < x < width)})
+            # The report places the informed window, refusing one too late for
+            # float precision to resolve: in the open window it opens at start
+            # or, opened a period earlier, closes at end (both if open over
+            # half the time).  Its photon speed is the one gate_geometry
+            # divides the fiber length by, so the offset is the plan's.
+            light, index = self.apparatus.vacuum_light_speed, self.apparatus.fiber_group_index
+            start, end = influence_window_analysis(
+                geometry, self.apparatus.fiber_length, self.model.influence_speed, light / index
+            ).informed_cut
+            cuts = sorted({0.0, start, end, width})
             opened = [
                 (lo, hi, self.model.base if lo < end or lo >= start else self.model.uninformed)
                 for lo, hi in zip(cuts, cuts[1:])

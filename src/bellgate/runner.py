@@ -20,9 +20,10 @@ A counting run draws one Poisson stream of pairs and darks on the slits'
 clock, the counting card's: a pair's time is when it reaches its slits,
 and :attr:`~bellgate.config.RunPlan.gate` is the slits' gate, window 0
 opening at 0.  The fiber delay only places a ``traveling`` model's
-informed window (:func:`~bellgate.causality.informed_arrival_offset`),
-so the times a run draws stay as fine as its length allows however long
-the fiber.  The gate, the polarizer outcomes
+informed window, where the causality report
+(:func:`~bellgate.causality.influence_window_analysis`) says, so the
+times a run draws stay as fine as its length allows however long the
+fiber.  The gate, the polarizer outcomes
 and the detector efficiencies are independent marks of the emission
 stream, so the pairs that fire a detector are a Poisson process on the
 gate's open set (the marking theorem), and with each arm's darks they

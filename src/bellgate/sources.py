@@ -77,7 +77,7 @@ class TravelingInfluence(Record):
     def __post_init__(self):
         if not self.influence_speed > 0:
             raise ValueError("influence speed must be positive or instantaneous")
-        # The runner draws each group from its model's fixed joint probabilities.
+        # The plan gives each piece one model's fixed joint probabilities.
         if any(isinstance(m, TravelingInfluence) for m in (self.base, self.uninformed)):
             raise ValueError("a traveling model cannot nest another traveling model")
 

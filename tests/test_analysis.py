@@ -244,6 +244,26 @@ def test_chsh_uniform_table_is_zero():
     assert all(e == 0.0 for e in result.E_values)
 
 
+def test_chsh_names_a_quadruple_the_accidentals_removed():
+    # The (0, 22.5) quadruple, alice 0 and 90 by bob 22.5 and 112.5, holds
+    # 4 x 30 raw counts under an accidental estimate of 40 a cell: every
+    # cell floors to 0, and the refusal says so with both totals.
+    accidentals = np.zeros((4, 4))
+    accidentals[np.ix_([0, 2], [0, 2])] = 40.0
+    table = CountTable16(counts=np.full((4, 4), 30.0), accidentals=accidentals)
+    with pytest.raises(NumericalError) as excinfo:
+        chsh_S(table)
+    assert str(excinfo.value) == (
+        "correlation estimator needs at least one count at (0.0, 22.5): raw total 120,"
+        " corrected total 0; the accidental estimate removed them"
+    )
+    # With no raw counts there is nothing the estimate removed.
+    empty = CountTable16(counts=np.zeros((4, 4)), accidentals=np.zeros((4, 4)))
+    with pytest.raises(NumericalError) as excinfo:
+        chsh_S(empty)
+    assert str(excinfo.value) == "correlation estimator needs at least one count at (0.0, 22.5)"
+
+
 def test_chsh_scale_invariance():
     table = bench_table()
     result = chsh_S(table)

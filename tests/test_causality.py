@@ -329,6 +329,39 @@ def test_plan_pieces_agree_with_the_causality_report(speed):
     assert plan.stream(0.0, 22.5, source=False) == ((whole, dark),)
 
 
+def test_plan_draws_the_informed_share_the_report_gives():
+    # Over the first eight resonance intervals, at both edges, the centre
+    # and 49 interior speeds of each: a traveling plan draws its base model
+    # on the share of the open window that the report passes, and on none
+    # of it where the report passes none, as at an edge whose informed
+    # arrivals touch the window only to within rounding.
+    plan = build_plan(json.loads(fixture_path("reference_bench.json").read_text()))
+    apparatus, width = plan.apparatus, plan.gate.aperture_time
+    photon_speed = apparatus.vacuum_light_speed / apparatus.fiber_group_index
+    intervals = resonant_influence_speeds(plan.geometry, apparatus.fiber_length, photon_speed, 8)
+    speeds = [
+        speed
+        for iv in intervals
+        for speed in (iv.low, iv.high, iv.center, *(iv.low + (iv.high - iv.low) * k / 50
+                                                    for k in range(1, 50)))
+    ]
+    assert len(speeds) == 416
+    for speed in speeds:
+        model = TravelingInfluence(QuantumState(), MalusLHV(), speed)
+        informed = [
+            piece.aperture_time
+            for piece, m in replace(plan, model=model).pieces
+            if m is model.base
+        ]
+        report = influence_window_analysis(
+            plan.geometry, apparatus.fiber_length, speed, photon_speed
+        )
+        if report.pass_fraction == 0.0:
+            assert informed == [], speed
+        else:
+            assert abs(sum(informed) / width - report.pass_fraction) <= 1e-12, speed
+
+
 def _refused(call, *args) -> bool:
     try:
         call(*args)

@@ -20,7 +20,9 @@ from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, TravelingInfl
 SAMPLES = {
     "ApparatusConfig": (2e-3, 0.3, 900.0, 30, 150.0, 1.468, 3e8),
     "GateGeometry": (4.7e-7, 0.016, 2.9e-5, 6.7e-7, 140.0),
-    "CausalityReport": (math.inf, 0.0, (0.0, 4.7e-7), (6.7e-7, 1.1e-6), None, 0.0, 2e-7),
+    "CausalityReport": (
+        math.inf, 0.0, (0.0, 4.7e-7), (6.7e-7, 1.1e-6), (4.7e-7, 0.0), None, 0.0, 2e-7
+    ),
     "SpeedInterval": (1, 1e6, 2e6, 1.5e6),
     "GateState": (2.9e-5, 4.7e-7, 1e-6),
     "DetectorConfig": (0.5, 0.25, 10.0, 20.0, 1e-8),
