@@ -49,7 +49,8 @@ def detection_pattern(n: int, law, rng):
     Returns an ``int8`` array of :data:`ALICE`, :data:`BOTH` or :data:`BOB`.
     """
     rate, alice_only, both = law
-    u = rng.random(n) * rate
+    u = rng.random(n)
+    u *= rate  # in place: no second entry-sized array
     bob = u >= alice_only
     alice = u < both
     arms = bob.view(np.int8) * np.int8(BOB)

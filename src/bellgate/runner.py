@@ -44,10 +44,10 @@ isolated rest by one multinomial over the same law.
 
 Either way one counter, :func:`_count`, counts the tagged stream piece by
 piece, in time order, as a time tagger records it: a gated run hands it
-one piece per time slice, a mirror-stopped run its placed entries a few
-steps at a time.  The tail carried from the piece before joins by
-concatenation, and the entries up to the last gap of a window or more
-are matched, so memory stays bounded however long the run.
+one piece per time slice, a mirror-stopped run its placed entries one
+block of steps at a time.  The tail carried from the piece before joins
+by concatenation, and the entries up to the last gap of a window or
+more are matched, so memory stays bounded however long the run.
 
 Every sub-run draws from its own generator seeded by a stable hash of
 the master seed and the sub-run's identity (the angle pair, or the
@@ -85,13 +85,13 @@ joint_outcomes = thin_times = dark_times = gate_geometry = validate_config = Non
 
 DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
 
-# Runs are drawn and counted in time slices of roughly this many expected
-# draws (firing pairs and dark counts), so memory stays bounded and the
-# arrays stay cache-sized.  Fixed (not configurable) so a given plan
-# always consumes the same random stream.
+# Gated runs are drawn and counted in time slices of roughly this many
+# expected draws (firing pairs and dark counts), so memory stays bounded
+# and the arrays stay cache-sized.  Fixed (not configurable) so a given
+# plan always consumes the same random stream.
 _CHUNK_EVENTS = 1 << 16
-# Steps (see _count_homogeneous) that a mirror-stopped run draws per
-# block.  Fixed, like the slice size.
+# The most steps (see _count_homogeneous) that a mirror-stopped run draws
+# per block, which bounds its memory.  Fixed, like the slice size.
 _BLOCK_STEPS = 1 << 11
 
 
@@ -181,15 +181,14 @@ def _count_homogeneous(law, window, duration, rng) -> CountRecord:
     [0, window).  A step places the entry that ends its short gap and,
     if m > 0, the one that starts it, after m - 1 isolated entries.
 
-    Steps are drawn ``_BLOCK_STEPS`` at a time and handed to
-    :func:`_count` a piece at a time (the steps that span about
-    ``_CHUNK_EVENTS`` entries, at most a block: with a block per piece a
-    sparse run's peak memory grows with its length), their placed entries
-    marked by :func:`~bellgate.detection.detection_pattern`.  Every later
-    step starts at the entry that ends a piece's last step, so the pieces
-    come in time order and the counter holds about a piece however long
-    the run.  The isolated entries are counted afterwards by one
-    multinomial over the same parts.
+    Steps are drawn in blocks of as many as the rest of the run expects,
+    and one more, at most ``_BLOCK_STEPS``: block edges only group
+    independent steps, so they change no law.  Each block's placed
+    entries, marked by :func:`~bellgate.detection.detection_pattern`, go
+    to :func:`_count` as one piece.  The next block starts at the entry
+    that ends this one's last step, so the pieces come in time order and
+    the counter holds about a block however long the run.  The isolated
+    entries are counted afterwards by one multinomial over the same parts.
     """
     rate, *ends = law
     if rate == 0:
@@ -200,8 +199,6 @@ def _count_homogeneous(law, window, duration, rng) -> CountRecord:
     def placed():
         nonlocal isolated
         last = 0.0  # the entry that ends the last step drawn
-        n = _BLOCK_STEPS
-        piece = min(n, math.ceil(_CHUNK_EVENTS * short_p))
         # Below 1e-100 entries per window, a run holds a close pair with
         # probability under 1e-90 and its long runs overflow float: every
         # entry is isolated.
@@ -209,6 +206,8 @@ def _count_homogeneous(law, window, duration, rng) -> CountRecord:
         if done:
             isolated = int(rng.poisson(rate * duration))
         while not done:
+            # The steps the rest of the run expects, and one more for its end.
+            n = min(_BLOCK_STEPS, math.ceil(rate * (duration - last) * short_p) + 1)
             longs = np.floor(rng.standard_exponential(n) / (rate * window))
             excess = rng.standard_gamma(longs)
             shorts = -np.log1p(-short_p * rng.random(n)) / rate
@@ -232,11 +231,8 @@ def _count_homogeneous(law, window, duration, rng) -> CountRecord:
                     isolated += _entries_before(room, count, excess[full], rate, window, rng)
             else:
                 last = float(points[-1, 1])
-            used = full + 1 if done else n
-            for lo in range(0, used, piece):
-                hi = min(lo + piece, used)
-                times = points[lo:hi][keep[lo:hi]]
-                yield times, detection_pattern(times.size, law, rng)
+            times = points[keep]
+            yield times, detection_pattern(times.size, law, rng)
 
     record = _count(placed(), window, duration)
     part_alice, part_both, part_bob = rng.multinomial(isolated, np.diff([0, *ends, rate]) / rate)

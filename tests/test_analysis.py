@@ -387,6 +387,32 @@ def test_count_records_refuse_a_repeated_label(tmp_path):
         read_count_records(path)
 
 
+RECORD_HEADER = "label,singles_alice_per_s,singles_bob_per_s,coincidences_per_s\n"
+
+
+@pytest.mark.parametrize(
+    "row", ["dark,1300,600\n", "dark,1300,six hundred,0.08\n"], ids=["three_cells", "not_a_number"]
+)
+def test_count_records_refuse_a_malformed_row(tmp_path, row):
+    path = tmp_path / "records.csv"
+    path.write_text(RECORD_HEADER + row)
+    with pytest.raises(ValueError, match="malformed count-record row"):
+        read_count_records(path)
+
+
+def test_count_records_skip_blank_rows(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text(RECORD_HEADER + "\ndark,1300,600,0.08\n , ,\n\nno_rotation,3,2,1\n")
+    records = read_count_records(path)
+    assert list(records) == ["dark", "no_rotation"]
+    assert records["no_rotation"].rates == (3.0, 2.0, 1.0)
+
+
+def test_fixture_path_refuses_a_missing_name():
+    with pytest.raises(FileNotFoundError, match="no bundled fixture named 'table3.csv'"):
+        fixture_path("table3.csv")
+
+
 def test_report_formats(tmp_path):
     result = chsh_S(bench_table())
     text = format_chsh_text(result)

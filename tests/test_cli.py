@@ -118,6 +118,94 @@ def test_unknown_config_key_rejected(capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def _without(section, key=None):
+    """TINY_CONFIG less one section, or less one key of a section."""
+    if key is None:
+        return {name: body for name, body in TINY_CONFIG.items() if name != section}
+    body = {k: v for k, v in TINY_CONFIG[section].items() if k != key}
+    return dict(TINY_CONFIG, **{section: body})
+
+
+TRAVELING_MODEL = {"name": "traveling", "base": {"name": "quantum"}, "uninformed": {"name": "malus"}}
+
+# name -> (command, config body or None for the bundled one, overrides, error)
+CONFIG_REFUSALS = {
+    "not_an_object": ("geometry", [1, 2], [], "config must be a JSON object"),
+    "unknown_section": (
+        "geometry", dict(TINY_CONFIG, laser={}), [], "unknown config section(s): ['laser']"
+    ),
+    "section_not_an_object": (
+        "geometry", dict(TINY_CONFIG, apparatus=3), [], "section 'apparatus' must be an object"
+    ),
+    "model_not_an_object": (
+        "geometry", dict(TINY_CONFIG, model="quantum"), [], "section 'model' must be an object"
+    ),
+    "unknown_model": (
+        "geometry",
+        dict(TINY_CONFIG, model={"name": "bohm"}),
+        [],
+        "model.name must be one of ['malus', 'quantum', 'threshold', 'traveling'], got 'bohm'",
+    ),
+    "traveling_without_uninformed": (
+        "geometry",
+        dict(TINY_CONFIG, model={"name": "traveling", "base": {"name": "quantum"}}),
+        [],
+        "model.uninformed is required for a traveling model",
+    ),
+    "override_without_equals": (
+        "geometry",
+        None,
+        ["apparatus.aperture_width"],
+        "override 'apparatus.aperture_width' must look like section.key=value",
+    ),
+    "override_of_a_section": ("geometry", None, ["run=5"], "override key 'run' must be section.key"),
+    "override_below_a_value": (
+        "geometry",
+        None,
+        ["run.seed.x=1"],
+        "override key 'run.seed.x' does not address an object",
+    ),
+    "value_not_a_number": (
+        "geometry",
+        None,
+        ["apparatus.aperture_width=wide"],
+        "apparatus.aperture_width must be a number, got 'wide'",
+    ),
+    "speed_of_true": (
+        "simulate",
+        dict(TINY_CONFIG, model=TRAVELING_MODEL),
+        ["model.influence_speed=true"],
+        "invalid speed True",
+    ),
+    "simulate_without_a_model": (
+        "simulate", _without("model"), [], "config needs a model section to simulate"
+    ),
+    "simulate_without_an_integration_time": (
+        "simulate",
+        _without("run", "integration_time"),
+        [],
+        "run.integration_time is required to simulate",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_REFUSALS))
+def test_config_refusals_exit_1_with_one_error_line(tmp_path, capsys, name):
+    command, body, overrides, message = CONFIG_REFUSALS[name]
+    args = [command]
+    if body is not None:
+        args += ["--config", str(write_config(tmp_path, body))]
+    for override in overrides:
+        args += ["--set", override]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -186,6 +274,24 @@ def test_analyze_wrong_grid(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "angle grid" in err
         assert f"{ALICE_ANGLES}" in err and f"{BOB_ANGLES}" in err
+
+
+@pytest.mark.parametrize(
+    "header, cell, message",
+    [
+        ("bob_angle,0,45,90,135", "226", "malformed cell '226'; expected 'count-accidental'"),
+        ("bob_angle,0,45,ninety,135", "226-5", "malformed angle label"),
+    ],
+    ids=["cell_without_a_dash", "angle_not_a_number"],
+)
+def test_analyze_refuses_a_malformed_cell_or_angle(capsys, tmp_path, header, cell, message):
+    rows = "".join(f"{b},{cell},85-4,42-4,184-4\n" for b in ("22.5", "67.5", "112.5", "157.5"))
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n{rows}")
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_analyze_takes_no_accidentals_file(capsys):
@@ -627,6 +733,16 @@ def test_causality_sweep_spells_an_infinite_speed_instant(capsys):
     assert main(args + ["--json"]) == 0
     first = json.loads(capsys.readouterr().out)[0]
     assert first["high_m_per_s"] == first["center_m_per_s"] == "instant"
+
+
+def test_causality_sweep_says_when_it_finds_no_resonance(capsys):
+    # 9000 m of fiber delay a photon 30.0 us, past the close of window 1
+    # (one 29.4 us period plus a 0.47 us aperture): even an instant
+    # influence returns too late, so a sweep of that one window is empty.
+    args = ["causality", "--sweep", "--max-windows", "1", "--set", "apparatus.fiber_length=9000"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["no resonant speeds within the requested windows"]
 
 
 def test_causality_sweep_at_the_window_cap(capsys):

@@ -234,6 +234,28 @@ def test_edge_windows_weighted_by_open_length():
     assert chi2 < 33.7  # chi-square, 9 degrees of freedom, p = 1e-4
 
 
+class _TopUniform(np.random.Generator):
+    """One draw, at the largest uniform below 1: the top of the open measure."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+
+    def poisson(self, lam, size=None):
+        return 1
+
+    def random(self, size=None):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+def test_sampled_time_at_the_top_of_the_open_measure_stays_before_t1():
+    # t1 = 2.1 cuts window 2, open on [2, 2.3): mapped back to time, the
+    # top of the open measure rounds to t1 itself, and the clip keeps it
+    # inside [t0, t1).
+    gate = GateState(gate_period=1.0, aperture_time=0.3)
+    times = sample_open_times(1.0, 0.0, 2.1, gate, _TopUniform())
+    assert times.size == 1 and 2.0 <= times[0] < 2.1
+
+
 def test_always_open_gate_samples_the_whole_interval():
     t0, t1 = 60.0, 60.5
     total = 0

@@ -23,21 +23,21 @@ from bellgate.cli import main
 from bellgate.fixtures import fixture_path
 
 SIMULATE_DIGESTS = {
-    "results.json": "7cb8d992bbdcbc71307c7a4169a85f29070bfc0f16f1d45dfd0d86d99c5e2780",
+    "results.json": "a5306715e6982d597f7282e323779383d739fc0e10153f673da27be8837a2856",
     "chsh_counts.csv": "07dc7b8f4cf3bd84a6e2b07e073f6f69aee448bc5cf1a51390ccbc03f8399fac",
-    "degradation.csv": "0aefa0970afb7152fa27accee6102b16a377201fdfa7433fa0489d70e7d998fd",
+    "degradation.csv": "9bc0e3ce8329740aa9e0a70f2222303ec9d4d771ce560091b8b0fd8137979330",
 }
 
 ROTATION_OFF_DIGESTS = {
-    "results.json": "cc3f367956abf8b25610b18d35e7f7831ec949a4f0c56a437e8bfa425f8baafa",
-    "chsh_counts.csv": "010d1d023f3b2e0ae23fa7b8d9677fdd8e362279dc92148bbb135f6ab13af123",
-    "degradation.csv": "0aefa0970afb7152fa27accee6102b16a377201fdfa7433fa0489d70e7d998fd",
+    "results.json": "f91231bcfa3d88b945fd8453d27efceff4ee500a2963575d2b3aee4b7097c6cc",
+    "chsh_counts.csv": "3c958f8c0bb88724e5823d91379b5722de2491a9aa6e7eca47a9d270285238d8",
+    "degradation.csv": "9bc0e3ce8329740aa9e0a70f2222303ec9d4d771ce560091b8b0fd8137979330",
 }
 
 TRAVELING_DIGESTS = {
-    "results.json": "43980e3e768fcb37f14767022ce5f8da48cc2705ca2d9f17abc9a6f6314ba353",
+    "results.json": "eb00ee9032c8193354c8d7c62e286e9addaf2dab8c085daec5d53f160ef7d3cf",
     "chsh_counts.csv": "13db948c3abe0a75e94a16df2a79588ccd38ab0e10e8823611b18a3434fd36b7",
-    "degradation.csv": "0aefa0970afb7152fa27accee6102b16a377201fdfa7433fa0489d70e7d998fd",
+    "degradation.csv": "9bc0e3ce8329740aa9e0a70f2222303ec9d4d771ce560091b8b0fd8137979330",
 }
 
 ANALYZE_DIGESTS = {

@@ -488,14 +488,15 @@ def test_run_setting_memory_does_not_grow_with_integration_time(rotation, crowde
     det = plan.detector
     fire = det.fire_probability(joint_probabilities(plan.model, 0.0, 22.5)[:3])
     darks = det.dark_rate_alice + det.dark_rate_bob
-    slice_events = _CHUNK_EVENTS
     if crowded:
         plan = replace(plan, pair_rate=(1.0 / det.coincidence_window - darks) / fire)
-        # A block's steps, each one short gap, span this many entries.
-        slice_events = _BLOCK_STEPS / -math.expm1(-1.0)
     open_fraction = gate_geometry(plan.apparatus).duty_cycle if rotation else 1.0
     draws_per_s = plan.pair_rate * fire * open_fraction + darks
-    # Just under four full slices, so T and 8T both cut into full slices.
+    slice_events = _CHUNK_EVENTS
+    if not rotation:
+        # A full block's steps, each one short gap, span this many entries.
+        slice_events = _BLOCK_STEPS / -math.expm1(-draws_per_s * det.coincidence_window)
+    # Just under four full slices or blocks, so T and 8T both fill them.
     duration = 3.99 * slice_events / draws_per_s
     warm_up = replace(plan, integration_time=min(1.0, duration))
     run_setting(warm_up, 0.0, 22.5, np.random.default_rng(0))
@@ -679,24 +680,27 @@ def test_mirror_stopped_run_below_one_entry_in_1e100_windows():
 class _ScriptedSteps(np.random.Generator):
     """A generator whose first block of steps is scripted at rate 1 and
     window 0.5: (m, excess, short gap) per step, then steps far past any
-    end.  Later draws, the arm codes' among them, are its own."""
+    end up to the block's size.  Later draws, the arm codes' among them,
+    are its own."""
 
     def __init__(self, steps):
         super().__init__(np.random.PCG64(0))
-        self.steps = np.array(steps + [(1e6, 1e6, 0.1)] * (_BLOCK_STEPS - len(steps)))
+        self.steps = steps
         self.scripted = False
 
     def standard_exponential(self, size):
-        return (self.steps[:, 0] + 0.5) * 0.5  # floor(2 * x) is m
+        assert size >= len(self.steps)  # the block holds every scripted step
+        self.block = np.array(self.steps + [(1e6, 1e6, 0.1)] * (size - len(self.steps)))
+        return (self.block[:, 0] + 0.5) * 0.5  # floor(2 * x) is m
 
     def standard_gamma(self, shape):
-        return self.steps[:, 1]
+        return self.block[:, 1]
 
     def random(self, size=None):
         if self.scripted:
             return super().random(size)
         self.scripted = True
-        return np.expm1(-self.steps[:, 2]) / np.expm1(-0.5)  # the short gaps' inverse
+        return np.expm1(-self.block[:, 2]) / np.expm1(-0.5)  # the short gaps' inverse
 
 
 # name -> (steps, duration, entries before it)
@@ -742,10 +746,22 @@ def test_mirror_stopped_count_in_pieces_equals_one_match(monkeypatch):
     assert sum(count for _, _, count in pieces) == whole > 0
 
 
+class _CountedSteps(np.random.Generator):
+    """A generator that keeps the size of each block of steps drawn."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.blocks = []
+
+    def standard_exponential(self, size=None):
+        self.blocks.append(size)
+        return super().standard_exponential(size)
+
+
 def test_mirror_stopped_pieces_come_in_time_order(monkeypatch):
-    # At 1/64 entries per window a block splits into three pieces.  No
-    # entry of a piece is earlier than an entry of an earlier piece, in the
-    # same block or the one before.
+    # At 1/64 entries per window the run spans two and a half full blocks.
+    # Each block is one piece, and no entry of a piece is earlier than an
+    # entry of the piece before.
     det, pair_rate = _stopped_detector(1 / 64 / STOPPED_WINDOW)
     seen = []
 
@@ -755,36 +771,25 @@ def test_mirror_stopped_pieces_come_in_time_order(monkeypatch):
 
     monkeypatch.setattr(runner, "_count", count)
     duration = 2.5 * _BLOCK_STEPS * 64 * 64 * STOPPED_WINDOW  # 64 entries a step
-    _count_stopped(det, STOPPED_JOINT, pair_rate, duration, np.random.default_rng(3))
-    assert len(seen) >= 7
+    rng = _CountedSteps(3)
+    _count_stopped(det, STOPPED_JOINT, pair_rate, duration, rng)
+    assert len(seen) == len(rng.blocks) >= 3
+    assert rng.blocks[:2] == [_BLOCK_STEPS, _BLOCK_STEPS]
     times = np.concatenate([times for times, _ in seen])
     assert times.size > 0 and np.all(np.diff(times) >= 0)
 
 
-def test_mirror_stopped_record_does_not_depend_on_piece_size(monkeypatch):
-    # Blocks keep their 2048 steps whatever the piece size, and each piece
-    # marks its entries with the next uniforms of the same generator, so
-    # smaller pieces draw the same numbers.  (A gated slice draws its own
-    # Poisson count, so this holds only with the mirror stopped.)
+def test_mirror_stopped_run_draws_only_the_steps_it_expects():
+    # A 1 s mirror-stopped demo.json run expects about 10 steps in a CHSH
+    # cell and 40 in the gate-off run: its blocks are sized to that, not
+    # to a full block.
     plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
-    det = plan.detector
-    joint = joint_probabilities(plan.model, 0.0, 22.5)[:3]
-    pieces = []
-
-    def count(stream, window, duration):
-        stream = list(stream)
-        pieces.append(len(stream))
-        return _count(iter(stream), window, duration)
-
-    monkeypatch.setattr(runner, "_count", count)
-    records = []
-    for chunk in (1 << 16, 1 << 13, 1 << 10):
-        monkeypatch.setattr(runner, "_CHUNK_EVENTS", chunk)
-        rng = np.random.default_rng(5)
-        records.append(_count_stopped(det, joint, plan.pair_rate, 30.0, rng))
-    assert pieces[0] < pieces[1] < pieces[2]
-    assert records[0].coincidences > 0
-    assert records[1] == records[0] and records[2] == records[0]
+    plan = replace(plan, rotation=False, integration_time=1.0)
+    for polarized in (True, False):
+        rng = _CountedSteps(5)
+        record = run_setting(plan, 0.0, 22.5, rng, polarized=polarized)
+        assert record.singles_alice > 0
+        assert 0 < sum(rng.blocks) < _BLOCK_STEPS, rng.blocks
 
 
 # (count, room): a run of two long gaps, and one of fifty that the end

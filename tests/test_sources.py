@@ -98,6 +98,11 @@ def test_kernel_conventions():
     )
 
 
+def test_kernel_refuses_an_unknown_convention():
+    with pytest.raises(ValueError, match="unknown sign convention 'sideways'"):
+        correlation_kernel("sideways", 0.0, 22.5)
+
+
 def test_quantum_joint_pass_probability():
     # V=1 mirrored at (0, 112.5): (1 + cos 225 deg)/4 = 0.0732
     p_pp = joint_probabilities(QuantumState("mirrored", 1.0), 0.0, 112.5)[0]
