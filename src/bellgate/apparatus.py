@@ -22,10 +22,6 @@ from .record import Record
 
 LIGHT_SPEED_VACUUM = 2.998e8  # m/s
 
-# Typical single-mode fiber group index at 810 nm, for runs that should
-# use the in-fiber transit speed instead of the vacuum convention.
-FIBER_GROUP_INDEX_SMF = 1.468
-
 
 class ValidationError(ValueError):
     """A configuration value violates a bench invariant."""
@@ -37,7 +33,8 @@ class ApparatusConfig(Record):
     Defaults reproduce the reference bench: 1 mm slits 0.34 m from a
     34-facet mirror spinning at 1000 Hz, with 200 m of single-mode fiber
     per arm.  ``fiber_group_index`` 1.0 keeps the vacuum-speed timing
-    convention; set :data:`FIBER_GROUP_INDEX_SMF` for in-fiber speeds.
+    convention; set the fiber's group index (about 1.468 for single-mode
+    fiber at 810 nm) for in-fiber speeds.
     """
 
     aperture_width: float = 1e-3

@@ -118,7 +118,7 @@ class RunPlan(Record):
             )
         # The largest sub-run is the ungated luminosity run: no gate and no
         # polarizer stops a pair, so no other run fires more.
-        [(_, law)] = self.stream(rotation=False, polarized=False)
+        [(_, law)] = self.stream(rotation=False)
         events = self.integration_time * law[0]
         if events > MAX_RUN_EVENTS:
             raise ValueError(
@@ -126,14 +126,17 @@ class RunPlan(Record):
                 f"more than the limit of {MAX_RUN_EVENTS:g}"
             )
 
-    def stream(self, alice_angle=0.0, bob_angle=0.0, rotation=None, polarized=True, source=True):
+    def stream(self, alice_angle=None, bob_angle=None, rotation=None, source=True):
         """What one sub-run draws: ``(GateState, law)`` pieces tiling the
         gate period, each law (:meth:`DetectorConfig.stream_law`) constant
         on its piece.  With the mirror rotating they are :attr:`pieces`,
         neighbours with equal laws merged at the plan's cut (so merged open
         pieces are :attr:`gate`); with it stopped the line of sight is
         permanent and one piece spans the period, every emission informed.
-        The arguments are :func:`~bellgate.runner.run_setting`'s.
+        The arguments are :func:`~bellgate.runner.run_setting`'s; both
+        angles None (the default) take the polarizers out of the path, so
+        every pair goes on to the gate whatever the model: the luminosity
+        stream.
         """
         det, period = self.detector, self.gate.gate_period
         pair_rate = self.pair_rate if source else 0.0
@@ -141,7 +144,7 @@ class RunPlan(Record):
         def law(model):  # None: the closed stretch, which holds darks alone
             if model is None:
                 return det.stream_law(NO_POLARIZERS, 0.0)
-            if not polarized:
+            if alice_angle is None and bob_angle is None:
                 return det.stream_law(NO_POLARIZERS, pair_rate)
             return det.stream_law(joint_probabilities(model, alice_angle, bob_angle)[:3], pair_rate)
 

@@ -116,22 +116,21 @@ def _time_slices(duration: float, event_rate: float):
 
 def run_setting(
     plan: RunPlan,
-    alice_angle: float,
-    bob_angle: float,
+    alice_angle: float | None,
+    bob_angle: float | None,
     rng,
     rotation: bool | None = None,
-    polarized: bool = True,
     source: bool = True,
 ) -> CountRecord:
     """One counting run at a fixed polarizer setting.
 
-    ``polarized=False`` removes the polarizers from the path (luminosity
+    Both angles None remove the polarizers from the path (luminosity
     and calibration runs): every photon pair continues to the gate.
     ``source=False`` turns the source off, leaving the darks alone.  One
     piece of :meth:`~bellgate.config.RunPlan.stream` is counted by its
     close pairs, several are drawn slice by slice.
     """
-    pieces = plan.stream(alice_angle, bob_angle, rotation, polarized, source)
+    pieces = plan.stream(alice_angle, bob_angle, rotation, source)
     window, duration = plan.detector.coincidence_window, plan.integration_time
     if len(pieces) == 1:
         return _count_homogeneous(pieces[0][1], window, duration, rng)
@@ -327,13 +326,16 @@ def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:
 def run_degradation(plan: RunPlan) -> tuple[list[CountRecord], DegradationResult]:
     """Polarizer-free luminosity runs: dark only, gate off, gate on.
 
+    Each is a :func:`run_setting` with both angles None; only the gate
+    on run has the mirror rotating, and the dark run has the source off.
     Returns the three records in :data:`DEGRADATION_LABELS` order plus
     the dark-subtracted with/without rotation ratios.
     """
     records = []
     for label in DEGRADATION_LABELS:
         rng = np.random.default_rng(derive_seed(plan.seed, "degradation", label))
-        source, gated = label != "dark", label == "with_rotation"
-        records.append(run_setting(plan, 0.0, 0.0, rng, gated, polarized=False, source=source))
+        records.append(
+            run_setting(plan, None, None, rng, label == "with_rotation", source=label != "dark")
+        )
     ratios = degradation_ratio(records[2], records[1], records[0])
     return records, ratios

@@ -103,15 +103,17 @@ def dark_times(rate: float, duration: float, rng) -> np.ndarray:
     return rng.random(n) * duration
 
 
-def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None, polarized=True):
+def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None):
     """(coincidences, singles_alice, singles_bob) of one run, pair by pair.
 
+    Both angles None take the polarizers out: every pair passes them.
     Pairs are gated at their slit arrival, one fiber delay after
     emission, against the slits' gate, window 0 opening at 0.
     """
     geometry = gate_geometry(validate_config(plan.apparatus))
     det = plan.detector
     duration = plan.integration_time
+    polarized = (alice_angle, bob_angle) != (None, None)
     if rotation is None:
         rotation = plan.rotation
     gate = GateState.from_geometry(geometry) if rotation else None

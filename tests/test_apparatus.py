@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bellgate.apparatus import (
-    FIBER_GROUP_INDEX_SMF,
     ApparatusConfig,
     ValidationError,
     gate_geometry,
@@ -19,6 +18,7 @@ DUTY = 0.015915494309189534
 GATE_PERIOD = 2.9411764705882354e-05
 FIBER_DELAY = 6.671114076050701e-07
 FLIGHT = 140.33721158514768
+SMF_GROUP_INDEX = 1.468  # single-mode fiber at 810 nm
 
 
 def test_reference_bench_is_valid(bench):
@@ -124,11 +124,11 @@ def test_gate_geometry_reference_bench(bench_geometry):
 
 
 def test_gate_geometry_with_fiber_group_index(bench):
-    cfg = replace(bench, fiber_group_index=FIBER_GROUP_INDEX_SMF)
+    cfg = replace(bench, fiber_group_index=SMF_GROUP_INDEX)
     geom = gate_geometry(cfg)
-    assert geom.fiber_delay == pytest.approx(FIBER_DELAY * FIBER_GROUP_INDEX_SMF, rel=1e-12)
+    assert geom.fiber_delay == pytest.approx(FIBER_DELAY * SMF_GROUP_INDEX, rel=1e-12)
     assert geom.flight_distance_during_gate == pytest.approx(
-        FLIGHT / FIBER_GROUP_INDEX_SMF, rel=1e-12
+        FLIGHT / SMF_GROUP_INDEX, rel=1e-12
     )
     # dimensionless quantities do not depend on the index
     assert geom.duty_cycle == pytest.approx(DUTY, rel=1e-12)

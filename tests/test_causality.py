@@ -321,7 +321,7 @@ def test_plan_pieces_agree_with_the_causality_report(speed):
     assert plan.stream(0.0, 22.5, rotation=False) == ((whole, law(model.base)),)
     # Without polarizers the model does not matter: the open pieces merge.
     open_law = det.stream_law(NO_POLARIZERS, rate)
-    assert plan.stream(polarized=False) == quantum.stream(polarized=False) == (
+    assert plan.stream() == quantum.stream() == (
         (gate, open_law),
         (GateState(period, period - width, width), dark),
     )

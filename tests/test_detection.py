@@ -382,9 +382,7 @@ def test_dark_only_run_over_many_slices_has_the_accidental_rate():
         efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=1e5, dark_rate_bob=1e5
     )
     plan = RunPlan(ApparatusConfig(), det, MalusLHV(), pair_rate=1.0, integration_time=3.0)
-    record = run_setting(
-        plan, 0.0, 0.0, np.random.default_rng(14), rotation=False, polarized=False, source=False
-    )
+    record = run_setting(plan, None, None, np.random.default_rng(14), rotation=False, source=False)
     for singles in (record.singles_alice, record.singles_bob):
         assert abs(singles - 3e5) < 4 * math.sqrt(3e5)
     accidentals = 2 * det.coincidence_window * 1e5 * 1e5 * 3.0  # 1200

@@ -45,34 +45,37 @@ RESONANT_SPEED = resonant_influence_speeds(
 LATE_SPEED = speed_at_pass_fraction(APPARATUS, 0.25, early=False)
 EARLY_SPEED = speed_at_pass_fraction(APPARATUS, 0.75, early=True)
 
-# name -> (model, rotation, polarized)
+# (0, 22.5) has correlation kernel cos 45 deg, so the polarizers matter;
+# (None, None) takes them out.
+POLARIZED, OUT = (0.0, 22.5), (None, None)
+# name -> (model, rotation, polarizer angles)
 CASES = {
-    "gated_polarized": (QuantumState("mirrored", 0.82), True, True),
-    "ungated_polarized": (QuantumState("mirrored", 0.82), False, True),
-    "gated_luminosity": (QuantumState("mirrored", 0.82), True, False),
-    "gated_threshold": (ThresholdLHV(), True, True),
+    "gated_polarized": (QuantumState("mirrored", 0.82), True, POLARIZED),
+    "ungated_polarized": (QuantumState("mirrored", 0.82), False, POLARIZED),
+    "gated_luminosity": (QuantumState("mirrored", 0.82), True, OUT),
+    "gated_threshold": (ThresholdLHV(), True, POLARIZED),
     "traveling_resonant": (
         TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), RESONANT_SPEED),
         True,
-        True,
+        POLARIZED,
     ),
     "traveling_late": (
         TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), LATE_SPEED),
         True,
-        True,
+        POLARIZED,
     ),
     "traveling_early": (
         TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), EARLY_SPEED),
         True,
-        True,
+        POLARIZED,
     ),
     "ungated_traveling": (
         TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), RESONANT_SPEED),
         False,
-        True,
+        POLARIZED,
     ),
-    "ungated_clustered": (QuantumState("mirrored", 0.82), False, True),
-    "ungated_crowded": (QuantumState("mirrored", 0.82), False, False),
+    "ungated_clustered": (QuantumState("mirrored", 0.82), False, POLARIZED),
+    "ungated_crowded": (QuantumState("mirrored", 0.82), False, OUT),
 }
 # name -> (pair rate, alice and bob dark rates, integration time) where
 # not 2e4, DETECTOR's and 0.3.  The ungated cases above see about 2e-4
@@ -96,7 +99,7 @@ def _two_sided_p(z: float) -> float:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_candidate_path_matches_event_level_oracle(case):
-    model, rotation, polarized = CASES[case]
+    model, rotation, angles = CASES[case]
     pair_rate, (dark_alice, dark_bob), duration = RATES.get(
         case, (2e4, (DETECTOR.dark_rate_alice, DETECTOR.dark_rate_bob), 0.3)
     )
@@ -114,20 +117,11 @@ def test_candidate_path_matches_event_level_oracle(case):
     # without it would show in the traveling rows.
     phase, period = plan.geometry.fiber_delay % plan.gate.gate_period, plan.gate.gate_period
     assert min(phase, period - phase) > 0.1 * plan.gate.aperture_time
-    # (0, 22.5) has correlation kernel cos 45 deg, so the polarizers matter.
     oracle = np.array(
-        [
-            event_level_counts(
-                plan, 0.0, 22.5, np.random.default_rng([seed, 0]), polarized=polarized
-            )
-            for seed in SEEDS
-        ],
+        [event_level_counts(plan, *angles, np.random.default_rng([seed, 0])) for seed in SEEDS],
         dtype=float,
     )
-    records = [
-        run_setting(plan, 0.0, 22.5, np.random.default_rng([seed, 1]), polarized=polarized)
-        for seed in SEEDS
-    ]
+    records = [run_setting(plan, *angles, np.random.default_rng([seed, 1])) for seed in SEEDS]
     candidate = np.array(
         [[getattr(record, name) for name in QUANTITIES] for record in records], dtype=float
     )

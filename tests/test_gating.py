@@ -108,7 +108,7 @@ def test_pairs_survive_or_drop_atomically(bench):
         pair_rate=2e5,
         integration_time=1.0,
     )
-    record = run_setting(plan, 0.0, 0.0, np.random.default_rng(42), polarized=False)
+    record = run_setting(plan, None, None, np.random.default_rng(42))
     assert record.coincidences == record.singles_alice == record.singles_bob
     assert abs(record.coincidences - 2e5 * DUTY) < 5 * math.sqrt(2e5 * DUTY)
 
@@ -386,6 +386,6 @@ def test_dark_only_run_raises_no_warning(darks, rotation):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         rng = np.random.default_rng(4)
-        record = run_setting(plan, 0.0, 0.0, rng, rotation, polarized=False, source=False)
+        record = run_setting(plan, None, None, rng, rotation, source=False)
     for singles, rate in ((record.singles_alice, darks), (record.singles_bob, darks / 2)):
         assert abs(singles - 0.5 * rate) <= 4 * math.sqrt(max(0.5 * rate, 1.0))

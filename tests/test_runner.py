@@ -45,6 +45,7 @@ from bellgate.sources import (
     NO_POLARIZERS,
     MalusLHV,
     QuantumState,
+    ThresholdLHV,
     TravelingInfluence,
     correlation_theory,
     joint_probabilities,
@@ -165,7 +166,7 @@ def test_run_size_refusal_reads_the_luminosity_stream(model):
     # stream's intensity times the integration time, with MAX_RUN_EVENTS.
     detector = replace(PERFECT, efficiency_bob=0.3, dark_rate_alice=7.0, dark_rate_bob=3.0)
     plan = replace(quick_plan(model, pair_rate=1e6), detector=detector)
-    [(gate, law)] = plan.stream(rotation=False, polarized=False)
+    [(gate, law)] = plan.stream(rotation=False)
     assert gate == GateState(plan.gate.gate_period, plan.gate.gate_period)
     assert law[0] == 7.0 + 1e6 * detector.fire_probability(NO_POLARIZERS) + 3.0
     limit = MAX_RUN_EVENTS / law[0]
@@ -271,9 +272,7 @@ def test_time_slices_with_no_events_make_one_slice():
 def test_dark_only_run_without_darks_counts_nothing():
     plan = quick_plan(MalusLHV(), integration_time=5.0)
     for rotation in (False, True):
-        record = run_setting(
-            plan, 0.0, 0.0, np.random.default_rng(1), rotation, polarized=False, source=False
-        )
+        record = run_setting(plan, None, None, np.random.default_rng(1), rotation, source=False)
         assert record == CountRecord(0, 0, 0, 5.0)
 
 
@@ -651,7 +650,7 @@ def test_mirror_stopped_run_at_one_entry_in_1e20_windows():
         warnings.simplefilter("error")
         for seed in range(1000):
             rng = np.random.default_rng(seed)
-            record = run_setting(plan, 0.0, 0.0, rng, polarized=False, source=False)
+            record = run_setting(plan, None, None, rng, source=False)
             assert record.coincidences == 0
             totals.append(record.singles_alice + record.singles_bob)
     totals = np.array(totals)
@@ -785,9 +784,9 @@ def test_mirror_stopped_run_draws_only_the_steps_it_expects():
     # to a full block.
     plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
     plan = replace(plan, rotation=False, integration_time=1.0)
-    for polarized in (True, False):
+    for angles in ((0.0, 22.5), (None, None)):
         rng = _CountedSteps(5)
-        record = run_setting(plan, 0.0, 22.5, rng, polarized=polarized)
+        record = run_setting(plan, *angles, rng)
         assert record.singles_alice > 0
         assert 0 < sum(rng.blocks) < _BLOCK_STEPS, rng.blocks
 
@@ -1014,6 +1013,31 @@ def test_traveling_influence_without_rotation_all_informed():
     plan = quick_plan(model, pair_rate=30000.0, seed=98)
     _, result = run_chsh(plan)
     assert result.S == pytest.approx(2 * math.sqrt(2), abs=5 * result.S_sigma)
+
+
+# (rotation, source) of the three luminosity sub-runs: gate on, gate off, dark
+LUMINOSITY_RUNS = ((True, True), (False, True), (False, False))
+
+
+@pytest.mark.parametrize("name", ["demo.json", "reference_bench.json"])
+@pytest.mark.parametrize("model", ["bundled", "malus", "threshold", "instant", "partial"])
+def test_luminosity_streams_do_not_depend_on_the_model(name, model):
+    # With the polarizers out every pair goes on to the gate whatever the
+    # model, so each luminosity sub-run draws the bundled plan's stream.
+    plan = build_plan(json.loads(fixture_path(name).read_text()))
+    fiber = plan.apparatus.fiber_length
+    first = resonant_influence_speeds(plan.geometry, fiber, LIGHT_SPEED_VACUUM, 1)[0]
+    models = {
+        "bundled": plan.model,
+        "malus": MalusLHV(),
+        "threshold": ThresholdLHV(),
+        "instant": TravelingInfluence(plan.model, MalusLHV(), math.inf),
+        "partial": TravelingInfluence(plan.model, MalusLHV(), (first.low + first.center) / 2),
+    }
+    other = replace(plan, model=models[model])
+    for rotation, source in LUMINOSITY_RUNS:
+        expected = plan.stream(None, None, rotation, source)
+        assert other.stream(None, None, rotation, source) == expected, (rotation, source)
 
 
 def test_partially_informed_luminosity_runs_are_the_base_models():
