@@ -136,15 +136,21 @@ class RunPlan(Record):
         The arguments are :func:`~bellgate.runner.run_setting`'s; both
         angles None (the default) take the polarizers out of the path, so
         every pair goes on to the gate whatever the model: the luminosity
-        stream.
+        stream.  One angle None (one polarizer out) raises ValueError: no
+        model gives that run its joint law yet.
         """
+        if (alice_angle is None) != (bob_angle is None):
+            raise ValueError(
+                f"one polarizer out (angles {alice_angle}, {bob_angle}) has no joint law: "
+                "give both angles, or None for both to take both polarizers out"
+            )
         det, period = self.detector, self.gate.gate_period
         pair_rate = self.pair_rate if source else 0.0
 
         def law(model):  # None: the closed stretch, which holds darks alone
             if model is None:
                 return det.stream_law(NO_POLARIZERS, 0.0)
-            if alice_angle is None and bob_angle is None:
+            if alice_angle is None:
                 return det.stream_law(NO_POLARIZERS, pair_rate)
             return det.stream_law(joint_probabilities(model, alice_angle, bob_angle)[:3], pair_rate)
 

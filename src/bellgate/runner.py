@@ -39,8 +39,8 @@ time order.  One piece spanning the period (the mirror stopped: the
 dark and gate-off luminosity runs, and every run of a scan with
 ``rotation`` false) is a stream of constant intensity, and
 :func:`_count_homogeneous` places only the entries within a window of a
-neighbour, which are all that the matcher can pair, and counts the
-isolated rest by one multinomial over the same law.
+neighbour before the run's end, which are all that the matcher can pair,
+and counts the isolated rest by one multinomial over the same law.
 
 Either way one counter, :func:`_count`, counts the tagged stream piece by
 piece, in time order, as a time tagger records it: a gated run hands it
@@ -180,6 +180,12 @@ def _count_homogeneous(law, window, duration, rng) -> CountRecord:
     [0, window).  A step places the entry that ends its short gap and,
     if m > 0, the one that starts it, after m - 1 isolated entries.
 
+    The run ends inside one step, in its long run or in the short gap
+    after it, and every entry of that long run before the end is
+    isolated: its one close neighbour, if any, lies past the end.  So a
+    run places only its whole steps' entries, and :func:`_entries_before`
+    counts the rest.
+
     Steps are drawn in blocks of as many as the rest of the run expects,
     and one more, at most ``_BLOCK_STEPS``: block edges only group
     independent steps, so they change no law.  Each block's placed
@@ -197,14 +203,14 @@ def _count_homogeneous(law, window, duration, rng) -> CountRecord:
 
     def placed():
         nonlocal isolated
-        last = 0.0  # the entry that ends the last step drawn
         # Below 1e-100 entries per window, a run holds a close pair with
         # probability under 1e-90 and its long runs overflow float: every
         # entry is isolated.
-        done = short_p < 1e-100
-        if done:
+        if short_p < 1e-100:
             isolated = int(rng.poisson(rate * duration))
-        while not done:
+            return
+        last = 0.0  # the entry that ends the last step drawn
+        while last < duration:
             # The steps the rest of the run expects, and one more for its end.
             n = min(_BLOCK_STEPS, math.ceil(rate * (duration - last) * short_p) + 1)
             longs = np.floor(rng.standard_exponential(n) / (rate * window))
@@ -215,22 +221,15 @@ def _count_homogeneous(law, window, duration, rng) -> CountRecord:
             steps = np.column_stack([longs * window + excess / rate, shorts]).ravel()
             points = np.cumsum(np.concatenate([[last], steps]))[1:].reshape(n, 2)
             full = int(np.searchsorted(points[:, 1], duration))  # steps ending before the end
-            keep = np.column_stack([longs > 0, np.ones(n, dtype=bool)])
-            keep[full:] = False
+            keep = np.column_stack([longs[:full] > 0, np.ones(full, dtype=bool)])
             isolated += int(np.maximum(longs[:full] - 1.0, 0.0).sum())
-            done = full < n
-            if done:
-                # The run ends in step ``full``: in its short gap, or in its long run.
+            if full < n:
+                # The run ends in step ``full``: its long run's entries before
+                # the end are isolated, all of them if it ends in the short gap.
                 room = duration - (points[full - 1, 1] if full else last)
-                count = int(longs[full])
-                if points[full, 0] < duration:
-                    keep[full, 0] = count > 0
-                    isolated += max(count - 1, 0)
-                else:
-                    isolated += _entries_before(room, count, excess[full], rate, window, rng)
-            else:
-                last = float(points[-1, 1])
-            times = points[keep]
+                isolated += _entries_before(room, int(longs[full]), excess[full], rate, window, rng)
+            last = float(points[-1, 1])
+            times = points[:full][keep]
             yield times, detection_pattern(times.size, law, rng)
 
     record = _count(placed(), window, duration)
@@ -247,15 +246,17 @@ def _entries_before(
     room: float, count: int, excess: float, rate: float, window: float, rng
 ) -> int:
     """How many of the ``count`` entries that long gaps put after an entry
-    lie less than ``room`` after it, given that the last does not.
+    lie less than ``room`` after it.
 
     Entry i lies i*window + excess*B_i/rate after the first, where
     ``excess`` is the gaps' Gamma(count) total excess over the window and
-    B_i the share of it that the first i gaps hold.  Between B_lo and
-    B_hi, B_mid is B_lo + (B_hi - B_lo)*Beta(mid - lo, hi - mid) (the
-    Dirichlet bridge), so bisection finds the count with O(log count)
-    Beta draws.
+    B_i the share of it that the first i gaps hold.  If the last lies
+    before ``room``, all of them do.  Otherwise, between B_lo and B_hi,
+    B_mid is B_lo + (B_hi - B_lo)*Beta(mid - lo, hi - mid) (the Dirichlet
+    bridge), so bisection finds the count with O(log count) Beta draws.
     """
+    if count * window + excess / rate < room:
+        return count
     lo, hi, share_lo, share_hi = 0, count, 0.0, 1.0
     while hi - lo > 1:
         mid = (lo + hi) // 2

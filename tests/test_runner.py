@@ -544,6 +544,19 @@ def _count_stopped(det, joint, pair_rate, duration, rng):
     return _count_homogeneous(law, det.coincidence_window, duration, rng)
 
 
+def _placed_pieces(monkeypatch, det, joint, pair_rate, duration, rng):
+    """The record of a mirror-stopped run and the pieces of placed entries
+    that it hands :func:`~bellgate.runner._count`."""
+    seen = []
+
+    def count(pieces, window, duration):
+        seen.extend(pieces)
+        return _count(iter(seen), window, duration)
+
+    monkeypatch.setattr(runner, "_count", count)
+    return _count_stopped(det, joint, pair_rate, duration, rng), seen
+
+
 def _placed_counts(det, pair_rate, duration, rng):
     """(singles_alice, singles_bob, coincidences) of the same run with every
     entry placed: a Poisson count of sorted uniforms, marked and matched whole."""
@@ -584,19 +597,24 @@ def _same_distribution(x, y, alpha):
 
 
 @pytest.mark.parametrize("regime", sorted(STOPPED_REGIMES))
-def test_mirror_stopped_count_matches_the_fully_placed_stream(regime):
+def test_mirror_stopped_count_matches_the_fully_placed_stream(monkeypatch, regime):
     per_window, entries = STOPPED_REGIMES[regime]
     det, pair_rate = _stopped_detector(per_window / STOPPED_WINDOW)
     duration = entries * STOPPED_WINDOW / per_window
-    placed, counted = [], []
+    placed, counted, lonely = [], [], 0
     for seed in STOPPED_SEEDS:
         rng = np.random.default_rng([seed, 0])
         placed.append(_placed_counts(det, pair_rate, duration, rng))
         rng = np.random.default_rng([seed, 1])
-        record = _count_stopped(det, STOPPED_JOINT, pair_rate, duration, rng)
+        record, pieces = _placed_pieces(monkeypatch, det, STOPPED_JOINT, pair_rate, duration, rng)
         counted.append(_counts(record))
+        # Every entry the run places but its first (whose short gap may
+        # start at time 0, where no entry is) lies within a window of another.
+        close = np.diff(np.concatenate([times for times, _ in pieces])) < STOPPED_WINDOW
+        lonely += int(np.count_nonzero(~(close | np.append(close[1:], False))))
     for column in range(3):
         _same_distribution(np.array(placed)[:, column], np.array(counted)[:, column], STOPPED_ALPHA)
+    assert lonely == 0
 
 
 def test_mirror_stopped_run_ending_before_its_first_entry():
@@ -724,6 +742,17 @@ def test_mirror_stopped_run_counts_the_entries_before_its_end(end):
     assert record == CountRecord(entries, 0, 0, duration)
 
 
+def test_mirror_stopped_run_places_no_entry_past_its_last_close_pair(monkeypatch):
+    # The run ends in the short gap from 2.4 to 2.7: the entry at 2.4 has a
+    # long gap before it and its only close neighbour past the end, so it is
+    # counted with the isolated entries, and still fires both arms.
+    det = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=0.5)
+    steps = _ScriptedSteps([(3, 0.9, 0.3)])
+    record, pieces = _placed_pieces(monkeypatch, det, NO_POLARIZERS, 1.0, 2.5, steps)
+    assert sum(times.size for times, _ in pieces) == 0
+    assert record == CountRecord(3, 3, 3, 2.5)
+
+
 def test_mirror_stopped_count_in_pieces_equals_one_match(monkeypatch):
     # About one entry per window over several blocks: the open cluster is
     # carried from piece to piece, so the pieces' counts must add up to
@@ -762,16 +791,9 @@ def test_mirror_stopped_pieces_come_in_time_order(monkeypatch):
     # Each block is one piece, and no entry of a piece is earlier than an
     # entry of the piece before.
     det, pair_rate = _stopped_detector(1 / 64 / STOPPED_WINDOW)
-    seen = []
-
-    def count(pieces, window, duration):
-        seen.extend(pieces)
-        return _count(iter(seen), window, duration)
-
-    monkeypatch.setattr(runner, "_count", count)
     duration = 2.5 * _BLOCK_STEPS * 64 * 64 * STOPPED_WINDOW  # 64 entries a step
     rng = _CountedSteps(3)
-    _count_stopped(det, STOPPED_JOINT, pair_rate, duration, rng)
+    _, seen = _placed_pieces(monkeypatch, det, STOPPED_JOINT, pair_rate, duration, rng)
     assert len(seen) == len(rng.blocks) >= 3
     assert rng.blocks[:2] == [_BLOCK_STEPS, _BLOCK_STEPS]
     times = np.concatenate([times for times, _ in seen])
@@ -1038,6 +1060,22 @@ def test_luminosity_streams_do_not_depend_on_the_model(name, model):
     for rotation, source in LUMINOSITY_RUNS:
         expected = plan.stream(None, None, rotation, source)
         assert other.stream(None, None, rotation, source) == expected, (rotation, source)
+
+
+def test_one_polarizer_out_is_refused():
+    # Both angles or neither may be None: no model gives one arm without
+    # its polarizer a joint law yet, so the plan refuses before it draws.
+    plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
+    rng = np.random.default_rng(0)
+    calls = (
+        lambda: plan.stream(None, 22.5),
+        lambda: plan.stream(0.0, None, rotation=False),
+        lambda: run_setting(plan, None, 22.5, rng),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="one polarizer out"):
+            call()
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_partially_informed_luminosity_runs_are_the_base_models():
