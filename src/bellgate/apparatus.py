@@ -104,18 +104,17 @@ class GateGeometry(Record):
 
 
 class GateState(Record):
-    """Periodic top-hat transmission window shared by both slits."""
+    """Periodic top-hat transmission window shared by both slits.
+
+    The slits' gate, window 0 opening at 0, is
+    ``GateState(geometry.gate_period, geometry.aperture_time)``, which
+    :func:`gate_geometry` has checked to close; the record itself checks
+    nothing, so a gate open over its whole period can be built directly.
+    """
 
     gate_period: float
     aperture_time: float
     phase_offset: float = 0.0  # time of the first window opening, s
-
-    @classmethod
-    def from_geometry(cls, geometry: GateGeometry) -> "GateState":
-        """The slits' gate, window 0 opening at 0; direct construction skips the check."""
-        if not geometry.aperture_time < geometry.gate_period:
-            raise ValidationError("aperture time must be shorter than the gate period")
-        return cls(geometry.gate_period, geometry.aperture_time)
 
 
 def validate_config(cfg: ApparatusConfig) -> ApparatusConfig:
@@ -160,7 +159,9 @@ def gate_geometry(cfg: ApparatusConfig) -> GateGeometry:
     :func:`validate_config` has checked.  Such finite inputs can still
     overflow or underflow (a rotation rate of 1e-320 gives an infinite
     gate period, one of 1e308 a zero one), so a zero or infinite aperture
-    time, gate period or fiber delay raises :class:`ValidationError`.
+    time, gate period or fiber delay raises :class:`ValidationError`.  So
+    does an aperture time that rounds to a gate period or more, as a slit
+    one float step narrower than a facet sweep can: that gate never closes.
     """
     sweep_speed = 2.0 * math.pi * cfg.mirror_radius * cfg.rotation_rate  # at the slit, m/s
     fiber_speed = cfg.vacuum_light_speed / cfg.fiber_group_index
@@ -176,4 +177,6 @@ def gate_geometry(cfg: ApparatusConfig) -> GateGeometry:
         value = getattr(geometry, name)
         if not 0 < value < math.inf:
             raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    if not geometry.aperture_time < geometry.gate_period:
+        raise ValidationError("aperture time must be shorter than the gate period")
     return geometry

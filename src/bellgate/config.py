@@ -48,15 +48,18 @@ MAX_RUN_EVENTS = 1e10
 class RunPlan(Record):
     """Everything needed to reproduce one simulated experiment.
 
-    ``__post_init__`` derives three attributes that are not fields:
+    ``__post_init__`` derives four attributes that are not fields:
     ``geometry``, the gate timing of ``apparatus``, derived once after
     validating it; ``gate``, the gate of every gated run: the slits'
-    gate, window 0 opening at 0, checked once; and ``pieces``,
-    ``(GateState, model)`` pairs whose windows tile the gate period and on
-    each of which a gated run's intensity and marks are constant: the
-    open window with the plan's model, cut for a ``TravelingInfluence``
-    where its informed window starts or ends into ``base`` and
-    ``uninformed`` parts, then the closed stretch with None (darks alone).
+    gate, window 0 opening at 0; ``pieces``, ``(GateState, model)`` pairs
+    whose windows tile the gate period and on each of which a gated run's
+    intensity and marks are constant; and ``informed``, the model every
+    emission follows with the mirror stopped.  One rule cuts the open
+    window: a ``TravelingInfluence`` informs the arrivals of its informed
+    window, which follow its ``base`` (also ``informed``), and the rest
+    follow ``uninformed``; any other model is its own ``base`` and
+    ``uninformed`` and informs nothing, so its open window is one piece.
+    The closed stretch follows with None (darks alone).
     Runs are timed on the slits' clock, the counting card's, so the fiber
     delay only places the informed window, and the causality report
     (:func:`~bellgate.causality.influence_window_analysis`) says where.
@@ -84,31 +87,31 @@ class RunPlan(Record):
             raise ValueError(f"unknown accidental convention {self.accidental_convention!r}")
         geometry = gate_geometry(validate_config(self.apparatus))
         object.__setattr__(self, "geometry", geometry)
-        # Every experiment includes a gated run; check its gate before any run.
-        gate = GateState.from_geometry(geometry)
-        object.__setattr__(self, "gate", gate)
-        period, width = gate.gate_period, gate.aperture_time
-        opened = [(0.0, width, self.model)]  # (start, end, model) from the window's opening
+        period, width = geometry.gate_period, geometry.aperture_time
+        object.__setattr__(self, "gate", GateState(period, width))
+        # Informed arrivals fill [start, width) and [0, end) of the open window;
+        # a model that informs nothing has the cut (width, 0.0) and one piece.
+        base = uninformed = self.model
+        start, end = width, 0.0
         if isinstance(self.model, TravelingInfluence):
             # The report places the informed window, refusing one too late for
             # float precision to resolve: in the open window it opens at start
             # or, opened a period earlier, closes at end (both if open over
             # half the time).  Its photon speed is the one gate_geometry
             # divides the fiber length by, so the offset is the plan's.
+            base, uninformed = self.model.base, self.model.uninformed
             light, index = self.apparatus.vacuum_light_speed, self.apparatus.fiber_group_index
             start, end = influence_window_analysis(
                 geometry, self.apparatus.fiber_length, self.model.influence_speed, light / index
             ).informed_cut
-            cuts = sorted({0.0, start, end, width})
-            opened = [
-                (lo, hi, self.model.base if lo < end or lo >= start else self.model.uninformed)
-                for lo, hi in zip(cuts, cuts[1:])
-            ]
-        pieces = tuple(
-            (GateState(period, hi - lo, lo), model)
-            for lo, hi, model in [*opened, (width, period, None)]
+        object.__setattr__(self, "informed", base)
+        cuts = sorted({0.0, start, end, width})
+        opened = tuple(
+            (GateState(period, hi - lo, lo), base if lo < end or lo >= start else uninformed)
+            for lo, hi in zip(cuts, cuts[1:])
         )
-        object.__setattr__(self, "pieces", pieces)
+        closed = (GateState(period, period - width, width), None)  # darks alone
+        object.__setattr__(self, "pieces", (*opened, closed))
         # A window as long as the gate period reaches into the next gate
         # opening and pairs detections that no single opening let through.
         if not self.detector.coincidence_window < geometry.gate_period:
@@ -129,10 +132,13 @@ class RunPlan(Record):
     def stream(self, alice_angle=None, bob_angle=None, rotation=None, source=True):
         """What one sub-run draws: ``(GateState, law)`` pieces tiling the
         gate period, each law (:meth:`DetectorConfig.stream_law`) constant
-        on its piece.  With the mirror rotating they are :attr:`pieces`,
-        neighbours with equal laws merged at the plan's cut (so merged open
-        pieces are :attr:`gate`); with it stopped the line of sight is
-        permanent and one piece spans the period, every emission informed.
+        on its piece.  With the mirror rotating the partition is
+        :attr:`pieces`; with it stopped the line of sight is permanent and
+        one piece spans the period with :attr:`informed`.  Each piece's law
+        is one rule: no polarizers for the closed stretch or both angles
+        None, the model's joint law otherwise, and the pair rate on an open
+        piece of a run with the source on.  Neighbours with equal laws
+        merge at the plan's cut (so merged open pieces are :attr:`gate`).
         The arguments are :func:`~bellgate.runner.run_setting`'s; both
         angles None (the default) take the polarizers out of the path, so
         every pair goes on to the gate whatever the model: the luminosity
@@ -144,22 +150,16 @@ class RunPlan(Record):
                 f"one polarizer out (angles {alice_angle}, {bob_angle}) has no joint law: "
                 "give both angles, or None for both to take both polarizers out"
             )
-        det, period = self.detector, self.gate.gate_period
-        pair_rate = self.pair_rate if source else 0.0
-
-        def law(model):  # None: the closed stretch, which holds darks alone
-            if model is None:
-                return det.stream_law(NO_POLARIZERS, 0.0)
-            if alice_angle is None:
-                return det.stream_law(NO_POLARIZERS, pair_rate)
-            return det.stream_law(joint_probabilities(model, alice_angle, bob_angle)[:3], pair_rate)
-
-        if not (self.rotation if rotation is None else rotation):
-            model = self.model.base if isinstance(self.model, TravelingInfluence) else self.model
-            return ((GateState(period, period), law(model)),)
+        period = self.gate.gate_period
+        rotating = self.rotation if rotation is None else rotation
+        partition = self.pieces if rotating else ((GateState(period, period), self.informed),)
         starts, laws = [], []
-        for gate, model in self.pieces:
-            piece_law = law(model)
+        for gate, model in partition:  # model None: the closed stretch, darks alone
+            joint = NO_POLARIZERS
+            if model is not None and alice_angle is not None:
+                joint = joint_probabilities(model, alice_angle, bob_angle)[:3]
+            pair_rate = self.pair_rate if source and model is not None else 0.0
+            piece_law = self.detector.stream_law(joint, pair_rate)
             if piece_law not in laws[-1:]:
                 starts.append(gate.phase_offset)
                 laws.append(piece_law)

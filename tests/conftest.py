@@ -8,7 +8,7 @@ from bellgate.detection import ALICE, BOB
 from bellgate.runner import _time_slices
 from bellgate.sources import joint_probabilities
 
-# A gate with no closed time: built directly, as from_geometry refuses it.
+# A gate with no closed time: built directly, as gate_geometry refuses its timing.
 ALWAYS_OPEN = GateState(gate_period=1.0, aperture_time=1.0)
 
 

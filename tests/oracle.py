@@ -116,7 +116,7 @@ def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None):
     polarized = (alice_angle, bob_angle) != (None, None)
     if rotation is None:
         rotation = plan.rotation
-    gate = GateState.from_geometry(geometry) if rotation else None
+    gate = GateState(geometry.gate_period, geometry.aperture_time) if rotation else None
     influence_gate = None
     if polarized and isinstance(plan.model, TravelingInfluence) and gate is not None:
         delay = (

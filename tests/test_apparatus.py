@@ -99,10 +99,18 @@ def test_duty_cycle_reference_bench(bench):
 
 
 def test_duty_cycle_full_duty_boundary():
-    # Degenerate always-open geometry; deliberately skips validate_config,
-    # which rejects apertures at or beyond one facet sweep.
+    # An always-open gate, its aperture one facet sweep; deliberately skips
+    # validate_config, which rejects apertures at or beyond one facet sweep.
     cfg = ApparatusConfig(aperture_width=2 * math.pi * 0.5, mirror_radius=0.5, facet_count=1)
-    assert gate_geometry(cfg).duty_cycle == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ValidationError, match="aperture time must be shorter than the gate period"):
+        gate_geometry(cfg)
+
+
+def test_gate_geometry_refuses_an_aperture_longer_than_the_period():
+    # Two facet sweeps: each window would outlast the gate period.
+    cfg = ApparatusConfig(aperture_width=4 * math.pi * 0.5, mirror_radius=0.5, facet_count=1)
+    with pytest.raises(ValidationError, match="aperture time must be shorter than the gate period"):
+        gate_geometry(cfg)
 
 
 def test_duty_cycle_equals_aperture_time_times_sweep_rate(bench):

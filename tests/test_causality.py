@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bellgate.apparatus import GateGeometry, GateState, LIGHT_SPEED_VACUUM
+from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.config import build_plan
 from bellgate.fixtures import fixture_path
@@ -15,6 +16,7 @@ from bellgate.sources import (
     NO_POLARIZERS,
     MalusLHV,
     QuantumState,
+    ThresholdLHV,
     TravelingInfluence,
     joint_probabilities,
 )
@@ -261,7 +263,7 @@ def test_plan_pieces_agree_with_the_causality_report(speed):
         )
     model = TravelingInfluence(QuantumState(), MalusLHV(), value)
     quantum, plan = replace(plan, model=QuantumState()), replace(plan, model=model)
-    assert plan.gate == GateState.from_geometry(plan.geometry)
+    assert plan.gate == GateState(plan.geometry.gate_period, plan.geometry.aperture_time)
     report = influence_window_analysis(plan.geometry, apparatus.fiber_length, value, photon_speed)
     period, width = gate.gate_period, gate.aperture_time
     # Informed pairs reach the slits one influence transit plus one fiber
@@ -327,6 +329,31 @@ def test_plan_pieces_agree_with_the_causality_report(speed):
     )
     # With the source off only the darks are left, the same on every piece.
     assert plan.stream(0.0, 22.5, source=False) == ((whole, dark),)
+
+
+@pytest.mark.parametrize("speed", ["instant", "center", "partial"])
+@pytest.mark.parametrize(
+    "model", [QuantumState(visibility=0.82), MalusLHV(), ThresholdLHV()], ids=type
+)
+def test_a_model_that_informs_nothing_is_a_traveling_cut_of_itself(model, speed):
+    # One rule cuts every plan's open window: a plain model is a traveling
+    # one whose base and uninformed parts are both that model, so wherever
+    # the informed window falls (missing the open window, covering it, or
+    # covering part of it) the traveling plan draws the plain plan's streams.
+    plan = replace(build_plan(json.loads(fixture_path("demo.json").read_text())), model=model)
+    apparatus = plan.apparatus
+    photon_speed = apparatus.vacuum_light_speed / apparatus.fiber_group_index
+    first = resonant_influence_speeds(plan.geometry, apparatus.fiber_length, photon_speed, 1)[0]
+    value = {"instant": INSTANTANEOUS, "center": first.center}.get(
+        speed, (first.low + first.center) / 2
+    )
+    traveling = replace(plan, model=TravelingInfluence(model, model, value))
+    assert traveling.informed is traveling.model.base and plan.informed is plan.model
+    for angles in [(None, None), *((a, b) for a in ALICE_ANGLES for b in BOB_ANGLES)]:
+        for rotation in (None, False):
+            for source in (True, False):
+                args = (*angles, rotation, source)
+                assert traveling.stream(*args) == plan.stream(*args), args
 
 
 def test_plan_draws_the_informed_share_the_report_gives():

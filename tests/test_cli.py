@@ -87,6 +87,30 @@ def test_geometry_rejects_fractional_facet_count(capsys):
     assert "2.941176e-05" in capsys.readouterr().out
 
 
+# A slit one float step narrower than a facet sweep: validate_config passes
+# it, but its aperture time rounds to the gate period, so the gate never closes.
+NEVER_CLOSES = [
+    "--set", "apparatus.mirror_radius=0.1", "--set", "apparatus.facet_count=100",
+    "--set", "apparatus.rotation_rate=333",
+    "--set", "apparatus.aperture_width=0.006283185307179586",
+]
+
+
+@pytest.mark.parametrize(
+    "command", [["geometry"], ["causality", "--speed", "instant"], ["simulate"]], ids=lambda c: c[0]
+)
+def test_every_command_refuses_a_gate_that_never_closes(tmp_path, capsys, command):
+    # geometry once printed duty_cycle 1.000000 and causality a pass
+    # fraction of 1, both with exit 0, where simulate exited 1
+    out = tmp_path / "o"
+    args = ["--config", str(fixture_path("demo.json")), *NEVER_CLOSES]
+    if command == ["simulate"]:
+        args += ["--out", str(out)]
+    assert main([*command, *args]) == 1
+    assert capsys.readouterr().err == "error: aperture time must be shorter than the gate period\n"
+    assert not out.exists()
+
+
 def test_config_file_refuses_a_repeated_key(tmp_path, capsys):
     # json keeps the last of two equal keys: this printed the 2e-3 timing, exit 0
     path = tmp_path / "config.json"

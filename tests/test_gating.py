@@ -5,13 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellgate.apparatus import (
-    ApparatusConfig,
-    DetectorConfig,
-    GateGeometry,
-    GateState,
-    ValidationError,
-)
+from bellgate.apparatus import ApparatusConfig, DetectorConfig, GateState
 from bellgate.config import RunPlan
 from bellgate.detection import ALICE, BOB, BOTH
 from bellgate.gating import gate_open, sample_open_times
@@ -26,7 +20,7 @@ DUTY = 0.015915494309189534
 
 @pytest.fixture
 def bench_gate(bench_geometry):
-    return GateState.from_geometry(bench_geometry)
+    return GateState(bench_geometry.gate_period, bench_geometry.aperture_time)
 
 
 def test_gate_open_inside_first_window(bench_gate):
@@ -92,7 +86,7 @@ def test_poisson_arrivals_pass_at_duty_cycle(bench_gate):
 
 def test_always_open_gate_keeps_everything():
     # aperture == period: degenerate fixture constructed directly,
-    # from_geometry would refuse it
+    # gate_geometry would refuse its timing
     gate = GateState(gate_period=1e-3, aperture_time=1e-3)
     times = np.linspace(0, 1, 5000)
     assert np.all(gate_open(times, gate))
@@ -111,18 +105,6 @@ def test_pairs_survive_or_drop_atomically(bench):
     record = run_setting(plan, None, None, np.random.default_rng(42))
     assert record.coincidences == record.singles_alice == record.singles_bob
     assert abs(record.coincidences - 2e5 * DUTY) < 5 * math.sqrt(2e5 * DUTY)
-
-
-def test_from_geometry_validates(bench_geometry):
-    degenerate = GateGeometry(
-        aperture_time=2.0,
-        duty_cycle=1.0,
-        gate_period=1.0,
-        fiber_delay=0.0,
-        flight_distance_during_gate=0.0,
-    )
-    with pytest.raises(ValidationError, match="aperture time"):
-        GateState.from_geometry(degenerate)
 
 
 # ---------------------------------------------------------------------------

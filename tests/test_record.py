@@ -120,9 +120,10 @@ def test_record_specifics():
     )
     # RunPlan's derived attributes are not fields.
     plan = RunPlan(ApparatusConfig(), detector, MalusLHV(), 1000.0, 2.0)
-    assert not {"geometry", "gate", "pieces"} & set(fields(plan))
+    assert not {"geometry", "gate", "pieces", "informed"} & set(fields(plan))
     assert [model for _, model in plan.pieces] == [plan.model, None]
-    assert plan.gate == GateState.from_geometry(plan.geometry)
+    assert plan.informed is plan.model
+    assert plan.gate == GateState(plan.geometry.gate_period, plan.geometry.aperture_time)
 
 
 def test_record_subclass_rejects_required_field_after_default():
