@@ -20,11 +20,11 @@ window or more, counts an isolated entry as one coincidence when both
 arms fired, and runs the greedy sweep only over the rare clusters of two
 or more entries (see :func:`match_coincidences` for why that is exact).
 The same cut lets the runner's one counter take a run in pieces that
-need only come in time order: a gated run's time slices, or a
-mirror-stopped run's entries within a window of a neighbour, the
-isolated rest split by the same law.  Dark and accidental
-coincidences are not injected anywhere; they emerge from the matcher
-like they do in hardware.
+need only come in time order: a gated run's slices of whole gate
+periods (or of cells of one), or a mirror-stopped run's entries within
+a window of a neighbour, the isolated rest split by the same law.  Dark
+and accidental coincidences are not injected anywhere; they emerge from
+the matcher like they do in hardware.
 
 The module is in the run layer, which draws and counts with numpy; the
 detectors as configured, :class:`~bellgate.apparatus.DetectorConfig`,

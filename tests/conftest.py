@@ -5,7 +5,6 @@ from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, CountTable16
 from bellgate.apparatus import ApparatusConfig, GateState, gate_geometry, validate_config
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.detection import ALICE, BOB
-from bellgate.runner import _time_slices
 from bellgate.sources import joint_probabilities
 
 # A gate with no closed time: built directly, as gate_geometry refuses its timing.
@@ -71,8 +70,9 @@ def tag_arms(alice, bob):
     return times[order], arms[order]
 
 
-def _sliced(draw, rate, duration):
-    """The pieces a gated run hands the counter: ``draw(t0, t1)``'s tagged
-    stream ``(times, arms)`` for each time slice of [0, duration) at
-    ``rate`` entries per second."""
-    return (draw(t0, t1) for t0, t1 in _time_slices(duration, rate))
+def _sliced(draw, n, duration):
+    """Pieces for the counter tests: ``draw(t0, t1)``'s tagged stream
+    ``(times, arms)`` for each of ``n`` equal time slices of [0, duration).
+    This slicing is the tests' own; a gated run slices itself in whole
+    gate periods."""
+    return (draw(duration * i / n, duration * (i + 1) / n) for i in range(n))

@@ -319,8 +319,9 @@ def test_independent_streams_match_at_accidental_rate():
     # Two unrelated Poisson streams at the reference bench's with-rotation
     # singles rates; the greedy matcher realizes the 2*tau ("double")
     # accidental convention because either side may open the window.  The
-    # hour is drawn and counted slice by slice, as the runner counts a run,
-    # so its 12 million entries are never held at once.
+    # hour is drawn and counted in 187 slices of about 65 536 entries, as
+    # the runner counts a run, so its 12 million entries are never held at
+    # once.
     rng = np.random.default_rng(8)
     duration = 3600.0
 
@@ -330,7 +331,7 @@ def test_independent_streams_match_at_accidental_rate():
         return tag_arms(alice, bob)
 
     window = 20e-9
-    count = _count(_sliced(draw, 2301.0 + 1098.0, duration), window, duration).coincidences
+    count = _count(_sliced(draw, 187, duration), window, duration).coincidences
     expected_double = 2301.0 * 1098.0 * 2 * window * duration
     assert abs(count - expected_double) < 5 * math.sqrt(expected_double)
     # over one minute that is about 6 accidentals
@@ -354,7 +355,7 @@ def test_count_run_summary():
         kept = times[(times >= t0) & (times < t1)]
         return kept, np.full(kept.size, BOTH, dtype=np.int8)
 
-    record = _count(_sliced(draw, 500.0, 1.0), window, 1.0)
+    record = _count(_sliced(draw, 1, 1.0), window, 1.0)
     assert record == CountRecord(500, 500, 500, 1.0)  # identical timestamps always match
     # Darks only, drawn in the slice as the runner's draws bring them.
     rng = np.random.default_rng(13)
@@ -364,7 +365,7 @@ def test_count_run_summary():
         bob = t0 + dark_times(600.0, t1 - t0, rng)
         return tag_arms(alice, bob)
 
-    record = _count(_sliced(dark_draw, 1900.0, 2.0), window, 2.0)
+    record = _count(_sliced(dark_draw, 1, 2.0), window, 2.0)
     check = np.random.default_rng(13)
     alice = dark_times(1300.0, 2.0, check)
     bob = dark_times(600.0, 2.0, check)

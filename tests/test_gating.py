@@ -78,7 +78,7 @@ def test_uniform_arrivals_pass_at_duty_cycle(bench_gate):
 
 
 def test_poisson_arrivals_pass_at_duty_cycle(bench_gate):
-    times = sample_open_times(2e5, 0.0, 10.0, ALWAYS_OPEN, np.random.default_rng(41))
+    times = sample_open_times(2e5, 0, 10, ALWAYS_OPEN, np.random.default_rng(41))
     fraction = np.count_nonzero(gate_open(times, bench_gate)) / times.size
     sigma = math.sqrt(DUTY * (1 - DUTY) / times.size)
     assert abs(fraction - DUTY) < 4 * sigma
@@ -114,40 +114,31 @@ PHASE = 1.1e-5
 K = DetectorConfig(efficiency_alice=0.0197, efficiency_bob=0.0119).fire_probability(NO_POLARIZERS)
 
 
-def _open_measure(t0, t1, gate):
-    """Brute-force oracle: the overlap of [t0, t1) with every window, summed."""
-    k = math.floor((t0 - gate.phase_offset) / gate.gate_period)
-    total = 0.0
-    while gate.phase_offset + k * gate.gate_period < t1:
-        opens = gate.phase_offset + k * gate.gate_period
-        total += max(0.0, min(t1, opens + gate.aperture_time) - max(t0, opens))
-        k += 1
-    return total
-
-
-def _unsorted_open_times(rate, t0, t1, gate, rng):
-    """The sampler before it sorted its times, kept as the oracle: the
-    same Poisson count and uniforms, mapped from open time onto the
-    windows in draw order."""
+def _unsorted_open_times(rate, first, count, gate, rng):
+    """The sampler without its sort, kept as the oracle: the same Poisson
+    count and uniforms, mapped from open time onto the windows in draw
+    order."""
     period, width = gate.gate_period, gate.aperture_time
-    first = math.floor((t0 - gate.phase_offset) / period)
-    last = math.ceil((t1 - gate.phase_offset) / period) - 1
-    start = gate.phase_offset + first * period
-    last_start = gate.phase_offset + last * period
-    s0 = min(max(t0 - start, 0.0), width)
-    s1 = (last - first) * width + min(max(t1 - last_start, 0.0), width)
-    measure = max(s1 - s0, 0.0)
-    s = s0 + rng.random(int(rng.poisson(rate * measure))) * measure
+    measure = count * width
+    s = rng.random(int(rng.poisson(rate * measure))) * measure
     window = np.floor(s / width)
-    return start + window * period + (s - window * width)
+    return (first + window) * period + gate.phase_offset + (s - window * width)
 
 
 def _window_start(k):
     return PHASE + k * GATE_PERIOD
 
 
-# (t0, t1) pairs: partial windows at both edges near t = 60 s, a range
-# inside one window, a range inside one closed stretch, a long range from 0.
+def _periods(t0, t1):
+    """The whole gate periods ``(first, count)`` that cover [t0, t1): a
+    piece's window k lies in period k, [k*GATE_PERIOD, (k+1)*GATE_PERIOD)."""
+    first = math.floor(t0 / GATE_PERIOD)
+    return first, math.ceil(t1 / GATE_PERIOD) - first
+
+
+# Each case is the whole periods that cover one (t0, t1) span: 41 periods
+# near t = 60 s, one period around a window, one around a closed
+# stretch, and 0.05 s from 0.
 N60 = math.floor((60.0 - PHASE) / GATE_PERIOD)
 RANGES = [
     (_window_start(N60) + 0.3 * T_ON, _window_start(N60 + 40) + 0.6 * T_ON),
@@ -159,93 +150,136 @@ RANGES = [
 
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_sampled_arrivals_lie_on_the_open_set(t0, t1):
+    first, count = _periods(t0, t1)
     gate = GateState(GATE_PERIOD, T_ON, PHASE)
-    measure = _open_measure(t0, t1, gate)
-    rate = 2000.0 / max(measure, T_ON)  # about 2000 draws per call
+    rate = 2000.0 / (count * T_ON)  # about 2000 draws per call
     rng = np.random.default_rng(7)
     for _ in range(20):
-        times = sample_open_times(rate, t0, t1, gate, rng)
+        times = sample_open_times(rate, first, count, gate, rng)
         assert np.all(gate_open(times, gate))
-        assert np.all((times >= t0) & (times < t1))
+        assert np.all((times >= first * GATE_PERIOD) & (times < (first + count) * GATE_PERIOD))
 
 
 @pytest.mark.parametrize("gated", [True, False])
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_sampled_arrivals_are_the_sorted_draws(t0, t1, gated):
-    # Gated with a nonzero phase over partial windows at both edges, one
-    # window, a closed stretch and a long range; or never closed.
+    # Gated with a nonzero phase over 41 periods, one period or the 1700
+    # periods of 0.05 s; or never closed.
+    first, count = _periods(t0, t1)
     gate = GateState(GATE_PERIOD, T_ON if gated else GATE_PERIOD, PHASE)
-    rate = 2000.0 / max(_open_measure(t0, t1, gate), T_ON)
+    rate = 2000.0 / (count * gate.aperture_time)
     for seed in range(5):
         rng, check = np.random.default_rng(seed), np.random.default_rng(seed)
-        times = sample_open_times(rate, t0, t1, gate, rng)
+        times = sample_open_times(rate, first, count, gate, rng)
         assert np.all(times[1:] >= times[:-1])
-        assert np.array_equal(times, np.sort(_unsorted_open_times(rate, t0, t1, gate, check)))
+        assert np.array_equal(times, np.sort(_unsorted_open_times(rate, first, count, gate, check)))
         assert rng.random() == check.random()  # the same number of draws
 
 
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_sampled_count_matches_open_measure(t0, t1):
+    first, count = _periods(t0, t1)
     gate = GateState(GATE_PERIOD, T_ON, PHASE)
     pair_rate = 2e8
-    expected_per_call = pair_rate * K * _open_measure(t0, t1, gate)
     total = sum(
-        sample_open_times(pair_rate * K, t0, t1, gate, np.random.default_rng(seed)).size
+        sample_open_times(pair_rate * K, first, count, gate, np.random.default_rng(seed)).size
         for seed in range(50)
     )
-    expected = 50 * expected_per_call
+    expected = 50 * pair_rate * K * count * T_ON
     assert abs(total - expected) <= 4 * math.sqrt(max(expected, 1.0))
 
 
-def test_edge_windows_weighted_by_open_length():
-    # the first range: 0.7 of the first window and 0.6 of the last are inside
-    t0, t1 = RANGES[0]
+# Where the end falls in the last of three windows, in apertures from its
+# opening: before it, inside it, at its close and past it.
+@pytest.mark.parametrize("cut", [-0.5, 0.0, 0.4, 1.0, 1.5])
+def test_a_cut_last_window_holds_its_open_time_before_the_end(cut):
+    gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    first, count = 2000, 3
+    end = _window_start(first + count - 1) + cut * T_ON
+    rate = 1000.0 / T_ON  # about 1000 draws a whole window
+    total = 0
+    for seed in range(40):
+        times = sample_open_times(rate, first, count, gate, np.random.default_rng(seed), end)
+        assert np.all(gate_open(times, gate)) and np.all(times < end)
+        total += times.size
+    expected = 40 * rate * T_ON * (count - 1 + min(max(cut, 0.0), 1.0))
+    assert abs(total - expected) <= 4 * math.sqrt(expected)
+
+
+def test_windows_share_the_draws_evenly():
+    # The 41 windows of the first case each hold a 41st of the draws, and
+    # inside its window a time's offset is uniform.
+    first, count = _periods(*RANGES[0])
     gate = GateState(GATE_PERIOD, T_ON, PHASE)
     times = np.concatenate(
-        [sample_open_times(1e10, t0, t1, gate, np.random.default_rng(s)) for s in range(20)]
+        [sample_open_times(1e10, first, count, gate, np.random.default_rng(s)) for s in range(5)]
     )
-    window = np.floor((times - PHASE) / GATE_PERIOD) - N60
-    share = np.array([np.mean(window == 0), np.mean(window == 40)])
-    expected = np.array([0.7, 0.6]) * T_ON / _open_measure(t0, t1, gate)
-    sigma = np.sqrt(expected / times.size)
-    assert np.all(np.abs(share - expected) < 4 * sigma)
-    # inside a window the offset is uniform
-    offsets = np.mod(times - PHASE, GATE_PERIOD)[(window > 0) & (window < 40)] / T_ON
+    k = np.floor((times - PHASE) / GATE_PERIOD)
+    offsets = (times - PHASE - k * GATE_PERIOD) / T_ON
+    windows = np.bincount(k.astype(int) - first)
+    assert windows.size == count and np.all((offsets >= 0.0) & (offsets < 1.0))
+    chi2 = np.sum((windows - windows.mean()) ** 2 / windows.mean())
+    assert chi2 < 82.1  # chi-square, 40 degrees of freedom, p = 1e-4
     counts, _ = np.histogram(offsets, bins=10, range=(0.0, 1.0))
     chi2 = np.sum((counts - counts.mean()) ** 2 / counts.mean())
     assert chi2 < 33.7  # chi-square, 9 degrees of freedom, p = 1e-4
 
 
-class _TopUniform(np.random.Generator):
-    """One draw, at the largest uniform below 1: the top of the open measure."""
+class _FixedUniform(np.random.Generator):
+    """One draw per Poisson count, and every uniform at ``u``."""
 
-    def __init__(self):
+    def __init__(self, u):
         super().__init__(np.random.PCG64(0))
+        self.u = u
 
     def poisson(self, lam, size=None):
         return 1
 
     def random(self, size=None):
-        return np.full(size, 1.0 - 2.0**-53)
+        return np.full(size, self.u)
 
 
-def test_sampled_time_at_the_top_of_the_open_measure_stays_before_t1():
-    # t1 = 2.1 cuts window 2, open on [2, 2.3): mapped back to time, the
-    # top of the open measure rounds to t1 itself, and the clip keeps it
-    # inside [t0, t1).
-    gate = GateState(gate_period=1.0, aperture_time=0.3)
-    times = sample_open_times(1.0, 0.0, 2.1, gate, _TopUniform())
-    assert times.size == 1 and 2.0 <= times[0] < 2.1
+@pytest.mark.parametrize("first, count", [(0, 1), (68000, 5), (2039997, 2)])
+def test_top_of_a_slice_stays_before_the_next_slice(bench, first, count):
+    # The largest uniform below 1 puts each piece's draw at the top of the
+    # slice's last period.  At the last two slices the closed stretch's
+    # draw rounds onto or past the next slice's first possible time (its
+    # first window's opening, the slice's end) unless the slice drops it.
+    plan = RunPlan(
+        apparatus=bench,
+        detector=LOSSLESS_DARK,
+        model=QuantumState(),
+        pair_rate=1e5,
+        integration_time=1.0,
+    )
+    pieces = plan.stream()
+    end = (first + count) * GATE_PERIOD
+    top, _ = _draw_pieces(pieces, first, count, end, _FixedUniform(1.0 - 2.0**-53))
+    start, _ = _draw_pieces(pieces, first + count, 1, math.inf, _FixedUniform(0.0))
+    assert len(pieces) - 1 <= top.size <= start.size == len(pieces)
+    assert top.max() < start.min() == end
+
+
+def test_top_of_a_window_the_end_cuts_stays_before_the_end():
+    # The end cuts the third window of a gate open on [k, k + 0.3): the
+    # top of its open time rounds onto the end, and the slice drops it.
+    # The closed stretch's last window opens after the end, so its top
+    # lies in the window before.
+    law = LOSSLESS_DARK.stream_law(NO_POLARIZERS, 0.0)
+    pieces = [(GateState(1.0, 0.3), law), (GateState(1.0, 0.7, 0.3), law)]
+    top = sample_open_times(1.0, 0, 3, pieces[0][0], _FixedUniform(1.0 - 2.0**-53), 2.1)
+    assert top.tolist() == [2.1]
+    times, _ = _draw_pieces(pieces, 0, 3, 2.1, _FixedUniform(1.0 - 2.0**-53))
+    assert times.size == 1 and 1.3 < times[0] < 2.0
 
 
 def test_always_open_gate_samples_the_whole_interval():
-    t0, t1 = 60.0, 60.5
     total = 0
     for seed in range(20):
-        times = sample_open_times(1e4, t0, t1, ALWAYS_OPEN, np.random.default_rng(seed))
-        assert np.all((times >= t0) & (times < t1))
+        times = sample_open_times(1e4, 60, 1, ALWAYS_OPEN, np.random.default_rng(seed))
+        assert np.all((times >= 60.0) & (times < 61.0))
         total += times.size
-    assert abs(total - 1e5) <= 4 * math.sqrt(1e5)
+    assert abs(total - 2e5) <= 4 * math.sqrt(2e5)
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +290,20 @@ LOSSLESS_DARK = DetectorConfig(
 )
 
 
-def _marked_stream(pair_rate, t0, t1, gate, rng, det=LOSSLESS_DARK, joint=NO_POLARIZERS):
-    """The runner's draw of a slice: the open window's pairs and darks and
-    the closed stretch's darks, each piece drawn on its own and merged."""
-    period, width = gate.gate_period, gate.aperture_time
-    closed = GateState(period, period - width, gate.phase_offset + width)
-    laws = det.stream_law(joint, pair_rate), det.stream_law(NO_POLARIZERS, 0.0)
-    pieces = [(gate, laws[0]), (closed, laws[1])]
-    times, arms = _draw_pieces(pieces, t0, t1, rng)
+def _marked_stream(pair_rate, first, count, gate, rng, det=LOSSLESS_DARK, joint=NO_POLARIZERS):
+    """The runner's draw of a slice of ``count`` periods from period
+    ``first``, ending where the next slice starts: the open window's pairs
+    and darks and the closed stretches' darks before and after it, pieces
+    that tile the period from 0 as the plan's do, each drawn on its own
+    and merged."""
+    period, lo, hi = gate.gate_period, gate.phase_offset, gate.phase_offset + gate.aperture_time
+    dark = det.stream_law(NO_POLARIZERS, 0.0)
+    pieces = [
+        (GateState(period, lo, 0.0), dark),
+        (gate, det.stream_law(joint, pair_rate)),
+        (GateState(period, period - hi, hi), dark),
+    ]
+    times, arms = _draw_pieces(pieces, first, count, (first + count) * period, rng)
     return times, gate_open(times, gate), arms
 
 
@@ -271,14 +311,15 @@ def _marked_stream(pair_rate, t0, t1, gate, rng, det=LOSSLESS_DARK, joint=NO_POL
 def test_marked_stream_parts_match_their_poisson_means(t0, t1):
     # Lossless detectors without polarizers: a pair fires both arms, a
     # dark one, so each part of the stream on each set is countable.
+    first, count = _periods(t0, t1)
     gate = GateState(GATE_PERIOD, T_ON, PHASE)
-    open_measure = _open_measure(t0, t1, gate)
-    closed_measure = (t1 - t0) - open_measure
-    pair_rate = 4000.0 / max(open_measure, T_ON)
+    open_measure, closed_measure = count * T_ON, count * (GATE_PERIOD - T_ON)
+    pair_rate = 4000.0 / open_measure
     counts = np.zeros((2, 3))  # [closed, open] x [alice, bob, both]
     seeds = 40
     for seed in range(seeds):
-        _, is_open, arms = _marked_stream(pair_rate, t0, t1, gate, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        _, is_open, arms = _marked_stream(pair_rate, first, count, gate, rng)
         for k, code in enumerate((ALICE, BOB, BOTH)):
             counts[0, k] += np.count_nonzero(~is_open & (arms == code))
             counts[1, k] += np.count_nonzero(is_open & (arms == code))
@@ -296,18 +337,20 @@ def test_marked_stream_parts_match_their_poisson_means(t0, t1):
 
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_marked_stream_is_sorted_and_inside_the_slice(t0, t1):
+    first, count = _periods(t0, t1)
     gate = GateState(GATE_PERIOD, T_ON, PHASE)
-    pair_rate = 2000.0 / max(_open_measure(t0, t1, gate), T_ON)
+    pair_rate = 2000.0 / (count * T_ON)
     for seed in range(10):
-        times, is_open, arms = _marked_stream(pair_rate, t0, t1, gate, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        times, is_open, arms = _marked_stream(pair_rate, first, count, gate, rng)
         assert np.all(times[1:] >= times[:-1])
-        assert np.all((times >= t0) & (times < t1))
+        assert np.all((times >= first * GATE_PERIOD) & (times < (first + count) * GATE_PERIOD))
         assert np.all(is_open[arms == BOTH])  # every pair passes the gate
 
 
 def test_darks_alone_are_uniform_across_the_gate():
     # Darks alone: the open window and the closed stretch draw at one rate.
-    t0, t1 = RANGES[0]
+    first, count = _periods(*RANGES[0])
     gate = GateState(GATE_PERIOD, T_ON, PHASE)
     det = DetectorConfig(
         efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=1.5e7, dark_rate_bob=5e6
@@ -315,12 +358,13 @@ def test_darks_alone_are_uniform_across_the_gate():
     total = 0
     open_count = 0
     for seed in range(20):
-        times, is_open, _ = _marked_stream(0.0, t0, t1, gate, np.random.default_rng(seed), det)
+        rng = np.random.default_rng(seed)
+        times, is_open, _ = _marked_stream(0.0, first, count, gate, rng, det)
         total += times.size
         open_count += np.count_nonzero(is_open)
-    expected = 20 * 2e7 * (t1 - t0)
+    expected = 20 * 2e7 * count * GATE_PERIOD
     assert abs(total - expected) <= 4 * math.sqrt(expected)
-    share = _open_measure(t0, t1, gate) / (t1 - t0)
+    share = T_ON / GATE_PERIOD
     assert abs(open_count - share * total) <= 4 * math.sqrt(share * (1 - share) * total)
 
 
@@ -333,20 +377,21 @@ def test_darks_alone_are_uniform_across_the_gate():
         (0.0, NO_POLARIZERS, 0.0),  # nothing at all
     ],
 )
-# The bench gate; one never closed, whose closed stretch has zero aperture;
-# and one never open, whose open window has.
+# The bench gate; one never closed, whose closed stretches have zero
+# aperture; and one never open, whose open window has.  Each draws the
+# 340 periods of 0.01 s.
 @pytest.mark.parametrize("gated", [True, False, "shut"])
 def test_zero_rate_edges_raise_no_warning(pair_rate, joint, darks, gated):
     gate, duty = {
         True: (GateState(GATE_PERIOD, T_ON, PHASE), DUTY),
-        False: (ALWAYS_OPEN, 1.0),
+        False: (GateState(GATE_PERIOD, GATE_PERIOD), 1.0),
         "shut": (GateState(GATE_PERIOD, 0.0, PHASE), 0.0),
     }[gated]
     det = DetectorConfig(efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=darks)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         rng = np.random.default_rng(3)
-        times, _, arms = _marked_stream(pair_rate, 0.0, 0.01, gate, rng, det, joint)
+        times, _, arms = _marked_stream(pair_rate, 0, 340, gate, rng, det, joint)
     assert np.all(arms != 0)  # no part is drawn past its own firing probability
     expected = 0.01 * (darks + pair_rate * det.fire_probability(joint) * duty)
     assert abs(times.size - expected) <= 4 * math.sqrt(max(expected, 1.0))

@@ -1,9 +1,7 @@
-import itertools
 import json
 import math
 import statistics
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -35,7 +33,7 @@ from bellgate.runner import (
     _count,
     _count_homogeneous,
     _entries_before,
-    _time_slices,
+    _slices,
     derive_seed,
     run_chsh,
     run_degradation,
@@ -185,46 +183,157 @@ def test_plan_rejects_non_finite_rate_and_time():
         quick_plan(MalusLHV(), integration_time=math.nan)
 
 
-def test_time_slices_tile_the_run():
-    slices = list(_time_slices(30.0, 1e6))
-    assert len(slices) == 458  # 30 s at 1e6/s over 2**16 draws per slice
-    assert slices[0][0] == 0.0 and slices[-1][1] == 30.0
-    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+def _counted_pieces(monkeypatch):
+    """The list of the pieces that a run hands :func:`~bellgate.runner._count`."""
+    seen = []
+
+    def count(pieces, window, duration):
+        seen.extend(pieces)
+        return _count(iter(seen), window, duration)
+
+    monkeypatch.setattr(runner, "_count", count)
+    return seen
 
 
-def test_time_slices_are_lazy():
-    slices = _time_slices(30.0, 1e25)
-    assert isinstance(slices, types.GeneratorType)
-    # about 4.6e21 slices: only the edges asked for are ever made
-    n = math.ceil(30.0 / (_CHUNK_EVENTS / 1e25))
-    assert n > 4e21
-    first = list(itertools.islice(slices, 2))
-    assert first == [(0.0, 30.0 / n), (30.0 / n, 60.0 / n)]
+def test_gated_run_is_sliced_in_whole_gate_periods():
+    # demo.json at 2e6 pairs/s expects about 0.2 draws a period, so 30 s
+    # takes four slices: each draws every piece, they start on period
+    # multiples and tile the ceil(T/P) periods that cover the run, each
+    # ends where the next starts (the last at T), and all but the last
+    # expect about _CHUNK_EVENTS draws.
+    plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
+    duration, period = 30.1234, plan.gate.gate_period
+    pieces = replace(plan, pair_rate=2e6).stream(0.0, 22.5)
+    slices = list(_slices(pieces, period, duration))
+    assert len(slices) == 4 and all(cells == pieces for _, _, cells, _ in slices)
+    nexts = [first + count for first, count, _, _ in slices]
+    assert [first for first, *_ in slices] == [0, *nexts[:-1]]
+    assert nexts[-1] == math.ceil(duration / period)
+    assert [end for *_, end in slices] == [k * period for k in nexts[:-1]] + [duration]
+    per_period = sum(law[0] * gate.aperture_time for gate, law in pieces)
+    for _, count, _, _ in slices[:-1]:
+        assert _CHUNK_EVENTS - per_period < count * per_period <= _CHUNK_EVENTS
 
 
-def test_time_slices_hold_a_chunk_however_high_the_rate():
-    # Slices were once at least 1 ns wide, 9.9 chunks each at this rate.
-    rate = 6.5e14
-    slices = list(_time_slices(1e-6, rate))
-    assert len(slices) == 9919
-    for t0, t1 in slices:
-        assert (t1 - t0) * rate == pytest.approx(_CHUNK_EVENTS, rel=1e-3)
+def _cut_plan(rotation_rate, dark_rate, duration):
+    """demo.json with its mirror turning at ``rotation_rate``, both dark
+    rates at ``dark_rate`` and a 0.1 ns window, for ``duration`` seconds."""
+    plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
+    apparatus = replace(plan.apparatus, rotation_rate=rotation_rate)
+    detector = replace(
+        plan.detector, dark_rate_alice=dark_rate, dark_rate_bob=dark_rate, coincidence_window=1e-10
+    )
+    return replace(plan, apparatus=apparatus, detector=detector, integration_time=duration)
+
+
+def test_a_period_that_expects_more_than_a_chunk_is_cut_into_cells(monkeypatch):
+    # At 1 turn/s the period is 29 ms, and darks of 1e7/s per arm put
+    # about 5.9e5 draws in it.  Each piece's window is cut into the fewest
+    # equal cells that expect at most _CHUNK_EVENTS draws; the cells tile
+    # every period, each cell of each period is a slice ending where the
+    # next opens (the last at T), and the counter gets pieces of about a
+    # chunk.  The run ends halfway through its third period, and no slice
+    # opens after it.
+    period = gate_geometry(_cut_plan(1.0, 1e7, 1.0).apparatus).gate_period
+    plan = _cut_plan(1.0, 1e7, 2.5 * period)
+    pieces = plan.stream(0.0, 22.5)
+    assert sum(law[0] * gate.aperture_time for gate, law in pieces) > 8 * _CHUNK_EVENTS
+    slices = list(_slices(pieces, period, plan.integration_time))
+    opens = [first * period + cells[0][0].phase_offset for first, _, cells, _ in slices]
+    assert [end for *_, end in slices] == [*opens[1:], plan.integration_time]
+    assert all(a < b for a, b in zip(opens, opens[1:]))
+    assert all(count == 1 for _, count, _, _ in slices)
+    for first in range(3):
+        cells = [cell for k, _, (cell,), _ in slices if k == first]
+        opened = [gate.phase_offset for gate, _ in cells]
+        stops = [gate.phase_offset + gate.aperture_time for gate, _ in cells]
+        assert opened == pytest.approx([0.0, *stops[:-1]])
+        if first < 2:
+            assert stops[-1] == pytest.approx(period)
+        else:
+            assert opened[-1] < 0.5 * period <= stops[-1]
+    expected = [
+        law[0] * min(max(end - first * period - gate.phase_offset, 0.0), gate.aperture_time)
+        for first, _, ((gate, law),), end in slices
+    ]
+    assert _CHUNK_EVENTS / 2 < max(expected) <= _CHUNK_EVENTS
+    seen = _counted_pieces(monkeypatch)
+    run_setting(plan, 0.0, 22.5, np.random.default_rng(5))
+    assert len(seen) == len(slices)
+    assert max(times.size for times, _ in seen) < _CHUNK_EVENTS + 5 * math.sqrt(_CHUNK_EVENTS)
+    assert np.all(np.concatenate([times for times, _ in seen]) < plan.integration_time)
+    drawn, total = sum(times.size for times, _ in seen), sum(expected)
+    assert abs(drawn - total) < 5 * math.sqrt(total)
+
+
+class _PoissonMeans(np.random.Generator):
+    """A generator that notes the mean of every Poisson count it draws."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.means = []
+
+    def poisson(self, lam, size=None):
+        self.means.append(lam)
+        return super().poisson(lam, size)
+
+
+@pytest.mark.parametrize("dark_rate", [1e3, 1e7])
+def test_a_run_much_shorter_than_its_gate_period_draws_only_its_length(dark_rate):
+    # At 1e-4 turns/s the period is about 290 s and the window stays open
+    # for its first 4.7 s, so a 1 ms run lies inside one open window.  It
+    # draws one Poisson count over its own length, whether its period
+    # expects fewer draws than a chunk (darks of 1e3/s per arm) or far
+    # more (1e7/s, 2.9e9 draws a period).
+    plan = _cut_plan(1e-4, dark_rate, 1e-3)
+    (gate, law), *_ = pieces = plan.stream(0.0, 22.5)
+    assert gate.phase_offset == 0.0 and gate.aperture_time > 1e3 * plan.integration_time
+    rng = _PoissonMeans(3)
+    record = run_setting(plan, 0.0, 22.5, rng)
+    # One draw over the run for its cell or piece, none past the run's end.
+    assert len(rng.means) <= len(pieces)
+    assert rng.means == pytest.approx([law[0] * plan.integration_time] + [0.0] * (len(rng.means) - 1))
+    assert record.singles_alice + record.singles_bob < 3 * law[0] * plan.integration_time + 10
+
+
+def test_gated_run_ending_inside_an_open_window(monkeypatch):
+    # demo.json ends 0.4 of an aperture into its fourth window, at rates
+    # that put hundreds of entries in each period.  The counter gets no
+    # entry at or after the end, and the singles are each piece's rate
+    # times its open measure of [0, T): three whole windows and what the
+    # end leaves of the fourth.
+    plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
+    period, width = plan.gate.gate_period, plan.gate.aperture_time
+    duration = 3 * period + 0.4 * width
+    detector = replace(plan.detector, dark_rate_alice=6e6, dark_rate_bob=3e6)
+    plan = replace(plan, detector=detector, pair_rate=1e9, integration_time=duration)
+    seen = _counted_pieces(monkeypatch)
+    seeds = 20
+    singles = np.zeros(2)
+    for seed in range(seeds):
+        seen.clear()
+        record = run_setting(plan, 0.0, 22.5, np.random.default_rng(seed))
+        times = np.concatenate([times for times, _ in seen])
+        assert times.size > 0 and times.max() < duration
+        singles += record.singles_alice, record.singles_bob
+    expected = np.zeros(2)
+    for gate, (rate, alice_only, alice) in plan.stream(0.0, 22.5):
+        last = min(max(duration - 3 * period - gate.phase_offset, 0.0), gate.aperture_time)
+        expected += seeds * (3 * gate.aperture_time + last) * np.array([alice, rate - alice_only])
+    assert np.all(np.abs(singles - expected) <= 4 * np.sqrt(expected)), (singles, expected)
 
 
 # ---------------------------------------------------------------------------
 # Streamed counting against one match over the whole run
 
-# Four slices of [0, 1) with dyadic edges 0.25, 0.5 and 0.75.
-FOUR_SLICES = 4.0 * _CHUNK_EVENTS
-
-
-def _streamed_equals_whole(times, arms, window, delay=0.0, rate=FOUR_SLICES, darks=(0.0, 0.0)):
+def _streamed_equals_whole(times, arms, window, delay=0.0, slices=4, darks=(0.0, 0.0)):
     """_count over a fixed tagged stream, each entry drawn in the slice
     where it was emitted (``delay`` before it is detected), against one
     match_coincidences over the whole stream.  ``darks`` are the (alice,
     bob) dark rates: each slice's draw adds its own darks, detected in
-    the same delayed slice, and the whole stream holds every draw.
-    Slices hold ``rate`` events per second, darks included."""
+    the same delayed slice, and the whole stream holds every draw.  The
+    run is cut into ``slices`` equal slices: four have the dyadic edges
+    0.25, 0.5 and 0.75."""
     order = np.argsort(times, kind="stable")
     times, arms = np.asarray(times, dtype=float)[order], np.asarray(arms, dtype=np.int8)[order]
     rng = np.random.default_rng(0)
@@ -239,7 +348,7 @@ def _streamed_equals_whole(times, arms, window, delay=0.0, rate=FOUR_SLICES, dar
         drawn.extend(parts)
         return tag_parts(parts)
 
-    record = _count(_sliced(draw, rate, 1.0), window, 1.0)
+    record = _count(_sliced(draw, slices, 1.0), window, 1.0)
     all_times, all_arms = tag_parts(drawn)
     whole = match_coincidences(all_times, all_arms, window)
     singles = [np.count_nonzero(all_arms & arm) for arm in (ALICE, BOB)]
@@ -260,13 +369,6 @@ def _clusters(rng, centers, size, spacing):
     times = (np.asarray(centers)[:, None] + spacing * (np.arange(size) - size / 2)).ravel()
     on_alice = rng.random(times.size) < 0.5
     return times[on_alice], times[~on_alice]
-
-
-def test_time_slices_with_no_events_make_one_slice():
-    # a dark-only run with both dark rates 0 once divided by zero here
-    assert list(_time_slices(5.0, 0.0)) == [(0.0, 5.0)]
-    quarters = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]
-    assert list(_time_slices(1.0, FOUR_SLICES)) == quarters
 
 
 def test_dark_only_run_without_darks_counts_nothing():
@@ -467,8 +569,8 @@ def test_streamed_count_across_empty_slices(seed):
     on_alice = rng.random(events.size) < 0.5
     alice = np.concatenate([events[on_alice], chain_a])
     bob = np.concatenate([events[~on_alice], chain_b, events[on_alice][:50]])
-    _streamed_equals_whole(*tag_arms(alice, bob), window, rate=2 * FOUR_SLICES)
-    _streamed_equals_whole(*tag_arms(alice / 4, bob / 4), window, rate=2 * FOUR_SLICES)
+    _streamed_equals_whole(*tag_arms(alice, bob), window, slices=8)
+    _streamed_equals_whole(*tag_arms(alice / 4, bob / 4), window, slices=8)
 
 
 @pytest.mark.parametrize(
@@ -547,13 +649,7 @@ def _count_stopped(det, joint, pair_rate, duration, rng):
 def _placed_pieces(monkeypatch, det, joint, pair_rate, duration, rng):
     """The record of a mirror-stopped run and the pieces of placed entries
     that it hands :func:`~bellgate.runner._count`."""
-    seen = []
-
-    def count(pieces, window, duration):
-        seen.extend(pieces)
-        return _count(iter(seen), window, duration)
-
-    monkeypatch.setattr(runner, "_count", count)
+    seen = _counted_pieces(monkeypatch)
     return _count_stopped(det, joint, pair_rate, duration, rng), seen
 
 

@@ -61,14 +61,14 @@ def band_overlap_joint(alice_angle, bob_angle, m=2_000_000):
 
 
 def test_emission_count_matches_rate():
-    times = sample_open_times(BENCH_PAIR_RATE, 0.0, 1.0, ALWAYS_OPEN, np.random.default_rng(101))
+    times = sample_open_times(BENCH_PAIR_RATE, 0, 1, ALWAYS_OPEN, np.random.default_rng(101))
     expected = BENCH_PAIR_RATE
     assert abs(times.size - expected) < 5 * math.sqrt(expected)
     assert times.min() >= 0.0 and times.max() < 1.0
 
 
 def test_zero_duration_gives_empty_stream():
-    assert sample_open_times(100.0, 0.5, 0.5, ALWAYS_OPEN, np.random.default_rng(0)).size == 0
+    assert sample_open_times(100.0, 0, 0, ALWAYS_OPEN, np.random.default_rng(0)).size == 0
 
 
 @pytest.mark.parametrize("rate, duration", [(0.0, 1.0), (-5.0, 1.0), (100.0, -1.0)])
