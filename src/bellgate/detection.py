@@ -6,7 +6,7 @@ Each arm's detector keeps a photon with its quantum-efficiency
 probability and adds an independent Poisson dark-count background.
 Neither is drawn on its own: the plan gives each piece of a run its
 stream law (:meth:`~bellgate.config.RunPlan.stream`), the run layer
-draws each piece as a stream of constant intensity, and
+draws the run as one stream of intensity constant on each piece, and
 :func:`detection_pattern` gives each entry its arm code
 (:data:`ALICE`, :data:`BOTH` or :data:`BOB`) from that law.  Both
 photons of a pair share one arrival time, so a run is one time-ordered
@@ -20,11 +20,12 @@ window or more, counts an isolated entry as one coincidence when both
 arms fired, and runs the greedy sweep only over the rare clusters of two
 or more entries (see :func:`match_coincidences` for why that is exact).
 The same cut lets the runner's one counter take a run in pieces that
-need only come in time order: a gated run's slices of whole gate
-periods (or of cells of one), or a mirror-stopped run's entries within
-a window of a neighbour, the isolated rest split by the same law.  Dark
-and accidental coincidences are not injected anywhere; they emerge from
-the matcher like they do in hardware.
+need only come in time order: a gated run's chunks of expected draws in
+operational time, each entry marked under its own piece's law, or a
+mirror-stopped run's entries within a window of a neighbour, the
+isolated rest split by the same law.  Dark and accidental coincidences
+are not injected anywhere; they emerge from the matcher like they do in
+hardware.
 
 The module is in the run layer, which draws and counts with numpy; the
 detectors as configured, :class:`~bellgate.apparatus.DetectorConfig`,
@@ -45,7 +46,8 @@ def detection_pattern(n: int, law, rng):
     """Arm codes of ``n`` entries of one stream of pairs and darks.
 
     By the marking theorem one uniform on [0, intensity) per entry picks
-    its part of ``law`` (:meth:`~bellgate.apparatus.DetectorConfig.stream_law`).
+    its part of ``law`` (:meth:`~bellgate.apparatus.DetectorConfig.stream_law`),
+    or of the entry's own law where ``law`` holds three arrays of ``n``.
     Returns an ``int8`` array of :data:`ALICE`, :data:`BOTH` or :data:`BOB`.
     """
     rate, alice_only, both = law

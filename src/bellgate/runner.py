@@ -33,23 +33,23 @@ period and the stream law constant on it
 (:meth:`~bellgate.config.RunPlan.stream`); this module only draws and
 counts, and the number of pieces picks the sampler.
 
-Several pieces (the mirror rotating) are drawn by :func:`_draw_pieces`,
-each as a stream of its own, and merged in time order, one slice at a
-time (:func:`_slices`): as many whole gate periods as expect at most
-``_CHUNK_EVENTS`` draws or, where one period expects more, one cell of
-a piece's window.  The run's end cuts only the last slice: its last
-windows draw only their open time before T, and the stream restricted
-to [0, T) is the run's (the restriction theorem).  One piece spanning
-the period (the mirror stopped: the dark and gate-off luminosity runs,
-and every run of a scan with ``rotation`` false) is a stream of
-constant intensity, and :func:`_count_homogeneous` places only the
-entries within a window of a neighbour before the run's end, which are
-all that the matcher can pair, and counts the isolated rest by one
-multinomial over the same law.
+Several pieces (the mirror rotating) are one stream whose intensity is
+constant on each piece, and :func:`~bellgate.gating.sample_times` draws
+it in chunks of operational time, each expecting at most
+``_CHUNK_EVENTS`` draws, in time order and before the run's end,
+whatever the gate period and however the run's end cuts it; each entry
+is marked by :func:`~bellgate.detection.detection_pattern` under its
+piece's law.  One piece spanning the period (the mirror stopped: the
+dark and gate-off luminosity runs, and every run of a scan with
+``rotation`` false) is a stream of constant intensity, and
+:func:`_count_homogeneous` places only the entries within a window of a
+neighbour before the run's end, which are all that the matcher can
+pair, and counts the isolated rest by one multinomial over the same
+law.
 
 Either way one counter, :func:`_count`, counts the tagged stream piece by
 piece, in time order, as a time tagger records it: a gated run hands it
-one piece per slice, a mirror-stopped run its placed entries one block
+one piece per chunk, a mirror-stopped run its placed entries one block
 of steps at a time.  The tail carried from the piece before joins by
 concatenation, and the entries up to the last gap of a window or more
 are matched, so memory stays bounded however long the run.
@@ -63,7 +63,6 @@ setting order and reproducible cell by cell.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 
 import numpy as np
@@ -79,27 +78,21 @@ from .analysis import (
     chsh_S,
     degradation_ratio,
 )
-from .apparatus import GateState
 from .config import RunPlan
 from .detection import ALICE, BOB, detection_pattern, match_coincidences
-from .gating import gate_open, sample_open_times
+from .gating import gate_open, sample_times
 
 # perfbench/trace_child.py wraps these five names on this module and never
 # calls them; the line goes when ROADMAP item E drops those lookups.  Only
-# that tracer reads the one gate_open pass of each gated slice, and it
+# that tracer reads the one gate_open pass of each gated chunk, and it
 # counts the Poisson draws made inside run_setting: ROADMAP E removes both.
 joint_outcomes = thin_times = dark_times = gate_geometry = validate_config = None
 
 DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
 
-# Gated runs are drawn and counted in slices that expect at most this
-# many draws (firing pairs and dark counts): whole gate periods, or cells
-# of a piece's window where one period expects more.  So memory stays
-# bounded and the arrays stay cache-sized.  Fixed (not configurable) so
-# a given plan always consumes the same random stream.
-_CHUNK_EVENTS = 1 << 16
 # The most steps (see _count_homogeneous) that a mirror-stopped run draws
-# per block, which bounds its memory.  Fixed, like the slice size.
+# per block, which bounds its memory.  Fixed (not configurable) so a
+# given plan always consumes the same random stream.
 _BLOCK_STEPS = 1 << 11
 
 
@@ -124,78 +117,22 @@ def run_setting(
     and calibration runs): every photon pair continues to the gate.
     ``source=False`` turns the source off, leaving the darks alone.  One
     piece of :meth:`~bellgate.config.RunPlan.stream` is counted by its
-    close pairs, several are drawn slice by slice (:func:`_slices`).
+    close pairs; several are drawn chunk by chunk
+    (:func:`~bellgate.gating.sample_times`), each entry marked under the
+    law of the piece it lies in.
     """
     pieces = plan.stream(alice_angle, bob_angle, rotation, source)
     window, duration = plan.detector.coincidence_window, plan.integration_time
     if len(pieces) == 1:
         return _count_homogeneous(pieces[0][1], window, duration, rng)
+    laws = np.array([law for _, law in pieces]).T
 
-    def draw(first, count, cells, end):
-        times, arms = _draw_pieces(cells, first, count, end, rng)
+    def marked(chunk):
+        times, piece = chunk
         gate_open(times, plan.gate)  # read only by the tracer, see above
-        return times, arms
+        return times, detection_pattern(times.size, laws.take(piece, axis=1), rng)
 
-    slices = _slices(pieces, plan.gate.gate_period, duration)
-    return _count((draw(*piece) for piece in slices), window, duration)
-
-
-def _slices(pieces, period, duration):
-    """The slices of a gated run of ``duration`` seconds, in time order,
-    each ``(first, count, cells, end)``: the ``cells`` of the period that
-    it draws (``pieces``, whole or cut) in the ``count`` gate periods from
-    period ``first`` on, and its end, where the next slice opens or the
-    run ends.
-
-    A slice is as many whole periods as expect at most ``_CHUNK_EVENTS``
-    draws.  Where one period expects more, each piece's window is cut
-    into the fewest equal cells that expect at most that, and each cell
-    of each period is a slice.  Slices are made one at a time, and none
-    opens at or after the run's end.  A slice opens where
-    :func:`~bellgate.gating.sample_open_times` puts its first window's
-    opening, so a slice that keeps its times before its end comes before
-    the next however their times round.
-    """
-    periods = math.ceil(duration / period)
-    per_period = sum(law[0] * gate.aperture_time for gate, law in pieces)
-    step = int(min(periods, _CHUNK_EVENTS // per_period))  # 0 where one period expects more
-    slices = ((first, min(step, periods - first), pieces) for first in range(0, periods, step or 1))
-    if not step:
-        slices = (
-            (first, 1, ((GateState(period, width, gate.phase_offset + i * width), law),))
-            for first in range(periods)
-            for gate, law in pieces
-            for n in [math.ceil(law[0] * gate.aperture_time / _CHUNK_EVENTS)]
-            for i in range(n)
-            for width in [gate.aperture_time / n]
-        )
-
-    def opening(piece):
-        return piece[0] * period + piece[2][0][0].phase_offset
-
-    slices = itertools.takewhile(lambda piece: opening(piece) < duration, slices)
-    for piece, after in itertools.pairwise(itertools.chain(slices, [None])):
-        yield *piece, duration if after is None else opening(after)
-
-
-def _draw_pieces(pieces, first, count, end, rng):
-    """The tagged stream ``(times, arms)`` of a gated run in the ``count``
-    gate periods from period ``first`` on, before ``end``.
-
-    Each ``(gate, law)`` of ``pieces`` is a homogeneous stream of pairs
-    and darks on its gate's windows, the last cut at ``end``, drawn sorted
-    and marked, and one stable argsort merges them: timsort merges sorted
-    runs in linear time.  The times that round onto ``end`` or past it
-    are dropped.
-    """
-    times, arms = [], []
-    for gate, law in pieces:
-        times.append(sample_open_times(law[0], first, count, gate, rng, end))
-        arms.append(detection_pattern(times[-1].size, law, rng))
-    times, arms = np.concatenate(times), np.concatenate(arms)
-    order = times.argsort(kind="stable")
-    order = order[: np.searchsorted(times[order], end)]
-    return times[order], arms[order]
+    return _count(map(marked, sample_times(pieces, duration, rng)), window, duration)
 
 
 def _count_homogeneous(law, window, duration, rng) -> CountRecord:

@@ -73,6 +73,6 @@ def tag_arms(alice, bob):
 def _sliced(draw, n, duration):
     """Pieces for the counter tests: ``draw(t0, t1)``'s tagged stream
     ``(times, arms)`` for each of ``n`` equal time slices of [0, duration).
-    This slicing is the tests' own; a gated run slices itself in whole
-    gate periods."""
+    This slicing is the tests' own; a gated run is drawn in chunks of
+    expected draws (:func:`bellgate.gating.sample_times`)."""
     return (draw(duration * i / n, duration * (i + 1) / n) for i in range(n))

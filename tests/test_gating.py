@@ -7,9 +7,9 @@ import pytest
 
 from bellgate.apparatus import ApparatusConfig, DetectorConfig, GateState
 from bellgate.config import RunPlan
-from bellgate.detection import ALICE, BOB, BOTH
-from bellgate.gating import gate_open, sample_open_times
-from bellgate.runner import _draw_pieces, run_setting
+from bellgate.detection import ALICE, BOB, BOTH, detection_pattern
+from bellgate.gating import _CHUNK_EVENTS, gate_open, sample_times
+from bellgate.runner import run_setting
 from bellgate.sources import NO_POLARIZERS, QuantumState
 from conftest import ALWAYS_OPEN
 
@@ -77,13 +77,6 @@ def test_uniform_arrivals_pass_at_duty_cycle(bench_gate):
     assert abs(fraction - DUTY) < 3 * sigma
 
 
-def test_poisson_arrivals_pass_at_duty_cycle(bench_gate):
-    times = sample_open_times(2e5, 0, 10, ALWAYS_OPEN, np.random.default_rng(41))
-    fraction = np.count_nonzero(gate_open(times, bench_gate)) / times.size
-    sigma = math.sqrt(DUTY * (1 - DUTY) / times.size)
-    assert abs(fraction - DUTY) < 4 * sigma
-
-
 def test_always_open_gate_keeps_everything():
     # aperture == period: degenerate fixture constructed directly,
     # gate_geometry would refuse its timing
@@ -108,37 +101,66 @@ def test_pairs_survive_or_drop_atomically(bench):
 
 
 # ---------------------------------------------------------------------------
-# Sampling directly on the open set
+# Sampling in operational time
 
 PHASE = 1.1e-5
-K = DetectorConfig(efficiency_alice=0.0197, efficiency_bob=0.0119).fire_probability(NO_POLARIZERS)
-
-
-def _unsorted_open_times(rate, first, count, gate, rng):
-    """The sampler without its sort, kept as the oracle: the same Poisson
-    count and uniforms, mapped from open time onto the windows in draw
-    order."""
-    period, width = gate.gate_period, gate.aperture_time
-    measure = count * width
-    s = rng.random(int(rng.poisson(rate * measure))) * measure
-    window = np.floor(s / width)
-    return (first + window) * period + gate.phase_offset + (s - window * width)
+GATE = GateState(GATE_PERIOD, T_ON, PHASE)
 
 
 def _window_start(k):
     return PHASE + k * GATE_PERIOD
 
 
-def _periods(t0, t1):
-    """The whole gate periods ``(first, count)`` that cover [t0, t1): a
-    piece's window k lies in period k, [k*GATE_PERIOD, (k+1)*GATE_PERIOD)."""
-    first = math.floor(t0 / GATE_PERIOD)
-    return first, math.ceil(t1 / GATE_PERIOD) - first
+def _window_pieces(gate, law, closed=(0.0, 0.0, 0.0)):
+    """Pieces tiling the period from 0 as the plan's do: the closed
+    stretch before ``gate``'s window, the window drawn under ``law``, and
+    the closed stretch after it, both drawn under ``closed``."""
+    period, lo, hi = gate.gate_period, gate.phase_offset, gate.phase_offset + gate.aperture_time
+    return [
+        (GateState(period, lo, 0.0), closed),
+        (gate, law),
+        (GateState(period, period - hi, hi), closed),
+    ]
 
 
-# Each case is the whole periods that cover one (t0, t1) span: 41 periods
-# near t = 60 s, one period around a window, one around a closed
-# stretch, and 0.05 s from 0.
+def _drawn(pieces, duration, rng):
+    """A gated run's ``(times, piece)``, its chunks joined."""
+    chunks = [*sample_times(pieces, duration, rng), (np.empty(0), np.empty(0, dtype=np.int8))]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def _open_time(duration, gate=GATE):
+    """The time that ``gate``, its window inside its period, is open in [0, duration)."""
+    whole = math.floor(duration / gate.gate_period)
+    rest = duration - whole * gate.gate_period - gate.phase_offset
+    return whole * gate.aperture_time + min(max(rest, 0.0), gate.aperture_time)
+
+
+def _inverse_lambda(u, pieces):
+    """The oracle: the time whose cumulative intensity is ``u``, one draw
+    at a time in plain floats, by walking the pieces of each period."""
+    period = pieces[0][0].gate_period
+    per_period = sum(law[0] * gate.aperture_time for gate, law in pieces)
+    k = math.floor(u / per_period)
+    rest = u - k * per_period
+    for gate, law in pieces:
+        mass = law[0] * gate.aperture_time
+        if rest < mass:
+            return k * period + gate.phase_offset + rest / law[0]
+        rest -= mass
+    return (k + 1) * period
+
+
+def _run_length(t0, t1):
+    """The run that draws the span [t0, t1): the stream is the same in
+    every gate period, so the span from the start of t0's period to t1 is
+    a run from 0 of that length."""
+    return t1 - math.floor(t0 / GATE_PERIOD) * GATE_PERIOD
+
+
+# Each case is a span: 41 periods near t = 60 s ending 0.6 of an aperture
+# into a window, one period ending inside its window, one ending in its
+# closed stretch, and 0.05 s (1700 periods) from 0.
 N60 = math.floor((60.0 - PHASE) / GATE_PERIOD)
 RANGES = [
     (_window_start(N60) + 0.3 * T_ON, _window_start(N60 + 40) + 0.6 * T_ON),
@@ -148,75 +170,100 @@ RANGES = [
 ]
 
 
+def test_poisson_arrivals_pass_at_duty_cycle(bench_gate):
+    times, _ = _drawn([(ALWAYS_OPEN, (2e5, 2e5, 2e5))], 10.0, np.random.default_rng(41))
+    fraction = np.count_nonzero(gate_open(times, bench_gate)) / times.size
+    sigma = math.sqrt(DUTY * (1 - DUTY) / times.size)
+    assert abs(fraction - DUTY) < 4 * sigma
+
+
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_sampled_arrivals_lie_on_the_open_set(t0, t1):
-    first, count = _periods(t0, t1)
-    gate = GateState(GATE_PERIOD, T_ON, PHASE)
-    rate = 2000.0 / (count * T_ON)  # about 2000 draws per call
+    duration = _run_length(t0, t1)
+    rate = 2000.0 / _open_time(duration)  # about 2000 draws a run
+    pieces = _window_pieces(GATE, (rate, rate, rate))
     rng = np.random.default_rng(7)
     for _ in range(20):
-        times = sample_open_times(rate, first, count, gate, rng)
-        assert np.all(gate_open(times, gate))
-        assert np.all((times >= first * GATE_PERIOD) & (times < (first + count) * GATE_PERIOD))
+        times, piece = _drawn(pieces, duration, rng)
+        assert np.all(gate_open(times, GATE)) and np.all(piece == 1)
+        assert np.all((times >= 0.0) & (times < duration))
+
+
+def _assert_sorted_draws(pieces, duration, total, seed):
+    """The sampler's times are its uniforms on [0, total), sorted, each
+    mapped through the inverse of the cumulative intensity: the oracle
+    maps them unsorted."""
+    rng, check = np.random.default_rng(seed), np.random.default_rng(seed)
+    times, _ = _drawn(pieces, duration, rng)
+    u = check.random(int(check.poisson(total))) * total
+    oracle = np.sort([_inverse_lambda(x, pieces) for x in u])
+    assert np.all(times[1:] >= times[:-1])
+    np.testing.assert_allclose(times, oracle[oracle < duration], rtol=0.0, atol=1e-12)
+    assert rng.random() == check.random()  # the same number of draws
 
 
 @pytest.mark.parametrize("gated", [True, False])
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_sampled_arrivals_are_the_sorted_draws(t0, t1, gated):
-    # Gated with a nonzero phase over 41 periods, one period or the 1700
-    # periods of 0.05 s; or never closed.
-    first, count = _periods(t0, t1)
-    gate = GateState(GATE_PERIOD, T_ON if gated else GATE_PERIOD, PHASE)
-    rate = 2000.0 / (count * gate.aperture_time)
+    # About 2000 draws a run, gated with a nonzero phase or on a gate that
+    # never closes.
+    duration = _run_length(t0, t1)
+    rate = 2000.0 / (_open_time(duration) if gated else duration)
+    law = (rate, rate, rate)
+    pieces = _window_pieces(GATE, law) if gated else [(GateState(GATE_PERIOD, GATE_PERIOD), law)]
+    total = rate * (_open_time(duration) if gated else duration)
     for seed in range(5):
-        rng, check = np.random.default_rng(seed), np.random.default_rng(seed)
-        times = sample_open_times(rate, first, count, gate, rng)
-        assert np.all(times[1:] >= times[:-1])
-        assert np.array_equal(times, np.sort(_unsorted_open_times(rate, first, count, gate, check)))
-        assert rng.random() == check.random()  # the same number of draws
+        _assert_sorted_draws(pieces, duration, total, seed)
+
+
+def test_a_minute_long_run_is_the_sorted_draws():
+    # The first span's end read as a run from 0: near t = 60 s a float
+    # step is 7e-15 s, and the map agrees with the oracle to 1e-12 s.
+    duration = RANGES[0][1]
+    rate = 2000.0 / _open_time(duration)
+    pieces = _window_pieces(GATE, (rate, rate, rate))
+    for seed in range(5):
+        _assert_sorted_draws(pieces, duration, rate * _open_time(duration), seed)
 
 
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_sampled_count_matches_open_measure(t0, t1):
-    first, count = _periods(t0, t1)
-    gate = GateState(GATE_PERIOD, T_ON, PHASE)
-    pair_rate = 2e8
-    total = sum(
-        sample_open_times(pair_rate * K, first, count, gate, np.random.default_rng(seed)).size
-        for seed in range(50)
-    )
-    expected = 50 * pair_rate * K * count * T_ON
+    duration = _run_length(t0, t1)
+    rate = 4000.0 / _open_time(duration)
+    pieces = _window_pieces(GATE, (rate, rate, rate))
+    total = sum(_drawn(pieces, duration, np.random.default_rng(s))[0].size for s in range(50))
+    expected = 50 * rate * _open_time(duration)
     assert abs(total - expected) <= 4 * math.sqrt(max(expected, 1.0))
 
 
-# Where the end falls in the last of three windows, in apertures from its
-# opening: before it, inside it, at its close and past it.
+# Where the run ends in its third window, in apertures from its opening:
+# before it, inside it, at its close and past it.
 @pytest.mark.parametrize("cut", [-0.5, 0.0, 0.4, 1.0, 1.5])
 def test_a_cut_last_window_holds_its_open_time_before_the_end(cut):
-    gate = GateState(GATE_PERIOD, T_ON, PHASE)
-    first, count = 2000, 3
-    end = _window_start(first + count - 1) + cut * T_ON
+    duration = _window_start(2) + cut * T_ON
     rate = 1000.0 / T_ON  # about 1000 draws a whole window
+    pieces = _window_pieces(GATE, (rate, rate, rate))
     total = 0
     for seed in range(40):
-        times = sample_open_times(rate, first, count, gate, np.random.default_rng(seed), end)
-        assert np.all(gate_open(times, gate)) and np.all(times < end)
+        times, _ = _drawn(pieces, duration, np.random.default_rng(seed))
+        assert np.all(gate_open(times, GATE)) and np.all(times < duration)
         total += times.size
-    expected = 40 * rate * T_ON * (count - 1 + min(max(cut, 0.0), 1.0))
+    expected = 40 * rate * T_ON * (2 + min(max(cut, 0.0), 1.0))
     assert abs(total - expected) <= 4 * math.sqrt(expected)
 
 
 def test_windows_share_the_draws_evenly():
-    # The 41 windows of the first case each hold a 41st of the draws, and
-    # inside its window a time's offset is uniform.
-    first, count = _periods(*RANGES[0])
-    gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    # 41 whole periods at about 1.9e5 draws a run, so three chunks: each
+    # window holds a 41st of the draws, and inside its window a time's
+    # offset is uniform.
+    count = 41
+    pieces = _window_pieces(GATE, (1e10, 1e10, 1e10))
     times = np.concatenate(
-        [sample_open_times(1e10, first, count, gate, np.random.default_rng(s)) for s in range(5)]
+        [_drawn(pieces, count * GATE_PERIOD, np.random.default_rng(s))[0] for s in range(5)]
     )
     k = np.floor((times - PHASE) / GATE_PERIOD)
     offsets = (times - PHASE - k * GATE_PERIOD) / T_ON
-    windows = np.bincount(k.astype(int) - first)
+    windows = np.bincount(k.astype(int))
     assert windows.size == count and np.all((offsets >= 0.0) & (offsets < 1.0))
     chi2 = np.sum((windows - windows.mean()) ** 2 / windows.mean())
     assert chi2 < 82.1  # chi-square, 40 degrees of freedom, p = 1e-4
@@ -239,92 +286,107 @@ class _FixedUniform(np.random.Generator):
         return np.full(size, self.u)
 
 
-@pytest.mark.parametrize("first, count", [(0, 1), (68000, 5), (2039997, 2)])
-def test_top_of_a_slice_stays_before_the_next_slice(bench, first, count):
-    # The largest uniform below 1 puts each piece's draw at the top of the
-    # slice's last period.  At the last two slices the closed stretch's
-    # draw rounds onto or past the next slice's first possible time (its
-    # first window's opening, the slice's end) unless the slice drops it.
+@pytest.mark.parametrize("duration", [1.0, 60.0])
+def test_top_of_a_chunk_stays_before_the_next_chunk(bench, duration):
+    # The bench's darks and pairs expect about 4.2e4 draws a second, so
+    # 60 s is 39 chunks.  Under the largest uniform below 1 each chunk
+    # draws one time at its top, under 0 one at its bottom: each top comes
+    # no later than the next chunk's bottom, and none at or after T.
     plan = RunPlan(
         apparatus=bench,
         detector=LOSSLESS_DARK,
         model=QuantumState(),
         pair_rate=1e5,
-        integration_time=1.0,
+        integration_time=duration,
     )
     pieces = plan.stream()
-    end = (first + count) * GATE_PERIOD
-    top, _ = _draw_pieces(pieces, first, count, end, _FixedUniform(1.0 - 2.0**-53))
-    start, _ = _draw_pieces(pieces, first + count, 1, math.inf, _FixedUniform(0.0))
-    assert len(pieces) - 1 <= top.size <= start.size == len(pieces)
-    assert top.max() < start.min() == end
+    tops = [t for t, _ in sample_times(pieces, duration, _FixedUniform(1.0 - 2.0**-53))]
+    bottoms = [t for t, _ in sample_times(pieces, duration, _FixedUniform(0.0))]
+    per_period = sum(law[0] * gate.aperture_time for gate, law in pieces)
+    chunks = math.ceil(duration / plan.gate.gate_period * per_period / _CHUNK_EVENTS)
+    assert len(bottoms) == len(tops) == chunks
+    assert [t.size for t in bottoms] == [1] * chunks
+    joined = np.concatenate([t for pair in zip(bottoms, tops) for t in pair])
+    assert np.all(joined[1:] >= joined[:-1]) and joined.max() < duration
+
+
+# A gate of period 1 s open on [k, k + 0.3), each piece drawing one a second.
+FIXED_PIECES = [(GateState(1.0, 0.3), (1.0, 1.0, 1.0)), (GateState(1.0, 0.7, 0.3), (1.0, 1.0, 1.0))]
 
 
 def test_top_of_a_window_the_end_cuts_stays_before_the_end():
-    # The end cuts the third window of a gate open on [k, k + 0.3): the
-    # top of its open time rounds onto the end, and the slice drops it.
-    # The closed stretch's last window opens after the end, so its top
-    # lies in the window before.
-    law = LOSSLESS_DARK.stream_law(NO_POLARIZERS, 0.0)
-    pieces = [(GateState(1.0, 0.3), law), (GateState(1.0, 0.7, 0.3), law)]
-    top = sample_open_times(1.0, 0, 3, pieces[0][0], _FixedUniform(1.0 - 2.0**-53), 2.1)
-    assert top.tolist() == [2.1]
-    times, _ = _draw_pieces(pieces, 0, 3, 2.1, _FixedUniform(1.0 - 2.0**-53))
-    assert times.size == 1 and 1.3 < times[0] < 2.0
+    # The end cuts the third window.  Under the largest uniform below 1
+    # the one draw lies at the top of [0, Lambda(T)): in that window, a
+    # float step before the end.
+    times, piece = _drawn(FIXED_PIECES, 2.1, _FixedUniform(1.0 - 2.0**-53))
+    assert times.tolist() == [math.nextafter(2.1, 0.0)] and piece.tolist() == [0]
+
+
+@pytest.mark.parametrize("duration, piece", [(2.5, 1), (1.0, None)])
+def test_top_of_the_run_stays_before_its_end(duration, piece):
+    # The run ends in its third closed stretch, where the top draw lies a
+    # float step or two before the end, or where its first period ends,
+    # onto which the top draw rounds: it is dropped.
+    times, pieces_of = _drawn(FIXED_PIECES, duration, _FixedUniform(1.0 - 2.0**-53))
+    assert times.size == (piece is not None) and np.all(times < duration)
+    assert pieces_of.tolist() == [piece][: times.size]
+    assert np.all(duration - times <= 4 * math.ulp(duration))
 
 
 def test_always_open_gate_samples_the_whole_interval():
-    total = 0
-    for seed in range(20):
-        times = sample_open_times(1e4, 60, 1, ALWAYS_OPEN, np.random.default_rng(seed))
-        assert np.all((times >= 60.0) & (times < 61.0))
+    # A gate of period 1 s, open throughout, over 60.25 s: the draws cover
+    # the whole run, its last quarter second too.
+    pieces = [(ALWAYS_OPEN, (1e3, 1e3, 1e3))]
+    total, last = 0, 0
+    for seed in range(10):
+        times, _ = _drawn(pieces, 60.25, np.random.default_rng(seed))
+        assert np.all((times >= 0.0) & (times < 60.25))
         total += times.size
-    assert abs(total - 2e5) <= 4 * math.sqrt(2e5)
+        last += np.count_nonzero(times >= 60.0)
+    assert abs(total - 602500) <= 4 * math.sqrt(602500)
+    assert abs(last - 2500) <= 4 * math.sqrt(2500)
 
 
 # ---------------------------------------------------------------------------
-# Pairs and darks drawn as one marked stream, piece by piece
+# Pairs and darks drawn as one marked stream
 
 LOSSLESS_DARK = DetectorConfig(
     efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=3e4, dark_rate_bob=1e4
 )
 
 
-def _marked_stream(pair_rate, first, count, gate, rng, det=LOSSLESS_DARK, joint=NO_POLARIZERS):
-    """The runner's draw of a slice of ``count`` periods from period
-    ``first``, ending where the next slice starts: the open window's pairs
-    and darks and the closed stretches' darks before and after it, pieces
-    that tile the period from 0 as the plan's do, each drawn on its own
-    and merged."""
-    period, lo, hi = gate.gate_period, gate.phase_offset, gate.phase_offset + gate.aperture_time
-    dark = det.stream_law(NO_POLARIZERS, 0.0)
-    pieces = [
-        (GateState(period, lo, 0.0), dark),
-        (gate, det.stream_law(joint, pair_rate)),
-        (GateState(period, period - hi, hi), dark),
-    ]
-    times, arms = _draw_pieces(pieces, first, count, (first + count) * period, rng)
-    return times, gate_open(times, gate), arms
+def _marked_stream(pair_rate, duration, gate, rng, det=LOSSLESS_DARK, joint=NO_POLARIZERS):
+    """A gated run's tagged stream, drawn and marked as the runner does:
+    the open window's pairs and darks and the closed stretches' darks
+    before and after it, each entry marked under its piece's law."""
+    pieces = _window_pieces(gate, det.stream_law(joint, pair_rate), det.stream_law(NO_POLARIZERS, 0.0))
+    times, piece = _drawn(pieces, duration, rng)
+    laws = np.array([law for _, law in pieces]).T
+    return times, gate_open(times, gate), detection_pattern(times.size, laws.take(piece, axis=1), rng)
 
 
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_marked_stream_parts_match_their_poisson_means(t0, t1):
     # Lossless detectors without polarizers: a pair fires both arms, a
     # dark one, so each part of the stream on each set is countable.
-    first, count = _periods(t0, t1)
-    gate = GateState(GATE_PERIOD, T_ON, PHASE)
-    open_measure, closed_measure = count * T_ON, count * (GATE_PERIOD - T_ON)
+    # About 4000 pairs and 4000 darks a run.
+    duration = _run_length(t0, t1)
+    open_measure = _open_time(duration)
+    closed_measure = duration - open_measure
     pair_rate = 4000.0 / open_measure
+    d_a, d_b = 3000.0 / duration, 1000.0 / duration
+    det = DetectorConfig(
+        efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=d_a, dark_rate_bob=d_b
+    )
     counts = np.zeros((2, 3))  # [closed, open] x [alice, bob, both]
     seeds = 40
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
-        _, is_open, arms = _marked_stream(pair_rate, first, count, gate, rng)
+        _, is_open, arms = _marked_stream(pair_rate, duration, GATE, rng, det)
         for k, code in enumerate((ALICE, BOB, BOTH)):
             counts[0, k] += np.count_nonzero(~is_open & (arms == code))
             counts[1, k] += np.count_nonzero(is_open & (arms == code))
         assert np.all(arms != 0)  # every entry fires a detector
-    d_a, d_b = LOSSLESS_DARK.dark_rate_alice, LOSSLESS_DARK.dark_rate_bob
     expected = seeds * np.array(
         [
             [d_a * closed_measure, d_b * closed_measure, 0.0],
@@ -337,21 +399,24 @@ def test_marked_stream_parts_match_their_poisson_means(t0, t1):
 
 @pytest.mark.parametrize("t0, t1", RANGES)
 def test_marked_stream_is_sorted_and_inside_the_slice(t0, t1):
-    first, count = _periods(t0, t1)
-    gate = GateState(GATE_PERIOD, T_ON, PHASE)
-    pair_rate = 2000.0 / (count * T_ON)
+    # The slice of time is the run's, [0, T).
+    duration = _run_length(t0, t1)
+    pair_rate = 2000.0 / _open_time(duration)
+    det = DetectorConfig(
+        efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=2000.0 / duration
+    )
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        times, is_open, arms = _marked_stream(pair_rate, first, count, gate, rng)
+        times, is_open, arms = _marked_stream(pair_rate, duration, GATE, rng, det)
         assert np.all(times[1:] >= times[:-1])
-        assert np.all((times >= first * GATE_PERIOD) & (times < (first + count) * GATE_PERIOD))
+        assert np.all((times >= 0.0) & (times < duration))
         assert np.all(is_open[arms == BOTH])  # every pair passes the gate
 
 
 def test_darks_alone_are_uniform_across_the_gate():
-    # Darks alone: the open window and the closed stretch draw at one rate.
-    first, count = _periods(*RANGES[0])
-    gate = GateState(GATE_PERIOD, T_ON, PHASE)
+    # Darks alone over the 41 periods of the first span: the open window
+    # and the closed stretches draw at one rate.
+    duration = _run_length(*RANGES[0])
     det = DetectorConfig(
         efficiency_alice=0.5, efficiency_bob=0.5, dark_rate_alice=1.5e7, dark_rate_bob=5e6
     )
@@ -359,12 +424,12 @@ def test_darks_alone_are_uniform_across_the_gate():
     open_count = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        times, is_open, _ = _marked_stream(0.0, first, count, gate, rng, det)
+        times, is_open, _ = _marked_stream(0.0, duration, GATE, rng, det)
         total += times.size
         open_count += np.count_nonzero(is_open)
-    expected = 20 * 2e7 * count * GATE_PERIOD
+    expected = 20 * 2e7 * duration
     assert abs(total - expected) <= 4 * math.sqrt(expected)
-    share = T_ON / GATE_PERIOD
+    share = _open_time(duration) / duration
     assert abs(open_count - share * total) <= 4 * math.sqrt(share * (1 - share) * total)
 
 
@@ -383,7 +448,7 @@ def test_darks_alone_are_uniform_across_the_gate():
 @pytest.mark.parametrize("gated", [True, False, "shut"])
 def test_zero_rate_edges_raise_no_warning(pair_rate, joint, darks, gated):
     gate, duty = {
-        True: (GateState(GATE_PERIOD, T_ON, PHASE), DUTY),
+        True: (GATE, DUTY),
         False: (GateState(GATE_PERIOD, GATE_PERIOD), 1.0),
         "shut": (GateState(GATE_PERIOD, 0.0, PHASE), 0.0),
     }[gated]
@@ -391,7 +456,7 @@ def test_zero_rate_edges_raise_no_warning(pair_rate, joint, darks, gated):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         rng = np.random.default_rng(3)
-        times, _, arms = _marked_stream(pair_rate, 0, 340, gate, rng, det, joint)
+        times, _, arms = _marked_stream(pair_rate, 0.01, gate, rng, det, joint)
     assert np.all(arms != 0)  # no part is drawn past its own firing probability
     expected = 0.01 * (darks + pair_rate * det.fire_probability(joint) * duty)
     assert abs(times.size - expected) <= 4 * math.sqrt(max(expected, 1.0))

@@ -6,39 +6,50 @@ a ``traveling`` model at a partially resonant influence speed (both
 model groups drawn through the gate), and ``analyze`` on the bundled
 ``table2.csv`` are hashed file by file; the stdout of ``geometry`` and
 of four ``causality`` outputs (a report and the resonance sweep, each as
-text and as JSON) is hashed whole.  A pure refactor leaves every digest
-unchanged.  A change that alters the random stream, the arithmetic or
-the written digits on purpose updates the digests below and says so in
-CHANGES.md, with the reason.
+text and as JSON) is hashed whole.  One gated sub-run long enough to
+span several chunks of draws is pinned by its counts.  A pure refactor
+leaves every pin unchanged.  A change that alters the random stream, the
+arithmetic or the written digits on purpose updates the pins below and
+says so in CHANGES.md, with the reason.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from bellgate.apparatus import ApparatusConfig, gate_geometry
 from bellgate.causality import influence_window_analysis, resonant_influence_speeds
 from bellgate.cli import main
+from bellgate.analysis import CountRecord
+from bellgate.config import build_plan
 from bellgate.fixtures import fixture_path
+from bellgate.gating import _CHUNK_EVENTS
+from bellgate.record import replace
+from bellgate.runner import derive_seed, run_setting
 
 SIMULATE_DIGESTS = {
-    "results.json": "a5306715e6982d597f7282e323779383d739fc0e10153f673da27be8837a2856",
-    "chsh_counts.csv": "07dc7b8f4cf3bd84a6e2b07e073f6f69aee448bc5cf1a51390ccbc03f8399fac",
-    "degradation.csv": "9bc0e3ce8329740aa9e0a70f2222303ec9d4d771ce560091b8b0fd8137979330",
+    "results.json": "601645e2ee8061abbfa1511fb7e22e4173240d631b6d76d4108ff18ccfb559d0",
+    "chsh_counts.csv": "7840dc750770641456fc19abc829d72ee147f4893025589cc0e1eb2bbdcadc67",
+    "degradation.csv": "10d684a88fb9505ac86cb4121f198571ac5e43a4f10056b592a6f9e766806b2f",
 }
 
 ROTATION_OFF_DIGESTS = {
-    "results.json": "f91231bcfa3d88b945fd8453d27efceff4ee500a2963575d2b3aee4b7097c6cc",
+    "results.json": "ca2b3cca40c6e474265880d8c967bc4be8dd8b8b4ce664143a80388026c71041",
     "chsh_counts.csv": "3c958f8c0bb88724e5823d91379b5722de2491a9aa6e7eca47a9d270285238d8",
-    "degradation.csv": "9bc0e3ce8329740aa9e0a70f2222303ec9d4d771ce560091b8b0fd8137979330",
+    "degradation.csv": "10d684a88fb9505ac86cb4121f198571ac5e43a4f10056b592a6f9e766806b2f",
 }
 
 TRAVELING_DIGESTS = {
-    "results.json": "eb00ee9032c8193354c8d7c62e286e9addaf2dab8c085daec5d53f160ef7d3cf",
-    "chsh_counts.csv": "13db948c3abe0a75e94a16df2a79588ccd38ab0e10e8823611b18a3434fd36b7",
-    "degradation.csv": "9bc0e3ce8329740aa9e0a70f2222303ec9d4d771ce560091b8b0fd8137979330",
+    "results.json": "4468a2ec8e8c950970d56d2391da6d064baf96053e2ee95fe6ab3d665ff9350c",
+    "chsh_counts.csv": "3f58786a8e07dd7fe0cc7afae73f3ab8307e0da943d350d0ba027b1054122768",
+    "degradation.csv": "10d684a88fb9505ac86cb4121f198571ac5e43a4f10056b592a6f9e766806b2f",
 }
+
+# The (0, 22.5) cell of demo.json's scan at 2e6 pairs/s: a gated run of
+# about 2.2e5 draws, so four chunks (the bundled runs draw one each).
+LONG_GATED_RECORD = CountRecord(125108, 122282, 24379, 30.0)
 
 ANALYZE_DIGESTS = {
     "chsh_report.txt": "c87c7915124ccac94ff5ba8e6f611a4a0e0774c0a752cfc2b3132cacde126f8b",
@@ -113,6 +124,14 @@ def test_traveling_luminosity_runs_are_the_bundled_models():
     # The luminosity runs have no polarizers, so which model informs a pair
     # changes nothing: the traveling run's open pieces merge into one.
     assert TRAVELING_DIGESTS["degradation.csv"] == SIMULATE_DIGESTS["degradation.csv"]
+
+
+def test_gated_run_over_several_chunks_is_pinned():
+    plan = replace(build_plan(json.loads(fixture_path("demo.json").read_text())), pair_rate=2e6)
+    per_period = sum(law[0] * gate.aperture_time for gate, law in plan.stream(0.0, 22.5))
+    assert per_period * plan.integration_time / plan.gate.gate_period > 3 * _CHUNK_EVENTS
+    rng = np.random.default_rng(derive_seed(plan.seed, "chsh", 0.0, 22.5))
+    assert run_setting(plan, 0.0, 22.5, rng) == LONG_GATED_RECORD
 
 
 def test_analyze_table2_is_byte_identical(tmp_path):

@@ -24,16 +24,15 @@ from bellgate.causality import influence_window_analysis, resonant_influence_spe
 from bellgate.config import MAX_RUN_EVENTS, RunPlan, build_plan
 from bellgate.detection import ALICE, BOB, BOTH, detection_pattern, match_coincidences
 from bellgate.fixtures import fixture_path
+from bellgate.gating import _CHUNK_EVENTS, gate_open
 from bellgate import runner
 from bellgate.record import replace
 from bellgate.runner import (
     _BLOCK_STEPS,
-    _CHUNK_EVENTS,
     DEGRADATION_LABELS,
     _count,
     _count_homogeneous,
     _entries_before,
-    _slices,
     derive_seed,
     run_chsh,
     run_degradation,
@@ -48,7 +47,7 @@ from bellgate.sources import (
     correlation_theory,
     joint_probabilities,
 )
-from conftest import _sliced, tag_arms
+from conftest import _sliced, speed_at_pass_fraction, tag_arms
 from oracle import dark_times
 
 PERFECT = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=20e-9)
@@ -195,24 +194,36 @@ def _counted_pieces(monkeypatch):
     return seen
 
 
-def test_gated_run_is_sliced_in_whole_gate_periods():
+def _lambda(pieces, duration):
+    """The draws a gated run of ``duration`` seconds expects: its whole
+    periods and each piece's open time in the last."""
+    period = pieces[0][0].gate_period
+    whole = math.floor(duration / period)
+    rest = duration - whole * period
+    return sum(
+        law[0] * (whole * gate.aperture_time + min(max(rest - gate.phase_offset, 0.0), gate.aperture_time))
+        for gate, law in pieces
+    )
+
+
+def test_gated_run_is_drawn_in_chunks_of_expected_draws(monkeypatch):
     # demo.json at 2e6 pairs/s expects about 0.2 draws a period, so 30 s
-    # takes four slices: each draws every piece, they start on period
-    # multiples and tile the ceil(T/P) periods that cover the run, each
-    # ends where the next starts (the last at T), and all but the last
-    # expect about _CHUNK_EVENTS draws.
+    # takes four chunks.  One Poisson count each: the chunks tile
+    # [0, Lambda(T)), all but the last expect _CHUNK_EVENTS draws, and the
+    # counter gets one piece per chunk, about a chunk long, in time order
+    # and before T.
     plan = build_plan(json.loads(fixture_path("demo.json").read_text()))
-    duration, period = 30.1234, plan.gate.gate_period
-    pieces = replace(plan, pair_rate=2e6).stream(0.0, 22.5)
-    slices = list(_slices(pieces, period, duration))
-    assert len(slices) == 4 and all(cells == pieces for _, _, cells, _ in slices)
-    nexts = [first + count for first, count, _, _ in slices]
-    assert [first for first, *_ in slices] == [0, *nexts[:-1]]
-    assert nexts[-1] == math.ceil(duration / period)
-    assert [end for *_, end in slices] == [k * period for k in nexts[:-1]] + [duration]
-    per_period = sum(law[0] * gate.aperture_time for gate, law in pieces)
-    for _, count, _, _ in slices[:-1]:
-        assert _CHUNK_EVENTS - per_period < count * per_period <= _CHUNK_EVENTS
+    plan = replace(plan, pair_rate=2e6, integration_time=30.1234)
+    pieces = plan.stream(0.0, 22.5)
+    seen = _counted_pieces(monkeypatch)
+    rng = _PoissonMeans(5)
+    run_setting(plan, 0.0, 22.5, rng)
+    assert len(rng.means) == len(seen) == 4
+    assert rng.means[:-1] == [_CHUNK_EVENTS] * 3 and 0 < rng.means[-1] <= _CHUNK_EVENTS
+    assert sum(rng.means) == pytest.approx(_lambda(pieces, plan.integration_time), rel=1e-12)
+    assert max(times.size for times, _ in seen) < _CHUNK_EVENTS + 5 * math.sqrt(_CHUNK_EVENTS)
+    times = np.concatenate([times for times, _ in seen])
+    assert np.all(times[1:] >= times[:-1]) and times.max() < plan.integration_time
 
 
 def _cut_plan(rotation_rate, dark_rate, duration):
@@ -226,44 +237,57 @@ def _cut_plan(rotation_rate, dark_rate, duration):
     return replace(plan, apparatus=apparatus, detector=detector, integration_time=duration)
 
 
-def test_a_period_that_expects_more_than_a_chunk_is_cut_into_cells(monkeypatch):
+def test_a_period_that_expects_more_than_a_chunk_is_drawn_in_chunks(monkeypatch):
     # At 1 turn/s the period is 29 ms, and darks of 1e7/s per arm put
-    # about 5.9e5 draws in it.  Each piece's window is cut into the fewest
-    # equal cells that expect at most _CHUNK_EVENTS draws; the cells tile
-    # every period, each cell of each period is a slice ending where the
-    # next opens (the last at T), and the counter gets pieces of about a
-    # chunk.  The run ends halfway through its third period, and no slice
-    # opens after it.
+    # about 5.9e5 draws in it.  The run ends halfway through its third
+    # period: its chunks tile [0, Lambda(T)), each expecting at most
+    # _CHUNK_EVENTS draws, so the counter gets pieces of about a chunk,
+    # and nothing at or after T.
     period = gate_geometry(_cut_plan(1.0, 1e7, 1.0).apparatus).gate_period
     plan = _cut_plan(1.0, 1e7, 2.5 * period)
     pieces = plan.stream(0.0, 22.5)
     assert sum(law[0] * gate.aperture_time for gate, law in pieces) > 8 * _CHUNK_EVENTS
-    slices = list(_slices(pieces, period, plan.integration_time))
-    opens = [first * period + cells[0][0].phase_offset for first, _, cells, _ in slices]
-    assert [end for *_, end in slices] == [*opens[1:], plan.integration_time]
-    assert all(a < b for a, b in zip(opens, opens[1:]))
-    assert all(count == 1 for _, count, _, _ in slices)
-    for first in range(3):
-        cells = [cell for k, _, (cell,), _ in slices if k == first]
-        opened = [gate.phase_offset for gate, _ in cells]
-        stops = [gate.phase_offset + gate.aperture_time for gate, _ in cells]
-        assert opened == pytest.approx([0.0, *stops[:-1]])
-        if first < 2:
-            assert stops[-1] == pytest.approx(period)
-        else:
-            assert opened[-1] < 0.5 * period <= stops[-1]
-    expected = [
-        law[0] * min(max(end - first * period - gate.phase_offset, 0.0), gate.aperture_time)
-        for first, _, ((gate, law),), end in slices
-    ]
-    assert _CHUNK_EVENTS / 2 < max(expected) <= _CHUNK_EVENTS
+    total = _lambda(pieces, plan.integration_time)
     seen = _counted_pieces(monkeypatch)
-    run_setting(plan, 0.0, 22.5, np.random.default_rng(5))
-    assert len(seen) == len(slices)
+    rng = _PoissonMeans(5)
+    run_setting(plan, 0.0, 22.5, rng)
+    assert len(rng.means) == len(seen) == math.ceil(total / _CHUNK_EVENTS)
+    assert max(rng.means) == _CHUNK_EVENTS and sum(rng.means) == pytest.approx(total, rel=1e-12)
     assert max(times.size for times, _ in seen) < _CHUNK_EVENTS + 5 * math.sqrt(_CHUNK_EVENTS)
-    assert np.all(np.concatenate([times for times, _ in seen]) < plan.integration_time)
-    drawn, total = sum(times.size for times, _ in seen), sum(expected)
-    assert abs(drawn - total) < 5 * math.sqrt(total)
+    times = np.concatenate([times for times, _ in seen])
+    assert np.all(times[1:] >= times[:-1]) and times.max() < plan.integration_time
+    assert abs(times.size - total) < 5 * math.sqrt(total)
+
+
+def test_marks_follow_the_piece_a_time_lies_in(monkeypatch):
+    # A traveling model whose informed arrivals fill the last quarter of
+    # the open window cuts it in two, each part under its own model's
+    # joint law, and the closed stretch holds darks alone.  Each entry,
+    # placed in its piece by gate_open on that piece's gate, fires Alice
+    # alone, both or Bob alone in that piece's shares, and each piece
+    # holds its rate times its open time.
+    apparatus = ApparatusConfig(aperture_width=0.01)
+    detector = DetectorConfig(
+        efficiency_alice=0.5, efficiency_bob=0.4, dark_rate_alice=3e4, dark_rate_bob=2e4
+    )
+    speed = speed_at_pass_fraction(apparatus, 0.25, early=False)
+    model = TravelingInfluence(QuantumState("mirrored", 1.0), MalusLHV(), speed)
+    plan = RunPlan(apparatus, detector, model, pair_rate=2e6, integration_time=0.1)
+    pieces = plan.stream(0.0, 22.5)
+    assert len(pieces) == 3
+    seen, drawn = _counted_pieces(monkeypatch), []
+    for seed in range(20):
+        seen.clear()
+        run_setting(plan, 0.0, 22.5, np.random.default_rng(seed))
+        drawn.extend(seen)
+    times = np.concatenate([times for times, _ in drawn])
+    arms = np.concatenate([arms for _, arms in drawn])
+    for gate, (rate, alice_only, both) in pieces:
+        inside = gate_open(times, gate)
+        periods = 20 * plan.integration_time / gate.gate_period
+        expected = periods * gate.aperture_time * np.diff([0.0, alice_only, both, rate])
+        counts = [np.count_nonzero(inside & (arms == code)) for code in (ALICE, BOTH, BOB)]
+        assert np.all(np.abs(counts - expected) <= 4 * np.sqrt(expected)), (gate, counts, expected)
 
 
 class _PoissonMeans(np.random.Generator):

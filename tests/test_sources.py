@@ -10,7 +10,7 @@ import pytest
 from bellgate.analysis import ALICE_ANGLES, BOB_ANGLES, chsh_S
 from bellgate.apparatus import ApparatusConfig, DetectorConfig
 from bellgate.config import RunPlan
-from bellgate.gating import sample_open_times
+from bellgate.gating import sample_times
 from bellgate.sources import (
     MalusLHV,
     QuantumState,
@@ -61,14 +61,19 @@ def band_overlap_joint(alice_angle, bob_angle, m=2_000_000):
 
 
 def test_emission_count_matches_rate():
-    times = sample_open_times(BENCH_PAIR_RATE, 0, 1, ALWAYS_OPEN, np.random.default_rng(101))
+    # 1.65e6 draws in 1 s: 26 chunks, in time order across them.
+    law = (BENCH_PAIR_RATE,) * 3
+    times = np.concatenate(
+        [t for t, _ in sample_times([(ALWAYS_OPEN, law)], 1.0, np.random.default_rng(101))]
+    )
     expected = BENCH_PAIR_RATE
     assert abs(times.size - expected) < 5 * math.sqrt(expected)
-    assert times.min() >= 0.0 and times.max() < 1.0
+    assert times.min() >= 0.0 and times.max() < 1.0 and np.all(times[1:] >= times[:-1])
 
 
 def test_zero_duration_gives_empty_stream():
-    assert sample_open_times(100.0, 0, 0, ALWAYS_OPEN, np.random.default_rng(0)).size == 0
+    law = (100.0,) * 3
+    assert list(sample_times([(ALWAYS_OPEN, law)], 0.0, np.random.default_rng(0))) == []
 
 
 @pytest.mark.parametrize("rate, duration", [(0.0, 1.0), (-5.0, 1.0), (100.0, -1.0)])
