@@ -310,6 +310,28 @@ def test_top_of_a_chunk_stays_before_the_next_chunk(bench, duration):
     assert np.all(joined[1:] >= joined[:-1]) and joined.max() < duration
 
 
+@pytest.mark.parametrize("first, count", [(68000, 5), (2039997, 2)])
+def test_top_of_a_slice_stays_before_the_next_slice(bench, first, count):
+    # A run of the bench that ends where ``count`` gate periods from period
+    # ``first`` end, near 2 s and 60 s, where the next period's first
+    # window opens.  Under the largest uniform below 1 each chunk draws
+    # one time at its top; the last chunk's, in the closed stretch of the
+    # last period, rounds onto or past the end unless the run drops it.
+    end = (first + count) * GATE_PERIOD
+    plan = RunPlan(
+        apparatus=bench,
+        detector=LOSSLESS_DARK,
+        model=QuantumState(),
+        pair_rate=1e5,
+        integration_time=end,
+    )
+    tops = [t for t, _ in sample_times(plan.stream(), end, _FixedUniform(1.0 - 2.0**-53))]
+    joined = np.concatenate(tops)
+    assert len(tops) - 1 <= joined.size <= len(tops)
+    assert np.all(joined[1:] >= joined[:-1]) and joined.max() < end
+    assert gate_open(end, plan.gate)
+
+
 # A gate of period 1 s open on [k, k + 0.3), each piece drawing one a second.
 FIXED_PIECES = [(GateState(1.0, 0.3), (1.0, 1.0, 1.0)), (GateState(1.0, 0.7, 0.3), (1.0, 1.0, 1.0))]
 
