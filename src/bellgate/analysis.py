@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .record import ACCIDENTAL_FACTORS, Record
+from .record import Record
 
 ALICE_ANGLES = (0.0, 45.0, 90.0, 135.0)
 BOB_ANGLES = (22.5, 67.5, 112.5, 157.5)
@@ -191,20 +191,6 @@ def calibrate_from_counts(record: CountRecord, dark: CountRecord) -> Calibration
         efficiency_alice=c / s_b,
         efficiency_bob=c / s_a,
     )
-
-
-def accidental_rate(r1: float, r2: float, window: float, convention: str) -> float:
-    """Expected accidental-coincidence rate from two singles rates.
-
-    ``single`` gives r1*r2*window, ``double`` gives r1*r2*2*window (a
-    detection on either side may open the window).
-    """
-    if r1 < 0 or r2 < 0:
-        raise ValueError("singles rates must be non-negative")
-    factor = ACCIDENTAL_FACTORS.get(convention)
-    if factor is None:
-        raise ValueError(f"unknown accidental convention {convention!r}")
-    return r1 * r2 * factor * window
 
 
 def correlation_E(c_ab, c_aperp_bperp, c_a_bperp, c_aperp_b) -> tuple[float, float]:

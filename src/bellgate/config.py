@@ -15,7 +15,9 @@ so reading a config and building its plan (``bellgate geometry``,
 ``bellgate causality`` and the checks ``simulate`` makes before its first
 draw) never waits for it.  A plan says what each of its runs draws
 (:meth:`RunPlan.stream`): the pieces of the gate period and each piece's
-stream law; :mod:`bellgate.runner` only draws and counts them.
+stream law; :mod:`bellgate.runner` only draws and counts them.  It also
+gives each cell's accidental estimate (:meth:`RunPlan.accidentals`), so
+the conventions a plan may name are known here alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 
 from .apparatus import ApparatusConfig, DetectorConfig, GateState, gate_geometry, validate_config
 from .causality import influence_window_analysis
-from .record import ACCIDENTAL_FACTORS, Record, fields
+from .record import Record, fields
 from .sources import (
     INSTANTANEOUS,
     NO_POLARIZERS,
@@ -43,6 +45,10 @@ from .sources import (
 # largest sub-run: about 750 times the largest run the README quotes, and
 # minutes of counting for that sub-run alone.  Fixed, not an option.
 MAX_RUN_EVENTS = 1e10
+
+# Accidental-coincidence estimates by name: the factor on r1*r2*window
+# that RunPlan.accidentals applies and that accidental_convention must name.
+_CONVENTION_FACTORS = {"single": 1.0, "double": 2.0}
 
 
 class RunPlan(Record):
@@ -83,7 +89,7 @@ class RunPlan(Record):
             raise ValueError("pair rate must be positive and finite")
         if not 0 < self.integration_time < math.inf:
             raise ValueError("integration time must be positive and finite")
-        if self.accidental_convention not in ACCIDENTAL_FACTORS:
+        if self.accidental_convention not in _CONVENTION_FACTORS:
             raise ValueError(f"unknown accidental convention {self.accidental_convention!r}")
         geometry = gate_geometry(validate_config(self.apparatus))
         object.__setattr__(self, "geometry", geometry)
@@ -166,6 +172,20 @@ class RunPlan(Record):
         return tuple(
             (GateState(period, hi - lo, lo), piece_law)
             for lo, hi, piece_law in zip(starts, [*starts[1:], period], laws)
+        )
+
+    def accidentals(self, rate_alice, rate_bob):
+        """Expected accidental coincidences of one run of
+        :attr:`integration_time` from its singles rates, under
+        :attr:`accidental_convention`: ``single`` takes r1*r2*window,
+        ``double`` r1*r2*2*window (a detection on either side may open
+        the window).  A negative rate raises ValueError.
+        """
+        if rate_alice < 0 or rate_bob < 0:
+            raise ValueError("singles rates must be non-negative")
+        factor = _CONVENTION_FACTORS[self.accidental_convention]
+        return self.integration_time * (
+            rate_alice * rate_bob * factor * self.detector.coincidence_window
         )
 
 

@@ -10,12 +10,6 @@ class do; but creating the class compiles nothing.
 
 from __future__ import annotations
 
-#: Accidental-coincidence estimates by name: the factor on r1*r2*window
-#: that :func:`~bellgate.analysis.accidental_rate` applies and that
-#: ``RunPlan.accidental_convention`` must name.  It lives here, in the one
-#: numpy-free module that both ``config`` and ``analysis`` import.
-ACCIDENTAL_FACTORS = {"single": 1.0, "double": 2.0}
-
 
 class FrozenInstanceError(AttributeError):
     """A record's attribute was assigned or deleted."""

@@ -74,7 +74,6 @@ from .analysis import (
     CountRecord,
     CountTable16,
     DegradationResult,
-    accidental_rate,
     chsh_S,
     degradation_ratio,
 )
@@ -82,11 +81,11 @@ from .config import RunPlan
 from .detection import ALICE, BOB, detection_pattern, match_coincidences
 from .gating import gate_open, sample_times
 
-# perfbench/trace_child.py wraps these five names on this module and never
+# perfbench/trace_child.py wraps these six names on this module and never
 # calls them; the line goes when ROADMAP item E drops those lookups.  Only
 # that tracer reads the one gate_open pass of each gated chunk, and it
 # counts the Poisson draws made inside run_setting: ROADMAP E removes both.
-joint_outcomes = thin_times = dark_times = gate_geometry = validate_config = None
+joint_outcomes = thin_times = dark_times = gate_geometry = validate_config = accidental_rate = None
 
 DEGRADATION_LABELS = ("dark", "no_rotation", "with_rotation")
 
@@ -246,11 +245,12 @@ def _count(pieces, window: float, duration: float) -> CountRecord:
 
     ``pieces`` yields tagged streams ``(times, arms)`` in time order: no
     entry is earlier than an entry of an earlier piece.  The tail carried
-    from the piece before joins by concatenation; singles are counted
-    from the arm codes.  The greedy count splits at every gap of a window
-    or more (see :func:`~bellgate.detection.match_coincidences`), so the
-    entries up to the last such gap are matched now and the rest are
-    carried; the last tail is matched when the pieces run out.  A piece
+    from the piece before, if any, joins by concatenation; singles are
+    counted from the arm codes.  The greedy count splits at every gap of a
+    window or more (see :func:`~bellgate.detection.match_coincidences`),
+    so the entries up to the last such gap are matched now and a copy of
+    the rest is carried: between pieces only that tail stays alive.  The
+    last tail is matched when the pieces run out.  A piece
     out of time order raises: at least its last entry is carried, so the
     bad junction reaches a match.
     """
@@ -259,12 +259,15 @@ def _count(pieces, window: float, duration: float) -> CountRecord:
     for times, arms in pieces:
         singles_alice += int(np.count_nonzero(arms & ALICE))
         singles_bob += int(np.count_nonzero(arms & BOB))
-        times = np.concatenate([tail_times, times])
-        arms = np.concatenate([tail_arms, arms])
-        gaps = np.flatnonzero(np.diff(times) >= window)
-        i = int(gaps[-1]) + 1 if gaps.size else 0
+        if tail_times.size:
+            times = np.concatenate([tail_times, times])
+            arms = np.concatenate([tail_arms, arms])
+        long_gaps = np.diff(times) >= window
+        # One past the last gap of a window or more; 0 if there is none.
+        i = long_gaps.size - int(long_gaps[::-1].argmax()) if long_gaps.any() else 0
         coincidences += match_coincidences(times[:i], arms[:i], window)
-        tail_times, tail_arms = times[i:], arms[i:]
+        tail_times, tail_arms = times[i:].copy(), arms[i:].copy()
+        del times, arms, long_gaps  # hold only the tail while the next piece is drawn
     coincidences += match_coincidences(tail_times, tail_arms, window)
     return CountRecord(singles_alice, singles_bob, coincidences, duration)
 
@@ -273,12 +276,11 @@ def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:
     """Counting run per setting of the 4x4 grid, assembled into a table
     plus CHSH result.
 
-    Accidental estimates come from each cell's own singles rates and the
-    plan's window convention.
+    Accidental estimates come from each cell's own singles rates
+    (:meth:`~bellgate.config.RunPlan.accidentals`).
     """
     counts = np.zeros((4, 4))
     accidentals = np.zeros((4, 4))
-    duration = plan.integration_time
     for i, alice_angle in enumerate(ALICE_ANGLES):
         for j, bob_angle in enumerate(BOB_ANGLES):
             rng = np.random.default_rng(
@@ -287,12 +289,7 @@ def run_chsh(plan: RunPlan) -> tuple[CountTable16, ChshResult]:
             record = run_setting(plan, alice_angle, bob_angle, rng)
             singles_alice, singles_bob, _ = record.rates
             counts[i, j] = record.coincidences
-            accidentals[i, j] = duration * accidental_rate(
-                singles_alice,
-                singles_bob,
-                plan.detector.coincidence_window,
-                plan.accidental_convention,
-            )
+            accidentals[i, j] = plan.accidentals(singles_alice, singles_bob)
     table = CountTable16(counts=counts, accidentals=accidentals)
     return table, chsh_S(table)
 

@@ -14,7 +14,6 @@ from bellgate.analysis import (
     CountRecord,
     CountTable16,
     NumericalError,
-    accidental_rate,
     chsh_S,
     correlation_E,
     dark_subtract,
@@ -129,30 +128,6 @@ def test_degradation_zero_denominator():
     dark = CountRecord(*DARK_ROW)
     with pytest.raises(ArithmeticError, match="denominator"):
         degradation_ratio(CountRecord(*WITH_ROTATION_ROW), dark, dark)
-
-
-# ---------------------------------------------------------------------------
-# Accidental estimates
-
-
-def test_accidental_rate_conventions():
-    assert accidental_rate(2301.0, 1098.0, 20e-9, "single") == pytest.approx(
-        0.05052996, rel=1e-12
-    )
-    assert accidental_rate(2301.0, 1098.0, 20e-9, "double") == pytest.approx(
-        0.10105992, rel=1e-12
-    )
-    # about 3 per minute (single) vs 6 per minute (double)
-    assert accidental_rate(2301.0, 1098.0, 20e-9, "single") * 60 == pytest.approx(3.03, abs=0.01)
-
-
-def test_accidental_rate_zero_and_errors():
-    assert accidental_rate(0.0, 1098.0, 20e-9, "double") == 0.0
-    assert accidental_rate(2301.0, 0.0, 20e-9, "single") == 0.0
-    with pytest.raises(ValueError):
-        accidental_rate(-1.0, 1.0, 20e-9, "double")
-    with pytest.raises(ValueError):
-        accidental_rate(1.0, 1.0, 20e-9, "triple")
 
 
 # ---------------------------------------------------------------------------

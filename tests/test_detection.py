@@ -378,7 +378,8 @@ def test_count_run_summary():
 
 
 def test_dark_only_run_over_many_slices_has_the_accidental_rate():
-    # 2e5 darks/s for 3 s: about ten slices, each drawing its own darks
+    # 2e5 darks/s for 3 s with the mirror stopped: _count_homogeneous
+    # places the close pairs of 6e5 darks in about two blocks of steps
     det = DetectorConfig(
         efficiency_alice=1.0, efficiency_bob=1.0, dark_rate_alice=1e5, dark_rate_bob=1e5
     )

@@ -4,9 +4,10 @@
 ``runner.run_setting``, kept as the oracle: it emits every pair, sorts
 the stream, draws polarizer outcomes for all of them, gates the slit
 arrivals, thins each arm by its efficiency and matches the whole run at
-once.  The runner now draws only the pairs that fire a detector
-and counts them slice by slice, or with the mirror stopped places only
-the entries within a window of a neighbour.  Both must give the same
+once.  The runner now draws only the pairs that fire a detector, in
+chunks of operational time (``gating.sample_times``) that it counts
+chunk by chunk, or with the mirror stopped places only the entries
+within a window of a neighbour.  Both must give the same
 distribution of coincidences and singles, which is tested over a seed
 list fixed in advance: Welch's z on the means and an F-test on the
 variances of each quantity.

@@ -182,6 +182,28 @@ def test_plan_rejects_non_finite_rate_and_time():
         quick_plan(MalusLHV(), integration_time=math.nan)
 
 
+def test_plan_accidentals_conventions():
+    # PERFECT's window is 20 ns; a plan's estimate is for one run of its integration time.
+    single = quick_plan(MalusLHV(), accidental_convention="single")
+    double = replace(single, accidental_convention="double")
+    assert single.accidentals(2301.0, 1098.0) == pytest.approx(0.05052996, rel=1e-12)
+    assert double.accidentals(2301.0, 1098.0) == pytest.approx(0.10105992, rel=1e-12)
+    # about 3 per minute (single) vs 6 per minute (double)
+    minute = replace(single, integration_time=60.0)
+    assert minute.accidentals(2301.0, 1098.0) == pytest.approx(3.03, abs=0.01)
+
+
+def test_plan_accidentals_zero_and_errors():
+    double = quick_plan(MalusLHV(), accidental_convention="double")
+    assert double.accidentals(0.0, 1098.0) == 0.0
+    assert replace(double, accidental_convention="single").accidentals(2301.0, 0.0) == 0.0
+    with pytest.raises(ValueError, match="singles rates must be non-negative"):
+        double.accidentals(-1.0, 1.0)
+    # An unknown convention is refused when the plan is built.
+    with pytest.raises(ValueError, match="unknown accidental convention 'triple'"):
+        replace(double, accidental_convention="triple")
+
+
 def _counted_pieces(monkeypatch):
     """The list of the pieces that a run hands :func:`~bellgate.runner._count`."""
     seen = []
@@ -578,6 +600,29 @@ def test_count_of_a_piece_earlier_than_the_carried_tail_raises():
                      np.concatenate([[BOTH], later_arms]).astype(np.int8))
         with pytest.raises(ValueError, match="timestamps are not sorted"):
             _count(iter(pieces), window, 1.0)
+
+
+def test_count_holds_only_the_tail_while_the_next_piece_is_drawn():
+    # Pieces of a gated chunk's size whose every gap is a window or more:
+    # each is matched whole but its last entry.  The generator keeps no
+    # reference to what it yields, so what is live when the counter asks
+    # for the next piece is the counter's own (a piece is 576 KB).
+    window, n = 1e-8, 65536
+    live = []
+
+    def pieces():
+        for k in range(3):
+            if k:
+                live.append(tracemalloc.get_traced_memory()[0])
+            yield k + np.arange(n) * (2 * window), np.full(n, BOTH, dtype=np.int8)
+
+    tracemalloc.start()
+    try:
+        record = _count(pieces(), window, 1.0)
+    finally:
+        tracemalloc.stop()
+    assert record == CountRecord(3 * n, 3 * n, 3 * n, 1.0)
+    assert max(live) < 64 * 1024, f"{live} B live between pieces"
 
 
 @pytest.mark.parametrize("seed", range(3))
