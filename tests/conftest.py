@@ -10,6 +10,12 @@ from bellgate.sources import joint_probabilities
 # A gate with no closed time: built directly, as gate_geometry refuses its timing.
 ALWAYS_OPEN = GateState(gate_period=1.0, aperture_time=1.0)
 
+# The reference bench's gate (ApparatusConfig's defaults: A=1e-3 m slit,
+# R=0.34 m, w=1000 Hz, N=34 facets): open time, period and duty cycle.
+T_ON = 4.681027737996921e-07
+GATE_PERIOD = 2.9411764705882354e-05
+DUTY = 0.015915494309189534
+
 
 @pytest.fixture
 def bench():

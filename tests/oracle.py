@@ -8,7 +8,8 @@ shares no outcome, thinning or dark-count code with the runner:
 polarizer outcomes for all of them (:func:`joint_outcomes`), gates the
 slit arrivals, thins each arm by its efficiency (:func:`thin_times`),
 adds each arm's darks (:func:`dark_times`) and matches the whole run at
-once.
+once.  :func:`same_distribution` is the two-sample check that a sampler
+and the chain it replaced draw one law.
 """
 
 import math
@@ -152,3 +153,18 @@ def event_level_counts(plan, alice_angle, bob_angle, rng, rotation=None):
     bob = np.concatenate([bob, dark_times(det.dark_rate_bob, duration, rng)])
     coincidences = match_coincidences(*tag_arms(alice, bob), det.coincidence_window)
     return coincidences, alice.size, bob.size
+
+
+def same_distribution(x, y, alpha: float, label: str):
+    """Check that two samples share one law: Welch's z on the means and an
+    F-test on the variance ratio through Fisher's z = ln(F)/2, which is
+    close to normal with variance (1/df1 + 1/df2)/2 at these sizes.
+    Asserts that each two-sided p-value is above ``alpha``, naming
+    ``label`` if not, and returns (z_mean, z_var)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    var_x, var_y = x.var(ddof=1), y.var(ddof=1)
+    z_mean = (y.mean() - x.mean()) / math.sqrt(var_x / x.size + var_y / y.size)
+    z_var = 0.5 * math.log(var_y / var_x) / math.sqrt(0.5 / (x.size - 1) + 0.5 / (y.size - 1))
+    for kind, z in (("mean", z_mean), ("variance", z_var)):
+        assert math.erfc(abs(z) / math.sqrt(2.0)) > alpha, f"{label}: {kind} z = {z:.2f}"
+    return z_mean, z_var

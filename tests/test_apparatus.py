@@ -10,12 +10,9 @@ from bellgate.apparatus import (
     validate_config,
 )
 from bellgate.record import replace
+from conftest import DUTY, GATE_PERIOD, T_ON
 
-# Reference bench: A=1e-3 m slit, R=0.34 m, w=1000 Hz, N=34 facets,
-# L=200 m fiber per arm, vacuum-speed timing.
-T_ON = 4.681027737996921e-07
-DUTY = 0.015915494309189534
-GATE_PERIOD = 2.9411764705882354e-05
+# Reference bench: L=200 m fiber per arm, vacuum-speed timing.
 FIBER_DELAY = 6.671114076050701e-07
 FLIGHT = 140.33721158514768
 SMF_GROUP_INDEX = 1.468  # single-mode fiber at 810 nm

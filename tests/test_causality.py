@@ -20,11 +20,9 @@ from bellgate.sources import (
     TravelingInfluence,
     joint_probabilities,
 )
-from conftest import speed_at_pass_fraction
+from conftest import GATE_PERIOD, T_ON, speed_at_pass_fraction
 
 FIBER_LENGTH = 200.0
-T_ON = 4.681027737996921e-07
-GATE_PERIOD = 2.9411764705882354e-05
 FIBER_TRANSIT = FIBER_LENGTH / LIGHT_SPEED_VACUUM  # 6.671e-7 s
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from bellgate.analysis import (
     write_table_csv,
 )
 from bellgate.apparatus import ApparatusConfig, DetectorConfig
-from bellgate.causality import MAX_SWEEP_WINDOWS
+from bellgate.causality import MAX_SWEEP_WINDOWS, resonant_influence_speeds
 from bellgate.cli import CAUSALITY_FIELDS, SWEEP_FIELDS, main
 from bellgate.config import ConfigError, RunPlan, build_plan, validate_schema
 from bellgate.fixtures import fixture_path
@@ -353,8 +354,13 @@ def test_simulate_writes_reports(capsys, tmp_path):
     # the counts CSV round-trips through the analyze command, to the last bit
     assert chsh_S(read_table_csv(out_dir / "chsh_counts.csv")).S == results["chsh"]["S"]
     capsys.readouterr()
-    assert main(["analyze", str(out_dir / "chsh_counts.csv")]) == 0
+    report = tmp_path / "report"
+    assert main(["analyze", str(out_dir / "chsh_counts.csv"), "--out", str(report)]) == 0
     assert "S = " in capsys.readouterr().out
+    # and the S row of its report is repr of that S
+    with open(report / "chsh_report.csv", newline="") as f:
+        rows = [row for row in csv.reader(f) if row[0] == "S"]
+    assert [row[3] for row in rows] == [repr(results["chsh"]["S"])]
 
 
 def test_simulate_same_seed_is_byte_identical(tmp_path):
@@ -426,6 +432,50 @@ def test_simulate_traveling_model_roundtrips(tmp_path):
     results = json.loads((out_dir / "results.json").read_text())
     # isolation holds: surviving photons carry the uninformed statistics
     assert results["chsh"]["S"] <= 2.0 + 4 * results["chsh"]["S_sigma"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_draws_edge_streams_without_a_warning(tmp_path):
+    # One second of demo.json per run, warnings as errors: a division
+    # warning in the sampler's zero-rate branch fails here.
+    demo = json.loads(fixture_path("demo.json").read_text())
+
+    def simulate(name, cfg=demo, overrides=()):
+        out = tmp_path / name
+        args = ["--config", str(write_config(tmp_path, cfg, f"{name}.json")), "--out", str(out)]
+        for item in ("run.integration_time=1", *overrides):
+            args += ["--set", item]
+        assert main(["simulate", *args]) == 0, name
+        return out
+
+    # With no darks the stream's closed set draws nothing, gated or not.
+    no_darks = ["detector.dark_rate_alice=0", "detector.dark_rate_bob=0"]
+    for rotation in ("true", "false"):
+        simulate(f"no-darks-{rotation}", overrides=[f"run.rotation={rotation}", *no_darks])
+    # With the mirror stopped, runs are counted by their close pairs.
+    # Darks of 1e-12/s leave about 2.5e19 windows between entries of the
+    # dark run.
+    sparse = ["detector.dark_rate_alice=1e-12", "detector.dark_rate_bob=1e-12"]
+    simulate("sparse-darks", overrides=["run.rotation=false", *sparse])
+    # A traveling model cuts the gate's open window where its informed
+    # window starts or ends.  At the first resonance's centre speed the
+    # informed window covers the open one, leaving an uninformed part of
+    # zero or sliver aperture; at instant speed it misses it; halfway
+    # between the resonance's low and centre speeds it covers part of it.
+    # Without polarizers the model does not matter and the open pieces
+    # merge, so each luminosity run matches the bundled quantum model's
+    # byte for byte.
+    luminosity = (simulate("demo") / "degradation.csv").read_bytes()
+    plan = build_plan(demo)
+    a = plan.apparatus
+    photon_speed = a.vacuum_light_speed / a.fiber_group_index
+    first = resonant_influence_speeds(plan.geometry, a.fiber_length, photon_speed, 1)[0]
+    speeds = {"center": first.center, "instant": "instant", "partial": (first.low + first.center) / 2}
+    for name, speed in speeds.items():
+        model = {"name": "traveling", "base": {"name": "quantum"}, "uninformed": {"name": "malus"},
+                 "influence_speed": speed}
+        out = simulate(f"traveling-{name}", dict(demo, model=model))
+        assert (out / "degradation.csv").read_bytes() == luminosity, name
 
 
 def test_simulate_rotation_flag_override(tmp_path):
@@ -740,6 +790,15 @@ def test_readme_config_example_is_the_reference_bench():
     example = json.loads(block)
     assert example == json.loads(fixture_path("reference_bench.json").read_text())
     build_plan(example)
+
+
+def test_readme_python_example_runs_on_the_demo_config(capsys):
+    # The README's one Python block runs as written on the bundled demo
+    # config, so its import paths cannot drift.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(block.replace("my_run.json", str(fixture_path("demo.json"))), {})
+    assert capsys.readouterr().out.startswith("S = ")
 
 
 def test_causality_sweep_finds_first_resonance(capsys):

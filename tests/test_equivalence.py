@@ -13,8 +13,6 @@ list fixed in advance: Welch's z on the means and an F-test on the
 variances of each quantity.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ from bellgate.record import replace
 from bellgate.runner import run_setting
 from bellgate.sources import MalusLHV, QuantumState, ThresholdLHV, TravelingInfluence
 from conftest import speed_at_pass_fraction
-from oracle import event_level_counts
+from oracle import event_level_counts, same_distribution
 
 
 # Duty cycle 0.159, so the gate matters and counts stay cheap.
@@ -94,10 +92,6 @@ SEEDS = range(400)
 ALPHA = 1e-3 / (2 * len(QUANTITIES) * len(CASES))
 
 
-def _two_sided_p(z: float) -> float:
-    return math.erfc(abs(z) / math.sqrt(2.0))
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_candidate_path_matches_event_level_oracle(case):
     model, rotation, angles = CASES[case]
@@ -126,13 +120,5 @@ def test_candidate_path_matches_event_level_oracle(case):
     candidate = np.array(
         [[getattr(record, name) for name in QUANTITIES] for record in records], dtype=float
     )
-    n = len(SEEDS)
     for column, name in enumerate(QUANTITIES):
-        x, y = oracle[:, column], candidate[:, column]
-        var_x, var_y = x.var(ddof=1), y.var(ddof=1)
-        z_mean = (y.mean() - x.mean()) / math.sqrt((var_x + var_y) / n)
-        # F-test on the variance ratio through Fisher's z = ln(F)/2, which
-        # is close to normal with variance (1/df1 + 1/df2)/2 at these sizes.
-        z_var = 0.5 * math.log(var_y / var_x) / math.sqrt(1.0 / (n - 1))
-        assert _two_sided_p(z_mean) > ALPHA, f"{case} {name}: mean z = {z_mean:.2f}"
-        assert _two_sided_p(z_var) > ALPHA, f"{case} {name}: variance z = {z_var:.2f}"
+        same_distribution(oracle[:, column], candidate[:, column], ALPHA, f"{case} {name}")

@@ -11,11 +11,7 @@ from bellgate.detection import ALICE, BOB, BOTH, detection_pattern
 from bellgate.gating import _CHUNK_EVENTS, gate_open, sample_times
 from bellgate.runner import run_setting
 from bellgate.sources import NO_POLARIZERS, QuantumState
-from conftest import ALWAYS_OPEN
-
-T_ON = 4.681027737996921e-07
-GATE_PERIOD = 2.9411764705882354e-05
-DUTY = 0.015915494309189534
+from conftest import ALWAYS_OPEN, DUTY, GATE_PERIOD, T_ON
 
 
 @pytest.fixture

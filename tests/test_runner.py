@@ -12,6 +12,7 @@ from bellgate.analysis import (
     NumericalError,
     calibrate_from_counts,
     correlation_E,
+    read_count_records,
 )
 from bellgate.apparatus import (
     ApparatusConfig,
@@ -48,7 +49,7 @@ from bellgate.sources import (
     joint_probabilities,
 )
 from conftest import _sliced, speed_at_pass_fraction, tag_arms
-from oracle import dark_times
+from oracle import dark_times, same_distribution
 
 PERFECT = DetectorConfig(efficiency_alice=1.0, efficiency_bob=1.0, coincidence_window=20e-9)
 
@@ -80,6 +81,15 @@ def test_calibration_from_reference_luminosity():
     assert cal.efficiency_alice == pytest.approx(0.0197, abs=1e-4)
     assert cal.efficiency_bob == pytest.approx(388.92 / 32594.0, rel=1e-12)
     assert cal.efficiency_bob == pytest.approx(0.0119, abs=1e-4)
+    # These are the bundled Table 1's rows, and the rates they calibrate
+    # to are reference_bench.json's.
+    records = read_count_records(fixture_path("table1.csv"))
+    assert calibrate_from_counts(records["no_rotation"], records["dark"]) == cal
+    bench = json.loads(fixture_path("reference_bench.json").read_text())
+    assert cal.pair_rate == pytest.approx(bench["run"]["pair_rate"], rel=1e-3)
+    detector = bench["detector"]
+    assert cal.efficiency_alice == pytest.approx(detector["efficiency_alice"], abs=1e-4)
+    assert cal.efficiency_bob == pytest.approx(detector["efficiency_bob"], abs=1e-4)
 
 
 def test_calibration_lossless_detectors():
@@ -750,17 +760,6 @@ def _counts(record):
     return record.singles_alice, record.singles_bob, record.coincidences
 
 
-def _same_distribution(x, y, alpha):
-    """Welch's z on the means and Fisher's z on the variance ratio of two
-    samples, each two-sided p-value above ``alpha``."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    z_mean = (y.mean() - x.mean()) / math.sqrt(x.var(ddof=1) / x.size + y.var(ddof=1) / y.size)
-    z_var = 0.5 * math.log(y.var(ddof=1) / x.var(ddof=1)) / math.sqrt(
-        0.5 / (x.size - 1) + 0.5 / (y.size - 1)
-    )
-    assert all(math.erfc(abs(z) / math.sqrt(2.0)) > alpha for z in (z_mean, z_var)), (z_mean, z_var)
-
-
 @pytest.mark.parametrize("regime", sorted(STOPPED_REGIMES))
 def test_mirror_stopped_count_matches_the_fully_placed_stream(monkeypatch, regime):
     per_window, entries = STOPPED_REGIMES[regime]
@@ -778,7 +777,8 @@ def test_mirror_stopped_count_matches_the_fully_placed_stream(monkeypatch, regim
         close = np.diff(np.concatenate([times for times, _ in pieces])) < STOPPED_WINDOW
         lonely += int(np.count_nonzero(~(close | np.append(close[1:], False))))
     for column in range(3):
-        _same_distribution(np.array(placed)[:, column], np.array(counted)[:, column], STOPPED_ALPHA)
+        x, y = np.array(placed)[:, column], np.array(counted)[:, column]
+        same_distribution(x, y, STOPPED_ALPHA, f"{regime} column {column}")
     assert lonely == 0
 
 
@@ -999,7 +999,7 @@ def test_entries_before_the_end_of_a_long_run(count, room):
         if points[-1] >= room:
             direct.append(int(np.count_nonzero(points < room)))
     assert 0 <= min(bridged) and max(bridged) < count
-    _same_distribution(direct, bridged, 1e-3 / (2 * len(LONG_RUNS)))
+    same_distribution(direct, bridged, 1e-3 / (2 * len(LONG_RUNS)), f"{count}, {room}")
 
 
 # ---------------------------------------------------------------------------

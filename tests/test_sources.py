@@ -290,14 +290,30 @@ PLAN_LAYER = {
     "causality": "",
     "fixtures": "",
     "apparatus": "",
+    # Each plan's stream laws and accidental estimate too, on both bundled
+    # configs and on a demo.json plan informed on part of its open window,
+    # whose luminosity streams are demo.json's: without polarizers the
+    # model does not matter.
     "config": (
+        "from bellgate.causality import resonant_influence_speeds\n"
         "from bellgate.fixtures import fixture_path\n"
         "traveling = {'name': 'traveling', 'base': {'name': 'quantum'},"
         " 'uninformed': {'name': 'malus'}}\n"
+        "plans = {}\n"
         "for name in ('demo.json', 'reference_bench.json'):\n"
         "    cfg = m.load_config(fixture_path(name))\n"
-        "    m.build_plan(cfg)\n"
+        "    plans[name] = m.build_plan(cfg)\n"
         "    m.build_plan(dict(cfg, model=traveling))\n"
+        "demo = plans['demo.json']\n"
+        "a = demo.apparatus\n"
+        "photon_speed = a.vacuum_light_speed / a.fiber_group_index\n"
+        "first = resonant_influence_speeds(demo.geometry, a.fiber_length, photon_speed, 1)[0]\n"
+        "partial = dict(traveling, influence_speed=(first.low + first.center) / 2)\n"
+        "partial = m.build_plan(dict(m.load_config(fixture_path('demo.json')), model=partial))\n"
+        "for plan in (*plans.values(), partial):\n"
+        "    plan.stream(0.0, 22.5), plan.accidentals(2301.0, 1098.0)\n"
+        "for rotation in (None, False):\n"
+        "    assert partial.stream(rotation=rotation) == demo.stream(rotation=rotation)\n"
     ),
     "cli": (
         "assert m.main(['geometry']) == 0\n"
